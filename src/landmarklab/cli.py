@@ -37,13 +37,10 @@ from landmarklab.smoothing import (
     write_labels_csv,
 )
 from landmarklab.synth import (
-    LinearScorer,
     TrainConfig,
     TrainingDiverged,
-    first_epoch_at_target,
+    compare_convergence,
     generate_dataset,
-    split_dataset,
-    train,
     write_history_csv,
 )
 from landmarklab.toy import ToyConfig, run_toy, write_summary_csv, write_trace_csv
@@ -170,7 +167,10 @@ def _margin_spec(section: dict) -> MarginSpec:
 
 
 def _ensure_outdir(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise CliError(f"cannot create output directory {out}: {err.strerror}") from err
     if not os.access(out, os.W_OK):
         raise CliError(f"output directory not writable: {out}")
     return out
@@ -264,24 +264,22 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
                        section["epochs_a"], synth_seed)
     cfg_b = _train_cfg(section, section["objective_b"], section["lr_b"],
                        section["epochs_b"], synth_seed)
-    train_set, eval_set = split_dataset(dataset)
-    scorer = LinearScorer.zeros(section["landmarks"], section["width"], section["height"])
-    histories = {}
-    for arm_cfg in (cfg_a, cfg_b):
-        try:
-            _, hist = train(train_set, scorer, arm_cfg, eval_dataset=eval_set)
-        except TrainingDiverged as err:
-            raise CliError(f"{arm_cfg.objective} diverged: {err}") from err
-        histories[arm_cfg.objective] = hist
+    try:
+        result, hist_a, hist_b = compare_convergence(
+            dataset, cfg_a, cfg_b, section["target_nme"]
+        )
+    except TrainingDiverged as err:
+        raise CliError(str(err)) from err
     out = _ensure_outdir(out)
+    # Arms sharing an objective share one history file, which holds arm b.
+    histories = {cfg_a.objective: hist_a, cfg_b.objective: hist_b}
     paths = []
     for objective, hist in histories.items():
         path = os.path.join(out, f"history_{objective}.csv")
         write_history_csv(hist, objective, path)
         paths.append(path)
-    ea = first_epoch_at_target(histories[cfg_a.objective], section["target_nme"])
-    eb = first_epoch_at_target(histories[cfg_b.objective], section["target_nme"])
-    speedup = (eb / ea) if (ea is not None and eb is not None) else float("nan")
+    ea, eb = result.epochs_a, result.epochs_b
+    speedup = float("nan") if result.speedup is None else result.speedup
     conv_path = os.path.join(out, "convergence.csv")
     with open(conv_path, "w", newline="\n") as f:
         f.write("objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup\n")

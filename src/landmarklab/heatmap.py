@@ -125,26 +125,15 @@ def make_gaussian_target(
     cu, cv = float(center[0]), float(center[1])
     if not (0 <= cu <= width - 1 and 0 <= cv <= height - 1):
         raise ValueError(f"center {center} outside {width}x{height} grid")
+    return Heatmap(gaussian_bumps((cu, cv), width, height, sigma))
+
+
+def gaussian_bumps(centers, width: int, height: int, sigma: float) -> np.ndarray:
+    """Unchecked ``make_gaussian_target`` values for centers [..., 2], shape [..., H, W]."""
+    c = np.asarray(centers, dtype=np.float64)[..., None, None, :]
     uu, vv = coordinate_grids(width, height)
-    sq = (uu - cu) ** 2 + (vv - cv) ** 2
-    return Heatmap(np.exp(-sq / (2.0 * sigma * sigma)))
-
-
-def save_heatmap_csv(h: Heatmap, path) -> None:
-    """Write one CSV row per grid row."""
-    with open(path, "w", newline="\n") as f:
-        for row in h.values:
-            f.write(",".join(format(x, ".12g") for x in row) + "\n")
-
-
-def load_heatmap_csv(path) -> Heatmap:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return Heatmap(np.array(rows, dtype=np.float64))
+    sq = (uu - c[..., 0]) ** 2 + (vv - c[..., 1]) ** 2
+    return np.exp(-sq / (2.0 * sigma * sigma))
 
 
 def save_heatmap_pgm(h: Heatmap, path) -> None:

@@ -1,6 +1,8 @@
 """Training objectives over heatmaps, each with its closed-form gradient.
 
-Three objectives are implemented against the same gradient carrier:
+Each objective is written once, as a ``*_batch`` kernel over score rows
+``[..., H*W]`` with array targets; the per-heatmap functions check one
+heatmap's target and call the kernel on a single row.
 
 * ``structured_loss`` -- a margin-augmented log-sum-exp over all grid
   cells minus the score at the true cell.  Convex in the heatmap values;
@@ -24,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import Heatmap, coordinate_grids, softmax_tempered
+from numpy.lib.stride_tricks import sliding_window_view
+
+from landmarklab.heatmap import Heatmap, coordinate_grids
 from landmarklab.smoothing import GaussianLabel, sample_label
 
 
@@ -113,6 +117,91 @@ def margin_table(delta: MarginSpec, y: tuple[float, float], width: int, height: 
     return _margin_from_diffs(delta, du, dv)
 
 
+def _cell_margins(delta: MarginSpec, cells: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Margin of every grid cell against integer target cells [..., 2], shape [..., H*W].
+
+    The margin depends only on the offset between a cell and the target, so
+    it is tabulated once over all (2H-1) x (2W-1) offsets and each target's
+    H x W window is gathered from that table.
+    """
+    scale = float(max(width, height)) if delta.normalize_coords else 1.0
+    du = np.arange(1 - width, width) / scale
+    dv = np.arange(1 - height, height)[:, None] / scale
+    windows = sliding_window_view(_margin_from_diffs(delta, du, dv), (height, width))
+    # Index arrays (never scalars) so the gather always returns a fresh, writable array.
+    rows = np.atleast_1d(height - 1 - cells[..., 1])
+    cols = np.atleast_1d(width - 1 - cells[..., 0])
+    return windows[rows, cols].reshape(*cells.shape[:-1], height * width)
+
+
+def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
+    """Structured loss over score rows [..., H*W] with integer target cells [..., 2].
+
+    ``grid`` is (width, height).  Returns the values [...] and the gradients
+    [..., H*W]; each row is computed exactly as ``structured_loss`` does for
+    one heatmap.  Targets are not bounds-checked here.
+    """
+    width, height = grid
+    cells = np.asarray(cells)
+    eps = cfg.epsilon
+    k = (cells[..., 1] * width + cells[..., 0])[..., None]  # linear index of the target
+    z = _cell_margins(cfg.margin, cells, width, height)
+    z += scores
+    m = z.max(axis=-1, keepdims=True)
+    z -= m
+    z /= eps
+    np.exp(z, out=z)
+    total = z.sum(axis=-1, keepdims=True)
+    value = eps * np.log(total[..., 0]) + m[..., 0] - np.take_along_axis(scores, k, -1)[..., 0]
+    z /= total
+    np.put_along_axis(z, k, np.take_along_axis(z, k, -1) - 1.0, -1)
+    return value, z
+
+
+def smoothed_structured_batch(scores, draws, grid, cfg: StructuredLossConfig):
+    """Mean structured loss over target draws [..., D, 2], accumulated draw by draw."""
+    draws = np.asarray(draws)
+    value = np.zeros(scores.shape[:-1])
+    grad = np.zeros_like(scores)
+    for d in range(draws.shape[-2]):
+        v, g = structured_batch(scores, draws[..., d, :], grid, cfg)
+        value += v
+        grad += g
+    return value / draws.shape[-2], grad / draws.shape[-2]
+
+
+def soft_argmax_l2_batch(scores, targets, grid):
+    """Soft-argmax L2 loss over score rows [..., H*W] with (u, v) targets [..., 2]."""
+    uu, vv = (c.ravel() for c in coordinate_grids(*grid))
+    targets = np.asarray(targets, dtype=np.float64)
+    p = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    su = (uu * p).sum(axis=-1, keepdims=True)
+    sv = (vv * p).sum(axis=-1, keepdims=True)
+    ru = su - targets[..., :1]
+    rv = sv - targets[..., 1:]
+    value = (ru * ru + rv * rv)[..., 0]
+    # grad = 2 p (ru (uu - su) + rv (vv - sv)), built in place to bound the
+    # number of [..., H*W] temporaries.
+    grad = uu - su
+    grad *= ru
+    dv = vv - sv
+    dv *= rv
+    grad += dv
+    p *= 2.0
+    grad *= p
+    return value, grad
+
+
+def heatmap_mse_batch(scores, targets):
+    """Summed squared error of score rows [..., H*W] against target rows of the same shape."""
+    diff = scores - targets
+    value = (diff * diff).sum(axis=-1)
+    diff *= 2.0
+    return value, diff
+
+
 def structured_loss(h: Heatmap, y, cfg: StructuredLossConfig = StructuredLossConfig()) -> LossGrad:
     """Margin-augmented soft-max-margin objective at the true cell y.
 
@@ -124,15 +213,8 @@ def structured_loss(h: Heatmap, y, cfg: StructuredLossConfig = StructuredLossCon
     yu, yv = int(y[0]), int(y[1])
     if not (0 <= yu < h.width and 0 <= yv < h.height):
         raise ValueError(f"target cell {(yu, yv)} outside {h.width}x{h.height} grid")
-    eps = cfg.epsilon
-    aug = margin_table(cfg.margin, (yu, yv), h.width, h.height) + h.values
-    m = aug.max()
-    z = np.exp((aug - m) / eps)
-    total = z.sum()
-    value = eps * np.log(total) + m - h.values[yv, yu]
-    grad = z / total
-    grad[yv, yu] -= 1.0
-    return LossGrad(value=float(value), grad=grad)
+    value, grad = structured_batch(h.values.ravel(), (yu, yv), (h.width, h.height), cfg)
+    return LossGrad(value=float(value), grad=grad.reshape(h.values.shape))
 
 
 def soft_argmax_l2_loss(h: Heatmap, y: tuple[float, float]) -> LossGrad:
@@ -144,15 +226,8 @@ def soft_argmax_l2_loss(h: Heatmap, y: tuple[float, float]) -> LossGrad:
     """
     if not (0 <= y[0] <= h.width - 1 and 0 <= y[1] <= h.height - 1):
         raise ValueError(f"target {y} outside {h.width}x{h.height} grid")
-    p = softmax_tempered(h, 1.0).values
-    uu, vv = coordinate_grids(h.width, h.height)
-    su = float((uu * p).sum())
-    sv = float((vv * p).sum())
-    ru = su - float(y[0])
-    rv = sv - float(y[1])
-    value = ru * ru + rv * rv
-    grad = 2.0 * p * (ru * (uu - su) + rv * (vv - sv))
-    return LossGrad(value=float(value), grad=grad)
+    value, grad = soft_argmax_l2_batch(h.values.ravel(), y, (h.width, h.height))
+    return LossGrad(value=float(value), grad=grad.reshape(h.values.shape))
 
 
 def heatmap_mse_loss(h_pred: Heatmap, h_target: Heatmap) -> LossGrad:
@@ -161,8 +236,8 @@ def heatmap_mse_loss(h_pred: Heatmap, h_target: Heatmap) -> LossGrad:
         raise ValueError(
             f"shape mismatch: {h_pred.values.shape} vs {h_target.values.shape}"
         )
-    diff = h_pred.values - h_target.values
-    return LossGrad(value=float((diff * diff).sum()), grad=2.0 * diff)
+    value, grad = heatmap_mse_batch(h_pred.values.ravel(), h_target.values.ravel())
+    return LossGrad(value=float(value), grad=grad.reshape(h_pred.values.shape))
 
 
 def smoothed_structured_loss(
@@ -177,12 +252,7 @@ def smoothed_structured_loss(
     Targets are drawn from the label's Gaussian, rounded to the nearest
     in-bounds cell; value and gradient are averaged over the draws.
     """
-    cells = sample_label(label, n_samples, rng_seed, (h.width, h.height))
-    value = 0.0
-    grad = np.zeros_like(h.values)
-    for cell in cells:
-        lg = structured_loss(h, cell, cfg)
-        value += lg.value
-        grad += lg.grad
-    n = len(cells)
-    return LossGrad(value=value / n, grad=grad / n)
+    grid = (h.width, h.height)
+    cells = sample_label(label, n_samples, rng_seed, grid)
+    value, grad = smoothed_structured_batch(h.values.ravel(), cells, grid, cfg)
+    return LossGrad(value=float(value), grad=grad.reshape(h.values.shape))

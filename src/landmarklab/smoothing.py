@@ -273,8 +273,9 @@ def sample_label(
 
 
 def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
-    """Parse annotation lines ``id u1 v1 u2 v2 ...`` into landmark sets."""
+    """Parse annotation lines ``id u1 v1 u2 v2 ...`` into landmark sets; ids are unique."""
     samples = []
+    first_line = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -289,8 +290,15 @@ def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
                 coords = [float(t) for t in tokens[1:]]
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate token") from err
+            sid = tokens[0]
+            if sid in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate sample id {sid!r}, "
+                    f"first given on line {first_line[sid]}"
+                )
+            first_line[sid] = lineno
             pts = np.array(coords, dtype=np.float64).reshape(-1, 2)
-            samples.append((tokens[0], LandmarkSet(pts)))
+            samples.append((sid, LandmarkSet(pts)))
     if not samples:
         raise ValueError(f"{path}: no annotation lines found")
     return samples

@@ -10,28 +10,19 @@ compared on equal footing by epochs-to-target-error.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from landmarklab.heatmap import (
-    GridCoord,
-    Heatmap,
-    LandmarkSet,
-    argmax,
-    load_heatmap_csv,
-    make_gaussian_target,
-    save_heatmap_csv,
-)
+from landmarklab.heatmap import Heatmap, LandmarkSet, gaussian_bumps
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
     StructuredLossConfig,
-    heatmap_mse_loss,
-    smoothed_structured_loss,
-    soft_argmax_l2_loss,
-    structured_loss,
+    heatmap_mse_batch,
+    smoothed_structured_batch,
+    soft_argmax_l2_batch,
+    structured_batch,
 )
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
@@ -40,8 +31,8 @@ from landmarklab.smoothing import (
     SmoothingConfig,
     fit_gaussian_label,
     polyline_segments,
-    read_annotations,
     refine_edge_heatmap,
+    sample_label,
     segment_distance_field,
 )
 
@@ -63,10 +54,10 @@ ROTATION_RANGE = (-0.26, 0.26)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss turns non-finite."""
+    """Raised when an objective's training loss turns non-finite."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    def __init__(self, objective: str, epoch: int):
+        super().__init__(f"{objective} diverged: non-finite loss at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -133,12 +124,16 @@ class LinearScorer:
     def norm(self) -> float:
         return float(np.linalg.norm(self.weights))
 
+    def scores(self, feats: np.ndarray) -> np.ndarray:
+        """Scores [B, N, H*W] for feature rows [B, H*W + 1], one GEMM per landmark."""
+        out = np.empty((len(feats), self.n_landmarks, self.width * self.height))
+        for n in range(self.n_landmarks):
+            np.matmul(feats, self.weights[n].T, out=out[:, n])
+        return out
+
     def predict(self, image: SynthImage) -> list[Heatmap]:
-        phi = features(image)
-        return [
-            Heatmap((self.weights[n] @ phi).reshape(self.height, self.width))
-            for n in range(self.n_landmarks)
-        ]
+        (rows,) = self.scores(features(image)[None])
+        return [Heatmap(row.reshape(self.height, self.width)) for row in rows]
 
 
 def features(image: SynthImage) -> np.ndarray:
@@ -270,18 +265,6 @@ def generate_dataset(
     return samples
 
 
-def _gt_cells(sample: SynthSample, width: int, height: int) -> list[GridCoord]:
-    cells = []
-    for u, v in sample.landmarks.points:
-        cells.append(
-            GridCoord(
-                int(np.clip(np.rint(u), 0, width - 1)),
-                int(np.clip(np.rint(v), 0, height - 1)),
-            )
-        )
-    return cells
-
-
 def fit_sample_labels(sample: SynthSample, cfg: SmoothingConfig) -> list[GaussianLabel]:
     """Directional labels for one sample, using its contour as the pseudo edge."""
     if sample.contour is None:
@@ -294,73 +277,64 @@ def fit_sample_labels(sample: SynthSample, cfg: SmoothingConfig) -> list[Gaussia
     return [fit_gaussian_label(refined, (u, v), cfg) for u, v in sample.landmarks.points]
 
 
-def _sample_loss_grads(
-    sample: SynthSample,
-    heatmaps: list[np.ndarray],
-    cfg: TrainConfig,
-    mse_targets=None,
-    labels=None,
-    mc_seed_base: str = "",
-):
-    """Summed loss over landmarks plus per-landmark heatmap gradients."""
-    w, h = sample.image.width, sample.image.height
-    total = 0.0
-    grads = []
-    cells = _gt_cells(sample, w, h)
-    for n, flat in enumerate(heatmaps):
-        hm = Heatmap(flat.reshape(h, w))
-        if cfg.objective == "structured":
-            if cfg.with_smoothing:
-                seed = derive_seed(cfg.seed, f"{mc_seed_base}/{n}")
-                lg = smoothed_structured_loss(
-                    hm, labels[n], cfg.structured, cfg.mc_samples, seed
-                )
-            else:
-                lg = structured_loss(hm, cells[n], cfg.structured)
-        elif cfg.objective == "softargmax":
-            u, v = sample.landmarks.points[n]
-            lg = soft_argmax_l2_loss(hm, (u, v))
-        else:
-            lg = heatmap_mse_loss(hm, mse_targets[n])
-        total += lg.value
-        grads.append(lg.grad.ravel())
-    return total, grads
-
-
 def _prepare(dataset, cfg: TrainConfig):
-    """Per-sample feature rows and precomputed targets."""
+    """Feature rows [S, H*W + 1] and every sample's targets for the objective.
+
+    Targets are the clipped true cells [S, N, 2] (structured), the landmark
+    points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
+    (heatmap MSE), or one list of fitted labels per sample (smoothed
+    structured).
+    """
     feats = np.stack([features(s.image) for s in dataset])
-    mse_targets = None
-    labels = None
-    if cfg.objective == "heatmap_mse":
-        mse_targets = [
-            [
-                make_gaussian_target((u, v), s.image.width, s.image.height, cfg.mse_sigma)
-                for u, v in s.landmarks.points
-            ]
-            for s in dataset
-        ]
     if cfg.objective == "structured" and cfg.with_smoothing:
-        labels = [fit_sample_labels(s, cfg.smoothing) for s in dataset]
-    return feats, mse_targets, labels
+        return feats, [fit_sample_labels(s, cfg.smoothing) for s in dataset]
+    w, h = dataset[0].image.width, dataset[0].image.height
+    points = np.stack([s.landmarks.points for s in dataset])
+    if cfg.objective == "structured":
+        return feats, np.clip(np.rint(points), 0, [w - 1, h - 1]).astype(int)
+    if cfg.objective == "softargmax":
+        return feats, points
+    return feats, gaussian_bumps(points, w, h, cfg.mse_sigma).reshape(*points.shape[:2], w * h)
+
+
+def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
+    """Per-sample losses [B] and heatmap gradients [B, N, H*W] for samples idx.
+
+    ``scores`` holds the samples' heatmaps [B, N, H*W] and ``targets`` is
+    what ``_prepare`` returned.  A sample's loss sums its landmark terms in
+    landmark order.  Smoothed structured draws for landmark n of sample i
+    use the sub-seed ``mc/{epoch}/{i}/{n}``.
+    """
+    if cfg.objective == "structured" and cfg.with_smoothing:
+        draws = np.array([
+            [sample_label(label, cfg.mc_samples, derive_seed(cfg.seed, f"mc/{epoch}/{i}/{n}"), grid)
+             for n, label in enumerate(targets[i])]
+            for i in idx
+        ])
+        values, grads = smoothed_structured_batch(scores, draws, grid, cfg.structured)
+    elif cfg.objective == "structured":
+        values, grads = structured_batch(scores, targets[idx], grid, cfg.structured)
+    elif cfg.objective == "softargmax":
+        values, grads = soft_argmax_l2_batch(scores, targets[idx], grid)
+    else:
+        values, grads = heatmap_mse_batch(scores, targets[idx])
+    losses = np.zeros(len(idx))
+    for n in range(values.shape[1]):
+        losses += values[:, n]
+    return losses, grads
 
 
 def evaluate_nme(scorer: LinearScorer, dataset, feats: np.ndarray | None = None) -> float:
-    """Mean per-sample NME of argmax inference over a dataset."""
+    """Mean per-sample NME of argmax inference over a dataset.
+
+    Ties go to the lowest row-major cell, as in ``heatmap.argmax``.
+    """
     if feats is None:
         feats = np.stack([features(s.image) for s in dataset])
-    w, h = scorer.width, scorer.height
-    per_sample = []
-    heatmaps = [feats @ scorer.weights[n].T for n in range(scorer.n_landmarks)]
-    for b, sample in enumerate(dataset):
-        coords = []
-        for n in range(scorer.n_landmarks):
-            c, _ = argmax(Heatmap(heatmaps[n][b].reshape(h, w)))
-            coords.append([c.u, c.v])
-        per_sample.append(
-            nme(LandmarkSet(np.array(coords, dtype=np.float64)), sample.landmarks,
-                sample.norm_distance)
-        )
+    cells = scorer.scores(feats).argmax(axis=-1)
+    coords = np.stack([cells % scorer.width, cells // scorer.width], axis=-1).astype(np.float64)
+    per_sample = [nme(LandmarkSet(c), s.landmarks, s.norm_distance)
+                  for c, s in zip(coords, dataset)]
     return float(np.mean(per_sample))
 
 
@@ -381,9 +355,9 @@ def train(
     """Mini-batch gradient descent on the chosen objective.
 
     When no held-out set is passed, the tail 20% of ``dataset`` is held
-    out.  Per-sample heatmap gradients are pushed through the linear map as
-    an outer product with the feature row (one GEMM per landmark per
-    batch); batches average gradients, and weight decay adds C * theta.
+    out.  The batch's heatmap gradients [B, N, H*W] are pushed through the
+    linear map against the feature rows (one GEMM per landmark per batch);
+    batches average gradients, and weight decay adds C * theta.
     History records the held-out argmax-inference NME after each epoch.
     Raises TrainingDiverged on a non-finite loss.
     """
@@ -391,10 +365,10 @@ def train(
         dataset, eval_dataset = split_dataset(dataset)
     if scorer.n_landmarks != len(dataset[0].landmarks):
         raise ValueError("scorer landmark count does not match dataset")
-    feats, mse_targets, labels = _prepare(dataset, cfg)
+    feats, targets = _prepare(dataset, cfg)
     eval_feats = np.stack([features(s.image) for s in eval_dataset])
     w = scorer.copy()
-    hw = w.width * w.height
+    grid = (w.width, w.height)
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     history = []
     n = len(dataset)
@@ -404,32 +378,20 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb = feats[idx]
-            # per-landmark (batch, cell) scores for the whole mini-batch
-            scores = [xb @ w.weights[ln].T for ln in range(w.n_landmarks)]
-            if not all(np.isfinite(s).all() for s in scores):
-                raise TrainingDiverged(epoch)
-            gb = np.zeros((w.n_landmarks, len(idx), hw))
-            for row, i in enumerate(idx):
-                s = dataset[i]
-                loss, grads = _sample_loss_grads(
-                    s,
-                    [scores[ln][row] for ln in range(w.n_landmarks)],
-                    cfg,
-                    mse_targets=mse_targets[i] if mse_targets else None,
-                    labels=labels[i] if labels else None,
-                    mc_seed_base=f"mc/{epoch}/{i}",
-                )
+            scores = w.scores(xb)
+            if not np.isfinite(scores).all():
+                raise TrainingDiverged(cfg.objective, epoch)
+            losses, grads = _batch_loss(scores, targets, idx, grid, cfg, epoch)
+            for loss in losses:  # sample by sample: this order fixes the output bits
                 epoch_loss += loss
-                for ln in range(w.n_landmarks):
-                    gb[ln, row] = grads[ln]
             for ln in range(w.n_landmarks):
-                gw = gb[ln].T @ xb / len(idx)
+                gw = grads[:, ln].T @ xb / len(idx)
                 if cfg.weight_decay > 0:
                     gw += cfg.weight_decay * w.weights[ln]
                 w.weights[ln] -= cfg.learning_rate * gw
         train_loss = epoch_loss / n
         if not np.isfinite(train_loss):
-            raise TrainingDiverged(epoch)
+            raise TrainingDiverged(cfg.objective, epoch)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -446,24 +408,15 @@ def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
     objective = mean over samples of the summed per-landmark loss, plus
     C/2 * |theta|^2.
     """
-    feats, mse_targets, labels = _prepare(dataset, cfg)
-    scores = [feats @ scorer.weights[ln].T for ln in range(scorer.n_landmarks)]
+    feats, targets = _prepare(dataset, cfg)
+    idx = np.arange(len(dataset))
+    grid = (scorer.width, scorer.height)
+    losses, grads = _batch_loss(scorer.scores(feats), targets, idx, grid, cfg, epoch=1)
     total = 0.0
-    grad = np.zeros_like(scorer.weights)
-    for i, s in enumerate(dataset):
-        loss, grads = _sample_loss_grads(
-            s,
-            [scores[ln][i] for ln in range(scorer.n_landmarks)],
-            cfg,
-            mse_targets=mse_targets[i] if mse_targets else None,
-            labels=labels[i] if labels else None,
-            mc_seed_base=f"mc/1/{i}",
-        )
+    for loss in losses:  # sample by sample, in the order train sums them
         total += loss
-        for ln in range(scorer.n_landmarks):
-            grad[ln] += np.outer(grads[ln], feats[i])
     total /= len(dataset)
-    grad /= len(dataset)
+    grad = grads.transpose(1, 2, 0) @ feats / len(dataset)
     if cfg.weight_decay > 0:
         total += 0.5 * cfg.weight_decay * float((scorer.weights**2).sum())
         grad += cfg.weight_decay * scorer.weights
@@ -529,7 +482,7 @@ def tune_learning_rate(
         if key < best_key:
             best_lr, best_key = lr, key
     if best_lr is None:
-        raise TrainingDiverged(0)
+        raise TrainingDiverged(base_cfg.objective, 0)
     return best_lr
 
 
@@ -541,33 +494,3 @@ def write_history_csv(history, objective: str, path) -> None:
                 f"{st.epoch},{objective},{format(st.train_loss, '.12g')},"
                 f"{format(st.eval_nme, '.12g')}\n"
             )
-
-
-def write_dataset(dataset, annotations_path, pixels_dir) -> None:
-    """Annotation text file plus one pixel CSV per sample (ids are indices)."""
-    os.makedirs(pixels_dir, exist_ok=True)
-    with open(annotations_path, "w", newline="\n") as f:
-        for i, s in enumerate(dataset):
-            coords = " ".join(
-                f"{format(u, '.12g')} {format(v, '.12g')}" for u, v in s.landmarks.points
-            )
-            f.write(f"{i} {coords}\n")
-    for i, s in enumerate(dataset):
-        save_heatmap_csv(Heatmap(s.image.pixels), os.path.join(pixels_dir, f"{i}_pixels.csv"))
-
-
-def read_dataset(annotations_path, pixels_dir) -> list[SynthSample]:
-    """Inverse of write_dataset; imported samples carry no contour."""
-    samples = []
-    for sid, landmarks in read_annotations(annotations_path):
-        pixels = load_heatmap_csv(os.path.join(pixels_dir, f"{sid}_pixels.csv")).values
-        pts = landmarks.points
-        samples.append(
-            SynthSample(
-                image=SynthImage(pixels),
-                landmarks=landmarks,
-                norm_distance=float(np.linalg.norm(pts[0] - pts[1])),
-                contour=None,
-            )
-        )
-    return samples

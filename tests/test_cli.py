@@ -1,5 +1,7 @@
 import os
 
+import numpy as np
+
 from landmarklab.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -17,6 +19,19 @@ lr_b = 0.2
 epochs_b = 12
 batch_size = 40
 target_nme = 0.5
+"""
+
+DIVERGING_ARM_CFG = """
+[synth]
+samples = 20
+width = 16
+height = 16
+landmarks = 2
+epochs_a = 1
+objective_b = heatmap_mse
+lr_b = 1e14
+epochs_b = 4
+batch_size = 2
 """
 
 IDENTICAL_ARMS_CFG = """
@@ -73,6 +88,14 @@ class TestToyCommand:
         assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) != 0
         assert "warp_speed" in capsys.readouterr().err
 
+    def test_out_is_regular_file_rejected(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert main(["toy", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(taken) in err
+        assert taken.read_text() == "not a directory\n"
+
 
 class TestSynthCommand:
     def test_small_bench_produces_outputs(self, tmp_path, capsys):
@@ -92,6 +115,15 @@ class TestSynthCommand:
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path), "--epochs", "0"])
         assert rc != 0
         assert "epochs" in capsys.readouterr().err
+
+    def test_diverging_arm_names_objective(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(DIVERGING_ARM_CFG)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "heatmap_mse diverged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_arms_speedup_is_one(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
@@ -145,6 +177,16 @@ class TestSmoothCommand:
         assert rc != 0
         assert ":3" in capsys.readouterr().err
 
+    def test_duplicate_id_names_both_lines(self, tmp_path, capsys):
+        ann, bnd = self.setup_inputs(tmp_path)
+        with open(ann, "a") as f:
+            f.write("s0 21 33 33 33 45 33\n")
+        out = tmp_path / "out"
+        assert main(["smooth", str(ann), str(bnd), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'s0'" in err and ":3" in err and "line 1" in err
+        assert not out.exists()
+
     def test_shipped_sample_data(self, tmp_path):
         ann = os.path.join(SAMPLE_DATA, "annotations.txt")
         bnd = os.path.join(SAMPLE_DATA, "boundaries.txt")
@@ -184,6 +226,17 @@ class TestEvalCommand:
         write_annotations(gt, [("a", "1 2")])
         assert main(["eval", str(pred), str(gt), "--out", str(tmp_path)]) != 0
         assert "stray" in capsys.readouterr().err
+
+    def test_duplicate_id_names_both_lines(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        gt = tmp_path / "gt.txt"
+        write_annotations(pred, [("a", "1 2"), ("b", "3 4"), ("a", "5 6")])
+        write_annotations(gt, [("a", "1 2"), ("b", "3 4")])
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'a'" in err and "pred.txt:3" in err and "line 1" in err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -6,9 +6,7 @@ from landmarklab.heatmap import (
     Heatmap,
     LandmarkSet,
     argmax,
-    load_heatmap_csv,
     make_gaussian_target,
-    save_heatmap_csv,
     save_heatmap_pgm,
     soft_argmax,
     softmax_tempered,
@@ -186,14 +184,6 @@ class TestGaussianTarget:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        h = Heatmap(rng.normal(size=(4, 7)))
-        path = tmp_path / "map.csv"
-        save_heatmap_csv(h, path)
-        back = load_heatmap_csv(path)
-        np.testing.assert_allclose(back.values, h.values, rtol=1e-11)
-
     def test_pgm_bytes(self, tmp_path):
         h = Heatmap(np.array([[0.0, 1.0], [0.5, 0.25]]))
         path = tmp_path / "map.pgm"

@@ -20,12 +20,10 @@ from landmarklab.synth import (
     first_epoch_at_target,
     fit_sample_labels,
     generate_dataset,
-    read_dataset,
     render_contour,
     split_dataset,
     train,
     tune_learning_rate,
-    write_dataset,
     write_history_csv,
 )
 
@@ -309,20 +307,6 @@ class TestSmoothedLabels:
 
 
 class TestDatasetIo:
-    def test_round_trip(self, tmp_path):
-        ds = generate_dataset(4, 16, 16, 3, 0.02, seed=17)
-        ann = tmp_path / "annotations.txt"
-        write_dataset(ds, ann, tmp_path / "pixels")
-        back = read_dataset(ann, tmp_path / "pixels")
-        assert len(back) == 4
-        for orig, loaded in zip(ds, back):
-            np.testing.assert_allclose(loaded.landmarks.points, orig.landmarks.points,
-                                       rtol=1e-11)
-            np.testing.assert_allclose(loaded.image.pixels, orig.image.pixels,
-                                       rtol=1e-11, atol=1e-14)
-            assert abs(loaded.norm_distance - orig.norm_distance) < 1e-9
-            assert loaded.contour is None
-
     def test_history_csv(self, tmp_path):
         from landmarklab.synth import EpochStats
 
