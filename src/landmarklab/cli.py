@@ -271,11 +271,12 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     except TrainingDiverged as err:
         raise CliError(str(err)) from err
     out = _ensure_outdir(out)
-    # Arms sharing an objective share one history file, which holds arm b.
-    histories = {cfg_a.objective: hist_a, cfg_b.objective: hist_b}
+    # Arms sharing an objective tag their history files with the arm.
+    shared = cfg_a.objective == cfg_b.objective
     paths = []
-    for objective, hist in histories.items():
-        path = os.path.join(out, f"history_{objective}.csv")
+    for arm, objective, hist in (("a", cfg_a.objective, hist_a), ("b", cfg_b.objective, hist_b)):
+        path = os.path.join(out, f"history_{objective}_{arm}.csv" if shared
+                            else f"history_{objective}.csv")
         write_history_csv(hist, objective, path)
         paths.append(path)
     ea, eb = result.epochs_a, result.epochs_b

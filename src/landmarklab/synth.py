@@ -118,22 +118,12 @@ class LinearScorer:
     def n_landmarks(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "LinearScorer":
-        return LinearScorer(self.weights.copy(), self.width, self.height)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.weights))
-
     def scores(self, feats: np.ndarray) -> np.ndarray:
         """Scores [B, N, H*W] for feature rows [B, H*W + 1], one GEMM per landmark."""
         out = np.empty((len(feats), self.n_landmarks, self.width * self.height))
         for n in range(self.n_landmarks):
             np.matmul(feats, self.weights[n].T, out=out[:, n])
         return out
-
-    def predict(self, image: SynthImage) -> list[Heatmap]:
-        (rows,) = self.scores(features(image)[None])
-        return [Heatmap(row.reshape(self.height, self.width)) for row in rows]
 
 
 def features(image: SynthImage) -> np.ndarray:
@@ -324,18 +314,22 @@ def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
     return losses, grads
 
 
-def evaluate_nme(scorer: LinearScorer, dataset, feats: np.ndarray | None = None) -> float:
-    """Mean per-sample NME of argmax inference over a dataset.
+def _argmax_nme(scores: np.ndarray, dataset, width: int) -> float:
+    """Mean per-sample NME of argmax inference from scores [B, N, H*W].
 
     Ties go to the lowest row-major cell, as in ``heatmap.argmax``.
     """
-    if feats is None:
-        feats = np.stack([features(s.image) for s in dataset])
-    cells = scorer.scores(feats).argmax(axis=-1)
-    coords = np.stack([cells % scorer.width, cells // scorer.width], axis=-1).astype(np.float64)
+    cells = scores.argmax(axis=-1)
+    coords = np.stack([cells % width, cells // width], axis=-1).astype(np.float64)
     per_sample = [nme(LandmarkSet(c), s.landmarks, s.norm_distance)
                   for c, s in zip(coords, dataset)]
     return float(np.mean(per_sample))
+
+
+def evaluate_nme(scorer: LinearScorer, dataset) -> float:
+    """Mean per-sample NME of argmax inference over a dataset."""
+    feats = np.stack([features(s.image) for s in dataset])
+    return _argmax_nme(scorer.scores(feats), dataset, scorer.width)
 
 
 def split_dataset(dataset, eval_fraction: float = 0.2):
@@ -346,18 +340,42 @@ def split_dataset(dataset, eval_fraction: float = 0.2):
     return dataset[:-n_eval], dataset[-n_eval:]
 
 
+def _dual_scores(gram_rows, coef, base_rows, decay: float) -> np.ndarray:
+    """Scores [B, N, H*W] of the weights ``decay * W0 + coef[n]^T X``.
+
+    ``gram_rows`` [B, S] holds the rows' products with the train features
+    X and ``base_rows`` [B, N, H*W] their scores under W0.
+    """
+    out = np.empty_like(base_rows)
+    for n in range(len(coef)):
+        np.matmul(gram_rows, coef[n], out=out[:, n])
+    out += decay * base_rows
+    return out
+
+
 def train(
     dataset,
     scorer: LinearScorer,
     cfg: TrainConfig,
     eval_dataset=None,
 ) -> tuple[LinearScorer, list[EpochStats]]:
-    """Mini-batch gradient descent on the chosen objective.
+    """Mini-batch gradient descent on the chosen objective, in dual form.
 
     When no held-out set is passed, the tail 20% of ``dataset`` is held
-    out.  The batch's heatmap gradients [B, N, H*W] are pushed through the
-    linear map against the feature rows (one GEMM per landmark per batch);
-    batches average gradients, and weight decay adds C * theta.
+    out.  Every update adds G^T X_b over rows of the fixed train features
+    X [S, H*W + 1], so the weights of landmark n always equal
+    ``decay * W0[n] + coef[n]^T X`` with W0 the given scorer and
+    coef [N, S, H*W].  Scores then need only the Gram matrices X X^T and
+    X_eval X^T: one [B, S] x [S, H*W] GEMM per landmark and batch, after
+    which the batch's heatmap gradients [B, N, H*W] are subtracted from
+    its coef rows.  Batches average gradients; weight decay C first scales
+    coef and decay by (1 - lr * C), which equals adding C * theta.  The
+    weights themselves are built once, at the end.
+
+    An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
+    dual form does less work while the train split S is smaller than about
+    the heatmap size H*W (S = 400 against H*W = 1024 on the default bench).
+
     History records the held-out argmax-inference NME after each epoch.
     Raises TrainingDiverged on a non-finite loss.
     """
@@ -367,8 +385,19 @@ def train(
         raise ValueError("scorer landmark count does not match dataset")
     feats, targets = _prepare(dataset, cfg)
     eval_feats = np.stack([features(s.image) for s in eval_dataset])
-    w = scorer.copy()
-    grid = (w.width, w.height)
+    gram = feats @ feats.T
+    eval_gram = eval_feats @ feats.T
+    n_landmarks, cells = scorer.n_landmarks, scorer.width * scorer.height
+    start_nonzero = scorer.weights.any()
+    if start_nonzero:
+        base, eval_base = scorer.scores(feats), scorer.scores(eval_feats)
+    else:
+        base = np.zeros((len(feats), n_landmarks, cells))
+        eval_base = np.zeros((len(eval_feats), n_landmarks, cells))
+    coef = np.zeros((n_landmarks, len(feats), cells))
+    decay = 1.0
+    shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
+    grid = (scorer.width, scorer.height)
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     history = []
     n = len(dataset)
@@ -377,36 +406,41 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = feats[idx]
-            scores = w.scores(xb)
+            scores = _dual_scores(gram[idx], coef, base[idx], decay)
             if not np.isfinite(scores).all():
                 raise TrainingDiverged(cfg.objective, epoch)
             losses, grads = _batch_loss(scores, targets, idx, grid, cfg, epoch)
             for loss in losses:  # sample by sample: this order fixes the output bits
                 epoch_loss += loss
-            for ln in range(w.n_landmarks):
-                gw = grads[:, ln].T @ xb / len(idx)
-                if cfg.weight_decay > 0:
-                    gw += cfg.weight_decay * w.weights[ln]
-                w.weights[ln] -= cfg.learning_rate * gw
+            if cfg.weight_decay > 0:
+                coef *= shrink
+                decay *= shrink
+            coef[:, idx] -= cfg.learning_rate / len(idx) * grads.transpose(1, 0, 2)
         train_loss = epoch_loss / n
         if not np.isfinite(train_loss):
             raise TrainingDiverged(cfg.objective, epoch)
+        eval_scores = _dual_scores(eval_gram, coef, eval_base, decay)
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=float(train_loss),
-                eval_nme=evaluate_nme(w, eval_dataset, eval_feats),
+                eval_nme=_argmax_nme(eval_scores, eval_dataset, scorer.width),
             )
         )
-    return w, history
+    weights = np.empty_like(scorer.weights)
+    for ln in range(n_landmarks):
+        np.matmul(coef[ln].T, feats, out=weights[ln])
+        if start_nonzero:
+            weights[ln] += decay * scorer.weights[ln]
+    return LinearScorer(weights, scorer.width, scorer.height), history
 
 
 def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
-    """Full-dataset objective value and weight gradient (for gradient checks).
+    """Full-dataset objective value and weight gradient, in primal form.
 
     objective = mean over samples of the summed per-landmark loss, plus
-    C/2 * |theta|^2.
+    C/2 * |theta|^2.  The reference for gradient checks and for the dual
+    form ``train`` keeps.
     """
     feats, targets = _prepare(dataset, cfg)
     idx = np.arange(len(dataset))

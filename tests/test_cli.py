@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 
+import landmarklab
 from landmarklab.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,9 +48,24 @@ objective_b = structured
 lr_a = 2.0
 lr_b = 2.0
 epochs_a = 3
-epochs_b = 3
+epochs_b = 2
 batch_size = 40
 target_nme = 0.6
+"""
+
+
+# 16x16 grid and 16 samples: shapes at which the training GEMMs round the
+# same on any BLAS thread count (larger ones need not).
+BLAS_THREADS_CFG = """
+[synth]
+samples = 16
+width = 16
+height = 16
+landmarks = 2
+epochs_a = 8
+epochs_b = 8
+batch_size = 4
+target_nme = 0.5
 """
 
 
@@ -131,6 +149,11 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         rows = read_csv_rows(tmp_path / "convergence.csv")
         assert float(rows[0]["speedup"]) == 1.0
+        # Each arm keeps its own history file.
+        assert not (tmp_path / "history_structured.csv").exists()
+        for arm, epochs in (("a", 3), ("b", 2)):
+            hist = read_csv_rows(tmp_path / f"history_structured_{arm}.csv")
+            assert [int(r["epoch"]) for r in hist] == list(range(1, epochs + 1))
 
     def test_default_bench_orders_objectives(self, tmp_path):
         # Full default configuration; the slowest CLI test (~20 s).
@@ -262,6 +285,26 @@ class TestDeterminism:
             lambda out: ["synth", "--config", str(cfg), "--out", out, "--seed", "3"],
             tmp_path,
         )
+
+    def test_synth_same_bytes_on_one_and_two_blas_threads(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(BLAS_THREADS_CFG)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(landmarklab.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run(
+                [sys.executable, "-m", "landmarklab.cli", "synth", "--config", str(cfg),
+                 "--out", str(out), "--seed", "3"],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            runs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert runs[0][1].keys() == {"convergence.csv", "history_structured.csv",
+                                     "history_softargmax.csv"}
+        assert runs[0] == runs[1]
 
     def test_smooth_byte_identical(self, tmp_path):
         ann = tmp_path / "ann.txt"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from landmarklab.heatmap import GridCoord, LandmarkSet, argmax
-from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
+from landmarklab.heatmap import GridCoord, Heatmap, LandmarkSet, argmax
+from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
+from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import SmoothingConfig
 from landmarklab.synth import (
     CENTER_RANGE,
@@ -17,6 +18,7 @@ from landmarklab.synth import (
     compare_convergence,
     dataset_objective,
     evaluate_nme,
+    features,
     first_epoch_at_target,
     fit_sample_labels,
     generate_dataset,
@@ -39,6 +41,12 @@ def single_sample(width=16, height=16):
     landmarks = LandmarkSet(np.array([[4.0, 8.0], [12.0, 8.0]]))
     return SynthSample(image=image, landmarks=landmarks, norm_distance=8.0,
                        contour=contour)
+
+
+def heatmaps(scorer, sample):
+    """The scorer's per-landmark heatmaps for one sample."""
+    (rows,) = scorer.scores(features(sample.image)[None])
+    return [Heatmap(row.reshape(scorer.height, scorer.width)) for row in rows]
 
 
 class TestGenerateDataset:
@@ -95,19 +103,17 @@ class TestLinearScorer:
     def test_zero_scorer_predicts_flat_maps(self):
         s = single_sample()
         scorer = LinearScorer.zeros(2, 16, 16)
-        maps = scorer.predict(s.image)
-        assert len(maps) == 2
-        assert all(np.all(m.values == 0.0) for m in maps)
+        scores = scorer.scores(features(s.image)[None])
+        assert scores.shape == (1, 2, 256)
+        assert np.all(scores == 0.0)
 
     def test_predict_matches_manual_matvec(self):
         rng = np.random.default_rng(0)
         s = single_sample()
         scorer = LinearScorer(rng.normal(size=(2, 256, 257)), 16, 16)
         phi = np.concatenate([s.image.pixels.ravel(), [1.0]])
-        maps = scorer.predict(s.image)
-        np.testing.assert_allclose(
-            maps[1].values.ravel(), scorer.weights[1] @ phi, rtol=1e-12
-        )
+        scores = scorer.scores(features(s.image)[None])
+        np.testing.assert_allclose(scores[0, 1], scorer.weights[1] @ phi, rtol=1e-12)
 
 
 class TestTrain:
@@ -126,7 +132,7 @@ class TestTrain:
                           batch_size=1, seed=0, structured=STRUCT_CFG)
         scorer = LinearScorer.zeros(2, 16, 16)
         out, hist = train([s], scorer, cfg, eval_dataset=[s])
-        maps = out.predict(s.image)
+        maps = heatmaps(out, s)
         for n, (u, v) in enumerate(s.landmarks.points):
             coord, tied = argmax(maps[n])
             assert not tied
@@ -140,7 +146,7 @@ class TestTrain:
                           epochs=40, batch_size=1, seed=0, mse_sigma=1.5)
         scorer = LinearScorer.zeros(2, 16, 16)
         out, hist = train([s], scorer, cfg, eval_dataset=[s])
-        maps = out.predict(s.image)
+        maps = heatmaps(out, s)
         for n, (u, v) in enumerate(s.landmarks.points):
             coord, _ = argmax(maps[n])
             assert coord == GridCoord(int(u), int(v))
@@ -156,7 +162,7 @@ class TestTrain:
 
         decayed, _ = train(ds[:16], scorer, replace(base, weight_decay=0.05),
                            eval_dataset=ds[16:])
-        assert decayed.norm() < free.norm()
+        assert np.linalg.norm(decayed.weights) < np.linalg.norm(free.weights)
 
     def test_deterministic_per_seed(self):
         ds = generate_dataset(12, 16, 16, 2, 0.02, seed=8)
@@ -198,6 +204,59 @@ class TestTrain:
             assert abs(a.eval_nme - b.eval_nme) < 1e-9
 
 
+class TestDualForm:
+    """train keeps the scorer in dual form; primal descent is the reference."""
+
+    C = 0.05
+
+    def split_and_scorer(self):
+        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
+        rng = np.random.default_rng(20)
+        scorer = LinearScorer(rng.normal(scale=0.01, size=(2, 256, 257)), 16, 16)
+        return ds[:10], ds[10:], scorer
+
+    @pytest.mark.parametrize(
+        "objective, lr", [("structured", 0.5), ("softargmax", 0.1), ("heatmap_mse", 0.002)]
+    )
+    def test_full_batch_matches_primal_descent(self, objective, lr):
+        train_set, eval_set, scorer = self.split_and_scorer()
+        cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=self.C,
+                          epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG)
+        out, hist = train(train_set, scorer, cfg, eval_dataset=eval_set)
+        primal = LinearScorer(scorer.weights.copy(), 16, 16)
+        for stats in hist:
+            value, grad = dataset_objective(train_set, primal, cfg)
+            penalty = 0.5 * self.C * float((primal.weights**2).sum())
+            assert stats.train_loss == pytest.approx(value - penalty, rel=1e-9)
+            primal.weights -= lr * grad
+            assert stats.eval_nme == evaluate_nme(primal, eval_set)
+        np.testing.assert_allclose(out.weights, primal.weights, rtol=1e-9)
+
+    def test_mini_batches_match_primal_loop(self):
+        train_set, eval_set, scorer = self.split_and_scorer()
+        lr, batch = 0.5, 4
+        cfg = TrainConfig(objective="structured", learning_rate=lr, weight_decay=self.C,
+                          epochs=3, batch_size=batch, seed=0, structured=STRUCT_CFG)
+        out, hist = train(train_set, scorer, cfg, eval_dataset=eval_set)
+
+        feats = np.stack([features(s.image) for s in train_set])
+        points = np.stack([s.landmarks.points for s in train_set])
+        cells = np.clip(np.rint(points), 0, 15).astype(int)
+        primal = LinearScorer(scorer.weights.copy(), 16, 16)
+        rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
+        for stats in hist:
+            order = rng.permutation(len(train_set))
+            for start in range(0, len(train_set), batch):
+                idx = order[start : start + batch]
+                xb = feats[idx]
+                _, g = structured_batch(primal.scores(xb), cells[idx], (16, 16), STRUCT_CFG)
+                for n in range(2):
+                    w = primal.weights[n]
+                    w -= lr * (g[:, n].T @ xb / len(idx) + self.C * w)
+            assert stats.eval_nme == evaluate_nme(primal, eval_set)
+        np.testing.assert_allclose(out.weights, primal.weights, rtol=1e-9)
+
+
 class TestWeightGradients:
     @pytest.mark.parametrize("objective", ["structured", "softargmax", "heatmap_mse"])
     def test_matches_finite_differences(self, objective):
@@ -214,7 +273,7 @@ class TestWeightGradients:
             n = rng.integers(0, 2)
             k = rng.integers(0, 256)
             j = rng.integers(0, 257)
-            bumped = scorer.copy()
+            bumped = LinearScorer(scorer.weights.copy(), 16, 16)
             bumped.weights[n, k, j] += step
             hi, _ = dataset_objective(ds, bumped, cfg)
             bumped.weights[n, k, j] -= 2 * step
