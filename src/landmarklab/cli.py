@@ -249,6 +249,9 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     if epochs is not None:
         section["epochs_a"] = section["epochs_b"] = epochs
     synth_seed = derive_seed(root_seed, "synth")
+    if section["samples"] < 2:
+        raise CliError("invalid synth config: samples must be at least 2 "
+                       "(one to train on, one held out)")
     try:
         dataset = generate_dataset(
             section["samples"],

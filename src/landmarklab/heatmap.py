@@ -47,10 +47,6 @@ class Heatmap:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, coord) -> float:
-        u, v = coord
-        return float(self.values[v, u])
-
 
 @dataclass(frozen=True)
 class LandmarkSet:

@@ -101,7 +101,12 @@ class SynthSample:
 
 @dataclass
 class LinearScorer:
-    """Per-landmark linear map from flattened image (plus bias) to a heatmap."""
+    """Per-landmark linear map from flattened image (plus bias) to a heatmap.
+
+    ``train`` never builds one: this is the primal form that
+    ``dataset_objective`` and ``evaluate_nme`` take, the reference the tests
+    check ``train``'s history against.
+    """
 
     weights: np.ndarray  # (n_landmarks, H*W, H*W + 1)
     width: int
@@ -166,6 +171,8 @@ class TrainConfig:
             raise ValueError("target NME must be positive")
         if self.mc_samples < 1:
             raise ValueError("need at least one Monte Carlo sample")
+        if self.mse_sigma <= 0:
+            raise ValueError("MSE target sigma must be positive")
 
 
 @dataclass
@@ -340,37 +347,19 @@ def split_dataset(dataset, eval_fraction: float = 0.2):
     return dataset[:-n_eval], dataset[-n_eval:]
 
 
-def _dual_scores(gram_rows, coef, base_rows, decay: float) -> np.ndarray:
-    """Scores [B, N, H*W] of the weights ``decay * W0 + coef[n]^T X``.
-
-    ``gram_rows`` [B, S] holds the rows' products with the train features
-    X and ``base_rows`` [B, N, H*W] their scores under W0.
-    """
-    out = np.empty_like(base_rows)
-    for n in range(len(coef)):
-        np.matmul(gram_rows, coef[n], out=out[:, n])
-    out += decay * base_rows
-    return out
-
-
-def train(
-    dataset,
-    scorer: LinearScorer,
-    cfg: TrainConfig,
-    eval_dataset=None,
-) -> tuple[LinearScorer, list[EpochStats]]:
-    """Mini-batch gradient descent on the chosen objective, in dual form.
+def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
+    """Mini-batch gradient descent from zero weights; returns the history.
 
     When no held-out set is passed, the tail 20% of ``dataset`` is held
-    out.  Every update adds G^T X_b over rows of the fixed train features
-    X [S, H*W + 1], so the weights of landmark n always equal
-    ``decay * W0[n] + coef[n]^T X`` with W0 the given scorer and
-    coef [N, S, H*W].  Scores then need only the Gram matrices X X^T and
-    X_eval X^T: one [B, S] x [S, H*W] GEMM per landmark and batch, after
-    which the batch's heatmap gradients [B, N, H*W] are subtracted from
-    its coef rows.  Batches average gradients; weight decay C first scales
-    coef and decay by (1 - lr * C), which equals adding C * theta.  The
-    weights themselves are built once, at the end.
+    out.  The scorer is linear and every update adds G^T X_b over rows of
+    the fixed train features X [S, H*W + 1], so the weights of landmark n
+    always equal C_n^T X, with C_n the n-th block of H*W columns of the
+    coefficients coef [S, N*H*W].
+    Scores then need only the Gram matrices X X^T and X_eval X^T: a batch
+    is scored by one [B, S] x [S, N*H*W] GEMM, after which its heatmap
+    gradients [B, N*H*W] are subtracted from its coef rows.  Batches
+    average gradients; weight decay C first scales coef by (1 - lr * C),
+    which equals adding C * theta.  The weights are never built.
 
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
@@ -381,23 +370,14 @@ def train(
     """
     if eval_dataset is None:
         dataset, eval_dataset = split_dataset(dataset)
-    if scorer.n_landmarks != len(dataset[0].landmarks):
-        raise ValueError("scorer landmark count does not match dataset")
     feats, targets = _prepare(dataset, cfg)
     eval_feats = np.stack([features(s.image) for s in eval_dataset])
     gram = feats @ feats.T
     eval_gram = eval_feats @ feats.T
-    n_landmarks, cells = scorer.n_landmarks, scorer.width * scorer.height
-    start_nonzero = scorer.weights.any()
-    if start_nonzero:
-        base, eval_base = scorer.scores(feats), scorer.scores(eval_feats)
-    else:
-        base = np.zeros((len(feats), n_landmarks, cells))
-        eval_base = np.zeros((len(eval_feats), n_landmarks, cells))
-    coef = np.zeros((n_landmarks, len(feats), cells))
-    decay = 1.0
+    n_landmarks = len(dataset[0].landmarks)
+    grid = (dataset[0].image.width, dataset[0].image.height)
+    coef = np.zeros((len(feats), n_landmarks * grid[0] * grid[1]))
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
-    grid = (scorer.width, scorer.height)
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     history = []
     n = len(dataset)
@@ -406,7 +386,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            scores = _dual_scores(gram[idx], coef, base[idx], decay)
+            scores = (gram[idx] @ coef).reshape(len(idx), n_landmarks, -1)
             if not np.isfinite(scores).all():
                 raise TrainingDiverged(cfg.objective, epoch)
             losses, grads = _batch_loss(scores, targets, idx, grid, cfg, epoch)
@@ -414,25 +394,19 @@ def train(
                 epoch_loss += loss
             if cfg.weight_decay > 0:
                 coef *= shrink
-                decay *= shrink
-            coef[:, idx] -= cfg.learning_rate / len(idx) * grads.transpose(1, 0, 2)
+            coef[idx] -= cfg.learning_rate / len(idx) * grads.reshape(len(idx), -1)
         train_loss = epoch_loss / n
         if not np.isfinite(train_loss):
             raise TrainingDiverged(cfg.objective, epoch)
-        eval_scores = _dual_scores(eval_gram, coef, eval_base, decay)
+        eval_scores = (eval_gram @ coef).reshape(len(eval_feats), n_landmarks, -1)
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=float(train_loss),
-                eval_nme=_argmax_nme(eval_scores, eval_dataset, scorer.width),
+                eval_nme=_argmax_nme(eval_scores, eval_dataset, grid[0]),
             )
         )
-    weights = np.empty_like(scorer.weights)
-    for ln in range(n_landmarks):
-        np.matmul(coef[ln].T, feats, out=weights[ln])
-        if start_nonzero:
-            weights[ln] += decay * scorer.weights[ln]
-    return LinearScorer(weights, scorer.width, scorer.height), history
+    return history
 
 
 def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
@@ -475,11 +449,8 @@ def compare_convergence(
     if cfg_a.seed != cfg_b.seed:
         raise ValueError("both arms must share the seed")
     train_set, eval_set = split_dataset(dataset)
-    n_landmarks = len(dataset[0].landmarks)
-    w, h = dataset[0].image.width, dataset[0].image.height
-    scorer = LinearScorer.zeros(n_landmarks, w, h)
-    _, hist_a = train(train_set, scorer, cfg_a, eval_dataset=eval_set)
-    _, hist_b = train(train_set, scorer, cfg_b, eval_dataset=eval_set)
+    hist_a = train(train_set, cfg_a, eval_dataset=eval_set)
+    hist_b = train(train_set, cfg_b, eval_dataset=eval_set)
     ea = first_epoch_at_target(hist_a, target_nme)
     eb = first_epoch_at_target(hist_b, target_nme)
     speedup = (eb / ea) if (ea is not None and eb is not None) else None
@@ -502,13 +473,11 @@ def tune_learning_rate(
     """
     subset = dataset[:probe_samples] if probe_samples else dataset
     train_set, eval_set = split_dataset(subset)
-    n_landmarks = len(subset[0].landmarks)
-    scorer = LinearScorer.zeros(n_landmarks, subset[0].image.width, subset[0].image.height)
     best_lr, best_key = None, (np.inf, np.inf)
     for lr in grid:
         cfg = replace(base_cfg, learning_rate=lr, epochs=probe_epochs)
         try:
-            _, hist = train(train_set, scorer, cfg, eval_dataset=eval_set)
+            hist = train(train_set, cfg, eval_dataset=eval_set)
         except TrainingDiverged:
             continue
         reached = first_epoch_at_target(hist, base_cfg.target_nme)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import landmarklab
 from landmarklab.cli import main
@@ -141,6 +142,19 @@ class TestSynthCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert "heatmap_mse diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("samples = 1", "samples must be at least 2"),
+        ("samples = 40\nmse_sigma = 0", "MSE target sigma must be positive"),
+        ("samples = 40\nmse_sigma = -1.5", "MSE target sigma must be positive"),
+    ])
+    def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG.replace("samples = 40", setting))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_identical_arms_speedup_is_one(self, tmp_path):

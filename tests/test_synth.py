@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from landmarklab.heatmap import GridCoord, Heatmap, LandmarkSet, argmax
+from landmarklab.heatmap import LandmarkSet
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import SmoothingConfig
@@ -41,12 +43,6 @@ def single_sample(width=16, height=16):
     landmarks = LandmarkSet(np.array([[4.0, 8.0], [12.0, 8.0]]))
     return SynthSample(image=image, landmarks=landmarks, norm_distance=8.0,
                        contour=contour)
-
-
-def heatmaps(scorer, sample):
-    """The scorer's per-landmark heatmaps for one sample."""
-    (rows,) = scorer.scores(features(sample.image)[None])
-    return [Heatmap(row.reshape(scorer.height, scorer.width)) for row in rows]
 
 
 class TestGenerateDataset:
@@ -116,27 +112,31 @@ class TestLinearScorer:
         np.testing.assert_allclose(scores[0, 1], scorer.weights[1] @ phi, rtol=1e-12)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("sigma", [0.0, -1.5])
+    def test_rejects_nonpositive_mse_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            TrainConfig(objective="heatmap_mse", mse_sigma=sigma)
+
+
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         ds = generate_dataset(8, 16, 16, 2, 0.02, seed=6)
-        scorer = LinearScorer.zeros(2, 16, 16)
         cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=3,
                           batch_size=8, seed=0)
-        out, hist = train(ds[:6], scorer, cfg, eval_dataset=ds[6:])
-        assert np.array_equal(out.weights, scorer.weights)
-        assert len({h.eval_nme for h in hist}) == 1
+        hist = train(ds[:6], cfg, eval_dataset=ds[6:])
+        # Every epoch sees the zero scorer.
+        zero = LinearScorer.zeros(2, 16, 16)
+        loss, _ = dataset_objective(ds[:6], zero, cfg)
+        for stats in hist:
+            assert stats.train_loss == pytest.approx(loss, rel=1e-12)
+            assert stats.eval_nme == evaluate_nme(zero, ds[6:])
 
     def test_single_sample_structured_reaches_target_cell(self):
         s = single_sample()
         cfg = TrainConfig(objective="structured", learning_rate=2.0, epochs=60,
                           batch_size=1, seed=0, structured=STRUCT_CFG)
-        scorer = LinearScorer.zeros(2, 16, 16)
-        out, hist = train([s], scorer, cfg, eval_dataset=[s])
-        maps = heatmaps(out, s)
-        for n, (u, v) in enumerate(s.landmarks.points):
-            coord, tied = argmax(maps[n])
-            assert not tied
-            assert coord == GridCoord(int(u), int(v))
+        hist = train([s], cfg, eval_dataset=[s])
         assert hist[-1].eval_nme == 0.0
 
     def test_single_sample_mse_reaches_target_cell(self):
@@ -144,34 +144,15 @@ class TestTrain:
         phi_sq = float(np.concatenate([s.image.pixels.ravel(), [1.0]]) ** 2 @ np.ones(257))
         cfg = TrainConfig(objective="heatmap_mse", learning_rate=0.3 / phi_sq,
                           epochs=40, batch_size=1, seed=0, mse_sigma=1.5)
-        scorer = LinearScorer.zeros(2, 16, 16)
-        out, hist = train([s], scorer, cfg, eval_dataset=[s])
-        maps = heatmaps(out, s)
-        for n, (u, v) in enumerate(s.landmarks.points):
-            coord, _ = argmax(maps[n])
-            assert coord == GridCoord(int(u), int(v))
+        hist = train([s], cfg, eval_dataset=[s])
         assert hist[-1].eval_nme == 0.0
-
-    def test_weight_decay_shrinks_scorer(self):
-        ds = generate_dataset(20, 16, 16, 2, 0.02, seed=7)
-        scorer = LinearScorer.zeros(2, 16, 16)
-        base = TrainConfig(objective="structured", learning_rate=1.0, epochs=5,
-                           batch_size=20, seed=0)
-        free, _ = train(ds[:16], scorer, base, eval_dataset=ds[16:])
-        from dataclasses import replace
-
-        decayed, _ = train(ds[:16], scorer, replace(base, weight_decay=0.05),
-                           eval_dataset=ds[16:])
-        assert np.linalg.norm(decayed.weights) < np.linalg.norm(free.weights)
 
     def test_deterministic_per_seed(self):
         ds = generate_dataset(12, 16, 16, 2, 0.02, seed=8)
         cfg = TrainConfig(objective="softargmax", learning_rate=0.1, epochs=3,
                           batch_size=4, seed=5)
-        scorer = LinearScorer.zeros(2, 16, 16)
-        out1, hist1 = train(ds[:10], scorer, cfg, eval_dataset=ds[10:])
-        out2, hist2 = train(ds[:10], scorer, cfg, eval_dataset=ds[10:])
-        assert out1.weights.tobytes() == out2.weights.tobytes()
+        hist1 = train(ds[:10], cfg, eval_dataset=ds[10:])
+        hist2 = train(ds[:10], cfg, eval_dataset=ds[10:])
         assert [(h.train_loss, h.eval_nme) for h in hist1] == [
             (h.train_loss, h.eval_nme) for h in hist2
         ]
@@ -181,12 +162,11 @@ class TestTrain:
         cfg = TrainConfig(objective="heatmap_mse", learning_rate=1e12, epochs=40,
                           batch_size=1, seed=0)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc:
-            train([s], LinearScorer.zeros(2, 16, 16), cfg, eval_dataset=[s])
+            train([s], cfg, eval_dataset=[s])
         assert exc.value.epoch >= 1
 
     def test_smoothing_gamma_to_zero_matches_unsmoothed(self):
         ds = generate_dataset(10, 16, 16, 2, 0.02, seed=9)
-        scorer = LinearScorer.zeros(2, 16, 16)
         plain = TrainConfig(objective="structured", learning_rate=1.0, epochs=3,
                             batch_size=10, seed=0, structured=STRUCT_CFG)
         from dataclasses import replace
@@ -197,64 +177,63 @@ class TestTrain:
             mc_samples=3,
             smoothing=SmoothingConfig(gamma=1e-15),
         )
-        _, hist_plain = train(ds[:8], scorer, plain, eval_dataset=ds[8:])
-        _, hist_smooth = train(ds[:8], scorer, smoothed, eval_dataset=ds[8:])
+        hist_plain = train(ds[:8], plain, eval_dataset=ds[8:])
+        hist_smooth = train(ds[:8], smoothed, eval_dataset=ds[8:])
         for a, b in zip(hist_plain, hist_smooth):
             assert abs(a.train_loss - b.train_loss) < 1e-9
             assert abs(a.eval_nme - b.eval_nme) < 1e-9
 
 
 class TestDualForm:
-    """train keeps the scorer in dual form; primal descent is the reference."""
+    """train descends in dual form from zero; primal descent is the reference."""
 
     C = 0.05
 
-    def split_and_scorer(self):
+    def split(self):
         ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
-        rng = np.random.default_rng(20)
-        scorer = LinearScorer(rng.normal(scale=0.01, size=(2, 256, 257)), 16, 16)
-        return ds[:10], ds[10:], scorer
+        return ds[:10], ds[10:]
 
     @pytest.mark.parametrize(
         "objective, lr", [("structured", 0.5), ("softargmax", 0.1), ("heatmap_mse", 0.002)]
     )
     def test_full_batch_matches_primal_descent(self, objective, lr):
-        train_set, eval_set, scorer = self.split_and_scorer()
+        train_set, eval_set = self.split()
         cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=self.C,
                           epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG)
-        out, hist = train(train_set, scorer, cfg, eval_dataset=eval_set)
-        primal = LinearScorer(scorer.weights.copy(), 16, 16)
+        hist = train(train_set, cfg, eval_dataset=eval_set)
+        primal = LinearScorer.zeros(2, 16, 16)
         for stats in hist:
             value, grad = dataset_objective(train_set, primal, cfg)
             penalty = 0.5 * self.C * float((primal.weights**2).sum())
             assert stats.train_loss == pytest.approx(value - penalty, rel=1e-9)
             primal.weights -= lr * grad
             assert stats.eval_nme == evaluate_nme(primal, eval_set)
-        np.testing.assert_allclose(out.weights, primal.weights, rtol=1e-9)
 
     def test_mini_batches_match_primal_loop(self):
-        train_set, eval_set, scorer = self.split_and_scorer()
+        train_set, eval_set = self.split()
         lr, batch = 0.5, 4
         cfg = TrainConfig(objective="structured", learning_rate=lr, weight_decay=self.C,
                           epochs=3, batch_size=batch, seed=0, structured=STRUCT_CFG)
-        out, hist = train(train_set, scorer, cfg, eval_dataset=eval_set)
+        hist = train(train_set, cfg, eval_dataset=eval_set)
 
         feats = np.stack([features(s.image) for s in train_set])
         points = np.stack([s.landmarks.points for s in train_set])
         cells = np.clip(np.rint(points), 0, 15).astype(int)
-        primal = LinearScorer(scorer.weights.copy(), 16, 16)
+        primal = LinearScorer.zeros(2, 16, 16)
         rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
         for stats in hist:
             order = rng.permutation(len(train_set))
+            epoch_loss = 0.0
             for start in range(0, len(train_set), batch):
                 idx = order[start : start + batch]
                 xb = feats[idx]
-                _, g = structured_batch(primal.scores(xb), cells[idx], (16, 16), STRUCT_CFG)
+                values, g = structured_batch(primal.scores(xb), cells[idx], (16, 16), STRUCT_CFG)
+                epoch_loss += values.sum()
                 for n in range(2):
                     w = primal.weights[n]
                     w -= lr * (g[:, n].T @ xb / len(idx) + self.C * w)
+            assert stats.train_loss == pytest.approx(epoch_loss / len(train_set), rel=1e-9)
             assert stats.eval_nme == evaluate_nme(primal, eval_set)
-        np.testing.assert_allclose(out.weights, primal.weights, rtol=1e-9)
 
 
 class TestWeightGradients:
@@ -311,6 +290,21 @@ class TestConvergenceComparison:
         assert result.epochs_a is not None and result.epochs_b is not None
         assert result.epochs_a < result.epochs_b
         assert result.speedup > 1.0
+
+    def test_holds_no_weight_tensor(self):
+        # The [N, H*W, H*W + 1] weights on this grid take 3 * 1024 * 1025
+        # * 8 B (about 24 MB); training keeps [S, N*H*W] coefficients.
+        ds = generate_dataset(20, 32, 32, 3, 0.02, seed=21)
+        cfg_a = TrainConfig(objective="structured", epochs=2, batch_size=20, seed=0)
+        cfg_b = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=2,
+                            batch_size=20, seed=0)
+        tracemalloc.start()
+        try:
+            compare_convergence(ds, cfg_a, cfg_b, target_nme=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1024 * 1025 * 8
 
     def test_mismatched_seeds_rejected(self):
         ds = generate_dataset(10, 16, 16, 2, 0.02, seed=15)
