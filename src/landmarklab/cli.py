@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -145,7 +146,10 @@ def load_config(path: str | None) -> dict:
                 elif isinstance(default, int):
                     cfg[section][key] = int(raw)
                 elif isinstance(default, float):
-                    cfg[section][key] = float(raw)
+                    value = float(raw)
+                    if not math.isfinite(value):
+                        raise ValueError(f"not finite: {raw!r}")
+                    cfg[section][key] = value
                 else:
                     cfg[section][key] = raw
             except ValueError as err:
@@ -183,7 +187,7 @@ def _check_csv(path: str, header: str) -> None:
         raise CliError(f"{path}: expected header {header!r}, found {first!r}")
 
 
-def cmd_toy(config_path, out, seed=None, objective=None) -> int:
+def cmd_toy(config_path, out, objective=None) -> int:
     cfg = load_config(config_path)
     section = cfg["toy"]
     if objective is not None:
@@ -422,11 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    no_draws = "accepted for a uniform command line; this command draws nothing"
 
     toy = sub.add_parser("toy", help="1-D gradient-descent dynamics")
     toy.add_argument("--config", default=None)
     toy.add_argument("--out", default=".")
-    toy.add_argument("--seed", type=int, default=None)
+    toy.add_argument("--seed", type=int, default=None, help=no_draws)
     toy.add_argument("--objective", choices=("structured", "softargmax"), default=None)
 
     synth = sub.add_parser("synth", help="synthetic convergence comparison")
@@ -440,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     smooth.add_argument("boundaries")
     smooth.add_argument("--config", default=None)
     smooth.add_argument("--out", default=".")
-    smooth.add_argument("--seed", type=int, default=None)
+    smooth.add_argument("--seed", type=int, default=None, help=no_draws)
     smooth.add_argument("--dump-intermediates", action="store_true")
 
     ev = sub.add_parser("eval", help="NME / FR / AUC report")
@@ -448,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("gt")
     ev.add_argument("--config", default=None)
     ev.add_argument("--out", default=".")
-    ev.add_argument("--seed", type=int, default=None)  # uniform surface; eval draws nothing
+    ev.add_argument("--seed", type=int, default=None, help=no_draws)
 
     return parser
 
@@ -457,7 +462,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "toy":
-            return cmd_toy(args.config, args.out, seed=args.seed, objective=args.objective)
+            return cmd_toy(args.config, args.out, objective=args.objective)
         if args.command == "synth":
             if args.epochs is not None and args.epochs < 1:
                 raise CliError("--epochs must be at least 1")

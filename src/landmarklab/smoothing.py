@@ -119,8 +119,8 @@ def build_edge_heatmap(
 ) -> Heatmap:
     """Rasterize boundary polylines into a soft edge map in [0, 1].
 
-    Each pixel gets exp(-D^2 / (2 sigma_b^2)) of its distance D to the
-    nearest boundary segment, cut to zero beyond 3 sigma_b.
+    Each pixel gets ``edge_heatmap`` of its distance to the nearest
+    boundary segment.
     """
     boundaries.validate_for(landmarks)
     size = cfg.edge_map_size
@@ -128,10 +128,14 @@ def build_edge_heatmap(
     for curve in boundaries.curves:
         pts = landmarks.points[list(curve)]
         segments.extend(polyline_segments(pts))
-    dist = segment_distance_field(segments, size, size)
-    e = np.exp(-(dist**2) / (2.0 * cfg.sigma_b**2))
-    e[dist >= 3.0 * cfg.sigma_b] = 0.0
-    return Heatmap(e)
+    return Heatmap(edge_heatmap(segment_distance_field(segments, size, size), cfg.sigma_b))
+
+
+def edge_heatmap(dist: np.ndarray, sigma_b: float) -> np.ndarray:
+    """exp(-D^2 / (2 sigma_b^2)) of distances D, cut to zero beyond 3 sigma_b."""
+    e = np.exp(-(dist**2) / (2.0 * sigma_b**2))
+    e[dist >= 3.0 * sigma_b] = 0.0
+    return e
 
 
 def _gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
@@ -297,8 +301,11 @@ def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
                     f"first given on line {first_line[sid]}"
                 )
             first_line[sid] = lineno
-            pts = np.array(coords, dtype=np.float64).reshape(-1, 2)
-            samples.append((sid, LandmarkSet(pts)))
+            try:
+                landmarks = LandmarkSet(np.array(coords, dtype=np.float64).reshape(-1, 2))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
+            samples.append((sid, landmarks))
     if not samples:
         raise ValueError(f"{path}: no annotation lines found")
     return samples

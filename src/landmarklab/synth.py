@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from landmarklab.heatmap import Heatmap, LandmarkSet, gaussian_bumps
+from landmarklab.heatmap import Heatmap, gaussian_bumps
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -24,11 +24,11 @@ from landmarklab.losses import (
     soft_argmax_l2_batch,
     structured_batch,
 )
-from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     GaussianLabel,
     SmoothingConfig,
+    edge_heatmap,
     fit_gaussian_label,
     polyline_segments,
     refine_edge_heatmap,
@@ -62,41 +62,29 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SynthImage:
-    """Grayscale pixel grid in [0, 1], shape (height, width)."""
+class SynthData:
+    """S samples as arrays: grayscale pixels [S, H, W] in [0, 1], landmark
+    points [S, N, 2], normalizing distances [S], and each pixel's distance
+    to its sample's contour [S, H, W].
+
+    Slices and index arrays select sub-datasets.
+    """
 
     pixels: np.ndarray
+    points: np.ndarray
+    norm: np.ndarray
+    distance: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"image must be 2-D, got shape {arr.shape}")
-        if arr.min() < 0 or arr.max() > 1:
-            raise ValueError("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", arr)
+    def __len__(self) -> int:
+        return len(self.pixels)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    def __getitem__(self, idx) -> "SynthData":
+        return SynthData(self.pixels[idx], self.points[idx], self.norm[idx], self.distance[idx])
 
     @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class SynthSample:
-    image: SynthImage
-    landmarks: LandmarkSet
-    norm_distance: float
-    # Generator-side ground-truth boundary polyline; None for imported data.
-    contour: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.norm_distance <= 0:
-            raise ValueError("norm_distance must be positive")
-        if not self.landmarks.in_bounds(self.image.width, self.image.height):
-            raise ValueError("landmarks out of image bounds")
+    def grid(self) -> tuple[int, int]:
+        """(width, height) of every image."""
+        return self.pixels.shape[2], self.pixels.shape[1]
 
 
 @dataclass
@@ -131,9 +119,9 @@ class LinearScorer:
         return out
 
 
-def features(image: SynthImage) -> np.ndarray:
-    """Flattened pixels with a trailing bias feature."""
-    return np.concatenate([image.pixels.ravel(), [1.0]])
+def features(data: SynthData) -> np.ndarray:
+    """Feature rows [S, H*W + 1]: flattened pixels with a trailing bias feature."""
+    return np.concatenate([data.pixels.reshape(len(data), -1), np.ones((len(data), 1))], axis=1)
 
 
 @dataclass(frozen=True)
@@ -206,12 +194,6 @@ def _contour_point(center, a, b, phi, t):
     return center[0] + c * x - s * y, center[1] + s * x + c * y
 
 
-def render_contour(contour: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Noiseless intensity image of a closed polyline, peak 1 on the curve."""
-    dist = segment_distance_field(polyline_segments(contour), width, height)
-    return np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))
-
-
 def generate_dataset(
     n_samples: int,
     width: int = 32,
@@ -219,12 +201,14 @@ def generate_dataset(
     n_landmarks: int = 3,
     noise_sigma: float = 0.02,
     seed: int = 0,
-) -> list[SynthSample]:
+) -> SynthData:
     """Random ellipse-contour samples with exact landmark ground truth.
 
-    Landmarks sit at evenly spaced parameter angles on the contour; the
-    normalizing distance of a sample is the gap between its first two
-    landmarks.  Deterministic per seed.
+    Each image is exp(-D^2 / (2 RENDER_SIGMA^2)) of the contour's distance
+    field D, which is kept for label fitting, plus Gaussian noise, clipped
+    to [0, 1].  Landmarks sit at evenly spaced parameter angles on the
+    contour; the normalizing distance of a sample is the gap between its
+    first two landmarks.  Deterministic per seed.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -232,10 +216,18 @@ def generate_dataset(
         raise ValueError("image sides must be at least 12 pixels")
     if n_landmarks < 2:
         raise ValueError("need at least two landmarks (for the normalizing pair)")
+    if not noise_sigma >= 0:
+        raise ValueError("noise sigma must be nonnegative")
     rng = np.random.default_rng(derive_seed(seed, "synth-data"))
     size = min(width, height)
-    samples = []
-    for _ in range(n_samples):
+    angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
+    data = SynthData(
+        pixels=np.empty((n_samples, height, width)),
+        points=np.empty((n_samples, n_landmarks, 2)),
+        norm=np.empty(n_samples),
+        distance=np.empty((n_samples, height, width)),
+    )
+    for i in range(n_samples):
         center = (
             rng.uniform(CENTER_RANGE[0] * width, CENTER_RANGE[1] * width),
             rng.uniform(CENTER_RANGE[0] * height, CENTER_RANGE[1] * height),
@@ -244,61 +236,48 @@ def generate_dataset(
         b = rng.uniform(MINOR_RANGE[0] * a, MINOR_RANGE[1] * a)
         phi = rng.uniform(ROTATION_RANGE[0], ROTATION_RANGE[1])
         contour = _ellipse_contour(center, a, b, phi)
-        pixels = render_contour(contour, width, height)
+        dist = segment_distance_field(polyline_segments(contour), width, height)
+        pixels = np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))
         if noise_sigma > 0:
             pixels = pixels + rng.normal(0.0, noise_sigma, pixels.shape)
-        pixels = np.clip(pixels, 0.0, 1.0)
-        angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
         pts = np.array([_contour_point(center, a, b, phi, t) for t in angles])
-        landmarks = LandmarkSet(pts)
-        samples.append(
-            SynthSample(
-                image=SynthImage(pixels),
-                landmarks=landmarks,
-                norm_distance=float(np.linalg.norm(pts[0] - pts[1])),
-                contour=contour,
-            )
-        )
-    return samples
+        data.pixels[i] = np.clip(pixels, 0.0, 1.0)
+        data.points[i] = pts
+        data.norm[i] = np.linalg.norm(pts[0] - pts[1])
+        data.distance[i] = dist
+    return data
 
 
-def fit_sample_labels(sample: SynthSample, cfg: SmoothingConfig) -> list[GaussianLabel]:
-    """Directional labels for one sample, using its contour as the pseudo edge."""
-    if sample.contour is None:
-        raise ValueError("sample has no contour; cannot fit edge-aware labels")
-    w, h = sample.image.width, sample.image.height
-    dist = segment_distance_field(polyline_segments(sample.contour), w, h)
-    edge = np.exp(-(dist**2) / (2.0 * cfg.sigma_b**2))
-    edge[dist >= 3.0 * cfg.sigma_b] = 0.0
-    refined = refine_edge_heatmap(Heatmap(edge), cfg)
-    return [fit_gaussian_label(refined, (u, v), cfg) for u, v in sample.landmarks.points]
+def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> list[GaussianLabel]:
+    """Directional labels for one sample's points [N, 2], the edge map taken
+    from its contour's distance field [H, W]."""
+    refined = refine_edge_heatmap(Heatmap(edge_heatmap(distance, cfg.sigma_b)), cfg)
+    return [fit_gaussian_label(refined, (u, v), cfg) for u, v in points]
 
 
-def _prepare(dataset, cfg: TrainConfig):
-    """Feature rows [S, H*W + 1] and every sample's targets for the objective.
+def _targets(data: SynthData, cfg: TrainConfig):
+    """Every sample's targets for the objective.
 
-    Targets are the clipped true cells [S, N, 2] (structured), the landmark
+    These are the clipped true cells [S, N, 2] (structured), the landmark
     points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
     (heatmap MSE), or one list of fitted labels per sample (smoothed
     structured).
     """
-    feats = np.stack([features(s.image) for s in dataset])
     if cfg.objective == "structured" and cfg.with_smoothing:
-        return feats, [fit_sample_labels(s, cfg.smoothing) for s in dataset]
-    w, h = dataset[0].image.width, dataset[0].image.height
-    points = np.stack([s.landmarks.points for s in dataset])
+        return [fit_sample_labels(d, p, cfg.smoothing) for d, p in zip(data.distance, data.points)]
+    w, h = data.grid
     if cfg.objective == "structured":
-        return feats, np.clip(np.rint(points), 0, [w - 1, h - 1]).astype(int)
+        return np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int)
     if cfg.objective == "softargmax":
-        return feats, points
-    return feats, gaussian_bumps(points, w, h, cfg.mse_sigma).reshape(*points.shape[:2], w * h)
+        return data.points
+    return gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h)
 
 
 def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
     """Per-sample losses [B] and heatmap gradients [B, N, H*W] for samples idx.
 
     ``scores`` holds the samples' heatmaps [B, N, H*W] and ``targets`` is
-    what ``_prepare`` returned.  A sample's loss sums its landmark terms in
+    what ``_targets`` returned.  A sample's loss sums its landmark terms in
     landmark order.  Smoothed structured draws for landmark n of sample i
     use the sub-seed ``mc/{epoch}/{i}/{n}``.
     """
@@ -321,22 +300,21 @@ def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
     return losses, grads
 
 
-def _argmax_nme(scores: np.ndarray, dataset, width: int) -> float:
+def _argmax_nme(scores: np.ndarray, data: SynthData) -> float:
     """Mean per-sample NME of argmax inference from scores [B, N, H*W].
 
     Ties go to the lowest row-major cell, as in ``heatmap.argmax``.
     """
+    width = data.grid[0]
     cells = scores.argmax(axis=-1)
     coords = np.stack([cells % width, cells // width], axis=-1).astype(np.float64)
-    per_sample = [nme(LandmarkSet(c), s.landmarks, s.norm_distance)
-                  for c, s in zip(coords, dataset)]
-    return float(np.mean(per_sample))
+    err = np.linalg.norm(coords - data.points, axis=-1)
+    return float((err.mean(-1) / data.norm).mean())
 
 
-def evaluate_nme(scorer: LinearScorer, dataset) -> float:
+def evaluate_nme(scorer: LinearScorer, data: SynthData) -> float:
     """Mean per-sample NME of argmax inference over a dataset."""
-    feats = np.stack([features(s.image) for s in dataset])
-    return _argmax_nme(scorer.scores(feats), dataset, scorer.width)
+    return _argmax_nme(scorer.scores(features(data)), data)
 
 
 def split_dataset(dataset, eval_fraction: float = 0.2):
@@ -370,12 +348,12 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
     """
     if eval_dataset is None:
         dataset, eval_dataset = split_dataset(dataset)
-    feats, targets = _prepare(dataset, cfg)
-    eval_feats = np.stack([features(s.image) for s in eval_dataset])
+    feats, targets = features(dataset), _targets(dataset, cfg)
+    eval_feats = features(eval_dataset)
     gram = feats @ feats.T
     eval_gram = eval_feats @ feats.T
-    n_landmarks = len(dataset[0].landmarks)
-    grid = (dataset[0].image.width, dataset[0].image.height)
+    n_landmarks = dataset.points.shape[1]
+    grid = dataset.grid
     coef = np.zeros((len(feats), n_landmarks * grid[0] * grid[1]))
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
@@ -403,7 +381,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
             EpochStats(
                 epoch=epoch,
                 train_loss=float(train_loss),
-                eval_nme=_argmax_nme(eval_scores, eval_dataset, grid[0]),
+                eval_nme=_argmax_nme(eval_scores, eval_dataset),
             )
         )
     return history
@@ -416,7 +394,7 @@ def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
     C/2 * |theta|^2.  The reference for gradient checks and for the dual
     form ``train`` keeps.
     """
-    feats, targets = _prepare(dataset, cfg)
+    feats, targets = features(dataset), _targets(dataset, cfg)
     idx = np.arange(len(dataset))
     grid = (scorer.width, scorer.height)
     losses, grads = _batch_loss(scorer.scores(feats), targets, idx, grid, cfg, epoch=1)

@@ -80,6 +80,23 @@ def write_annotations(path, rows):
     path.write_text("".join(f"{rid} {coords}\n" for rid, coords in rows))
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("eval", "eval", "norm_distance", "nan"),
+    ("synth", "synth", "target_nme", "nan"),
+    ("toy", "toy", "learning_rate", "inf"),
+])
+def test_non_finite_config_value_rejected(tmp_path, capsys, command, section, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    gt = tmp_path / "gt.txt"
+    write_annotations(gt, [("a", "1 2 3 4")])
+    inputs = [str(gt), str(gt)] if command == "eval" else []
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"bad value for {section}.{key}: '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestToyCommand:
     def test_default_run_recovers_target(self, tmp_path, capsys):
         assert main(["toy", "--out", str(tmp_path)]) == 0
@@ -148,6 +165,7 @@ class TestSynthCommand:
         ("samples = 1", "samples must be at least 2"),
         ("samples = 40\nmse_sigma = 0", "MSE target sigma must be positive"),
         ("samples = 40\nmse_sigma = -1.5", "MSE target sigma must be positive"),
+        ("samples = 40\nnoise_sigma = -0.5", "noise sigma must be nonnegative"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "synth.cfg"

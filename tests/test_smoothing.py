@@ -263,6 +263,13 @@ class TestAnnotationIo:
         with pytest.raises(ValueError, match=r":3"):
             read_annotations(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_cites_line(self, tmp_path, token):
+        path = tmp_path / "ann.txt"
+        path.write_text(f"s0 1 2\ns1 3 {token}\n")
+        with pytest.raises(ValueError, match=r"ann\.txt:2: landmark coordinates must be finite"):
+            read_annotations(path)
+
     def test_wrong_token_count_rejected(self, tmp_path):
         path = tmp_path / "ann.txt"
         path.write_text("s0 1 2 3\n")

@@ -3,17 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from landmarklab import synth
 from landmarklab.heatmap import LandmarkSet
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
+from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
-from landmarklab.smoothing import SmoothingConfig
+from landmarklab.smoothing import SmoothingConfig, polyline_segments, segment_distance_field
 from landmarklab.synth import (
     CENTER_RANGE,
     MAJOR_RANGE,
+    RENDER_SIGMA,
     ROTATION_RANGE,
     LinearScorer,
-    SynthImage,
-    SynthSample,
+    SynthData,
     TrainConfig,
     TrainingDiverged,
     _ellipse_contour,
@@ -24,7 +26,6 @@ from landmarklab.synth import (
     first_epoch_at_target,
     fit_sample_labels,
     generate_dataset,
-    render_contour,
     split_dataset,
     train,
     tune_learning_rate,
@@ -37,39 +38,56 @@ STRUCT_CFG = StructuredLossConfig(
 
 
 def single_sample(width=16, height=16):
-    """One hand-built sample with integer landmarks."""
+    """One hand-built, noiselessly rendered sample with integer landmarks."""
     contour = _ellipse_contour((8.0, 8.0), 4.0, 3.0, 0.3)
-    image = SynthImage(render_contour(contour, width, height))
-    landmarks = LandmarkSet(np.array([[4.0, 8.0], [12.0, 8.0]]))
-    return SynthSample(image=image, landmarks=landmarks, norm_distance=8.0,
-                       contour=contour)
+    dist = segment_distance_field(polyline_segments(contour), width, height)
+    return SynthData(
+        pixels=np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))[None],
+        points=np.array([[[4.0, 8.0], [12.0, 8.0]]]),
+        norm=np.array([8.0]),
+        distance=dist[None],
+    )
 
 
 class TestGenerateDataset:
     def test_determinism(self):
         a = generate_dataset(5, 16, 16, 2, 0.05, seed=3)
         b = generate_dataset(5, 16, 16, 2, 0.05, seed=3)
-        for sa, sb in zip(a, b):
-            assert sa.image.pixels.tobytes() == sb.image.pixels.tobytes()
-            assert sa.landmarks.points.tobytes() == sb.landmarks.points.tobytes()
+        for name in ("pixels", "points", "norm", "distance"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         c = generate_dataset(5, 16, 16, 2, 0.05, seed=4)
-        assert a[0].image.pixels.tobytes() != c[0].image.pixels.tobytes()
+        assert a.pixels[0].tobytes() != c.pixels[0].tobytes()
 
     def test_landmarks_sit_on_bright_contour(self):
-        for s in generate_dataset(10, 24, 24, 3, 0.0, seed=1):
-            for u, v in s.landmarks.points:
-                assert s.image.pixels[int(round(v)), int(round(u))] >= 0.9
+        ds = generate_dataset(10, 24, 24, 3, 0.0, seed=1)
+        for pixels, points in zip(ds.pixels, ds.points):
+            for u, v in points:
+                assert pixels[int(round(v)), int(round(u))] >= 0.9
+        # Without noise each image is the rendering of its stored distance field.
+        np.testing.assert_array_equal(
+            ds.pixels, np.exp(-(ds.distance**2) / (2.0 * RENDER_SIGMA**2))
+        )
 
     def test_pixels_clipped_to_unit_range(self):
-        for s in generate_dataset(5, 16, 16, 2, 0.5, seed=2):
-            assert s.image.pixels.min() >= 0.0 and s.image.pixels.max() <= 1.0
+        ds = generate_dataset(5, 16, 16, 2, 0.5, seed=2)
+        assert ds.pixels.min() >= 0.0 and ds.pixels.max() <= 1.0
+
+    def test_indexing_selects_samples(self):
+        ds = generate_dataset(5, 16, 16, 2, 0.05, seed=3)
+        picked = ds[np.array([3, 0, 3])]
+        assert len(picked) == 3 and len(ds[1:4]) == 3
+        for name in ("pixels", "points", "norm", "distance"):
+            np.testing.assert_array_equal(getattr(picked, name), getattr(ds, name)[[3, 0, 3]])
 
     def test_randomization_spread(self):
         # With two landmarks the pair is diametral: |p0 - p1| = 2a and the
         # midpoint is the ellipse center, so the draw ranges are observable.
         size = 24
         ds = generate_dataset(500, size, size, 2, 0.0, seed=5)
-        pts = np.array([s.landmarks.points for s in ds])
+        pts = ds.points
+        assert np.all((pts >= 0) & (pts <= size - 1))  # landmarks in bounds
+        assert np.all(ds.norm > 0)
+        np.testing.assert_allclose(ds.norm, np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1))
         semi_major = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1) / 2.0
         centers = pts.mean(axis=1)
         diffs = pts[:, 0] - pts[:, 1]
@@ -93,13 +111,15 @@ class TestGenerateDataset:
             generate_dataset(1, 8, 16, 2, 0.0, seed=0)
         with pytest.raises(ValueError):
             generate_dataset(1, 16, 16, 1, 0.0, seed=0)
+        with pytest.raises(ValueError, match="noise sigma"):
+            generate_dataset(1, 16, 16, 2, -0.5, seed=0)
 
 
 class TestLinearScorer:
     def test_zero_scorer_predicts_flat_maps(self):
         s = single_sample()
         scorer = LinearScorer.zeros(2, 16, 16)
-        scores = scorer.scores(features(s.image)[None])
+        scores = scorer.scores(features(s))
         assert scores.shape == (1, 2, 256)
         assert np.all(scores == 0.0)
 
@@ -107,8 +127,8 @@ class TestLinearScorer:
         rng = np.random.default_rng(0)
         s = single_sample()
         scorer = LinearScorer(rng.normal(size=(2, 256, 257)), 16, 16)
-        phi = np.concatenate([s.image.pixels.ravel(), [1.0]])
-        scores = scorer.scores(features(s.image)[None])
+        phi = np.concatenate([s.pixels[0].ravel(), [1.0]])
+        scores = scorer.scores(features(s))
         np.testing.assert_allclose(scores[0, 1], scorer.weights[1] @ phi, rtol=1e-12)
 
 
@@ -136,15 +156,15 @@ class TestTrain:
         s = single_sample()
         cfg = TrainConfig(objective="structured", learning_rate=2.0, epochs=60,
                           batch_size=1, seed=0, structured=STRUCT_CFG)
-        hist = train([s], cfg, eval_dataset=[s])
+        hist = train(s, cfg, eval_dataset=s)
         assert hist[-1].eval_nme == 0.0
 
     def test_single_sample_mse_reaches_target_cell(self):
         s = single_sample()
-        phi_sq = float(np.concatenate([s.image.pixels.ravel(), [1.0]]) ** 2 @ np.ones(257))
+        phi_sq = float(np.concatenate([s.pixels[0].ravel(), [1.0]]) ** 2 @ np.ones(257))
         cfg = TrainConfig(objective="heatmap_mse", learning_rate=0.3 / phi_sq,
                           epochs=40, batch_size=1, seed=0, mse_sigma=1.5)
-        hist = train([s], cfg, eval_dataset=[s])
+        hist = train(s, cfg, eval_dataset=s)
         assert hist[-1].eval_nme == 0.0
 
     def test_deterministic_per_seed(self):
@@ -162,7 +182,7 @@ class TestTrain:
         cfg = TrainConfig(objective="heatmap_mse", learning_rate=1e12, epochs=40,
                           batch_size=1, seed=0)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc:
-            train([s], cfg, eval_dataset=[s])
+            train(s, cfg, eval_dataset=s)
         assert exc.value.epoch >= 1
 
     def test_smoothing_gamma_to_zero_matches_unsmoothed(self):
@@ -216,9 +236,8 @@ class TestDualForm:
                           epochs=3, batch_size=batch, seed=0, structured=STRUCT_CFG)
         hist = train(train_set, cfg, eval_dataset=eval_set)
 
-        feats = np.stack([features(s.image) for s in train_set])
-        points = np.stack([s.landmarks.points for s in train_set])
-        cells = np.clip(np.rint(points), 0, 15).astype(int)
+        feats = features(train_set)
+        cells = np.clip(np.rint(train_set.points), 0, 15).astype(int)
         primal = LinearScorer.zeros(2, 16, 16)
         rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
         for stats in hist:
@@ -329,8 +348,7 @@ class TestLearningRateTuning:
         assert lr == 2.0
 
     def test_all_rates_diverging_raises(self):
-        s = single_sample()
-        ds = [s] * 6
+        ds = single_sample()[np.zeros(6, dtype=int)]
         cfg = TrainConfig(objective="heatmap_mse", epochs=2, batch_size=6, seed=0)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             tune_learning_rate(ds, cfg, [1e14], probe_epochs=30, probe_samples=None)
@@ -341,22 +359,24 @@ class TestSmoothedLabels:
         # Landmark 0 sits on the rightmost contour point of an axis-aligned
         # ellipse, where the boundary runs vertically.
         contour = _ellipse_contour((8.0, 8.0), 5.0, 3.0, 0.0)
-        image = SynthImage(render_contour(contour, 16, 16))
-        s = SynthSample(image=image,
-                        landmarks=LandmarkSet(np.array([[13.0, 8.0], [3.0, 8.0]])),
-                        norm_distance=10.0, contour=contour)
-        labels = fit_sample_labels(s, SmoothingConfig(patch_half=4))
+        dist = segment_distance_field(polyline_segments(contour), 16, 16)
+        points = np.array([[13.0, 8.0], [3.0, 8.0]])
+        labels = fit_sample_labels(dist, points, SmoothingConfig(patch_half=4))
         for label in labels:
             assert np.linalg.eigvalsh(label.cov).min() > 0
         cov = labels[0].cov
         assert cov[1, 1] > cov[0, 0]  # spread along v (the edge direction)
 
-    def test_requires_contour(self):
-        s = single_sample()
-        stripped = SynthSample(image=s.image, landmarks=s.landmarks,
-                               norm_distance=s.norm_distance, contour=None)
-        with pytest.raises(ValueError):
-            fit_sample_labels(stripped, SmoothingConfig())
+    def test_training_reuses_stored_distance_fields(self, monkeypatch):
+        ds = generate_dataset(10, 16, 16, 2, 0.02, seed=9)
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("contour distance field computed again")
+
+        monkeypatch.setattr(synth, "segment_distance_field", recompute)
+        cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0,
+                          with_smoothing=True, mc_samples=2)
+        assert len(train(ds[:8], cfg, eval_dataset=ds[8:])) == 1
 
 
 class TestDatasetIo:
@@ -376,9 +396,19 @@ class TestEvaluateNme:
         s = single_sample()
         scorer = LinearScorer.zeros(2, 16, 16)
         # Bias channel alone puts the peak on each true cell.
-        for n, (u, v) in enumerate(s.landmarks.points):
+        for n, (u, v) in enumerate(s.points[0]):
             scorer.weights[n, int(v) * 16 + int(u), -1] = 1.0
-        assert evaluate_nme(scorer, [s]) == 0.0
+        assert evaluate_nme(scorer, s) == 0.0
+
+    def test_matches_per_sample_metric(self):
+        ds = generate_dataset(12, 16, 16, 3, 0.02, seed=20)
+        scorer = LinearScorer(np.random.default_rng(1).normal(size=(3, 256, 257)), 16, 16)
+        cells = scorer.scores(features(ds)).argmax(axis=-1)
+        per_sample = [
+            nme(LandmarkSet(np.stack([c % 16, c // 16], axis=-1)), LandmarkSet(p), d)
+            for c, p, d in zip(cells, ds.points, ds.norm)
+        ]
+        assert evaluate_nme(scorer, ds) == np.mean(per_sample)
 
     def test_split_dataset_shapes(self):
         ds = generate_dataset(10, 16, 16, 2, 0.0, seed=18)
