@@ -65,10 +65,6 @@ class LandmarkSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def in_bounds(self, width: int, height: int) -> bool:
-        u, v = self.points[:, 0], self.points[:, 1]
-        return bool(np.all((u >= 0) & (u <= width - 1) & (v >= 0) & (v <= height - 1)))
-
 
 def coordinate_grids(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     """Return (U, V) index grids of shape (height, width)."""

@@ -22,6 +22,7 @@ table is a constant per call).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,21 @@ def margin_table(delta: MarginSpec, y: tuple[float, float], width: int, height: 
     return _margin_from_diffs(delta, du, dv)
 
 
+@functools.lru_cache(maxsize=32)
+def _margin_windows(delta: MarginSpec, width: int, height: int) -> np.ndarray:
+    """H x W windows of the margin table over all (2H-1) x (2W-1) offsets.
+
+    Built once per (margin, grid) and shared by every call, so the table is
+    read-only: no caller can write through the cache.
+    """
+    scale = float(max(width, height)) if delta.normalize_coords else 1.0
+    du = np.arange(1 - width, width) / scale
+    dv = np.arange(1 - height, height)[:, None] / scale
+    table = _margin_from_diffs(delta, du, dv)
+    table.flags.writeable = False
+    return sliding_window_view(table, (height, width))
+
+
 def _cell_margins(delta: MarginSpec, cells: np.ndarray, width: int, height: int) -> np.ndarray:
     """Margin of every grid cell against integer target cells [..., 2], shape [..., H*W].
 
@@ -124,10 +140,7 @@ def _cell_margins(delta: MarginSpec, cells: np.ndarray, width: int, height: int)
     it is tabulated once over all (2H-1) x (2W-1) offsets and each target's
     H x W window is gathered from that table.
     """
-    scale = float(max(width, height)) if delta.normalize_coords else 1.0
-    du = np.arange(1 - width, width) / scale
-    dv = np.arange(1 - height, height)[:, None] / scale
-    windows = sliding_window_view(_margin_from_diffs(delta, du, dv), (height, width))
+    windows = _margin_windows(delta, width, height)
     # Index arrays (never scalars) so the gather always returns a fresh, writable array.
     rows = np.atleast_1d(height - 1 - cells[..., 1])
     cols = np.atleast_1d(width - 1 - cells[..., 0])

@@ -87,31 +87,50 @@ class GaussianLabel:
 def segment_distance_field(segments, width: int, height: int) -> np.ndarray:
     """Euclidean distance from every pixel center to the nearest segment.
 
-    ``segments`` is an iterable of ((u0, v0), (u1, v1)) endpoint pairs.
+    ``segments`` is an array ``[M, 2, 2]`` of endpoint pairs
+    ``((u0, v0), (u1, v1))``.  The field is built one pixel row at a time,
+    over all M segments at once, so no ``[M, H*W]`` array is ever held.
+    Each row keeps the minimum of the squared distances and takes one
+    ``sqrt`` at the end; that is exact, because a correctly rounded
+    ``sqrt`` is monotone, so the square root of the minimum is the minimum
+    of the square roots.  A zero-length segment is its first endpoint.
     """
-    segs = [(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)) for a, b in segments]
-    if not segs:
+    segs = np.asarray(segments, dtype=np.float64)
+    if segs.size == 0:
         raise ValueError("no segments given")
-    v, u = np.mgrid[0:height, 0:width]
-    pts = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
-    best = np.full(pts.shape[0], np.inf)
-    for a, b in segs:
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            closest = a[None, :]
-        else:
-            t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-            closest = a + t[:, None] * ab
-        d = np.linalg.norm(pts - closest, axis=1)
-        np.minimum(best, d, out=best)
-    return best.reshape(height, width)
+    if segs.ndim != 3 or segs.shape[1:] != (2, 2):
+        raise ValueError(f"segments must have shape (M, 2, 2), got {segs.shape}")
+    au, av = segs[:, 0, 0, None], segs[:, 0, 1, None]  # [M, 1]
+    abu, abv = segs[:, 1, 0, None] - au, segs[:, 1, 1, None] - av
+    denom = abu * abu + abv * abv
+    # ab = 0 on a zero-length segment, so dividing by 1 there gives t = 0.
+    denom[denom == 0.0] = 1.0
+    u = np.arange(width, dtype=np.float64)
+    proj_u = (u - au) * abu  # [M, W], the same on every row
+    proj_v = (np.arange(height) - av) * abv  # [M, H], one column per row
+    best = np.empty((height, width))
+    for v in range(height):
+        t = proj_u + proj_v[:, v, None]
+        t /= denom
+        np.clip(t, 0.0, 1.0, out=t)
+        # Offset from the pixel to the nearest point of each segment.
+        du = t * abu
+        du += au
+        du -= u
+        dv = t * abv
+        dv += av
+        dv -= v
+        du *= du
+        dv *= dv
+        du += dv
+        du.min(axis=0, out=best[v])
+    return np.sqrt(best, out=best)
 
 
-def polyline_segments(vertices: np.ndarray):
-    """Consecutive vertex pairs of an open polyline, vertices shape (M, 2)."""
+def polyline_segments(vertices: np.ndarray) -> np.ndarray:
+    """Consecutive vertex pairs of an open polyline, vertices (M, 2) -> [M-1, 2, 2]."""
     pts = np.asarray(vertices, dtype=np.float64)
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+    return np.stack([pts[:-1], pts[1:]], 1)
 
 
 def build_edge_heatmap(
@@ -124,10 +143,8 @@ def build_edge_heatmap(
     """
     boundaries.validate_for(landmarks)
     size = cfg.edge_map_size
-    segments = []
-    for curve in boundaries.curves:
-        pts = landmarks.points[list(curve)]
-        segments.extend(polyline_segments(pts))
+    curves = [polyline_segments(landmarks.points[list(c)]) for c in boundaries.curves]
+    segments = np.concatenate(curves) if curves else np.empty((0, 2, 2))
     return Heatmap(edge_heatmap(segment_distance_field(segments, size, size), cfg.sigma_b))
 
 

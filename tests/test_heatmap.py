@@ -50,11 +50,6 @@ class TestLandmarkSet:
         with pytest.raises(ValueError):
             LandmarkSet(np.array([[0.0, np.inf]]))
 
-    def test_bounds(self):
-        pts = LandmarkSet(np.array([[0.0, 0.0], [4.0, 2.0]]))
-        assert pts.in_bounds(5, 3)
-        assert not pts.in_bounds(4, 3)
-
 
 class TestArgmax:
     def test_bimodal_ties_to_lowest_index(self):

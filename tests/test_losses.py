@@ -7,11 +7,13 @@ from landmarklab.losses import (
     MarginKind,
     MarginSpec,
     StructuredLossConfig,
+    _margin_windows,
     heatmap_mse_loss,
     margin,
     margin_table,
     smoothed_structured_loss,
     soft_argmax_l2_loss,
+    structured_batch,
     structured_loss,
 )
 from landmarklab.smoothing import GaussianLabel, sample_label
@@ -200,6 +202,21 @@ class TestStructuredLoss:
             structured_loss(h, GridCoord(0, -1))
         with pytest.raises(ValueError):
             StructuredLossConfig(epsilon=0.0)
+
+    def test_cached_margin_windows_are_read_only(self):
+        windows = _margin_windows(RAW_L2, 6, 4)
+        assert _margin_windows(RAW_L2, 6, 4) is windows
+        with pytest.raises(ValueError):
+            windows[0, 0, 0, 0] = 1.0
+        # The gradient is built in a fresh gather, so writing it leaves the cache alone.
+        cfg = StructuredLossConfig(epsilon=1.0, margin=RAW_L2)
+        scores = np.random.default_rng(3).normal(size=(2, 24))
+        cells = np.array([[0, 0], [5, 3]])
+        value, grad = structured_batch(scores, cells, (6, 4), cfg)
+        grad[...] = np.nan
+        again = structured_batch(scores, cells, (6, 4), cfg)
+        np.testing.assert_array_equal(again[0], value)
+        assert np.isfinite(again[1]).all()
 
 
 class TestSoftArgmaxL2Loss:

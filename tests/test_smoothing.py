@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -8,9 +10,11 @@ from landmarklab.smoothing import (
     GaussianLabel,
     SmoothingConfig,
     build_edge_heatmap,
+    edge_heatmap,
     extract_patch,
     fit_gaussian_label,
     joint_patch,
+    polyline_segments,
     read_annotations,
     read_boundaries,
     refine_edge_heatmap,
@@ -71,6 +75,78 @@ class TestEdgeHeatmap:
         np.testing.assert_allclose(d[1, 2], 0.0, atol=1e-12)
         np.testing.assert_allclose(d[0, 0], np.sqrt(2.0), rtol=1e-12)
         np.testing.assert_allclose(d[1, 4], 1.0, rtol=1e-12)
+
+
+def reference_distance_field(segments, width, height):
+    """Per-segment loop the array kernel replaced, kept as its oracle."""
+    segs = [(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)) for a, b in segments]
+    v, u = np.mgrid[0:height, 0:width]
+    pts = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
+    best = np.full(pts.shape[0], np.inf)
+    for a, b in segs:
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            closest = a[None, :]
+        else:
+            t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+            closest = a + t[:, None] * ab
+        d = np.linalg.norm(pts - closest, axis=1)
+        np.minimum(best, d, out=best)
+    return best.reshape(height, width)
+
+
+class TestSegmentDistanceField:
+    def test_matches_per_segment_loop(self):
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            width, height = (int(x) for x in rng.integers(1, 40, size=2))
+            segs = rng.uniform(-15.0, 55.0, size=(int(rng.integers(1, 24)), 2, 2))
+            # Zero-length segments, some of them off the grid.
+            segs[: case % 4, 1] = segs[: case % 4, 0]
+            d = segment_distance_field(segs, width, height)
+            assert d.shape == (height, width)
+            np.testing.assert_allclose(d, reference_distance_field(segs, width, height),
+                                       rtol=0, atol=1e-12)
+
+    def test_only_zero_length_segments_are_points(self):
+        segs = np.array([[[2.0, 1.0], [2.0, 1.0]], [[-3.0, 7.5], [-3.0, 7.5]]])
+        v, u = np.mgrid[0:6, 0:9]
+        expected = np.minimum(np.hypot(u - 2.0, v - 1.0), np.hypot(u + 3.0, v - 7.5))
+        np.testing.assert_allclose(segment_distance_field(segs, 9, 6), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_several_curves_through_edge_heatmap(self):
+        rng = np.random.default_rng(32)
+        landmarks = LandmarkSet(rng.uniform(-4.0, 36.0, size=(9, 2)))
+        boundaries = BoundaryDef(((0, 1, 2, 3), (4, 5), (6, 7, 8, 6), (2, 2, 5)))
+        cfg = SmoothingConfig(edge_map_size=32)
+        segments = []
+        for curve in boundaries.curves:
+            pts = landmarks.points[list(curve)]
+            segments.extend(zip(pts[:-1], pts[1:]))
+        expected = edge_heatmap(reference_distance_field(segments, 32, 32), cfg.sigma_b)
+        np.testing.assert_allclose(build_edge_heatmap(landmarks, boundaries, cfg).values,
+                                   expected, rtol=0, atol=1e-12)
+
+    def test_rejects_empty_or_misshapen_segments(self):
+        for bad in ([], np.empty((0, 2, 2)), np.zeros((3, 4)), np.zeros((2, 3, 2))):
+            with pytest.raises(ValueError):
+                segment_distance_field(bad, 4, 4)
+
+    def test_memory_stays_below_one_full_field(self):
+        # Row by row, the kernel never holds an [M, H*W] array.
+        segs = polyline_segments(
+            np.stack([32 + 20 * np.cos(np.linspace(0, 2 * np.pi, 129)),
+                      32 + 12 * np.sin(np.linspace(0, 2 * np.pi, 129))], axis=1))
+        assert len(segs) == 128
+        tracemalloc.start()
+        try:
+            segment_distance_field(segs, 64, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 64 * 64 * 8
 
 
 class TestRefineEdgeHeatmap:
