@@ -12,7 +12,6 @@ from landmarklab.heatmap import (
     Heatmap,
     LandmarkSet,
     argmax,
-    make_gaussian_target,
     soft_argmax,
     softmax_tempered,
 )
@@ -22,7 +21,6 @@ from landmarklab.losses import (
     MarginSpec,
     StructuredLossConfig,
     heatmap_mse_loss,
-    margin,
     smoothed_structured_loss,
     soft_argmax_l2_loss,
     structured_loss,
@@ -44,7 +42,6 @@ __all__ = [
     "Heatmap",
     "LandmarkSet",
     "argmax",
-    "make_gaussian_target",
     "soft_argmax",
     "softmax_tempered",
     "LossGrad",
@@ -52,7 +49,6 @@ __all__ = [
     "MarginSpec",
     "StructuredLossConfig",
     "heatmap_mse_loss",
-    "margin",
     "smoothed_structured_loss",
     "soft_argmax_l2_loss",
     "structured_loss",

@@ -126,11 +126,14 @@ def load_config(path: str | None) -> dict:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return cfg
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # Plain INI: no interpolation, and no section name is special, so a
+    # [DEFAULT] section is rejected as unknown rather than merged into all.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read(path)
+        with open(path) as f:
+            parser.read_file(f)
+    except OSError as err:
+        raise CliError(f"cannot read config file {path}: {err.strerror}") from err
     except configparser.Error as err:
         raise CliError(f"malformed config {path}: {err}") from err
     for section in parser.sections():
@@ -233,7 +236,6 @@ def _train_cfg(section: dict, objective: str, lr: float, epochs: int, seed: int)
             epochs=epochs,
             batch_size=section["batch_size"],
             seed=seed,
-            target_nme=section["target_nme"],
             structured=StructuredLossConfig(
                 epsilon=section["epsilon"], margin=_margin_spec(section)
             ),
@@ -256,6 +258,9 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     if section["samples"] < 2:
         raise CliError("invalid synth config: samples must be at least 2 "
                        "(one to train on, one held out)")
+    if section["target_nme"] <= 0:
+        raise CliError(f"invalid synth config: target_nme must be positive, "
+                       f"got {section['target_nme']}")
     try:
         dataset = generate_dataset(
             section["samples"],
@@ -392,8 +397,13 @@ def cmd_eval(pred_path, gt_path, config_path, out) -> int:
     if section["norm_distance"] <= 0:
         raise CliError("eval.norm_distance must be positive")
     ids = sorted(preds)
+    errs = []
+    for i in ids:
+        try:
+            errs.append(nme(preds[i], gts[i], section["norm_distance"]))
+        except ValueError as err:
+            raise CliError(f"sample {i}: {err}") from err
     try:
-        errs = [nme(preds[i], gts[i], section["norm_distance"]) for i in ids]
         report = evaluate(
             errs,
             EvalConfig(

@@ -105,23 +105,9 @@ def soft_argmax(h: Heatmap, epsilon: float = 1.0) -> tuple[float, float]:
     return float((uu * p).sum()), float((vv * p).sum())
 
 
-def make_gaussian_target(
-    center: tuple[float, float], width: int, height: int, sigma: float
-) -> Heatmap:
-    """Unnormalized isotropic Gaussian bump, exp(-|p - center|^2 / (2 sigma^2)).
-
-    Peaks at 1.0 when the center lies on an integer grid point.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    cu, cv = float(center[0]), float(center[1])
-    if not (0 <= cu <= width - 1 and 0 <= cv <= height - 1):
-        raise ValueError(f"center {center} outside {width}x{height} grid")
-    return Heatmap(gaussian_bumps((cu, cv), width, height, sigma))
-
-
 def gaussian_bumps(centers, width: int, height: int, sigma: float) -> np.ndarray:
-    """Unchecked ``make_gaussian_target`` values for centers [..., 2], shape [..., H, W]."""
+    """Unnormalized Gaussian bumps exp(-|p - c|^2 / (2 sigma^2)) for centers c
+    [..., 2], shape [..., H, W]; unchecked, and 1.0 at a center on a grid point."""
     c = np.asarray(centers, dtype=np.float64)[..., None, None, :]
     uu, vv = coordinate_grids(width, height)
     sq = (uu - c[..., 0]) ** 2 + (vv - c[..., 1]) ** 2

@@ -96,28 +96,6 @@ def _margin_from_diffs(delta: MarginSpec, du, dv):
     return delta.alpha * np.where(d1 < delta.s, quad, lin)
 
 
-def margin(
-    delta: MarginSpec,
-    y: tuple[float, float],
-    y_hat: tuple[float, float],
-    grid_size: tuple[int, int],
-) -> float:
-    """Distance penalty between a candidate and the true landmark."""
-    scale = float(max(grid_size)) if delta.normalize_coords else 1.0
-    du = (float(y_hat[0]) - float(y[0])) / scale
-    dv = (float(y_hat[1]) - float(y[1])) / scale
-    return float(_margin_from_diffs(delta, du, dv))
-
-
-def margin_table(delta: MarginSpec, y: tuple[float, float], width: int, height: int) -> np.ndarray:
-    """Margin against every grid cell, shape (height, width)."""
-    uu, vv = coordinate_grids(width, height)
-    scale = float(max(width, height)) if delta.normalize_coords else 1.0
-    du = (uu - float(y[0])) / scale
-    dv = (vv - float(y[1])) / scale
-    return _margin_from_diffs(delta, du, dv)
-
-
 @functools.lru_cache(maxsize=32)
 def _margin_windows(delta: MarginSpec, width: int, height: int) -> np.ndarray:
     """H x W windows of the margin table over all (2H-1) x (2W-1) offsets.

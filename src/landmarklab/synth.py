@@ -10,7 +10,7 @@ compared on equal footing by epochs-to-target-error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,38 +87,6 @@ class SynthData:
         return self.pixels.shape[2], self.pixels.shape[1]
 
 
-@dataclass
-class LinearScorer:
-    """Per-landmark linear map from flattened image (plus bias) to a heatmap.
-
-    ``train`` never builds one: this is the primal form that
-    ``dataset_objective`` and ``evaluate_nme`` take, the reference the tests
-    check ``train``'s history against.
-    """
-
-    weights: np.ndarray  # (n_landmarks, H*W, H*W + 1)
-    width: int
-    height: int
-
-    @classmethod
-    def zeros(cls, n_landmarks: int, width: int, height: int) -> "LinearScorer":
-        hw = width * height
-        return cls(
-            weights=np.zeros((n_landmarks, hw, hw + 1)), width=width, height=height
-        )
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.weights.shape[0]
-
-    def scores(self, feats: np.ndarray) -> np.ndarray:
-        """Scores [B, N, H*W] for feature rows [B, H*W + 1], one GEMM per landmark."""
-        out = np.empty((len(feats), self.n_landmarks, self.width * self.height))
-        for n in range(self.n_landmarks):
-            np.matmul(feats, self.weights[n].T, out=out[:, n])
-        return out
-
-
 def features(data: SynthData) -> np.ndarray:
     """Feature rows [S, H*W + 1]: flattened pixels with a trailing bias feature."""
     return np.concatenate([data.pixels.reshape(len(data), -1), np.ones((len(data), 1))], axis=1)
@@ -134,7 +102,6 @@ class TrainConfig:
     # which keeps the non-convex soft-argmax arm off mini-batch noise.
     batch_size: int = 500
     seed: int = 0
-    target_nme: float = 0.30
     structured: StructuredLossConfig = StructuredLossConfig(
         epsilon=1.0,
         margin=MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0),
@@ -155,8 +122,6 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
-        if self.target_nme <= 0:
-            raise ValueError("target NME must be positive")
         if self.mc_samples < 1:
             raise ValueError("need at least one Monte Carlo sample")
         if self.mse_sigma <= 0:
@@ -312,11 +277,6 @@ def _argmax_nme(scores: np.ndarray, data: SynthData) -> float:
     return float((err.mean(-1) / data.norm).mean())
 
 
-def evaluate_nme(scorer: LinearScorer, data: SynthData) -> float:
-    """Mean per-sample NME of argmax inference over a dataset."""
-    return _argmax_nme(scorer.scores(features(data)), data)
-
-
 def split_dataset(dataset, eval_fraction: float = 0.2):
     """Deterministic head/tail split into train and held-out parts."""
     n_eval = max(1, int(round(len(dataset) * eval_fraction)))
@@ -387,28 +347,6 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
     return history
 
 
-def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
-    """Full-dataset objective value and weight gradient, in primal form.
-
-    objective = mean over samples of the summed per-landmark loss, plus
-    C/2 * |theta|^2.  The reference for gradient checks and for the dual
-    form ``train`` keeps.
-    """
-    feats, targets = features(dataset), _targets(dataset, cfg)
-    idx = np.arange(len(dataset))
-    grid = (scorer.width, scorer.height)
-    losses, grads = _batch_loss(scorer.scores(feats), targets, idx, grid, cfg, epoch=1)
-    total = 0.0
-    for loss in losses:  # sample by sample, in the order train sums them
-        total += loss
-    total /= len(dataset)
-    grad = grads.transpose(1, 2, 0) @ feats / len(dataset)
-    if cfg.weight_decay > 0:
-        total += 0.5 * cfg.weight_decay * float((scorer.weights**2).sum())
-        grad += cfg.weight_decay * scorer.weights
-    return total, grad
-
-
 def first_epoch_at_target(history, target_nme: float):
     for stats in history:
         if stats.eval_nme <= target_nme:
@@ -433,38 +371,6 @@ def compare_convergence(
     eb = first_epoch_at_target(hist_b, target_nme)
     speedup = (eb / ea) if (ea is not None and eb is not None) else None
     return ConvergenceResult(epochs_a=ea, epochs_b=eb, speedup=speedup), hist_a, hist_b
-
-
-def tune_learning_rate(
-    dataset,
-    base_cfg: TrainConfig,
-    grid,
-    probe_epochs: int = 8,
-    probe_samples: int | None = 200,
-) -> float:
-    """Pick the grid learning rate that converges fastest on a short probe.
-
-    Rates are ranked by first probe epoch reaching the configured target
-    NME (never-reaching ranks last), then by the best NME seen anywhere in
-    the probe; ties keep the earlier grid entry.  Diverging rates are
-    skipped.  Probes run on a head subset of the dataset.
-    """
-    subset = dataset[:probe_samples] if probe_samples else dataset
-    train_set, eval_set = split_dataset(subset)
-    best_lr, best_key = None, (np.inf, np.inf)
-    for lr in grid:
-        cfg = replace(base_cfg, learning_rate=lr, epochs=probe_epochs)
-        try:
-            hist = train(train_set, cfg, eval_dataset=eval_set)
-        except TrainingDiverged:
-            continue
-        reached = first_epoch_at_target(hist, base_cfg.target_nme)
-        key = (np.inf if reached is None else reached, min(h.eval_nme for h in hist))
-        if key < best_key:
-            best_lr, best_key = lr, key
-    if best_lr is None:
-        raise TrainingDiverged(base_cfg.objective, 0)
-    return best_lr
 
 
 def write_history_csv(history, objective: str, path) -> None:

@@ -1,0 +1,127 @@
+"""Test oracles that no command reaches.
+
+The primal ``LinearScorer``, ``dataset_objective`` and ``evaluate_nme`` are
+what the dual-form ``synth.train`` must reproduce; ``margin_table`` is the
+margin evaluated on the grid; ``tune_learning_rate`` picks the learning
+rates of acceptance criterion 5.
+"""
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from landmarklab.heatmap import coordinate_grids
+from landmarklab.losses import MarginSpec, _margin_from_diffs
+from landmarklab.synth import (
+    SynthData,
+    TrainConfig,
+    TrainingDiverged,
+    _argmax_nme,
+    _batch_loss,
+    _targets,
+    features,
+    first_epoch_at_target,
+    split_dataset,
+    train,
+)
+
+
+def margin_table(delta: MarginSpec, y: tuple[float, float], width: int, height: int) -> np.ndarray:
+    """Margin against every grid cell, shape (height, width)."""
+    uu, vv = coordinate_grids(width, height)
+    scale = float(max(width, height)) if delta.normalize_coords else 1.0
+    du = (uu - float(y[0])) / scale
+    dv = (vv - float(y[1])) / scale
+    return _margin_from_diffs(delta, du, dv)
+
+
+@dataclass
+class LinearScorer:
+    """Per-landmark linear map from flattened image (plus bias) to a heatmap.
+
+    ``train`` never builds one: this is the primal form that
+    ``dataset_objective`` and ``evaluate_nme`` take, the reference the tests
+    check ``train``'s history against.
+    """
+
+    weights: np.ndarray  # (n_landmarks, H*W, H*W + 1)
+    width: int
+    height: int
+
+    @classmethod
+    def zeros(cls, n_landmarks: int, width: int, height: int) -> "LinearScorer":
+        hw = width * height
+        return cls(
+            weights=np.zeros((n_landmarks, hw, hw + 1)), width=width, height=height
+        )
+
+    @property
+    def n_landmarks(self) -> int:
+        return self.weights.shape[0]
+
+    def scores(self, feats: np.ndarray) -> np.ndarray:
+        """Scores [B, N, H*W] for feature rows [B, H*W + 1], one GEMM per landmark."""
+        out = np.empty((len(feats), self.n_landmarks, self.width * self.height))
+        for n in range(self.n_landmarks):
+            np.matmul(feats, self.weights[n].T, out=out[:, n])
+        return out
+
+
+def evaluate_nme(scorer: LinearScorer, data: SynthData) -> float:
+    """Mean per-sample NME of argmax inference over a dataset."""
+    return _argmax_nme(scorer.scores(features(data)), data)
+
+
+def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
+    """Full-dataset objective value and weight gradient, in primal form.
+
+    objective = mean over samples of the summed per-landmark loss, plus
+    C/2 * |theta|^2.  The reference for gradient checks and for the dual
+    form ``train`` keeps.
+    """
+    feats, targets = features(dataset), _targets(dataset, cfg)
+    idx = np.arange(len(dataset))
+    grid = (scorer.width, scorer.height)
+    losses, grads = _batch_loss(scorer.scores(feats), targets, idx, grid, cfg, epoch=1)
+    total = 0.0
+    for loss in losses:  # sample by sample, in the order train sums them
+        total += loss
+    total /= len(dataset)
+    grad = grads.transpose(1, 2, 0) @ feats / len(dataset)
+    if cfg.weight_decay > 0:
+        total += 0.5 * cfg.weight_decay * float((scorer.weights**2).sum())
+        grad += cfg.weight_decay * scorer.weights
+    return total, grad
+
+
+def tune_learning_rate(
+    dataset,
+    base_cfg: TrainConfig,
+    grid,
+    target_nme: float,
+    probe_epochs: int = 8,
+    probe_samples: int | None = 200,
+) -> float:
+    """Pick the grid learning rate that converges fastest on a short probe.
+
+    Rates are ranked by first probe epoch reaching ``target_nme``
+    (never-reaching ranks last), then by the best NME seen anywhere in
+    the probe; ties keep the earlier grid entry.  Diverging rates are
+    skipped.  Probes run on a head subset of the dataset.
+    """
+    subset = dataset[:probe_samples] if probe_samples else dataset
+    train_set, eval_set = split_dataset(subset)
+    best_lr, best_key = None, (np.inf, np.inf)
+    for lr in grid:
+        cfg = replace(base_cfg, learning_rate=lr, epochs=probe_epochs)
+        try:
+            hist = train(train_set, cfg, eval_dataset=eval_set)
+        except TrainingDiverged:
+            continue
+        reached = first_epoch_at_target(hist, target_nme)
+        key = (np.inf if reached is None else reached, min(h.eval_nme for h in hist))
+        if key < best_key:
+            best_lr, best_key = lr, key
+    if best_lr is None:
+        raise TrainingDiverged(base_cfg.objective, 0)
+    return best_lr

@@ -97,6 +97,30 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, command, section, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[toy]\nobjective = 50%\n", "objective must be one of"),
+    ("[toy]\nlearning_rate = %(steps)s\n", "bad value for toy.learning_rate: '%(steps)s'"),
+    ("[DEFAULT]\nsteps = 5\n[toy]\nlength = 11\n", "unknown config section [DEFAULT]"),
+], ids=["percent", "interpolation", "default-section"])
+def test_config_is_plain_ini(tmp_path, capsys, text, message):
+    # No interpolation, and [DEFAULT] is no section that leaks into others.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_names_path(tmp_path, capsys):
+    # A directory: a file without read permission cannot be made when
+    # the tests run as root, which reads any file.
+    out = tmp_path / "out"
+    assert main(["toy", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestToyCommand:
     def test_default_run_recovers_target(self, tmp_path, capsys):
         assert main(["toy", "--out", str(tmp_path)]) == 0
@@ -173,6 +197,15 @@ class TestSynthCommand:
         out = tmp_path / "out"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["0", "-0.1"])
+    def test_nonpositive_target_rejected(self, tmp_path, capsys, target):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG.replace("target_nme = 0.5", f"target_nme = {target}"))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "target_nme must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_identical_arms_speedup_is_one(self, tmp_path):
@@ -281,6 +314,16 @@ class TestEvalCommand:
         write_annotations(gt, [("a", "1 2")])
         assert main(["eval", str(pred), str(gt), "--out", str(tmp_path)]) != 0
         assert "stray" in capsys.readouterr().err
+
+    def test_landmark_count_mismatch_names_sample(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        gt = tmp_path / "gt.txt"
+        write_annotations(pred, [("a", "1 2 3 4"), ("s7", "1 2")])
+        write_annotations(gt, [("a", "1 2 3 4"), ("s7", "1 2 3 4")])
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
+        assert "sample s7: landmark count mismatch: 1 vs 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_id_names_both_lines(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"

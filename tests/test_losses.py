@@ -7,16 +7,17 @@ from landmarklab.losses import (
     MarginKind,
     MarginSpec,
     StructuredLossConfig,
+    _cell_margins,
     _margin_windows,
     heatmap_mse_loss,
-    margin,
-    margin_table,
     smoothed_structured_loss,
     soft_argmax_l2_loss,
     structured_batch,
     structured_loss,
 )
 from landmarklab.smoothing import GaussianLabel, sample_label
+
+from reference import margin_table
 
 RAW_L1 = MarginSpec(kind=MarginKind.L1, alpha=1.0, normalize_coords=False)
 RAW_L2 = MarginSpec(kind=MarginKind.L2, alpha=1.0, normalize_coords=False)
@@ -55,39 +56,41 @@ def assert_grad_close(analytic, fd, rel_tol=1e-6, abs_floor=1e-8):
 
 
 class TestMargin:
+    # The margin depends on the offset only through |du| and |dv|: a fractional
+    # offset d from the truth is read at cell (0, 0) with the truth at d.
     @pytest.mark.parametrize("spec", ALL_MARGIN_SPECS)
     def test_zero_at_truth(self, spec):
-        assert margin(spec, (3.0, 4.0), (3.0, 4.0), (10, 10)) == 0.0
+        assert margin_table(spec, (3.0, 4.0), 10, 10)[4, 3] == 0.0
 
     def test_smooth_l1_branch_continuity(self):
         # At the breakpoint |d|_1 = s both branches give 0.5 * s.
         spec = RAW_SMOOTH
-        at_break = margin(spec, (0.0, 0.0), (0.01, 0.0), (10, 10))
+        at_break = margin_table(spec, (0.01, 0.0), 10, 10)[0, 0]
         quad_limit = 0.5 / 0.01 * 0.01**2
         lin_limit = 0.01 - 0.5 * 0.01
         assert quad_limit == lin_limit == 0.005
         np.testing.assert_allclose(at_break, 0.005, rtol=1e-12)
 
     def test_smooth_l1_linear_branch_value(self):
-        got = margin(RAW_SMOOTH, (0.0, 0.0), (0.3, 0.4), (10, 10))
+        got = margin_table(RAW_SMOOTH, (0.3, 0.4), 10, 10)[0, 0]
         np.testing.assert_allclose(got, 0.7 - 0.005, rtol=1e-12)
 
     def test_smooth_l1_quadratic_branch_value(self):
-        got = margin(RAW_SMOOTH, (0.0, 0.0), (0.002, 0.003), (10, 10))
+        got = margin_table(RAW_SMOOTH, (0.002, 0.003), 10, 10)[0, 0]
         np.testing.assert_allclose(got, 0.5 / 0.01 * (0.002**2 + 0.003**2), rtol=1e-12)
 
     def test_l1_l2_values(self):
-        np.testing.assert_allclose(margin(RAW_L1, (0, 0), (3, 4), (10, 10)), 7.0)
-        np.testing.assert_allclose(margin(RAW_L2, (0, 0), (3, 4), (10, 10)), 5.0)
+        np.testing.assert_allclose(margin_table(RAW_L1, (0, 0), 10, 10)[4, 3], 7.0)
+        np.testing.assert_allclose(margin_table(RAW_L2, (0, 0), 10, 10)[4, 3], 5.0)
 
     def test_normalized_coordinates(self):
         spec = MarginSpec(kind=MarginKind.L2, alpha=2.0, normalize_coords=True)
-        got = margin(spec, (0.0, 0.0), (3.0, 4.0), (20, 10))
+        got = margin_table(spec, (0.0, 0.0), 20, 10)[4, 3]
         np.testing.assert_allclose(got, 2.0 * 5.0 / 20.0, rtol=1e-12)
 
     def test_alpha_scales(self):
         spec = MarginSpec(kind=MarginKind.L1, alpha=3.0, normalize_coords=False)
-        np.testing.assert_allclose(margin(spec, (0, 0), (1, 1), (4, 4)), 6.0)
+        np.testing.assert_allclose(margin_table(spec, (0, 0), 4, 4)[1, 1], 6.0)
 
     def test_rejects_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -98,14 +101,14 @@ class TestMargin:
             MarginSpec(kind="manhattan")
 
     def test_table_matches_pointwise(self):
-        rng = np.random.default_rng(0)
+        # The structured kernel gathers each integer target's margins from
+        # one offset table; every target must see margin_table's values.
         for spec in ALL_MARGIN_SPECS:
-            y = (2.3, 1.1)
-            table = margin_table(spec, y, 5, 4)
             for v in range(4):
                 for u in range(5):
+                    gathered = _cell_margins(spec, np.array([u, v]), 5, 4)
                     np.testing.assert_allclose(
-                        table[v, u], margin(spec, y, (u, v), (5, 4)), rtol=1e-12
+                        gathered.reshape(4, 5), margin_table(spec, (u, v), 5, 4), rtol=1e-12
                     )
 
 

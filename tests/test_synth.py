@@ -14,23 +14,21 @@ from landmarklab.synth import (
     MAJOR_RANGE,
     RENDER_SIGMA,
     ROTATION_RANGE,
-    LinearScorer,
     SynthData,
     TrainConfig,
     TrainingDiverged,
     _ellipse_contour,
     compare_convergence,
-    dataset_objective,
-    evaluate_nme,
     features,
     first_epoch_at_target,
     fit_sample_labels,
     generate_dataset,
     split_dataset,
     train,
-    tune_learning_rate,
     write_history_csv,
 )
+
+from reference import LinearScorer, dataset_objective, evaluate_nme, tune_learning_rate
 
 STRUCT_CFG = StructuredLossConfig(
     epsilon=1.0, margin=MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0)
@@ -344,14 +342,14 @@ class TestLearningRateTuning:
     def test_picks_reasonable_rate(self):
         ds = generate_dataset(40, 16, 16, 2, 0.02, seed=16)
         cfg = TrainConfig(objective="structured", epochs=3, batch_size=40, seed=0)
-        lr = tune_learning_rate(ds, cfg, [1e-6, 2.0], probe_epochs=3, probe_samples=30)
+        lr = tune_learning_rate(ds, cfg, [1e-6, 2.0], 0.30, probe_epochs=3, probe_samples=30)
         assert lr == 2.0
 
     def test_all_rates_diverging_raises(self):
         ds = single_sample()[np.zeros(6, dtype=int)]
         cfg = TrainConfig(objective="heatmap_mse", epochs=2, batch_size=6, seed=0)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
-            tune_learning_rate(ds, cfg, [1e14], probe_epochs=30, probe_samples=None)
+            tune_learning_rate(ds, cfg, [1e14], 0.30, probe_epochs=30, probe_samples=None)
 
 
 class TestSmoothedLabels:
