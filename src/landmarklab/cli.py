@@ -19,12 +19,13 @@ import configparser
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from landmarklab.heatmap import GridCoord, Heatmap, save_heatmap_pgm
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
-from landmarklab.metrics import EvalConfig, evaluate, nme, write_ced_csv, write_report_csv
+from landmarklab.metrics import EvalConfig, evaluate, nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     SmoothingConfig,
@@ -35,16 +36,11 @@ from landmarklab.smoothing import (
     read_annotations,
     read_boundaries,
     refine_edge_heatmap,
-    write_labels_csv,
 )
-from landmarklab.synth import (
-    TrainConfig,
-    TrainingDiverged,
-    compare_convergence,
-    generate_dataset,
-    write_history_csv,
-)
-from landmarklab.toy import ToyConfig, run_toy, write_summary_csv, write_trace_csv
+from landmarklab.synth import OBJECTIVES as SYNTH_OBJECTIVES
+from landmarklab.synth import TrainConfig, TrainingDiverged, compare_convergence, generate_dataset
+from landmarklab.toy import OBJECTIVES as TOY_OBJECTIVES
+from landmarklab.toy import ToyConfig, run_toy
 
 
 class CliError(Exception):
@@ -91,24 +87,8 @@ DEFAULTS = {
         "gamma": 0.01,
         "mse_sigma": 1.5,
     },
-    "smooth": {
-        "edge_map_size": 64,
-        "sigma_b": 1.5,
-        "blur_kernel": 9,
-        "blur_sigma": 1.7,
-        "sharpness_factor": 5.0,
-        "patch_half": 8,
-        "center_sigma": 1.0,
-        "blend": 0.01,
-        "gamma": 0.01,
-        "cov_reg": 1e-4,
-    },
-    "eval": {
-        "norm_distance": 1.0,
-        "fr_threshold": 0.10,
-        "auc_threshold": 0.10,
-        "ced_points": 1001,
-    },
+    "smooth": asdict(SmoothingConfig()),
+    "eval": {"norm_distance": 1.0, **asdict(EvalConfig())},
 }
 
 
@@ -134,6 +114,8 @@ def load_config(path: str | None) -> dict:
             parser.read_file(f)
     except OSError as err:
         raise CliError(f"cannot read config file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise CliError(f"cannot read config file {path}: {err}") from err
     except configparser.Error as err:
         raise CliError(f"malformed config {path}: {err}") from err
     for section in parser.sections():
@@ -160,13 +142,17 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _margin_spec(section: dict) -> MarginSpec:
-    try:
-        kind = MarginKind(section["margin"])
-    except ValueError as err:
-        raise CliError(f"unknown margin kind {section['margin']!r}") from err
+def _choice(name: str, section: dict, key: str, choices: tuple) -> str:
+    """The value of ``[name] key``, which must be one of ``choices``."""
+    value = section[key]
+    if value not in choices:
+        raise CliError(f"{name}.{key} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _margin_spec(name: str, section: dict) -> MarginSpec:
     return MarginSpec(
-        kind=kind,
+        kind=MarginKind(_choice(name, section, "margin", tuple(k.value for k in MarginKind))),
         s=section["margin_s"],
         alpha=section["margin_alpha"],
         normalize_coords=section["margin_normalize"],
@@ -183,11 +169,13 @@ def _ensure_outdir(out: str) -> str:
     return out
 
 
-def _check_csv(path: str, header: str) -> None:
-    with open(path) as f:
-        first = f.readline().rstrip("\n")
-    if first != header:
-        raise CliError(f"{path}: expected header {header!r}, found {first!r}")
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write one CSV artifact: floats to 12 significant digits, LF line ends."""
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(format(x, ".12g") if isinstance(x, float) else str(x)
+                             for x in row) + "\n")
 
 
 def cmd_toy(config_path, out, objective=None) -> int:
@@ -202,9 +190,9 @@ def cmd_toy(config_path, out, objective=None) -> int:
             target=section["target"],
             learning_rate=section["learning_rate"],
             steps=section["steps"],
-            objective=section["objective"],
+            objective=_choice("toy", section, "objective", TOY_OBJECTIVES),
             structured=StructuredLossConfig(
-                epsilon=section["epsilon"], margin=_margin_spec(section)
+                epsilon=section["epsilon"], margin=_margin_spec("toy", section)
             ),
             record_at=record_at,
         )
@@ -212,32 +200,38 @@ def cmd_toy(config_path, out, objective=None) -> int:
         raise CliError(f"invalid toy config: {err}") from err
     trace = run_toy(toy_cfg)
     out = _ensure_outdir(out)
-    trace_path = os.path.join(out, "toy_trace.csv")
-    summary_path = os.path.join(out, "toy_summary.csv")
-    write_trace_csv(trace, trace_path)
-    write_summary_csv(trace, toy_cfg.target, summary_path)
-    _check_csv(trace_path, "step,k,theta_k,grad_k")
-    _check_csv(summary_path, "step,loss,argmax,soft_argmax,mismatch")
-    last = trace.snapshots[-1]
-    mismatch = int(last.argmax_index != toy_cfg.target)
+    _write_csv(os.path.join(out, "toy_trace.csv"), "step,k,theta_k,grad_k", (
+        (snap.step, k, t, g)
+        for snap in trace.snapshots
+        for k, (t, g) in enumerate(zip(snap.theta, snap.grad))
+    ))
+    summary = [
+        (snap.step, snap.loss, snap.argmax_index, snap.soft_argmax_value,
+         int(snap.argmax_index != toy_cfg.target))
+        for snap in trace.snapshots
+    ]
+    _write_csv(os.path.join(out, "toy_summary.csv"), "step,loss,argmax,soft_argmax,mismatch",
+               summary)
+    _, loss, final_argmax, _, mismatch = summary[-1]
     print(
-        f"toy[{toy_cfg.objective}]: final_argmax={last.argmax_index} "
-        f"final_loss={last.loss:.6g} mismatch={mismatch}"
+        f"toy[{toy_cfg.objective}]: final_argmax={final_argmax} "
+        f"final_loss={loss:.6g} mismatch={mismatch}"
     )
     return 0
 
 
-def _train_cfg(section: dict, objective: str, lr: float, epochs: int, seed: int) -> TrainConfig:
+def _train_cfg(section: dict, arm: str, seed: int) -> TrainConfig:
+    """The TrainConfig of arm ``a`` or ``b`` of the ``[synth]`` section."""
     try:
         return TrainConfig(
-            objective=objective,
-            learning_rate=lr,
+            objective=_choice("synth", section, f"objective_{arm}", SYNTH_OBJECTIVES),
+            learning_rate=section[f"lr_{arm}"],
             weight_decay=section["weight_decay"],
-            epochs=epochs,
+            epochs=section[f"epochs_{arm}"],
             batch_size=section["batch_size"],
             seed=seed,
             structured=StructuredLossConfig(
-                epsilon=section["epsilon"], margin=_margin_spec(section)
+                epsilon=section["epsilon"], margin=_margin_spec("synth", section)
             ),
             with_smoothing=section["with_smoothing"],
             smoothing=SmoothingConfig(gamma=section["gamma"]),
@@ -272,10 +266,8 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
         )
     except ValueError as err:
         raise CliError(f"invalid synth config: {err}") from err
-    cfg_a = _train_cfg(section, section["objective_a"], section["lr_a"],
-                       section["epochs_a"], synth_seed)
-    cfg_b = _train_cfg(section, section["objective_b"], section["lr_b"],
-                       section["epochs_b"], synth_seed)
+    cfg_a = _train_cfg(section, "a", synth_seed)
+    cfg_b = _train_cfg(section, "b", synth_seed)
     try:
         result, hist_a, hist_b = compare_convergence(
             dataset, cfg_a, cfg_b, section["target_nme"]
@@ -285,25 +277,16 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     out = _ensure_outdir(out)
     # Arms sharing an objective tag their history files with the arm.
     shared = cfg_a.objective == cfg_b.objective
-    paths = []
     for arm, objective, hist in (("a", cfg_a.objective, hist_a), ("b", cfg_b.objective, hist_b)):
-        path = os.path.join(out, f"history_{objective}_{arm}.csv" if shared
-                            else f"history_{objective}.csv")
-        write_history_csv(hist, objective, path)
-        paths.append(path)
+        name = f"history_{objective}_{arm}.csv" if shared else f"history_{objective}.csv"
+        _write_csv(os.path.join(out, name), "epoch,objective,train_loss,eval_nme",
+                   ((st.epoch, objective, st.train_loss, st.eval_nme) for st in hist))
     ea, eb = result.epochs_a, result.epochs_b
     speedup = float("nan") if result.speedup is None else result.speedup
-    conv_path = os.path.join(out, "convergence.csv")
-    with open(conv_path, "w", newline="\n") as f:
-        f.write("objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup\n")
-        f.write(
-            f"{cfg_a.objective},{cfg_b.objective},{format(section['target_nme'], '.12g')},"
-            f"{-1 if ea is None else ea},{-1 if eb is None else eb},"
-            f"{format(speedup, '.12g')}\n"
-        )
-    for path in paths:
-        _check_csv(path, "epoch,objective,train_loss,eval_nme")
-    _check_csv(conv_path, "objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup")
+    _write_csv(os.path.join(out, "convergence.csv"),
+               "objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup",
+               [(cfg_a.objective, cfg_b.objective, section["target_nme"],
+                 -1 if ea is None else ea, -1 if eb is None else eb, speedup)])
     print(
         f"synth: epochs_a[{cfg_a.objective}]={ea} epochs_b[{cfg_b.objective}]={eb} "
         f"speedup={speedup:.6g}"
@@ -355,8 +338,9 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
         raise CliError(f"cannot read input: {err}") from err
     except ValueError as err:
         raise CliError(str(err)) from err
-    out = _ensure_outdir(out)
-    rows = []
+    # Every label is fitted before the first file is written, so a sample
+    # that fails leaves no output behind.
+    fits = []
     for sample_id, landmarks in samples:
         try:
             raw = build_edge_heatmap(landmarks, boundaries, scfg)
@@ -367,16 +351,22 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
             ]
         except ValueError as err:
             raise CliError(f"sample {sample_id}: {err}") from err
-        for n, label in enumerate(labels):
-            rows.append((sample_id, n, label))
-        if dump_intermediates:
+        fits.append((sample_id, landmarks, labels, (raw, refined) if dump_intermediates else None))
+    out = _ensure_outdir(out)
+    for sample_id, landmarks, labels, maps in fits:
+        if maps is not None:
+            raw, refined = maps
             save_heatmap_pgm(raw, os.path.join(out, f"{sample_id}_edge_raw.pgm"))
             save_heatmap_pgm(refined, os.path.join(out, f"{sample_id}_edge_refined.pgm"))
             for n, ((u, v), label) in enumerate(zip(landmarks.points, labels)):
                 _dump_label_pgms(out, sample_id, n, refined, (u, v), label, scfg)
+    rows = [
+        (sample_id, n, *label.mean, label.cov[0, 0], label.cov[0, 1], label.cov[1, 1])
+        for sample_id, _, labels, _ in fits
+        for n, label in enumerate(labels)
+    ]
     labels_path = os.path.join(out, "labels.csv")
-    write_labels_csv(rows, labels_path)
-    _check_csv(labels_path, "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv")
+    _write_csv(labels_path, "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv", rows)
     print(f"smooth: {len(samples)} samples, {len(rows)} labels -> {labels_path}")
     return 0
 
@@ -394,33 +384,24 @@ def cmd_eval(pred_path, gt_path, config_path, out) -> int:
     missing = sorted(set(preds) ^ set(gts))
     if missing:
         raise CliError(f"sample ids do not match between files: {' '.join(missing)}")
-    if section["norm_distance"] <= 0:
+    norm_distance = section.pop("norm_distance")
+    if norm_distance <= 0:
         raise CliError("eval.norm_distance must be positive")
     ids = sorted(preds)
     errs = []
     for i in ids:
         try:
-            errs.append(nme(preds[i], gts[i], section["norm_distance"]))
+            errs.append(nme(preds[i], gts[i], norm_distance))
         except ValueError as err:
             raise CliError(f"sample {i}: {err}") from err
     try:
-        report = evaluate(
-            errs,
-            EvalConfig(
-                fr_threshold=section["fr_threshold"],
-                auc_threshold=section["auc_threshold"],
-                ced_points=section["ced_points"],
-            ),
-        )
+        report = evaluate(errs, EvalConfig(**section))
     except ValueError as err:
         raise CliError(str(err)) from err
     out = _ensure_outdir(out)
-    per_sample = os.path.join(out, "per_sample.csv")
-    ced = os.path.join(out, "ced.csv")
-    write_report_csv(report, ids, per_sample)
-    write_ced_csv(report, ced)
-    _check_csv(per_sample, "sample_id,nme")
-    _check_csv(ced, "threshold,fraction")
+    _write_csv(os.path.join(out, "per_sample.csv"), "sample_id,nme",
+               [*zip(ids, report.per_sample_nme), ("mean", report.nme_mean)])
+    _write_csv(os.path.join(out, "ced.csv"), "threshold,fraction", report.ced_points)
     print(f"eval: NME={report.nme_mean:.6g} FR={report.fr:.6g} AUC={report.auc:.6g}")
     return 0
 

@@ -89,22 +89,3 @@ def evaluate(per_sample_nmes, cfg: EvalConfig = EvalConfig()) -> EvalReport:
         auc=auc,
         ced_points=ced,
     )
-
-
-def write_report_csv(report: EvalReport, sample_ids, path) -> None:
-    """One row per sample plus a trailing summary row."""
-    ids = list(sample_ids)
-    if len(ids) != len(report.per_sample_nme):
-        raise ValueError("sample id count does not match error count")
-    with open(path, "w", newline="\n") as f:
-        f.write("sample_id,nme\n")
-        for sid, e in zip(ids, report.per_sample_nme):
-            f.write(f"{sid},{format(e, '.12g')}\n")
-        f.write(f"mean,{format(report.nme_mean, '.12g')}\n")
-
-
-def write_ced_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("threshold,fraction\n")
-        for t, frac in report.ced_points:
-            f.write(f"{format(t, '.12g')},{format(frac, '.12g')}\n")

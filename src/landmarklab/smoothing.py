@@ -226,7 +226,10 @@ def joint_patch(
     ``blend * edge_patch + center_patch``.
     """
     if not (0 <= y[0] <= e_refined.width - 1 and 0 <= y[1] <= e_refined.height - 1):
-        raise ValueError(f"landmark {y} outside the {e_refined.width}x{e_refined.height} edge map")
+        raise ValueError(
+            f"landmark ({y[0]:g}, {y[1]:g}) outside the "
+            f"{e_refined.width}x{e_refined.height} edge map"
+        )
     k = cfg.patch_half
     size = 2 * k + 1
     center_cell = GridCoord(int(np.rint(y[0])), int(np.rint(y[1])))
@@ -346,25 +349,3 @@ def read_boundaries(path) -> BoundaryDef:
     if not curves:
         raise ValueError(f"{path}: no boundary curves found")
     return BoundaryDef(tuple(curves))
-
-
-def write_labels_csv(rows, path) -> None:
-    """Write fitted labels, one row per (sample, landmark).
-
-    ``rows`` yields (sample_id, landmark_id, GaussianLabel).
-    """
-    with open(path, "w", newline="\n") as f:
-        f.write("sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv\n")
-        for sample_id, landmark_id, label in rows:
-            fields = (
-                label.mean[0],
-                label.mean[1],
-                label.cov[0, 0],
-                label.cov[0, 1],
-                label.cov[1, 1],
-            )
-            f.write(
-                f"{sample_id},{landmark_id},"
-                + ",".join(format(x, ".12g") for x in fields)
-                + "\n"
-            )

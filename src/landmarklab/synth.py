@@ -371,13 +371,3 @@ def compare_convergence(
     eb = first_epoch_at_target(hist_b, target_nme)
     speedup = (eb / ea) if (ea is not None and eb is not None) else None
     return ConvergenceResult(epochs_a=ea, epochs_b=eb, speedup=speedup), hist_a, hist_b
-
-
-def write_history_csv(history, objective: str, path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("epoch,objective,train_loss,eval_nme\n")
-        for st in history:
-            f.write(
-                f"{st.epoch},{objective},{format(st.train_loss, '.12g')},"
-                f"{format(st.eval_nme, '.12g')}\n"
-            )

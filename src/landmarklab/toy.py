@@ -133,24 +133,3 @@ def run_toy(cfg: ToyConfig) -> ToyTrace:
         if step < cfg.steps:
             theta = theta - cfg.learning_rate * grad
     return ToyTrace(snapshots=snapshots)
-
-
-def write_trace_csv(trace: ToyTrace, path) -> None:
-    """Per-cell dump: step, cell index, score, gradient."""
-    with open(path, "w", newline="\n") as f:
-        f.write("step,k,theta_k,grad_k\n")
-        for snap in trace.snapshots:
-            for k, (t, g) in enumerate(zip(snap.theta, snap.grad)):
-                f.write(f"{snap.step},{k},{format(t, '.12g')},{format(g, '.12g')}\n")
-
-
-def write_summary_csv(trace: ToyTrace, target: int, path) -> None:
-    """Per-step summary with a flag for argmax/target mismatch."""
-    with open(path, "w", newline="\n") as f:
-        f.write("step,loss,argmax,soft_argmax,mismatch\n")
-        for snap in trace.snapshots:
-            mismatch = int(snap.argmax_index != target)
-            f.write(
-                f"{snap.step},{format(snap.loss, '.12g')},{snap.argmax_index},"
-                f"{format(snap.soft_argmax_value, '.12g')},{mismatch}\n"
-            )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import landmarklab
-from landmarklab.cli import main
+from landmarklab.cli import _write_csv, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE_DATA = os.path.join(REPO_ROOT, "sample_data")
@@ -80,6 +80,59 @@ def write_annotations(path, rows):
     path.write_text("".join(f"{rid} {coords}\n" for rid, coords in rows))
 
 
+def assert_12g(cell):
+    # A float cell holds the value to 12 significant digits, no more.
+    assert cell == format(float(cell), ".12g"), cell
+
+
+MARGINS = "('none', 'l1', 'l2', 'smooth_l1')"
+SYNTH_OBJECTIVES = "('structured', 'softargmax', 'heatmap_mse')"
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    _write_csv(path, "epoch,objective,train_loss,eval_nme,sum,missing", [
+        (1, "structured", 2.5, np.float64(0.75), np.float64(0.1) + np.float64(0.2),
+         float("nan")),
+        (2, "softargmax", 1e-20, np.float64(2.0), 1 / 3, np.float64("nan")),
+    ])
+    assert path.read_bytes() == (
+        b"epoch,objective,train_loss,eval_nme,sum,missing\n"
+        b"1,structured,2.5,0.75,0.3,nan\n"
+        b"2,softargmax,1e-20,2,0.333333333333,nan\n"
+    )
+
+
+def csv_command(command, tmp_path):
+    if command == "synth":
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG)
+        return ["synth", "--config", str(cfg)]
+    if command == "smooth":
+        return ["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"),
+                os.path.join(SAMPLE_DATA, "boundaries.txt")]
+    if command == "eval":
+        gt = os.path.join(SAMPLE_DATA, "annotations.txt")
+        return ["eval", gt, gt]
+    return [command]
+
+
+@pytest.mark.parametrize("command, headers", [
+    ("toy", {"toy_trace.csv": "step,k,theta_k,grad_k",
+             "toy_summary.csv": "step,loss,argmax,soft_argmax,mismatch"}),
+    ("synth", {"history_structured.csv": "epoch,objective,train_loss,eval_nme",
+               "history_softargmax.csv": "epoch,objective,train_loss,eval_nme",
+               "convergence.csv": "objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup"}),
+    ("smooth", {"labels.csv": "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"}),
+    ("eval", {"per_sample.csv": "sample_id,nme", "ced.csv": "threshold,fraction"}),
+], ids=["toy", "synth", "smooth", "eval"])
+def test_csv_headers(tmp_path, command, headers):
+    out = tmp_path / "out"
+    assert main([*csv_command(command, tmp_path), "--out", str(out)]) == 0
+    written = {p.name: p.read_text().split("\n", 1)[0] for p in out.glob("*.csv")}
+    assert written == headers
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("eval", "eval", "norm_distance", "nan"),
     ("synth", "synth", "target_nme", "nan"),
@@ -121,6 +174,15 @@ def test_unreadable_config_names_path(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_undecodable_config_names_path(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"[toy]\nsteps = \xff\n")
+    out = tmp_path / "out"
+    assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot read config file {cfg}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestToyCommand:
     def test_default_run_recovers_target(self, tmp_path, capsys):
         assert main(["toy", "--out", str(tmp_path)]) == 0
@@ -136,6 +198,19 @@ class TestToyCommand:
         assert rows[-1]["mismatch"] == "1"
         assert float(rows[-1]["loss"]) < 1e-2
         assert "mismatch=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("setting, message", [
+        ("objective = foo",
+         "toy.objective must be one of ('structured', 'softargmax'), got 'foo'"),
+        ("margin = foo", f"toy.margin must be one of {MARGINS}, got 'foo'"),
+    ])
+    def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"[toy]\n{setting}\n")
+        out = tmp_path / "out"
+        assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = main(["toy", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -168,6 +243,13 @@ class TestSynthCommand:
         assert rows[0]["objective_a"] == "structured"
         assert float(rows[0]["speedup"]) > 1.0
         assert "speedup" in capsys.readouterr().out
+        for objective, epochs in (("structured", 4), ("softargmax", 12)):
+            hist = read_csv_rows(tmp_path / f"history_{objective}.csv")
+            assert [r["epoch"] for r in hist] == [str(e) for e in range(1, epochs + 1)]
+            assert {r["objective"] for r in hist} == {objective}
+            for row in hist:
+                assert_12g(row["train_loss"])
+                assert_12g(row["eval_nme"])
 
     def test_zero_epochs_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
@@ -190,6 +272,11 @@ class TestSynthCommand:
         ("samples = 40\nmse_sigma = 0", "MSE target sigma must be positive"),
         ("samples = 40\nmse_sigma = -1.5", "MSE target sigma must be positive"),
         ("samples = 40\nnoise_sigma = -0.5", "noise sigma must be nonnegative"),
+        ("samples = 40\nobjective_a = foo",
+         f"synth.objective_a must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
+        ("samples = 40\nobjective_b = foo",
+         f"synth.objective_b must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
+        ("samples = 40\nmargin = foo", f"synth.margin must be one of {MARGINS}, got 'foo'"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "synth.cfg"
@@ -245,8 +332,24 @@ class TestSmoothCommand:
         ann, bnd = self.setup_inputs(tmp_path)
         out = tmp_path / "out"
         assert main(["smooth", str(ann), str(bnd), "--out", str(out)]) == 0
-        rows = read_csv_rows(out / "labels.csv")
-        assert len(rows) == 2 * 3  # samples x landmarks
+        lines = (out / "labels.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 3  # header, then samples x landmarks
+        # The label mean is the landmark itself: 20.0 is written as 20.
+        cells = lines[1].split(",")
+        assert cells[:4] == ["s0", "0", "20", "32"]
+        for cell in cells[4:]:
+            assert_12g(cell)
+
+    def test_landmark_outside_map_leaves_no_output(self, tmp_path, capsys):
+        ann = tmp_path / "ann.txt"
+        write_annotations(ann, [("a", "20 32 32 32 44 32"), ("b", "90 12 32 32 44 32")])
+        bnd = tmp_path / "bnd.txt"
+        bnd.write_text("0,1,2\n")
+        out = tmp_path / "so"
+        assert main(["smooth", str(ann), str(bnd), "--out", str(out),
+                     "--dump-intermediates"]) == 2
+        assert "sample b: landmark (90, 12) outside the 64x64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_intermediates(self, tmp_path):
         ann, bnd = self.setup_inputs(tmp_path)

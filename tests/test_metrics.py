@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from landmarklab.cli import main
 from landmarklab.heatmap import LandmarkSet
 from landmarklab.metrics import (
     EvalConfig,
@@ -8,8 +9,6 @@ from landmarklab.metrics import (
     evaluate,
     failure_rate,
     nme,
-    write_ced_csv,
-    write_report_csv,
 )
 
 
@@ -119,23 +118,29 @@ class TestEvaluate:
 
 
 class TestReportIo:
+    """The per-sample and CED CSVs that the eval command writes."""
+
+    def run_eval(self, tmp_path):
+        pred = tmp_path / "pred.txt"
+        gt = tmp_path / "gt.txt"
+        pred.write_text("b 1 1 2 2\na 3 4 10 10\n")
+        gt.write_text("a 0 0 10 10\nb 1 1 2 2\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("[eval]\nnorm_distance = 10\nced_points = 3\n")
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        return out
+
     def test_report_csv(self, tmp_path):
-        report = evaluate([0.1, 0.2], EvalConfig())
-        path = tmp_path / "report.csv"
-        write_report_csv(report, ["a", "b"], path)
-        lines = path.read_text().splitlines()
-        assert lines == ["sample_id,nme", "a,0.1", "b,0.2",
-                         f"mean,{format(report.nme_mean, '.12g')}"]
+        out = self.run_eval(tmp_path)
+        report = evaluate([0.25, 0.0], EvalConfig(ced_points=3))
+        # Samples in id order, then the mean.
+        assert (out / "per_sample.csv").read_text().splitlines() == [
+            "sample_id,nme", "a,0.25", "b,0", f"mean,{format(report.nme_mean, '.12g')}"]
 
     def test_ced_csv(self, tmp_path):
-        report = evaluate([0.0], EvalConfig(ced_points=3))
-        path = tmp_path / "ced.csv"
-        write_ced_csv(report, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "threshold,fraction"
-        assert len(lines) == 4
-
-    def test_id_count_mismatch(self, tmp_path):
-        report = evaluate([0.1], EvalConfig())
-        with pytest.raises(ValueError):
-            write_report_csv(report, ["a", "b"], tmp_path / "x.csv")
+        out = self.run_eval(tmp_path)
+        # One row per CED point.
+        assert (out / "ced.csv").read_text().splitlines() == [
+            "threshold,fraction", "0,0.5", "0.05,0.5", "0.1,0.5"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from landmarklab.cli import main
 from landmarklab.heatmap import GridCoord, Heatmap, LandmarkSet
 from landmarklab.smoothing import (
     BoundaryDef,
@@ -20,7 +21,6 @@ from landmarklab.smoothing import (
     refine_edge_heatmap,
     sample_label,
     segment_distance_field,
-    write_labels_csv,
 )
 
 CFG = SmoothingConfig()
@@ -365,9 +365,21 @@ class TestAnnotationIo:
             read_boundaries(path)
 
     def test_labels_csv(self, tmp_path):
-        label = GaussianLabel(mean=(1.25, 2.5), cov=np.array([[0.5, 0.1], [0.1, 0.25]]))
-        path = tmp_path / "labels.csv"
-        write_labels_csv([("s0", 0, label)], path)
-        lines = path.read_text().splitlines()
+        ann = tmp_path / "ann.txt"
+        ann.write_text("s0 20 32 32 32 44 32\n")
+        bnd = tmp_path / "bnd.txt"
+        bnd.write_text("0,1,2\n")
+        out = tmp_path / "out"
+        assert main(["smooth", str(ann), str(bnd), "--out", str(out)]) == 0
+        lines = (out / "labels.csv").read_text().splitlines()
         assert lines[0] == "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"
-        assert lines[1] == "s0,0,1.25,2.5,0.5,0.1,0.25"
+        [(_, landmarks)] = read_annotations(ann)
+        refined = refine_edge_heatmap(
+            build_edge_heatmap(landmarks, read_boundaries(bnd), CFG), CFG)
+        expected = ["sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"]
+        for n, (u, v) in enumerate(landmarks.points):
+            label = fit_gaussian_label(refined, (u, v), CFG)
+            cells = (*label.mean, label.cov[0, 0], label.cov[0, 1], label.cov[1, 1])
+            expected.append(",".join(["s0", str(n), *(format(float(x), ".12g") for x in cells)]))
+        assert lines == expected
+        assert lines[1].startswith("s0,0,20,32,")  # 20.0 is written as 20

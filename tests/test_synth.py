@@ -25,7 +25,6 @@ from landmarklab.synth import (
     generate_dataset,
     split_dataset,
     train,
-    write_history_csv,
 )
 
 from reference import LinearScorer, dataset_objective, evaluate_nme, tune_learning_rate
@@ -375,18 +374,6 @@ class TestSmoothedLabels:
         cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0,
                           with_smoothing=True, mc_samples=2)
         assert len(train(ds[:8], cfg, eval_dataset=ds[8:])) == 1
-
-
-class TestDatasetIo:
-    def test_history_csv(self, tmp_path):
-        from landmarklab.synth import EpochStats
-
-        path = tmp_path / "history.csv"
-        write_history_csv([EpochStats(1, 2.5, 0.75)], "structured", path)
-        assert path.read_text().splitlines() == [
-            "epoch,objective,train_loss,eval_nme",
-            "1,structured,2.5,0.75",
-        ]
 
 
 class TestEvaluateNme:

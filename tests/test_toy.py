@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from landmarklab.cli import main
 from landmarklab.toy import (
     ToyConfig,
     default_init,
     run_toy,
-    write_summary_csv,
-    write_trace_csv,
 )
 
 ALL_STEPS = tuple(range(51))
@@ -92,18 +91,26 @@ class TestDeterminism:
 
 
 class TestTraceExport:
+    """The trace and summary CSVs that the toy command writes."""
+
     def test_trace_csv(self, tmp_path):
         trace = run_toy(ToyConfig(objective="structured"))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
+        assert main(["toy", "--objective", "structured", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "toy_trace.csv").read_text().splitlines()
         assert lines[0] == "step,k,theta_k,grad_k"
         assert len(lines) == 1 + len(trace.snapshots) * 11
+        # One row per (snapshot, cell), snapshots in step order.
+        keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
+        assert keys == [(str(snap.step), str(k)) for snap in trace.snapshots for k in range(11)]
 
     def test_summary_csv_mismatch_flag(self, tmp_path):
-        trace = run_toy(ToyConfig(objective="softargmax"))
-        path = tmp_path / "summary.csv"
-        write_summary_csv(trace, 5, path)
-        lines = path.read_text().splitlines()
+        assert main(["toy", "--objective", "softargmax", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "toy_summary.csv").read_text().splitlines()
         assert lines[0] == "step,loss,argmax,soft_argmax,mismatch"
         assert lines[-1].endswith(",1")  # wrong argmax at the final step
+        # The structured objective recovers the target: the flag clears.
+        out = tmp_path / "structured"
+        assert main(["toy", "--objective", "structured", "--out", str(out)]) == 0
+        lines = (out / "toy_summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "10", "20", "50"]
+        assert [line.split(",")[-1] for line in lines[1:]] == ["1", "1", "0", "0"]
