@@ -15,16 +15,7 @@ from landmarklab.heatmap import (
     soft_argmax,
     softmax_tempered,
 )
-from landmarklab.losses import (
-    LossGrad,
-    MarginKind,
-    MarginSpec,
-    StructuredLossConfig,
-    heatmap_mse_loss,
-    smoothed_structured_loss,
-    soft_argmax_l2_loss,
-    structured_loss,
-)
+from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
 from landmarklab.smoothing import (
     BoundaryDef,
     GaussianLabel,
@@ -44,14 +35,9 @@ __all__ = [
     "argmax",
     "soft_argmax",
     "softmax_tempered",
-    "LossGrad",
     "MarginKind",
     "MarginSpec",
     "StructuredLossConfig",
-    "heatmap_mse_loss",
-    "smoothed_structured_loss",
-    "soft_argmax_l2_loss",
-    "structured_loss",
     "BoundaryDef",
     "GaussianLabel",
     "SmoothingConfig",

@@ -40,7 +40,7 @@ from landmarklab.smoothing import (
 from landmarklab.synth import OBJECTIVES as SYNTH_OBJECTIVES
 from landmarklab.synth import TrainConfig, TrainingDiverged, compare_convergence, generate_dataset
 from landmarklab.toy import OBJECTIVES as TOY_OBJECTIVES
-from landmarklab.toy import ToyConfig, run_toy
+from landmarklab.toy import ToyConfig, ToyDiverged, run_toy
 
 
 class CliError(Exception):
@@ -198,7 +198,10 @@ def cmd_toy(config_path, out, objective=None) -> int:
         )
     except ValueError as err:
         raise CliError(f"invalid toy config: {err}") from err
-    trace = run_toy(toy_cfg)
+    try:
+        trace = run_toy(toy_cfg)
+    except ToyDiverged as err:
+        raise CliError(str(err)) from err
     out = _ensure_outdir(out)
     _write_csv(os.path.join(out, "toy_trace.csv"), "step,k,theta_k,grad_k", (
         (snap.step, k, t, g)

@@ -1,18 +1,17 @@
 """Training objectives over heatmaps, each with its closed-form gradient.
 
 Each objective is written once, as a ``*_batch`` kernel over score rows
-``[..., H*W]`` with array targets; the per-heatmap functions check one
-heatmap's target and call the kernel on a single row.
+``[..., H*W]`` with array targets; one heatmap is a single row.  Targets
+are not checked here: every caller validates or clips its own.
 
-* ``structured_loss`` -- a margin-augmented log-sum-exp over all grid
+* ``structured_batch`` -- a margin-augmented log-sum-exp over all grid
   cells minus the score at the true cell.  Convex in the heatmap values;
   its gradient is softmax-minus-one-hot.
-* ``soft_argmax_l2_loss`` -- squared coordinate error of the softmax
+* ``smoothed_structured_batch`` -- the structured objective averaged over
+  drawn target cells, for uncertainty-aware targets.
+* ``soft_argmax_l2_batch`` -- squared coordinate error of the softmax
   expectation of the grid coordinates.
-* ``heatmap_mse_loss`` -- plain squared error against a target grid.
-
-``smoothed_structured_loss`` averages the structured objective over grid
-cells drawn from a per-landmark Gaussian, for uncertainty-aware targets.
+* ``heatmap_mse_batch`` -- plain squared error against a target grid.
 
 Gradients are with respect to the heatmap values only; margins never
 receive gradient (the candidate cells are a fixed grid, so the margin
@@ -29,8 +28,7 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from landmarklab.heatmap import Heatmap, coordinate_grids
-from landmarklab.smoothing import GaussianLabel, sample_label
+from landmarklab.heatmap import coordinate_grids
 
 
 class MarginKind(enum.Enum):
@@ -71,14 +69,6 @@ class StructuredLossConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"temperature must be positive, got {self.epsilon}")
-
-
-@dataclass
-class LossGrad:
-    """Loss value plus its gradient with respect to the heatmap values."""
-
-    value: float
-    grad: np.ndarray
 
 
 def _margin_from_diffs(delta: MarginSpec, du, dv):
@@ -129,8 +119,11 @@ def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
     """Structured loss over score rows [..., H*W] with integer target cells [..., 2].
 
     ``grid`` is (width, height).  Returns the values [...] and the gradients
-    [..., H*W]; each row is computed exactly as ``structured_loss`` does for
-    one heatmap.  Targets are not bounds-checked here.
+    [..., H*W].  Per row, value = eps * ln sum_k exp((margin_k + h_k) / eps)
+    - h[y], computed with max subtraction; grad = p - onehot(y) with p the
+    tempered softmax of the augmented scores, so it sums to zero and
+    grad[y] <= 0.  As eps -> 0 the value tends to the hinge
+    max_k(margin_k + h_k) - h[y].
     """
     width, height = grid
     cells = np.asarray(cells)
@@ -162,7 +155,11 @@ def smoothed_structured_batch(scores, draws, grid, cfg: StructuredLossConfig):
 
 
 def soft_argmax_l2_batch(scores, targets, grid):
-    """Soft-argmax L2 loss over score rows [..., H*W] with (u, v) targets [..., 2]."""
+    """Soft-argmax L2 loss over score rows [..., H*W] with (u, v) targets [..., 2].
+
+    Zero whenever a row's softmax mass balances around the target, even
+    with the argmax on a wrong cell.
+    """
     uu, vv = (c.ravel() for c in coordinate_grids(*grid))
     targets = np.asarray(targets, dtype=np.float64)
     p = scores - scores.max(axis=-1, keepdims=True)
@@ -191,59 +188,3 @@ def heatmap_mse_batch(scores, targets):
     value = (diff * diff).sum(axis=-1)
     diff *= 2.0
     return value, diff
-
-
-def structured_loss(h: Heatmap, y, cfg: StructuredLossConfig = StructuredLossConfig()) -> LossGrad:
-    """Margin-augmented soft-max-margin objective at the true cell y.
-
-    value = eps * ln sum_k exp((margin_k + h_k) / eps) - h[y], computed with
-    max subtraction; grad = p - onehot(y) where p is the tempered softmax of
-    the augmented scores, so the gradient sums to zero and grad[y] <= 0.
-    As eps -> 0 the value tends to the hinge max_k(margin_k + h_k) - h[y].
-    """
-    yu, yv = int(y[0]), int(y[1])
-    if not (0 <= yu < h.width and 0 <= yv < h.height):
-        raise ValueError(f"target cell {(yu, yv)} outside {h.width}x{h.height} grid")
-    value, grad = structured_batch(h.values.ravel(), (yu, yv), (h.width, h.height), cfg)
-    return LossGrad(value=float(value), grad=grad.reshape(h.values.shape))
-
-
-def soft_argmax_l2_loss(h: Heatmap, y: tuple[float, float]) -> LossGrad:
-    """Squared error of the softmax coordinate expectation against y.
-
-    grad_k = 2 (ytilde - y) . p_k (coord_k - ytilde), by the chain rule
-    through the expectation.  Can vanish while the argmax is wrong: any
-    score grid whose probability mass balances around y has zero loss.
-    """
-    if not (0 <= y[0] <= h.width - 1 and 0 <= y[1] <= h.height - 1):
-        raise ValueError(f"target {y} outside {h.width}x{h.height} grid")
-    value, grad = soft_argmax_l2_batch(h.values.ravel(), y, (h.width, h.height))
-    return LossGrad(value=float(value), grad=grad.reshape(h.values.shape))
-
-
-def heatmap_mse_loss(h_pred: Heatmap, h_target: Heatmap) -> LossGrad:
-    """Summed squared error between two grids; grad = 2 * (pred - target)."""
-    if h_pred.values.shape != h_target.values.shape:
-        raise ValueError(
-            f"shape mismatch: {h_pred.values.shape} vs {h_target.values.shape}"
-        )
-    value, grad = heatmap_mse_batch(h_pred.values.ravel(), h_target.values.ravel())
-    return LossGrad(value=float(value), grad=grad.reshape(h_pred.values.shape))
-
-
-def smoothed_structured_loss(
-    h: Heatmap,
-    label: GaussianLabel,
-    cfg: StructuredLossConfig,
-    n_samples: int,
-    rng_seed: int,
-) -> LossGrad:
-    """Monte Carlo average of the structured loss over jittered target cells.
-
-    Targets are drawn from the label's Gaussian, rounded to the nearest
-    in-bounds cell; value and gradient are averaged over the draws.
-    """
-    grid = (h.width, h.height)
-    cells = sample_label(label, n_samples, rng_seed, grid)
-    value, grad = smoothed_structured_batch(h.values.ravel(), cells, grid, cfg)
-    return LossGrad(value=float(value), grad=grad.reshape(h.values.shape))

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import GridCoord, Heatmap, argmax, soft_argmax
+from landmarklab.heatmap import Heatmap, argmax, soft_argmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
     StructuredLossConfig,
-    soft_argmax_l2_loss,
-    structured_loss,
+    soft_argmax_l2_batch,
+    structured_batch,
 )
 
 OBJECTIVES = ("structured", "softargmax")
@@ -36,11 +36,15 @@ _TOY_STRUCTURED = StructuredLossConfig(
 def default_init(length: int = 11) -> np.ndarray:
     """Bimodal start: a tall wrong mode at index 9 and a second at index 1."""
     if length < 10:
-        raise ValueError("default init needs length >= 10; pass init_values instead")
+        raise ValueError(f"the default bimodal start needs length >= 10, got {length}")
     init = np.zeros(length)
     init[9] = 2.0
     init[1] = 1.5
     return init
+
+
+class ToyDiverged(RuntimeError):
+    """Raised when gradient descent drives theta non-finite."""
 
 
 @dataclass(frozen=True)
@@ -99,12 +103,12 @@ class ToyTrace:
 def _evaluate(theta: np.ndarray, cfg: ToyConfig):
     h = Heatmap(theta.reshape(1, -1))
     if cfg.objective == "structured":
-        lg = structured_loss(h, GridCoord(cfg.target, 0), cfg.structured)
+        value, grad = structured_batch(theta, (cfg.target, 0), (cfg.length, 1), cfg.structured)
     else:
-        lg = soft_argmax_l2_loss(h, (float(cfg.target), 0.0))
+        value, grad = soft_argmax_l2_batch(theta, (float(cfg.target), 0.0), (cfg.length, 1))
     coord, _ = argmax(h)
     su, _ = soft_argmax(h, 1.0)
-    return lg.value, lg.grad.ravel(), coord.u, su
+    return float(value), grad, coord.u, su
 
 
 def run_toy(cfg: ToyConfig) -> ToyTrace:
@@ -112,12 +116,15 @@ def run_toy(cfg: ToyConfig) -> ToyTrace:
 
     Snapshots are taken at step 0, every step listed in record_at, and the
     final step; loss and gradient in a snapshot describe the recorded
-    iterate, before its update is applied.
+    iterate, before its update is applied.  Raises ToyDiverged once an
+    update leaves theta non-finite.
     """
     theta = np.array(cfg.init_values, dtype=np.float64)
     record = {0, cfg.steps} | {s for s in cfg.record_at if 0 <= s <= cfg.steps}
     snapshots = []
     for step in range(cfg.steps + 1):
+        if not np.isfinite(theta).all():
+            raise ToyDiverged(f"toy {cfg.objective} diverged: non-finite theta at step {step}")
         loss, grad, arg, soft = _evaluate(theta, cfg)
         if step in record:
             snapshots.append(

@@ -23,9 +23,9 @@ from landmarklab.losses import (
     MarginKind,
     MarginSpec,
     StructuredLossConfig,
-    heatmap_mse_loss,
-    soft_argmax_l2_loss,
-    structured_loss,
+    heatmap_mse_batch,
+    soft_argmax_l2_batch,
+    structured_batch,
 )
 from landmarklab.metrics import auc_ced, failure_rate, nme
 from landmarklab.smoothing import (
@@ -108,24 +108,25 @@ def test_criterion_2_gradient_suite():
             h = int(rng.integers(2, 17))
             values = rng.normal(size=(h, w))
             y_cell = GridCoord(int(rng.integers(0, w)), int(rng.integers(0, h)))
+            grid = (w, h)
             for spec in MARGIN_KINDS:
                 cfg = StructuredLossConfig(epsilon=1.0, margin=spec)
-                lg = structured_loss(Heatmap(values), y_cell, cfg)
+                _, grad = structured_batch(values.ravel(), y_cell, grid, cfg)
                 grad_check(
-                    lg.grad, values,
-                    lambda x, c=cfg: structured_loss(Heatmap(x), y_cell, c).value,
+                    grad.reshape(h, w), values,
+                    lambda x, c=cfg: structured_batch(x.ravel(), y_cell, grid, c)[0],
                 )
             y_cont = (float(rng.uniform(0, w - 1)), float(rng.uniform(0, h - 1)))
-            lg = soft_argmax_l2_loss(Heatmap(values), y_cont)
+            _, grad = soft_argmax_l2_batch(values.ravel(), y_cont, grid)
             grad_check(
-                lg.grad, values,
-                lambda x: soft_argmax_l2_loss(Heatmap(x), y_cont).value,
+                grad.reshape(h, w), values,
+                lambda x: soft_argmax_l2_batch(x.ravel(), y_cont, grid)[0],
             )
-            target = Heatmap(rng.normal(size=(h, w)))
-            lg = heatmap_mse_loss(Heatmap(values), target)
+            target = rng.normal(size=(h, w)).ravel()
+            _, grad = heatmap_mse_batch(values.ravel(), target)
             grad_check(
-                lg.grad, values,
-                lambda x: heatmap_mse_loss(Heatmap(x), target).value,
+                grad.reshape(h, w), values,
+                lambda x: heatmap_mse_batch(x.ravel(), target)[0],
             )
 
 
@@ -139,26 +140,28 @@ def test_criterion_3_structured_loss_identities():
             y = GridCoord(int(rng.integers(0, w)), int(rng.integers(0, h)))
             spec = MARGIN_KINDS[int(rng.integers(0, 4))]
             cfg = StructuredLossConfig(epsilon=1.0, margin=spec)
-            lg = structured_loss(Heatmap(values), y, cfg)
-            assert abs(lg.grad.sum()) <= 1e-10
-            assert -1.0 <= lg.grad[y.v, y.u] <= 0.0
+            grid = (w, h)
+            value, grad = structured_batch(values.ravel(), y, grid, cfg)
+            grad = grad.reshape(h, w)
+            assert abs(grad.sum()) <= 1e-10
+            assert -1.0 <= grad[y.v, y.u] <= 0.0
             shift = float(rng.uniform(-50, 50))
-            shifted = structured_loss(Heatmap(values + shift), y, cfg)
-            assert abs(shifted.value - lg.value) <= 1e-9
+            shifted, _ = structured_batch((values + shift).ravel(), y, grid, cfg)
+            assert abs(shifted - value) <= 1e-9
             other = rng.normal(size=(h, w))
             t = float(rng.uniform(0, 1))
-            mixed = structured_loss(Heatmap(t * values + (1 - t) * other), y, cfg)
-            bound = t * lg.value + (1 - t) * structured_loss(Heatmap(other), y, cfg).value
-            assert mixed.value <= bound + 1e-9
-            cold = structured_loss(
-                Heatmap(values), y, StructuredLossConfig(epsilon=1e-4, margin=spec)
+            mixed, _ = structured_batch((t * values + (1 - t) * other).ravel(), y, grid, cfg)
+            bound = t * value + (1 - t) * structured_batch(other.ravel(), y, grid, cfg)[0]
+            assert mixed <= bound + 1e-9
+            cold, _ = structured_batch(
+                values.ravel(), y, grid, StructuredLossConfig(epsilon=1e-4, margin=spec)
             )
             hinge = (margin_table(spec, (y.u, y.v), w, h) + values).max() - values[y.v, y.u]
-            assert abs(cold.value - hinge) < 1e-3
+            assert abs(cold - hinge) < 1e-3
             eps = float(rng.uniform(0.2, 3.0))
             plain = StructuredLossConfig(epsilon=eps, margin=MarginSpec(kind=MarginKind.NONE))
             ce = -eps * np.log(softmax_tempered(Heatmap(values), eps).values[y.v, y.u])
-            assert abs(structured_loss(Heatmap(values), y, plain).value - ce) <= 1e-10
+            assert abs(structured_batch(values.ravel(), y, grid, plain)[0] - ce) <= 1e-10
 
 
 def test_criterion_4_toy_dynamics_grid():

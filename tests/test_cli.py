@@ -203,6 +203,8 @@ class TestToyCommand:
         ("objective = foo",
          "toy.objective must be one of ('structured', 'softargmax'), got 'foo'"),
         ("margin = foo", f"toy.margin must be one of {MARGINS}, got 'foo'"),
+        ("length = 5\ntarget = 2",
+         "invalid toy config: the default bimodal start needs length >= 10, got 5"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "toy.cfg"
@@ -210,6 +212,16 @@ class TestToyCommand:
         out = tmp_path / "out"
         assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges
+    def test_diverging_run_names_objective_and_step(self, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("[toy]\nlearning_rate = 1.7e308\n")
+        out = tmp_path / "out"
+        argv = ["toy", "--config", str(cfg), "--out", str(out), "--objective", "softargmax"]
+        assert main(argv) == 2
+        assert "toy softargmax diverged: non-finite theta at step 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_names_path(self, tmp_path, capsys):

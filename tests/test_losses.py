@@ -9,11 +9,10 @@ from landmarklab.losses import (
     StructuredLossConfig,
     _cell_margins,
     _margin_windows,
-    heatmap_mse_loss,
-    smoothed_structured_loss,
-    soft_argmax_l2_loss,
+    heatmap_mse_batch,
+    smoothed_structured_batch,
+    soft_argmax_l2_batch,
     structured_batch,
-    structured_loss,
 )
 from landmarklab.smoothing import GaussianLabel, sample_label
 
@@ -114,21 +113,21 @@ class TestMargin:
 
 class TestStructuredLoss:
     def test_uniform_heatmap_value_and_grad(self):
-        h = Heatmap(np.zeros((1, 4)))
+        scores = np.zeros(4)
         cfg = StructuredLossConfig(epsilon=1.0, margin=NONE_SPEC)
         for y in range(4):
-            lg = structured_loss(h, GridCoord(y, 0), cfg)
-            np.testing.assert_allclose(lg.value, np.log(4.0), rtol=1e-12)
-        lg = structured_loss(h, GridCoord(0, 0), cfg)
-        np.testing.assert_allclose(lg.grad, [[-0.75, 0.25, 0.25, 0.25]], rtol=1e-12)
+            value, _ = structured_batch(scores, (y, 0), (4, 1), cfg)
+            np.testing.assert_allclose(value, np.log(4.0), rtol=1e-12)
+        _, grad = structured_batch(scores, (0, 0), (4, 1), cfg)
+        np.testing.assert_allclose(grad.reshape(1, 4), [[-0.75, 0.25, 0.25, 0.25]], rtol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(21)
         cfg = StructuredLossConfig(epsilon=0.8, margin=RAW_L1)
         h = rng.normal(size=(3, 4))
-        base = structured_loss(Heatmap(h), GridCoord(2, 1), cfg).value
+        base, _ = structured_batch(h.ravel(), (2, 1), (4, 3), cfg)
         for c in (-17.0, 0.5, 1234.0):
-            shifted = structured_loss(Heatmap(h + c), GridCoord(2, 1), cfg).value
+            shifted, _ = structured_batch((h + c).ravel(), (2, 1), (4, 3), cfg)
             assert abs(shifted - base) < 1e-9
 
     def test_bimodal_value_brute_force(self):
@@ -137,13 +136,13 @@ class TestStructuredLoss:
         aug = np.abs(np.arange(5) - 2) + scores
         expected = np.log(np.exp(aug).sum()) - scores[2]
         cfg = StructuredLossConfig(epsilon=1.0, margin=RAW_L1)
-        lg = structured_loss(Heatmap(scores.reshape(1, -1)), GridCoord(2, 0), cfg)
-        np.testing.assert_allclose(lg.value, expected, rtol=1e-12)
+        value, _ = structured_batch(scores, (2, 0), (5, 1), cfg)
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
         # Small-temperature limit tends to the worst augmented score.
         cfg0 = StructuredLossConfig(epsilon=1e-6, margin=RAW_L1)
-        lg0 = structured_loss(Heatmap(scores.reshape(1, -1)), GridCoord(2, 0), cfg0)
-        np.testing.assert_allclose(lg0.value, aug.max() - scores[2], atol=1e-5)
-        assert abs(lg0.value - 2.4) < 1e-5
+        value0, _ = structured_batch(scores, (2, 0), (5, 1), cfg0)
+        np.testing.assert_allclose(value0, aug.max() - scores[2], atol=1e-5)
+        assert abs(value0 - 2.4) < 1e-5
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(2)
@@ -151,13 +150,14 @@ class TestStructuredLoss:
             cfg = StructuredLossConfig(epsilon=1.3, margin=spec)
             values = rng.normal(size=(4, 5))
             y = GridCoord(3, 2)
-            lg = structured_loss(Heatmap(values), y, cfg)
-            assert abs(lg.grad.sum()) < 1e-10
-            assert -1.0 <= lg.grad[2, 3] <= 0.0
+            _, grad = structured_batch(values.ravel(), y, (5, 4), cfg)
+            grad = grad.reshape(4, 5)
+            assert abs(grad.sum()) < 1e-10
+            assert -1.0 <= grad[2, 3] <= 0.0
             fd = finite_difference_grad(
-                lambda x: structured_loss(Heatmap(x), y, cfg).value, values
+                lambda x: structured_batch(x.ravel(), y, (5, 4), cfg)[0], values
             )
-            assert_grad_close(lg.grad, fd)
+            assert_grad_close(grad, fd)
 
     def test_convexity_in_heatmap(self):
         rng = np.random.default_rng(4)
@@ -167,10 +167,10 @@ class TestStructuredLoss:
             h2 = rng.normal(size=(3, 5))
             t = rng.uniform()
             y = GridCoord(int(rng.integers(0, 5)), int(rng.integers(0, 3)))
-            mix = structured_loss(Heatmap(t * h1 + (1 - t) * h2), y, cfg).value
+            mix, _ = structured_batch((t * h1 + (1 - t) * h2).ravel(), y, (5, 3), cfg)
             bound = (
-                t * structured_loss(Heatmap(h1), y, cfg).value
-                + (1 - t) * structured_loss(Heatmap(h2), y, cfg).value
+                t * structured_batch(h1.ravel(), y, (5, 3), cfg)[0]
+                + (1 - t) * structured_batch(h2.ravel(), y, (5, 3), cfg)[0]
             )
             assert mix <= bound + 1e-9
 
@@ -182,9 +182,9 @@ class TestStructuredLoss:
             values = rng.normal(size=(4, 4))
             y = GridCoord(1, 2)
             cfg = StructuredLossConfig(epsilon=eps, margin=NONE_SPEC)
-            lg = structured_loss(Heatmap(values), y, cfg)
+            value, _ = structured_batch(values.ravel(), y, (4, 4), cfg)
             ce = -eps * np.log(softmax_tempered(Heatmap(values), eps).values[2, 1])
-            assert abs(lg.value - ce) < 1e-10
+            assert abs(value - ce) < 1e-10
 
     def test_small_temperature_hinge_limit(self):
         rng = np.random.default_rng(8)
@@ -192,17 +192,12 @@ class TestStructuredLoss:
         for _ in range(20):
             values = rng.normal(size=(4, 6))
             y = GridCoord(2, 1)
-            lg = structured_loss(Heatmap(values), y, cfg)
+            value, _ = structured_batch(values.ravel(), y, (6, 4), cfg)
             aug = margin_table(RAW_L2, (2, 1), 6, 4) + values
             hinge = aug.max() - values[1, 2]
-            assert abs(lg.value - hinge) < 1e-3
+            assert abs(value - hinge) < 1e-3
 
-    def test_rejects_bad_target_and_temperature(self):
-        h = Heatmap(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            structured_loss(h, GridCoord(3, 0))
-        with pytest.raises(ValueError):
-            structured_loss(h, GridCoord(0, -1))
+    def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
             StructuredLossConfig(epsilon=0.0)
 
@@ -227,79 +222,70 @@ class TestSoftArgmaxL2Loss:
         # Balanced two-peak scores: zero coordinate loss, argmax far off.
         probs = np.array([0.4, 0.1, 1e-300, 0.1, 0.4])
         h = Heatmap(np.log(probs).reshape(1, -1))
-        lg = soft_argmax_l2_loss(h, (2.0, 0.0))
-        assert lg.value < 1e-18
+        value, _ = soft_argmax_l2_batch(h.values.ravel(), (2.0, 0.0), (5, 1))
+        assert value < 1e-18
         coord, tied = argmax(h)
         assert tied and coord.u == 0
         # The structured objective still penalizes this heatmap.
-        slg = structured_loss(h, GridCoord(2, 0), StructuredLossConfig(margin=RAW_L1))
-        assert slg.value > 0.5
+        cfg = StructuredLossConfig(margin=RAW_L1)
+        structured_value, _ = structured_batch(h.values.ravel(), (2, 0), (5, 1), cfg)
+        assert structured_value > 0.5
 
     def test_concentrated_mass_zero_loss_and_grad(self):
         values = np.zeros((1, 5))
         values[0, 2] = 40.0
-        lg = soft_argmax_l2_loss(Heatmap(values), (2.0, 0.0))
-        assert abs(lg.value) < 1e-12
-        np.testing.assert_allclose(lg.grad, 0.0, atol=1e-12)
+        value, grad = soft_argmax_l2_batch(values.ravel(), (2.0, 0.0), (5, 1))
+        assert abs(value) < 1e-12
+        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         values = rng.normal(size=(1, 7))
-        lg = soft_argmax_l2_loss(Heatmap(values), (3.0, 0.0))
+        _, grad = soft_argmax_l2_batch(values.ravel(), (3.0, 0.0), (7, 1))
         fd = finite_difference_grad(
-            lambda x: soft_argmax_l2_loss(Heatmap(x), (3.0, 0.0)).value, values
+            lambda x: soft_argmax_l2_batch(x.ravel(), (3.0, 0.0), (7, 1))[0], values
         )
-        assert_grad_close(lg.grad, fd)
+        assert_grad_close(grad.reshape(1, 7), fd)
 
     def test_gradient_2d(self):
         rng = np.random.default_rng(10)
         values = rng.normal(size=(5, 6))
         y = (2.5, 3.5)
-        lg = soft_argmax_l2_loss(Heatmap(values), y)
+        _, grad = soft_argmax_l2_batch(values.ravel(), y, (6, 5))
         fd = finite_difference_grad(
-            lambda x: soft_argmax_l2_loss(Heatmap(x), y).value, values
+            lambda x: soft_argmax_l2_batch(x.ravel(), y, (6, 5))[0], values
         )
-        assert_grad_close(lg.grad, fd)
-
-    def test_rejects_out_of_bounds_target(self):
-        with pytest.raises(ValueError):
-            soft_argmax_l2_loss(Heatmap(np.zeros((2, 2))), (5.0, 0.0))
+        assert_grad_close(grad.reshape(5, 6), fd)
 
 
 class TestHeatmapMseLoss:
     def test_identical_maps(self):
-        h = Heatmap(np.arange(6.0).reshape(2, 3))
-        lg = heatmap_mse_loss(h, h)
-        assert lg.value == 0.0
-        np.testing.assert_array_equal(lg.grad, np.zeros((2, 3)))
+        h = np.arange(6.0).reshape(2, 3)
+        value, grad = heatmap_mse_batch(h.ravel(), h.ravel())
+        assert value == 0.0
+        np.testing.assert_array_equal(grad.reshape(2, 3), np.zeros((2, 3)))
 
     def test_constant_offset(self):
         base = np.zeros((1, 4))
-        lg = heatmap_mse_loss(Heatmap(base + 1.0), Heatmap(base))
-        assert lg.value == 4.0
-        np.testing.assert_array_equal(lg.grad, np.full((1, 4), 2.0))
+        value, grad = heatmap_mse_batch((base + 1.0).ravel(), base.ravel())
+        assert value == 4.0
+        np.testing.assert_array_equal(grad.reshape(1, 4), np.full((1, 4), 2.0))
 
     def test_random_pair_brute_force(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3))
         expected = sum((a[i, j] - b[i, j]) ** 2 for i in range(3) for j in range(3))
-        lg = heatmap_mse_loss(Heatmap(a), Heatmap(b))
-        np.testing.assert_allclose(lg.value, expected, rtol=1e-12)
+        value, _ = heatmap_mse_batch(a.ravel(), b.ravel())
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4))
-        lg = heatmap_mse_loss(Heatmap(a), Heatmap(b))
-        fd = finite_difference_grad(
-            lambda x: heatmap_mse_loss(Heatmap(x), Heatmap(b)).value, a
-        )
-        assert_grad_close(lg.grad, fd)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            heatmap_mse_loss(Heatmap(np.zeros((2, 3))), Heatmap(np.zeros((3, 2))))
+        _, grad = heatmap_mse_batch(a.ravel(), b.ravel())
+        fd = finite_difference_grad(lambda x: heatmap_mse_batch(x.ravel(), b.ravel())[0], a)
+        assert_grad_close(grad.reshape(4, 4), fd)
 
 
 class TestSmoothedStructuredLoss:
@@ -307,27 +293,27 @@ class TestSmoothedStructuredLoss:
 
     def test_degenerate_covariance_collapses_to_mean_cell(self):
         rng = np.random.default_rng(15)
-        values = rng.normal(size=(7, 7))
+        values = rng.normal(size=(7, 7)).ravel()
         label = GaussianLabel(mean=(4.2, 3.1), cov=1e-18 * np.eye(2))
-        direct = structured_loss(Heatmap(values), GridCoord(4, 3), self.CFG)
-        one = smoothed_structured_loss(Heatmap(values), label, self.CFG, 1, rng_seed=1)
-        assert one.value == direct.value
-        np.testing.assert_array_equal(one.grad, direct.grad)
+        direct_value, direct_grad = structured_batch(values, GridCoord(4, 3), (7, 7), self.CFG)
+        one_value, one_grad = smoothed_structured_batch(
+            values, sample_label(label, 1, 1, (7, 7)), (7, 7), self.CFG)
+        assert one_value == direct_value
+        np.testing.assert_array_equal(one_grad, direct_grad)
         # Averaging n identical draws only adds float round-off.
-        many = smoothed_structured_loss(Heatmap(values), label, self.CFG, 25, rng_seed=1)
-        np.testing.assert_allclose(many.value, direct.value, rtol=1e-13)
-        np.testing.assert_allclose(many.grad, direct.grad, atol=1e-15)
+        many_value, many_grad = smoothed_structured_batch(
+            values, sample_label(label, 25, 1, (7, 7)), (7, 7), self.CFG)
+        np.testing.assert_allclose(many_value, direct_value, rtol=1e-13)
+        np.testing.assert_allclose(many_grad, direct_grad, atol=1e-15)
 
     def test_is_mean_over_drawn_cells(self):
         rng = np.random.default_rng(16)
-        values = rng.normal(size=(6, 6))
+        values = rng.normal(size=(6, 6)).ravel()
         label = GaussianLabel(mean=(2.5, 2.5), cov=np.array([[2.0, 0.3], [0.3, 1.0]]))
         cells = sample_label(label, 5, 77, (6, 6))
-        expected = np.mean(
-            [structured_loss(Heatmap(values), c, self.CFG).value for c in cells]
-        )
-        lg = smoothed_structured_loss(Heatmap(values), label, self.CFG, 5, rng_seed=77)
-        assert abs(lg.value - expected) < 1e-12
+        expected = np.mean([structured_batch(values, c, (6, 6), self.CFG)[0] for c in cells])
+        value, _ = smoothed_structured_batch(values, cells, (6, 6), self.CFG)
+        assert abs(value - expected) < 1e-12
 
     def test_sample_mean_near_label_mean(self):
         # Statistical check: mean of 10k drawn coordinates within 3 sigma / sqrt(n).
@@ -344,8 +330,7 @@ class TestSmoothedStructuredLoss:
         # Independent oracle: with a diagonal covariance the expectation over
         # rounded-and-clamped cells factorizes into per-axis normal masses.
         rng = np.random.default_rng(17)
-        values = rng.normal(size=(9, 9))
-        h = Heatmap(values)
+        values = rng.normal(size=(9, 9)).ravel()
         su, sv = 1.3, 0.8
         label = GaussianLabel(mean=(4.6, 3.9), cov=np.diag([su**2, sv**2]))
 
@@ -361,32 +346,32 @@ class TestSmoothedStructuredLoss:
         for u in range(9):
             for v in range(9):
                 w = pu[u] * pv[v]
-                lv = structured_loss(h, GridCoord(u, v), self.CFG).value
+                lv, _ = structured_batch(values, (u, v), (9, 9), self.CFG)
                 exact += w * lv
                 exact_sq += w * lv * lv
         std = np.sqrt(max(exact_sq - exact**2, 0.0))
         n = 40_000
-        mc = smoothed_structured_loss(h, label, self.CFG, n, rng_seed=123)
-        assert abs(mc.value - exact) < 4.0 * std / np.sqrt(n) + 1e-9
+        mc, _ = smoothed_structured_batch(
+            values, sample_label(label, n, 123, (9, 9)), (9, 9), self.CFG)
+        assert abs(mc - exact) < 4.0 * std / np.sqrt(n) + 1e-9
 
     def test_grad_averages_and_matches_fd(self):
         rng = np.random.default_rng(18)
         values = rng.normal(size=(5, 5))
         label = GaussianLabel(mean=(2.0, 2.0), cov=np.array([[1.5, -0.4], [-0.4, 0.9]]))
-        lg = smoothed_structured_loss(Heatmap(values), label, self.CFG, 10, rng_seed=3)
+        draws = sample_label(label, 10, 3, (5, 5))
+        _, grad = smoothed_structured_batch(values.ravel(), draws, (5, 5), self.CFG)
+        grad = grad.reshape(5, 5)
         fd = finite_difference_grad(
-            lambda x: smoothed_structured_loss(
-                Heatmap(x), label, self.CFG, 10, rng_seed=3
-            ).value,
+            lambda x: smoothed_structured_batch(x.ravel(), draws, (5, 5), self.CFG)[0],
             values,
         )
-        assert_grad_close(lg.grad, fd)
-        assert abs(lg.grad.sum()) < 1e-10
+        assert_grad_close(grad, fd)
+        assert abs(grad.sum()) < 1e-10
 
     def test_rejects_bad_inputs(self):
-        h = Heatmap(np.zeros((3, 3)))
         label = GaussianLabel(mean=(1.0, 1.0), cov=np.eye(2))
         with pytest.raises(ValueError):
-            smoothed_structured_loss(h, label, self.CFG, 0, rng_seed=0)
+            sample_label(label, 0, 0, (3, 3))
         with pytest.raises(ValueError):
             GaussianLabel(mean=(1.0, 1.0), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
