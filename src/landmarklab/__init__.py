@@ -9,11 +9,10 @@ that exercise the whole stack with analytic gradients.
 
 from landmarklab.heatmap import (
     GridCoord,
-    Heatmap,
     LandmarkSet,
     argmax,
     soft_argmax,
-    softmax_tempered,
+    softmax,
 )
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
 from landmarklab.smoothing import (
@@ -30,11 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridCoord",
-    "Heatmap",
     "LandmarkSet",
     "argmax",
     "soft_argmax",
-    "softmax_tempered",
+    "softmax",
     "MarginKind",
     "MarginSpec",
     "StructuredLossConfig",

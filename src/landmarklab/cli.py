@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from landmarklab.heatmap import GridCoord, Heatmap, save_heatmap_pgm
+from landmarklab.heatmap import GridCoord, save_heatmap_pgm
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
 from landmarklab.metrics import EvalConfig, evaluate, nme
 from landmarklab.seeding import derive_seed
@@ -199,19 +199,19 @@ def cmd_toy(config_path, out, objective=None) -> int:
     except ValueError as err:
         raise CliError(f"invalid toy config: {err}") from err
     try:
-        trace = run_toy(toy_cfg)
+        snapshots = run_toy(toy_cfg)
     except ToyDiverged as err:
         raise CliError(str(err)) from err
     out = _ensure_outdir(out)
     _write_csv(os.path.join(out, "toy_trace.csv"), "step,k,theta_k,grad_k", (
         (snap.step, k, t, g)
-        for snap in trace.snapshots
+        for snap in snapshots
         for k, (t, g) in enumerate(zip(snap.theta, snap.grad))
     ))
     summary = [
         (snap.step, snap.loss, snap.argmax_index, snap.soft_argmax_value,
          int(snap.argmax_index != toy_cfg.target))
-        for snap in trace.snapshots
+        for snap in snapshots
     ]
     _write_csv(os.path.join(out, "toy_summary.csv"), "step,loss,argmax,soft_argmax,mismatch",
                summary)
@@ -310,7 +310,7 @@ def _dump_label_pgms(out, sample_id, n, refined, y, label, scfg) -> list:
     quad = inv[0, 0] * uu**2 + 2.0 * inv[0, 1] * uu * vv + inv[1, 1] * vv**2
     fitted = np.exp(-0.5 * quad)
     fitted /= fitted.max()
-    raw_patch = extract_patch(refined.values, center, k)
+    raw_patch = extract_patch(refined, center, k)
     panels = {
         "edge_raw_patch": raw_patch,
         "edge_refined_patch": edge_patch,
@@ -321,7 +321,7 @@ def _dump_label_pgms(out, sample_id, n, refined, y, label, scfg) -> list:
     paths = []
     for name, arr in panels.items():
         path = os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm")
-        save_heatmap_pgm(Heatmap(arr), path)
+        save_heatmap_pgm(arr, path)
         paths.append(path)
     return paths
 

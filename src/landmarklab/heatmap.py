@@ -1,13 +1,13 @@
 """Score grids, landmark coordinates, and the inference operators on them.
 
-A heatmap is a ``height x width`` grid of real scores for one landmark.
-Coordinates are ``(u, v)`` pairs with ``u`` the column index and ``v`` the
-row index, so the score of pixel ``(u, v)`` lives at ``values[v, u]`` and
-the row-major linear index of a cell is ``v * width + u``.  Multi-landmark
-stacks are ordered lists of heatmaps, one channel per landmark.
+A heatmap is a plain float array of shape ``(height, width)``, one per
+landmark.  Coordinates are ``(u, v)`` pairs with ``u`` the column index and
+``v`` the row index, so the score of pixel ``(u, v)`` lives at ``h[v, u]``
+and the row-major linear index of a cell is ``v * width + u``.  The
+readouts take score rows ``[..., H*W]``, flattened in that order, with
+``grid = (width, height)``; one heatmap is a single row.
 
-All operations here are pure functions of immutable inputs; treat the
-wrapped arrays as read-only.
+All operations here are pure functions; treat their inputs as read-only.
 """
 
 from __future__ import annotations
@@ -23,29 +23,6 @@ class GridCoord(NamedTuple):
 
     u: int
     v: int
-
-
-@dataclass(frozen=True)
-class Heatmap:
-    """A grid of per-pixel scores, stored as a float64 array of shape (height, width)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"heatmap must be a non-empty 2-D grid, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("heatmap values must all be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -72,37 +49,36 @@ def coordinate_grids(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return u.astype(np.float64), v.astype(np.float64)
 
 
-def argmax(h: Heatmap) -> tuple[GridCoord, bool]:
-    """Coordinate of the maximum score, plus a flag for exact ties.
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax of score rows [..., H*W], exp(s) / sum exp(s) along the last axis.
 
-    Ties are broken toward the lowest row-major linear index; ``tied`` is
-    True iff more than one cell attains the maximum exactly.
+    The row maximum is subtracted before exponentiation so the result is
+    exactly invariant under adding a constant to a row.  A temperature eps
+    is applied by passing ``scores / eps``.
     """
-    flat = h.values.ravel()
-    k = int(np.argmax(flat))
-    top = flat[k]
-    tied = int(np.count_nonzero(flat == top)) > 1
-    return GridCoord(u=k % h.width, v=k // h.width), tied
+    p = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
-def softmax_tempered(h: Heatmap, epsilon: float = 1.0) -> Heatmap:
-    """Normalize scores into a probability grid, exp(h/eps) / sum exp(h/eps).
+def soft_argmax(scores: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Expected (u, v) coordinates [..., 2] under the softmax of score rows [..., H*W].
 
-    The maximum is subtracted before exponentiation so the result is exactly
-    invariant under adding a constant to all scores.
+    ``grid`` is (width, height).
     """
-    if epsilon <= 0:
-        raise ValueError(f"temperature must be positive, got {epsilon}")
-    shifted = (h.values - h.values.max()) / epsilon
-    e = np.exp(shifted)
-    return Heatmap(e / e.sum())
+    uu, vv = (c.ravel() for c in coordinate_grids(*grid))
+    p = softmax(scores)
+    return np.stack([(uu * p).sum(axis=-1), (vv * p).sum(axis=-1)], axis=-1)
 
 
-def soft_argmax(h: Heatmap, epsilon: float = 1.0) -> tuple[float, float]:
-    """Expected (u, v) coordinate under the tempered softmax of the scores."""
-    p = softmax_tempered(h, epsilon).values
-    uu, vv = coordinate_grids(h.width, h.height)
-    return float((uu * p).sum()), float((vv * p).sum())
+def argmax(scores: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Integer (u, v) cells [..., 2] of the maximum of score rows [..., H*W].
+
+    ``grid`` is (width, height).  Ties go to the lowest row-major index.
+    """
+    k = scores.argmax(axis=-1)
+    return np.stack([k % grid[0], k // grid[0]], axis=-1)
 
 
 def gaussian_bumps(centers, width: int, height: int, sigma: float) -> np.ndarray:
@@ -114,17 +90,17 @@ def gaussian_bumps(centers, width: int, height: int, sigma: float) -> np.ndarray
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
-def save_heatmap_pgm(h: Heatmap, path) -> None:
-    """Dump as binary P5 graymap, linearly rescaled to 0-255.
+def save_heatmap_pgm(h: np.ndarray, path) -> None:
+    """Dump a heatmap [H, W] as binary P5 graymap, linearly rescaled to 0-255.
 
     Visualization only: the rescaling is lossy and never round-tripped.
     """
-    lo, hi = h.values.min(), h.values.max()
+    lo, hi = h.min(), h.max()
     if hi > lo:
-        gray = np.round((h.values - lo) / (hi - lo) * 255.0)
+        gray = np.round((h - lo) / (hi - lo) * 255.0)
     else:
-        gray = np.zeros_like(h.values)
+        gray = np.zeros_like(h)
     data = gray.astype(np.uint8).tobytes()
     with open(path, "wb") as f:
-        f.write(f"P5\n{h.width} {h.height}\n255\n".encode("ascii"))
+        f.write(f"P5\n{h.shape[1]} {h.shape[0]}\n255\n".encode("ascii"))
         f.write(data)

@@ -28,7 +28,7 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from landmarklab.heatmap import coordinate_grids
+from landmarklab.heatmap import coordinate_grids, softmax
 
 
 class MarginKind(enum.Enum):
@@ -162,9 +162,7 @@ def soft_argmax_l2_batch(scores, targets, grid):
     """
     uu, vv = (c.ravel() for c in coordinate_grids(*grid))
     targets = np.asarray(targets, dtype=np.float64)
-    p = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = softmax(scores)
     su = (uu * p).sum(axis=-1, keepdims=True)
     sv = (vv * p).sum(axis=-1, keepdims=True)
     ru = su - targets[..., :1]

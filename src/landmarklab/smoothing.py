@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import GridCoord, Heatmap, LandmarkSet
+from landmarklab.heatmap import GridCoord, LandmarkSet
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def polyline_segments(vertices: np.ndarray) -> np.ndarray:
 
 def build_edge_heatmap(
     landmarks: LandmarkSet, boundaries: BoundaryDef, cfg: SmoothingConfig
-) -> Heatmap:
-    """Rasterize boundary polylines into a soft edge map in [0, 1].
+) -> np.ndarray:
+    """Rasterize boundary polylines into a soft edge map [size, size] in [0, 1].
 
     Each pixel gets ``edge_heatmap`` of its distance to the nearest
     boundary segment.
@@ -145,7 +145,7 @@ def build_edge_heatmap(
     size = cfg.edge_map_size
     curves = [polyline_segments(landmarks.points[list(c)]) for c in boundaries.curves]
     segments = np.concatenate(curves) if curves else np.empty((0, 2, 2))
-    return Heatmap(edge_heatmap(segment_distance_field(segments, size, size), cfg.sigma_b))
+    return edge_heatmap(segment_distance_field(segments, size, size), cfg.sigma_b)
 
 
 def edge_heatmap(dist: np.ndarray, sigma_b: float) -> np.ndarray:
@@ -182,20 +182,19 @@ def _smooth3x3(arr: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,kl->ij", windows, _SMOOTH3)
 
 
-def refine_edge_heatmap(e: Heatmap, cfg: SmoothingConfig) -> Heatmap:
-    """Gaussian-blur then sharpen the raw edge map.
+def refine_edge_heatmap(e: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
+    """Gaussian-blur then sharpen the raw edge map [H, W].
 
     Sharpening blends a 3x3-smoothed copy with the blurred map at factor f:
     out = (1 - f) * smooth(x) + f * x, so f = 1 is the identity and f > 1
     amplifies detail.  The result is clamped back into [0, max(x)].
     """
-    blurred = e.values
     k = _gaussian_kernel_1d(cfg.blur_kernel, cfg.blur_sigma)
-    blurred = _convolve_replicate_1d(blurred, k, axis=1)
+    blurred = _convolve_replicate_1d(e, k, axis=1)
     blurred = _convolve_replicate_1d(blurred, k, axis=0)
     f = cfg.sharpness_factor
     sharp = (1.0 - f) * _smooth3x3(blurred) + f * blurred
-    return Heatmap(np.clip(sharp, 0.0, blurred.max()))
+    return np.clip(sharp, 0.0, blurred.max())
 
 
 def extract_patch(values: np.ndarray, center: GridCoord, half: int) -> np.ndarray:
@@ -217,23 +216,23 @@ def _normalize_max(arr: np.ndarray) -> np.ndarray:
 
 
 def joint_patch(
-    e_refined: Heatmap, y: tuple[float, float], cfg: SmoothingConfig
+    e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge patch, center bump, and their blend around landmark y.
+    """Edge patch, center bump, and their blend around landmark y on edge map [H, W].
 
     Returns (edge_patch, center_patch, blended), each (2k+1) x (2k+1) and
     the first two normalized to peak 1.  The blend is
     ``blend * edge_patch + center_patch``.
     """
-    if not (0 <= y[0] <= e_refined.width - 1 and 0 <= y[1] <= e_refined.height - 1):
+    height, width = e_refined.shape
+    if not (0 <= y[0] <= width - 1 and 0 <= y[1] <= height - 1):
         raise ValueError(
-            f"landmark ({y[0]:g}, {y[1]:g}) outside the "
-            f"{e_refined.width}x{e_refined.height} edge map"
+            f"landmark ({y[0]:g}, {y[1]:g}) outside the {width}x{height} edge map"
         )
     k = cfg.patch_half
     size = 2 * k + 1
     center_cell = GridCoord(int(np.rint(y[0])), int(np.rint(y[1])))
-    edge = _normalize_max(extract_patch(e_refined.values, center_cell, k))
+    edge = _normalize_max(extract_patch(e_refined, center_cell, k))
     # Bump evaluated in absolute coordinates so a fractional landmark stays centered.
     du = np.arange(size, dtype=np.float64) + (center_cell.u - k) - y[0]
     dv = np.arange(size, dtype=np.float64) + (center_cell.v - k) - y[1]
@@ -243,9 +242,9 @@ def joint_patch(
 
 
 def fit_gaussian_label(
-    e_refined: Heatmap, y: tuple[float, float], cfg: SmoothingConfig
+    e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
 ) -> GaussianLabel:
-    """Fit the directional smoothing Gaussian for landmark y.
+    """Fit the directional smoothing Gaussian for landmark y on edge map [H, W].
 
     The covariance is the weighted second moment of the blended patch about
     its own weighted mean, ridged by cov_reg and scaled by gamma; the label
@@ -275,8 +274,9 @@ def fit_gaussian_label(
 
 def sample_label(
     label: GaussianLabel, n: int, rng_seed: int, bounds: tuple[int, int]
-) -> list[GridCoord]:
-    """Draw n grid cells from the label's Gaussian, rounded and clamped in bounds.
+) -> np.ndarray:
+    """Draw n grid cells [n, 2] of (u, v) from the label's Gaussian, rounded
+    and clamped in bounds (width, height).
 
     Deterministic per seed: standard normals from a seeded generator are
     colored by the covariance's Cholesky factor.
@@ -291,13 +291,14 @@ def sample_label(
     rng = np.random.default_rng(rng_seed)
     z = rng.standard_normal((n, 2))
     pts = np.asarray(label.mean) + z @ chol.T
-    us = np.clip(np.rint(pts[:, 0]), 0, width - 1).astype(int)
-    vs = np.clip(np.rint(pts[:, 1]), 0, height - 1).astype(int)
-    return [GridCoord(int(u), int(v)) for u, v in zip(us, vs)]
+    return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
 
 
 def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
-    """Parse annotation lines ``id u1 v1 u2 v2 ...`` into landmark sets; ids are unique."""
+    """Parse annotation lines ``id u1 v1 u2 v2 ...`` into landmark sets.
+
+    Ids are unique and hold no ``/`` or ``,``.
+    """
     samples = []
     first_line = {}
     with open(path) as f:
@@ -315,6 +316,9 @@ def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate token") from err
             sid = tokens[0]
+            # Ids name output files and fill CSV cells.
+            if "/" in sid or "," in sid:
+                raise ValueError(f"{path}:{lineno}: sample id {sid!r} contains '/' or ','")
             if sid in first_line:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate sample id {sid!r}, "

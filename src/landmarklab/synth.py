@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import Heatmap, gaussian_bumps
+from landmarklab.heatmap import argmax, gaussian_bumps
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -42,6 +42,8 @@ OBJECTIVES = ("structured", "softargmax", "heatmap_mse")
 # any on-contour point keeps >= 0.9 of the peak brightness.
 RENDER_SIGMA = 1.6
 CONTOUR_POINTS = 128
+# Share of a dataset held out for evaluation when no eval set is given.
+EVAL_FRACTION = 0.2
 
 # Randomization ranges, as fractions of the image size.
 CENTER_RANGE = (0.40, 0.60)   # of width / height
@@ -142,8 +144,8 @@ class ConvergenceResult:
     speedup: float | None  # epochs_b / epochs_a; None when either never converged
 
 
-def _ellipse_contour(center, a, b, phi, n_points=CONTOUR_POINTS) -> np.ndarray:
-    t = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+def _ellipse_contour(center, a, b, phi) -> np.ndarray:
+    t = np.linspace(0.0, 2.0 * np.pi, CONTOUR_POINTS, endpoint=False)
     t = np.append(t, 0.0)  # close the loop
     x = a * np.cos(t)
     y = b * np.sin(t)
@@ -216,7 +218,7 @@ def generate_dataset(
 def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> list[GaussianLabel]:
     """Directional labels for one sample's points [N, 2], the edge map taken
     from its contour's distance field [H, W]."""
-    refined = refine_edge_heatmap(Heatmap(edge_heatmap(distance, cfg.sigma_b)), cfg)
+    refined = refine_edge_heatmap(edge_heatmap(distance, cfg.sigma_b), cfg)
     return [fit_gaussian_label(refined, (u, v), cfg) for u, v in points]
 
 
@@ -266,20 +268,14 @@ def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
 
 
 def _argmax_nme(scores: np.ndarray, data: SynthData) -> float:
-    """Mean per-sample NME of argmax inference from scores [B, N, H*W].
-
-    Ties go to the lowest row-major cell, as in ``heatmap.argmax``.
-    """
-    width = data.grid[0]
-    cells = scores.argmax(axis=-1)
-    coords = np.stack([cells % width, cells // width], axis=-1).astype(np.float64)
-    err = np.linalg.norm(coords - data.points, axis=-1)
+    """Mean per-sample NME of argmax inference from scores [B, N, H*W]."""
+    err = np.linalg.norm(argmax(scores, data.grid) - data.points, axis=-1)
     return float((err.mean(-1) / data.norm).mean())
 
 
-def split_dataset(dataset, eval_fraction: float = 0.2):
-    """Deterministic head/tail split into train and held-out parts."""
-    n_eval = max(1, int(round(len(dataset) * eval_fraction)))
+def split_dataset(dataset):
+    """Deterministic head/tail split: the tail EVAL_FRACTION is held out."""
+    n_eval = max(1, int(round(len(dataset) * EVAL_FRACTION)))
     if n_eval >= len(dataset):
         raise ValueError("dataset too small to split")
     return dataset[:-n_eval], dataset[-n_eval:]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import Heatmap, argmax, soft_argmax
+from landmarklab.heatmap import argmax, soft_argmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -95,24 +95,17 @@ class ToySnapshot:
     grad: np.ndarray
 
 
-@dataclass
-class ToyTrace:
-    snapshots: list
-
-
 def _evaluate(theta: np.ndarray, cfg: ToyConfig):
-    h = Heatmap(theta.reshape(1, -1))
+    grid = (cfg.length, 1)
     if cfg.objective == "structured":
-        value, grad = structured_batch(theta, (cfg.target, 0), (cfg.length, 1), cfg.structured)
+        value, grad = structured_batch(theta, (cfg.target, 0), grid, cfg.structured)
     else:
-        value, grad = soft_argmax_l2_batch(theta, (float(cfg.target), 0.0), (cfg.length, 1))
-    coord, _ = argmax(h)
-    su, _ = soft_argmax(h, 1.0)
-    return float(value), grad, coord.u, su
+        value, grad = soft_argmax_l2_batch(theta, (float(cfg.target), 0.0), grid)
+    return float(value), grad, int(argmax(theta, grid)[0]), float(soft_argmax(theta, grid)[0])
 
 
-def run_toy(cfg: ToyConfig) -> ToyTrace:
-    """Gradient-descend theta under the chosen objective, recording snapshots.
+def run_toy(cfg: ToyConfig) -> list[ToySnapshot]:
+    """Gradient-descend theta under the chosen objective; returns the snapshots.
 
     Snapshots are taken at step 0, every step listed in record_at, and the
     final step; loss and gradient in a snapshot describe the recorded
@@ -139,4 +132,4 @@ def run_toy(cfg: ToyConfig) -> ToyTrace:
             )
         if step < cfg.steps:
             theta = theta - cfg.learning_rate * grad
-    return ToyTrace(snapshots=snapshots)
+    return snapshots

@@ -11,14 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from landmarklab.heatmap import (
-    GridCoord,
-    Heatmap,
-    LandmarkSet,
-    argmax,
-    soft_argmax,
-    softmax_tempered,
-)
+from landmarklab.heatmap import GridCoord, LandmarkSet, argmax, soft_argmax, softmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -84,19 +77,20 @@ MARGIN_KINDS = [
 
 
 def test_criterion_1_soft_argmax_counterexample():
-    unimodal = Heatmap(np.log(np.maximum([0.0, 0.0, 1.0, 0.0, 0.0], 1e-300)).reshape(1, -1))
-    bimodal = Heatmap(np.log(np.maximum([0.4, 0.1, 0.0, 0.1, 0.4], 1e-300)).reshape(1, -1))
-    soft_argmax(unimodal, 1.0)  # warm-up outside the timed window
+    unimodal = np.log(np.maximum([0.0, 0.0, 1.0, 0.0, 0.0], 1e-300))
+    bimodal = np.log(np.maximum([0.4, 0.1, 0.0, 0.1, 0.4], 1e-300))
+    grid = (5, 1)
+    soft_argmax(unimodal, grid)  # warm-up outside the timed window
     with criterion(1, "soft-argmax counterexample", budget_seconds=300.0):
         t0 = time.perf_counter()
-        u1, _ = soft_argmax(unimodal, 1.0)
-        u2, _ = soft_argmax(bimodal, 1.0)
-        coord, tied = argmax(bimodal)
+        u1, _ = soft_argmax(unimodal, grid)
+        u2, _ = soft_argmax(bimodal, grid)
+        coord = argmax(bimodal, grid)
         compute = time.perf_counter() - t0
         assert abs(u1 - 2.0) < 1e-9
         assert abs(u2 - 2.0) < 1e-9
-        assert tied and coord == GridCoord(0, 0)
-        assert bimodal.values[0, 0] == bimodal.values[0, 4]  # argmax set is {0, 4}
+        assert tuple(coord) == (0, 0)
+        assert bimodal[0] == bimodal[4]  # argmax set is {0, 4}
         assert compute < 1e-3, f"counterexample took {compute * 1e3:.3f} ms"
 
 
@@ -160,7 +154,7 @@ def test_criterion_3_structured_loss_identities():
             assert abs(cold - hinge) < 1e-3
             eps = float(rng.uniform(0.2, 3.0))
             plain = StructuredLossConfig(epsilon=eps, margin=MarginSpec(kind=MarginKind.NONE))
-            ce = -eps * np.log(softmax_tempered(Heatmap(values), eps).values[y.v, y.u])
+            ce = -eps * np.log(softmax(values.ravel() / eps)[y.v * w + y.u])
             assert abs(structured_batch(values.ravel(), y, grid, plain)[0] - ce) <= 1e-10
 
 
@@ -176,16 +170,16 @@ def test_criterion_4_toy_dynamics_grid():
                     ToyConfig(objective="structured", learning_rate=lr,
                               init_values=tuple(init), record_at=every_step)
                 )
-                final = structured_trace.snapshots[-1]
+                final = structured_trace[-1]
                 assert final.step == 50
                 assert final.argmax_index == 5
                 assert final.theta[5] - np.delete(final.theta, 5).max() > 0.0
-                assert all(s.grad[5] <= 0.0 for s in structured_trace.snapshots)
+                assert all(s.grad[5] <= 0.0 for s in structured_trace)
                 soft_trace = run_toy(
                     ToyConfig(objective="softargmax", learning_rate=lr,
                               init_values=tuple(init), record_at=every_step)
                 )
-                soft_final = soft_trace.snapshots[-1]
+                soft_final = soft_trace[-1]
                 assert soft_final.loss < 1e-2
                 assert soft_final.argmax_index != 5
 
@@ -227,7 +221,7 @@ def test_criterion_6_label_smoothing():
     with criterion(6, "edge-aware label smoothing", budget_seconds=10.0):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            refined = Heatmap(rng.random((48, 48)))
+            refined = rng.random((48, 48))
             y = (float(rng.uniform(0, 47)), float(rng.uniform(0, 47)))
             label = fit_gaussian_label(refined, y, cfg)
             assert np.linalg.eigvalsh(label.cov).min() >= cfg.gamma * cfg.cov_reg
@@ -250,7 +244,7 @@ def test_criterion_6_label_smoothing():
             e = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, cfg), cfg)
             lab = fit_gaussian_label(e, (32.0, 32.0), cfg)
             cells = sample_label(lab, 10, 99, (64, 64))
-            runs.append((e.values.tobytes(), lab.cov.tobytes(), tuple(cells)))
+            runs.append((e.tobytes(), lab.cov.tobytes(), cells.tobytes()))
         assert runs[0] == runs[1]
 
 

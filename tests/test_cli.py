@@ -85,6 +85,8 @@ def assert_12g(cell):
     assert cell == format(float(cell), ".12g"), cell
 
 
+# Sample ids that would name files outside --out or split a CSV cell.
+UNSAFE_IDS = ("a/b", "../esc", "a,b")
 MARGINS = "('none', 'l1', 'l2', 'smooth_l1')"
 SYNTH_OBJECTIVES = "('structured', 'softargmax', 'heatmap_mse')"
 
@@ -390,6 +392,17 @@ class TestSmoothCommand:
         assert "'s0'" in err and ":3" in err and "line 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sid", UNSAFE_IDS)
+    def test_unsafe_sample_id_rejected(self, tmp_path, capsys, sid):
+        ann, bnd = self.setup_inputs(tmp_path)
+        write_annotations(ann, [("s0", "20 32 32 32 44 32"), (sid, "16 16 32 24 48 16")])
+        inputs = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "work" / "out"
+        assert main(["smooth", str(ann), str(bnd), "--out", str(out),
+                     "--dump-intermediates"]) == 2
+        assert f"ann.txt:2: sample id {sid!r} contains '/' or ','" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == inputs
+
     def test_shipped_sample_data(self, tmp_path):
         ann = os.path.join(SAMPLE_DATA, "annotations.txt")
         bnd = os.path.join(SAMPLE_DATA, "boundaries.txt")
@@ -450,6 +463,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "'a'" in err and "pred.txt:3" in err and "line 1" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("sid", UNSAFE_IDS)
+    def test_unsafe_sample_id_rejected(self, tmp_path, capsys, sid):
+        pred = tmp_path / "pred.txt"
+        gt = tmp_path / "gt.txt"
+        write_annotations(pred, [("a", "1 2"), (sid, "3 4")])
+        write_annotations(gt, [("a", "1 2"), (sid, "3 4")])
+        inputs = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "work" / "out"
+        assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
+        assert f"pred.txt:2: sample id {sid!r} contains '/' or ','" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == inputs
 
 
 class TestDeterminism:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+import landmarklab
 from landmarklab.heatmap import (
-    GridCoord,
-    Heatmap,
     LandmarkSet,
     argmax,
     gaussian_bumps,
     save_heatmap_pgm,
     soft_argmax,
-    softmax_tempered,
+    softmax,
 )
 
 # Score rows whose softmax reproduces the unimodal / bimodal probability
@@ -19,28 +18,14 @@ BIMODAL_P = [0.4, 0.1, 0.0, 0.1, 0.4]
 
 
 def scores_for_probs(probs):
-    return Heatmap(np.log(np.maximum(np.array(probs, dtype=float), 1e-300)).reshape(1, -1))
+    return np.log(np.maximum(np.array(probs, dtype=float), 1e-300))
 
 
-class TestHeatmapType:
-    def test_rejects_empty_and_non_2d(self):
-        with pytest.raises(ValueError):
-            Heatmap(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            Heatmap(np.zeros(5))
-
-    def test_rejects_non_finite(self):
-        bad = np.zeros((2, 2))
-        bad[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            Heatmap(bad)
-        bad[0, 1] = np.inf
-        with pytest.raises(ValueError):
-            Heatmap(bad)
-
-    def test_shape_accessors(self):
-        h = Heatmap(np.zeros((3, 7)))
-        assert h.width == 7 and h.height == 3
+def test_star_import_resolves_all_exports():
+    namespace = {}
+    exec("from landmarklab import *", namespace)
+    missing = [name for name in landmarklab.__all__ if name not in namespace]
+    assert not missing
 
 
 class TestLandmarkSet:
@@ -53,108 +38,102 @@ class TestLandmarkSet:
 
 class TestArgmax:
     def test_bimodal_ties_to_lowest_index(self):
-        coord, tied = argmax(Heatmap(np.array([[0.4, 0.1, 0.0, 0.1, 0.4]])))
-        assert coord == GridCoord(0, 0)
-        assert tied
+        assert tuple(argmax(np.array([0.4, 0.1, 0.0, 0.1, 0.4]), (5, 1))) == (0, 0)
 
     def test_all_zero_full_tie(self):
-        coord, tied = argmax(Heatmap(np.zeros((3, 3))))
-        assert coord == GridCoord(0, 0)
-        assert tied
+        assert tuple(argmax(np.zeros(9), (3, 3))) == (0, 0)
 
     def test_unique_maximum(self):
         values = np.zeros((3, 3))
         values[1, 2] = 7.0  # (u=2, v=1)
-        coord, tied = argmax(Heatmap(values))
-        assert coord == GridCoord(2, 1)
-        assert not tied
+        assert tuple(argmax(values.ravel(), (3, 3))) == (2, 1)
 
     def test_row_major_tie_break(self):
         values = np.zeros((2, 2))
         values[0, 1] = values[1, 0] = 5.0  # linear indices 1 and 2
-        coord, tied = argmax(Heatmap(values))
-        assert coord == GridCoord(1, 0)
-        assert tied
+        assert tuple(argmax(values.ravel(), (2, 2))) == (1, 0)
+
+    def test_row_major_tie_break_on_batch(self):
+        # Scores drawn from {0, 1, 2} tie in most rows.
+        rng = np.random.default_rng(23)
+        width, height = 4, 3
+        scores = rng.integers(0, 3, size=(6, 5, height * width)).astype(float)
+        cells = argmax(scores, (width, height))
+        assert cells.shape == (6, 5, 2)
+        for b, n in np.ndindex(6, 5):
+            k = np.flatnonzero(scores[b, n] == scores[b, n].max())[0]
+            assert tuple(cells[b, n]) == (k % width, k // width)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
-            values = rng.normal(size=(5, 4))
-            coord, _ = argmax(Heatmap(values))
+            values = rng.normal(size=20)
+            coord = argmax(values, (4, 5))
             for c in (-3.0, 0.25, 1e4):
-                shifted, _ = argmax(Heatmap(values + c))
-                assert shifted == coord
+                np.testing.assert_array_equal(argmax(values + c, (4, 5)), coord)
 
 
 class TestSoftmaxTempered:
+    # A temperature eps is the softmax of scores / eps.
     def test_uniform_input(self):
         for eps in (0.1, 1.0, 7.0):
-            p = softmax_tempered(Heatmap(np.full((1, 4), 3.3)), eps)
-            np.testing.assert_allclose(p.values, 0.25, rtol=0, atol=1e-15)
+            p = softmax(np.full(4, 3.3) / eps)
+            np.testing.assert_allclose(p, 0.25, rtol=0, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
-        h = rng.normal(size=(3, 5))
+        h = rng.normal(size=15)
         for c in (-100.0, 1e-3, 42.0):
-            a = softmax_tempered(Heatmap(h), 0.7).values
-            b = softmax_tempered(Heatmap(h + c), 0.7).values
+            a = softmax(h / 0.7)
+            b = softmax((h + c) / 0.7)
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_hand_value(self):
-        p = softmax_tempered(Heatmap(np.array([[np.log(3.0), 0.0]])), 1.0)
-        np.testing.assert_allclose(p.values, [[0.75, 0.25]], rtol=0, atol=1e-15)
+        p = softmax(np.array([np.log(3.0), 0.0]))
+        np.testing.assert_allclose(p, [0.75, 0.25], rtol=0, atol=1e-15)
 
     def test_is_distribution_random_shapes(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             w, h = rng.integers(1, 17, size=2)
             eps = float(rng.uniform(0.05, 5.0))
-            p = softmax_tempered(Heatmap(rng.normal(size=(h, w)) * 10), eps).values
+            p = softmax(rng.normal(size=h * w) * 10 / eps)
             assert (p >= 0).all()
             assert abs(p.sum() - 1.0) <= 1e-12
-
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(ValueError):
-            softmax_tempered(Heatmap(np.zeros((1, 2))), 0.0)
-        with pytest.raises(ValueError):
-            softmax_tempered(Heatmap(np.zeros((1, 2))), -1.0)
 
 
 class TestSoftArgmax:
     def test_unimodal_expectation(self):
-        u, v = soft_argmax(scores_for_probs(UNIMODAL_P), 1.0)
+        u, v = soft_argmax(scores_for_probs(UNIMODAL_P), (5, 1))
         assert abs(u - 2.0) < 1e-9
         assert v == 0.0
 
     def test_bimodal_expectation_matches_center(self):
         # 0*0.4 + 1*0.1 + 3*0.1 + 4*0.4 = 2, even though the argmax set is {0, 4}
         h = scores_for_probs(BIMODAL_P)
-        u, _ = soft_argmax(h, 1.0)
+        u, _ = soft_argmax(h, (5, 1))
         assert abs(u - 2.0) < 1e-9
-        coord, tied = argmax(h)
-        assert tied and coord.u == 0
-        assert h.values[0, 0] == h.values[0, 4]
+        assert tuple(argmax(h, (5, 1))) == (0, 0)
+        assert h[0] == h[4]
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
-        h = rng.normal(size=(4, 6))
+        h = rng.normal(size=24)
         for c in (-5.0, 0.123, 300.0):
-            a = soft_argmax(Heatmap(h), 1.0)
-            b = soft_argmax(Heatmap(h + c), 1.0)
+            a = soft_argmax(h, (6, 4))
+            b = soft_argmax(h + c, (6, 4))
             assert abs(a[0] - b[0]) < 1e-9 and abs(a[1] - b[1]) < 1e-9
 
     def test_small_temperature_approaches_argmax(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            values = rng.normal(size=(6, 6))
+            values = rng.normal(size=36)
             k = rng.integers(0, values.size)
-            flat = values.ravel()
-            flat[k] = flat.max() + 1.0  # unique max with gap >= 1
-            h = Heatmap(values)
-            coord, tied = argmax(h)
-            assert not tied
-            u, v = soft_argmax(h, 1e-3)
-            assert abs(u - coord.u) < 1e-2 and abs(v - coord.v) < 1e-2
+            values[k] = values.max() + 1.0  # unique max with gap >= 1
+            coord = argmax(values, (6, 6))
+            assert (values == values.max()).sum() == 1
+            u, v = soft_argmax(values / 1e-3, (6, 6))
+            assert abs(u - coord[0]) < 1e-2 and abs(v - coord[1]) < 1e-2
 
 
 class TestGaussianTarget:
@@ -174,7 +153,7 @@ class TestGaussianTarget:
 
 class TestSerialization:
     def test_pgm_bytes(self, tmp_path):
-        h = Heatmap(np.array([[0.0, 1.0], [0.5, 0.25]]))
+        h = np.array([[0.0, 1.0], [0.5, 0.25]])
         path = tmp_path / "map.pgm"
         save_heatmap_pgm(h, path)
         data = path.read_bytes()
@@ -183,5 +162,5 @@ class TestSerialization:
 
     def test_pgm_constant_map(self, tmp_path):
         path = tmp_path / "flat.pgm"
-        save_heatmap_pgm(Heatmap(np.full((2, 3), 4.2)), path)
+        save_heatmap_pgm(np.full((2, 3), 4.2), path)
         assert path.read_bytes()[-6:] == bytes(6)

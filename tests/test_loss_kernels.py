@@ -1,10 +1,11 @@
-"""Property tests for the array-level loss kernels over score rows [..., H*W]."""
+"""Property tests for the array-level loss kernels and readouts over score rows [..., H*W]."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from landmarklab.heatmap import argmax, soft_argmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -107,11 +108,15 @@ def test_softmax_objectives_are_shift_invariant(p, shift):
         np.testing.assert_allclose(shifted_grad, grad, rtol=1e-9, atol=1e-9, err_msg=name)
 
 
+READOUTS = {"soft_argmax": soft_argmax, "argmax": argmax}
+
+
 @PROPERTY
 @given(problems())
 def test_batch_equals_single_heatmap_calls_bit_for_bit(p):
     # The toy scores one row and ``train`` a batch: both must see the same bits.
     results = {name: fn(p["scores"]) for name, fn in kernels(p).items()}
+    coords = {name: fn(p["scores"], p["grid"]) for name, fn in READOUTS.items()}
     for b, n in np.ndindex(p["scores"].shape[:-1]):
         row = {key: p[key][b, n] for key in ("scores", "cells", "points", "maps", "draws")}
         for name, fn in kernels({**p, **row}).items():
@@ -119,6 +124,10 @@ def test_batch_equals_single_heatmap_calls_bit_for_bit(p):
             value, grad = results[name]
             assert single_value == value[b, n], name
             np.testing.assert_array_equal(single_grad, grad[b, n], err_msg=name)
+        for name, fn in READOUTS.items():
+            single = fn(row["scores"], p["grid"])
+            assert single.dtype == coords[name].dtype, name
+            assert single.tobytes() == coords[name][b, n].tobytes(), name
 
 
 @PROPERTY

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from landmarklab.heatmap import GridCoord, Heatmap, argmax
+from landmarklab.heatmap import GridCoord, argmax, softmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -175,15 +175,13 @@ class TestStructuredLoss:
             assert mix <= bound + 1e-9
 
     def test_no_margin_reduces_to_tempered_cross_entropy(self):
-        from landmarklab.heatmap import softmax_tempered
-
         rng = np.random.default_rng(6)
         for eps in (0.25, 1.0, 3.0):
             values = rng.normal(size=(4, 4))
             y = GridCoord(1, 2)
             cfg = StructuredLossConfig(epsilon=eps, margin=NONE_SPEC)
             value, _ = structured_batch(values.ravel(), y, (4, 4), cfg)
-            ce = -eps * np.log(softmax_tempered(Heatmap(values), eps).values[2, 1])
+            ce = -eps * np.log(softmax(values.ravel() / eps)[2 * 4 + 1])
             assert abs(value - ce) < 1e-10
 
     def test_small_temperature_hinge_limit(self):
@@ -221,14 +219,13 @@ class TestSoftArgmaxL2Loss:
     def test_bimodal_zero_loss_wrong_argmax(self):
         # Balanced two-peak scores: zero coordinate loss, argmax far off.
         probs = np.array([0.4, 0.1, 1e-300, 0.1, 0.4])
-        h = Heatmap(np.log(probs).reshape(1, -1))
-        value, _ = soft_argmax_l2_batch(h.values.ravel(), (2.0, 0.0), (5, 1))
+        h = np.log(probs)
+        value, _ = soft_argmax_l2_batch(h, (2.0, 0.0), (5, 1))
         assert value < 1e-18
-        coord, tied = argmax(h)
-        assert tied and coord.u == 0
+        assert tuple(argmax(h, (5, 1))) == (0, 0)
         # The structured objective still penalizes this heatmap.
         cfg = StructuredLossConfig(margin=RAW_L1)
-        structured_value, _ = structured_batch(h.values.ravel(), (2, 0), (5, 1), cfg)
+        structured_value, _ = structured_batch(h, (2, 0), (5, 1), cfg)
         assert structured_value > 0.5
 
     def test_concentrated_mass_zero_loss_and_grad(self):

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from landmarklab.cli import main
-from landmarklab.heatmap import GridCoord, Heatmap, LandmarkSet
+from landmarklab.heatmap import GridCoord, LandmarkSet
 from landmarklab.smoothing import (
     BoundaryDef,
     GaussianLabel,
@@ -49,20 +49,20 @@ class TestEdgeHeatmap:
     def test_on_segment_pixels_are_one(self):
         landmarks, boundaries = horizontal_setup()
         e = build_edge_heatmap(landmarks, boundaries, CFG)
-        assert np.all(e.values[32, 2:62] == 1.0)
+        assert np.all(e[32, 2:62] == 1.0)
 
     def test_cutoff_beyond_three_sigma(self):
         landmarks, boundaries = horizontal_setup()
         e = build_edge_heatmap(landmarks, boundaries, CFG)
         offset = int(np.ceil(3 * CFG.sigma_b)) + 1  # 5.5 px -> row 32 +- 6
-        assert np.all(e.values[32 + offset, :] == 0.0)
-        assert np.all(e.values[32 - offset, :] == 0.0)
+        assert np.all(e[32 + offset, :] == 0.0)
+        assert np.all(e[32 - offset, :] == 0.0)
 
     def test_falloff_value_one_pixel_away(self):
         landmarks, boundaries = horizontal_setup()
         e = build_edge_heatmap(landmarks, boundaries, CFG)
         expected = np.exp(-1.0 / (2.0 * 1.5**2))
-        np.testing.assert_allclose(e.values[33, 30], expected, rtol=1e-12)
+        np.testing.assert_allclose(e[33, 30], expected, rtol=1e-12)
         assert abs(expected - 0.8007) < 1e-4
 
     def test_rejects_empty_boundaries(self):
@@ -126,7 +126,7 @@ class TestSegmentDistanceField:
             pts = landmarks.points[list(curve)]
             segments.extend(zip(pts[:-1], pts[1:]))
         expected = edge_heatmap(reference_distance_field(segments, 32, 32), cfg.sigma_b)
-        np.testing.assert_allclose(build_edge_heatmap(landmarks, boundaries, cfg).values,
+        np.testing.assert_allclose(build_edge_heatmap(landmarks, boundaries, cfg),
                                    expected, rtol=0, atol=1e-12)
 
     def test_rejects_empty_or_misshapen_segments(self):
@@ -151,54 +151,54 @@ class TestSegmentDistanceField:
 
 class TestRefineEdgeHeatmap:
     def test_constant_map_fixed_point(self):
-        e = Heatmap(np.full((16, 16), 0.37))
+        e = np.full((16, 16), 0.37)
         out = refine_edge_heatmap(e, CFG)
-        np.testing.assert_allclose(out.values, 0.37, atol=1e-12)
+        np.testing.assert_allclose(out, 0.37, atol=1e-12)
 
     def test_factor_one_is_blur_only(self):
         rng = np.random.default_rng(1)
         e = rng.random((20, 20))
         cfg = SmoothingConfig(sharpness_factor=1.0)
-        out = refine_edge_heatmap(Heatmap(e), cfg)
+        out = refine_edge_heatmap(e, cfg)
         # Independent blur oracle; radius 4 at sigma 1.7 needs this truncate.
         blurred = ndimage.gaussian_filter(
             e, sigma=cfg.blur_sigma, mode="nearest", truncate=4.0 / cfg.blur_sigma
         )
-        np.testing.assert_allclose(out.values, np.clip(blurred, 0, blurred.max()),
+        np.testing.assert_allclose(out, np.clip(blurred, 0, blurred.max()),
                                    atol=1e-12)
 
     def test_impulse_blur_center_weight(self):
         e = np.zeros((9, 9))
         e[4, 4] = 1.0
         cfg = SmoothingConfig(sharpness_factor=1.0)
-        out = refine_edge_heatmap(Heatmap(e), cfg)
+        out = refine_edge_heatmap(e, cfg)
         k = np.exp(-((np.arange(9) - 4.0) ** 2) / (2 * cfg.blur_sigma**2))
         k /= k.sum()
-        np.testing.assert_allclose(out.values[4, 4], k[4] ** 2, rtol=1e-12)
+        np.testing.assert_allclose(out[4, 4], k[4] ** 2, rtol=1e-12)
         # Full map equals the direct outer-product convolution.
-        np.testing.assert_allclose(out.values, np.outer(k, k), atol=1e-12)
+        np.testing.assert_allclose(out, np.outer(k, k), atol=1e-12)
 
     def test_sharpening_amplifies_contrast(self):
         e = np.zeros((15, 15))
         e[7, :] = 1.0
-        out = refine_edge_heatmap(Heatmap(e), CFG)
-        blur_only = refine_edge_heatmap(Heatmap(e), SmoothingConfig(sharpness_factor=1.0))
+        out = refine_edge_heatmap(e, CFG)
+        blur_only = refine_edge_heatmap(e, SmoothingConfig(sharpness_factor=1.0))
         # Ridge flanks get pushed down, and the crest cannot exceed the clamp.
-        assert out.values[5, 7] < blur_only.values[5, 7]
-        assert out.values[7, 7] <= blur_only.values.max()
-        crest_contrast = out.values[7, 7] - out.values[5, 7]
-        assert crest_contrast > blur_only.values[7, 7] - blur_only.values[5, 7]
+        assert out[5, 7] < blur_only[5, 7]
+        assert out[7, 7] <= blur_only.max()
+        crest_contrast = out[7, 7] - out[5, 7]
+        assert crest_contrast > blur_only[7, 7] - blur_only[5, 7]
 
     def test_output_clamped(self):
         rng = np.random.default_rng(2)
         e = rng.random((12, 12))
-        out = refine_edge_heatmap(Heatmap(e), CFG)
-        assert out.values.min() >= 0.0
+        out = refine_edge_heatmap(e, CFG)
+        assert out.min() >= 0.0
 
 
 class TestFitGaussianLabel:
     def test_isotropic_without_edge_content(self):
-        refined = Heatmap(np.zeros((33, 33)))
+        refined = np.zeros((33, 33))
         cfg = SmoothingConfig(blend=0.0)
         label = fit_gaussian_label(refined, (16.0, 16.0), cfg)
         assert abs(label.cov[0, 1]) < 1e-12
@@ -233,7 +233,7 @@ class TestFitGaussianLabel:
     def test_spd_floor(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            refined = Heatmap(rng.random((40, 40)))
+            refined = rng.random((40, 40))
             y = (float(rng.uniform(0, 39)), float(rng.uniform(0, 39)))
             label = fit_gaussian_label(refined, y, CFG)
             assert np.linalg.eigvalsh(label.cov).min() >= CFG.gamma * CFG.cov_reg
@@ -247,8 +247,8 @@ class TestFitGaussianLabel:
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
         y = (32.0, 32.0)
         base = fit_gaussian_label(refined, y, CFG)
-        size = refined.width
-        rotated = Heatmap(np.rot90(refined.values).copy())
+        size = refined.shape[1]
+        rotated = np.rot90(refined)
         # rot90 maps (u, v) -> (v, size-1-u), so the landmark lands on (32, 31).
         rot_label = fit_gaussian_label(rotated, (y[1], size - 1 - y[0]), CFG)
         np.testing.assert_allclose(rot_label.cov[0, 0], base.cov[1, 1], rtol=1e-9)
@@ -271,7 +271,7 @@ class TestFitGaussianLabel:
         assert patch[2, 2] == values[1, 1]
 
     def test_joint_patch_components(self):
-        refined = Heatmap(np.zeros((33, 33)))
+        refined = np.zeros((33, 33))
         edge, bump, blended = joint_patch(refined, (16.0, 16.0), CFG)
         k = CFG.patch_half
         assert edge.shape == bump.shape == blended.shape == (2 * k + 1, 2 * k + 1)
@@ -283,15 +283,16 @@ class TestSampleLabel:
     def test_degenerate_covariance(self):
         label = GaussianLabel(mean=(3.4, 6.6), cov=1e-12 * np.eye(2))
         cells = sample_label(label, 50, 0, (10, 10))
-        assert all(c == GridCoord(3, 7) for c in cells)
+        np.testing.assert_array_equal(cells, np.tile([3, 7], (50, 1)))
 
     def test_seed_determinism(self):
         label = GaussianLabel(mean=(5.0, 5.0), cov=np.array([[2.0, 0.5], [0.5, 1.0]]))
         a = sample_label(label, 100, 42, (11, 11))
         b = sample_label(label, 100, 42, (11, 11))
-        assert a == b
+        assert a.shape == (100, 2)
+        assert a.tobytes() == b.tobytes()
         c = sample_label(label, 100, 43, (11, 11))
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_sample_variance_matches_covariance(self):
         label = GaussianLabel(mean=(100.0, 100.0), cov=np.diag([4.0, 1.0]))
@@ -321,7 +322,7 @@ class TestPipelineDeterminism:
             refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
             label = fit_gaussian_label(refined, (31.0, 32.0), CFG)
             cells = sample_label(label, 10, 1234, (64, 64))
-            outs.append((refined.values.tobytes(), label.cov.tobytes(), tuple(cells)))
+            outs.append((refined.tobytes(), label.cov.tobytes(), cells.tobytes()))
         assert outs[0] == outs[1]
 
 

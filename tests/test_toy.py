@@ -37,16 +37,16 @@ class TestToyConfig:
 
 class TestStructuredDynamics:
     def test_sign_pattern_every_step(self):
-        trace = run_toy(ToyConfig(objective="structured", record_at=ALL_STEPS))
-        for snap in trace.snapshots:
+        snapshots = run_toy(ToyConfig(objective="structured", record_at=ALL_STEPS))
+        for snap in snapshots:
             assert snap.grad[5] < 0.0
             others = np.delete(snap.grad, 5)
             assert (others > 0.0).all()
             assert abs(snap.grad.sum()) < 1e-10
 
     def test_recovers_target_with_gap(self):
-        trace = run_toy(ToyConfig(objective="structured"))
-        final = trace.snapshots[-1]
+        snapshots = run_toy(ToyConfig(objective="structured"))
+        final = snapshots[-1]
         assert final.step == 50
         assert final.argmax_index == 5
         gap = final.theta[5] - np.delete(final.theta, 5).max()
@@ -54,27 +54,27 @@ class TestStructuredDynamics:
 
     def test_loss_monotone_for_small_steps(self):
         for lr in (0.05, 0.1, 0.3, 0.5):
-            trace = run_toy(
+            snapshots = run_toy(
                 ToyConfig(objective="structured", learning_rate=lr, record_at=ALL_STEPS)
             )
-            losses = [s.loss for s in trace.snapshots]
+            losses = [s.loss for s in snapshots]
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_snapshot_selection(self):
-        trace = run_toy(ToyConfig(objective="structured"))
-        assert [s.step for s in trace.snapshots] == [0, 10, 20, 50]
+        snapshots = run_toy(ToyConfig(objective="structured"))
+        assert [s.step for s in snapshots] == [0, 10, 20, 50]
 
 
 class TestSoftArgmaxDynamics:
     def test_converged_loss_wrong_argmax(self):
-        trace = run_toy(ToyConfig(objective="softargmax"))
-        final = trace.snapshots[-1]
+        snapshots = run_toy(ToyConfig(objective="softargmax"))
+        final = snapshots[-1]
         assert final.loss < 1e-2
         assert final.argmax_index != 5
 
     def test_soft_estimate_approaches_target(self):
-        trace = run_toy(ToyConfig(objective="softargmax", record_at=ALL_STEPS))
-        dist = [abs(s.soft_argmax_value - 5.0) for s in trace.snapshots]
+        snapshots = run_toy(ToyConfig(objective="softargmax", record_at=ALL_STEPS))
+        dist = [abs(s.soft_argmax_value - 5.0) for s in snapshots]
         assert all(b <= a + 1e-12 for a, b in zip(dist[1:], dist[2:]))
         assert dist[-1] < dist[1]
 
@@ -84,7 +84,7 @@ class TestDeterminism:
         cfg = ToyConfig(objective="structured", record_at=ALL_STEPS)
         t1 = run_toy(cfg)
         t2 = run_toy(cfg)
-        for a, b in zip(t1.snapshots, t2.snapshots):
+        for a, b in zip(t1, t2):
             assert a.theta.tobytes() == b.theta.tobytes()
             assert a.grad.tobytes() == b.grad.tobytes()
             assert a.loss == b.loss
@@ -94,14 +94,14 @@ class TestTraceExport:
     """The trace and summary CSVs that the toy command writes."""
 
     def test_trace_csv(self, tmp_path):
-        trace = run_toy(ToyConfig(objective="structured"))
+        snapshots = run_toy(ToyConfig(objective="structured"))
         assert main(["toy", "--objective", "structured", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "toy_trace.csv").read_text().splitlines()
         assert lines[0] == "step,k,theta_k,grad_k"
-        assert len(lines) == 1 + len(trace.snapshots) * 11
+        assert len(lines) == 1 + len(snapshots) * 11
         # One row per (snapshot, cell), snapshots in step order.
         keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
-        assert keys == [(str(snap.step), str(k)) for snap in trace.snapshots for k in range(11)]
+        assert keys == [(str(snap.step), str(k)) for snap in snapshots for k in range(11)]
 
     def test_summary_csv_mismatch_flag(self, tmp_path):
         assert main(["toy", "--objective", "softargmax", "--out", str(tmp_path)]) == 0
