@@ -7,13 +7,7 @@ pipeline, standard localization metrics, and two synthetic experiments
 that exercise the whole stack with analytic gradients.
 """
 
-from landmarklab.heatmap import (
-    GridCoord,
-    LandmarkSet,
-    argmax,
-    soft_argmax,
-    softmax,
-)
+from landmarklab.heatmap import argmax, soft_argmax, softmax
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
 from landmarklab.smoothing import (
     BoundaryDef,
@@ -28,8 +22,6 @@ from landmarklab.smoothing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridCoord",
-    "LandmarkSet",
     "argmax",
     "soft_argmax",
     "softmax",

@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from landmarklab.heatmap import GridCoord, save_heatmap_pgm
+from landmarklab.heatmap import save_heatmap_pgm
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
 from landmarklab.metrics import EvalConfig, evaluate, nme
 from landmarklab.seeding import derive_seed
@@ -297,20 +297,20 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     return 0
 
 
-def _dump_label_pgms(out, sample_id, n, refined, y, label, scfg) -> list:
+def _dump_label_pgms(out, sample_id, n, refined, y, label, scfg) -> None:
     """Per-landmark PGMs of every smoothing stage, cropped around the landmark."""
     k = scfg.patch_half
-    center = GridCoord(int(np.rint(y[0])), int(np.rint(y[1])))
+    cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
     edge_patch, bump, blended = joint_patch(refined, y, scfg)
     # Density of the fitted Gaussian on the same patch, peak-normalized.
     size = 2 * k + 1
-    uu = np.arange(size, dtype=np.float64)[None, :] + center.u - k - label.mean[0]
-    vv = np.arange(size, dtype=np.float64)[:, None] + center.v - k - label.mean[1]
+    uu = np.arange(size, dtype=np.float64)[None, :] + cu - k - label.mean[0]
+    vv = np.arange(size, dtype=np.float64)[:, None] + cv - k - label.mean[1]
     inv = np.linalg.inv(label.cov)
     quad = inv[0, 0] * uu**2 + 2.0 * inv[0, 1] * uu * vv + inv[1, 1] * vv**2
     fitted = np.exp(-0.5 * quad)
     fitted /= fitted.max()
-    raw_patch = extract_patch(refined, center, k)
+    raw_patch = extract_patch(refined, (cu, cv), k)
     panels = {
         "edge_raw_patch": raw_patch,
         "edge_refined_patch": edge_patch,
@@ -318,12 +318,8 @@ def _dump_label_pgms(out, sample_id, n, refined, y, label, scfg) -> list:
         "joint": blended,
         "fitted": fitted,
     }
-    paths = []
     for name, arr in panels.items():
-        path = os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm")
-        save_heatmap_pgm(arr, path)
-        paths.append(path)
-    return paths
+        save_heatmap_pgm(arr, os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm"))
 
 
 def cmd_smooth(annotations_path, boundaries_path, config_path, out,
@@ -344,24 +340,21 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
     # Every label is fitted before the first file is written, so a sample
     # that fails leaves no output behind.
     fits = []
-    for sample_id, landmarks in samples:
+    for sample_id, points in samples:
         try:
-            raw = build_edge_heatmap(landmarks, boundaries, scfg)
+            raw = build_edge_heatmap(points, boundaries, scfg)
             refined = refine_edge_heatmap(raw, scfg)
-            labels = [
-                fit_gaussian_label(refined, (u, v), scfg)
-                for u, v in landmarks.points
-            ]
+            labels = [fit_gaussian_label(refined, (u, v), scfg) for u, v in points]
         except ValueError as err:
             raise CliError(f"sample {sample_id}: {err}") from err
-        fits.append((sample_id, landmarks, labels, (raw, refined) if dump_intermediates else None))
+        fits.append((sample_id, points, labels, (raw, refined) if dump_intermediates else None))
     out = _ensure_outdir(out)
-    for sample_id, landmarks, labels, maps in fits:
+    for sample_id, points, labels, maps in fits:
         if maps is not None:
             raw, refined = maps
             save_heatmap_pgm(raw, os.path.join(out, f"{sample_id}_edge_raw.pgm"))
             save_heatmap_pgm(refined, os.path.join(out, f"{sample_id}_edge_refined.pgm"))
-            for n, ((u, v), label) in enumerate(zip(landmarks.points, labels)):
+            for n, ((u, v), label) in enumerate(zip(points, labels)):
                 _dump_label_pgms(out, sample_id, n, refined, (u, v), label, scfg)
     rows = [
         (sample_id, n, *label.mean, label.cov[0, 0], label.cov[0, 1], label.cov[1, 1])

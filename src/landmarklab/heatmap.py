@@ -1,4 +1,4 @@
-"""Score grids, landmark coordinates, and the inference operators on them.
+"""Score grids and the inference operators on them.
 
 A heatmap is a plain float array of shape ``(height, width)``, one per
 landmark.  Coordinates are ``(u, v)`` pairs with ``u`` the column index and
@@ -12,35 +12,7 @@ All operations here are pure functions; treat their inputs as read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
-
-
-class GridCoord(NamedTuple):
-    """Integer pixel location on a heatmap grid."""
-
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class LandmarkSet:
-    """Ordered continuous 2-D landmark coordinates, shape (N, 2) with columns (u, v)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError(f"landmarks must have shape (N, 2) with N >= 1, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("landmark coordinates must be finite")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def coordinate_grids(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import LandmarkSet
-
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -36,14 +34,18 @@ class EvalReport:
     ced_points: list  # (threshold, fraction) pairs, fraction nondecreasing
 
 
-def nme(pred: LandmarkSet, gt: LandmarkSet, d: float) -> float:
-    """Mean Euclidean landmark error divided by the normalizing distance d."""
-    if len(pred) != len(gt):
-        raise ValueError(f"landmark count mismatch: {len(pred)} vs {len(gt)}")
-    if d <= 0:
+def nme(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
+    """Mean Euclidean landmark error divided by the normalizing distance.
+
+    ``pred`` and ``gt`` hold points [..., N, 2] and ``d`` the distances
+    [...]; the result is one NME per landmark set, shape [...].
+    """
+    if pred.shape != gt.shape:
+        raise ValueError(f"landmark count mismatch: {pred.shape[-2]} vs {gt.shape[-2]}")
+    if not np.all(d > 0):
         raise ValueError(f"normalizing distance must be positive, got {d}")
-    err = np.linalg.norm(pred.points - gt.points, axis=1)
-    return float(err.mean() / d)
+    err = np.linalg.norm(pred - gt, axis=-1)
+    return err.mean(-1) / d
 
 
 def failure_rate(nmes, threshold: float) -> float:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from landmarklab.heatmap import GridCoord, LandmarkSet
-
 
 @dataclass(frozen=True)
 class BoundaryDef:
@@ -31,8 +29,8 @@ class BoundaryDef:
                 raise ValueError(f"boundary curve needs >= 2 points, got {c}")
         object.__setattr__(self, "curves", curves)
 
-    def validate_for(self, landmarks: LandmarkSet) -> None:
-        n = len(landmarks)
+    def validate_for(self, points: np.ndarray) -> None:
+        n = len(points)
         for c in self.curves:
             for i in c:
                 if not 0 <= i < n:
@@ -134,16 +132,17 @@ def polyline_segments(vertices: np.ndarray) -> np.ndarray:
 
 
 def build_edge_heatmap(
-    landmarks: LandmarkSet, boundaries: BoundaryDef, cfg: SmoothingConfig
+    points: np.ndarray, boundaries: BoundaryDef, cfg: SmoothingConfig
 ) -> np.ndarray:
-    """Rasterize boundary polylines into a soft edge map [size, size] in [0, 1].
+    """Rasterize the boundary polylines through points [N, 2] into a soft
+    edge map [size, size] in [0, 1].
 
     Each pixel gets ``edge_heatmap`` of its distance to the nearest
     boundary segment.
     """
-    boundaries.validate_for(landmarks)
+    boundaries.validate_for(points)
     size = cfg.edge_map_size
-    curves = [polyline_segments(landmarks.points[list(c)]) for c in boundaries.curves]
+    curves = [polyline_segments(points[list(c)]) for c in boundaries.curves]
     segments = np.concatenate(curves) if curves else np.empty((0, 2, 2))
     return edge_heatmap(segment_distance_field(segments, size, size), cfg.sigma_b)
 
@@ -197,12 +196,12 @@ def refine_edge_heatmap(e: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
     return np.clip(sharp, 0.0, blurred.max())
 
 
-def extract_patch(values: np.ndarray, center: GridCoord, half: int) -> np.ndarray:
-    """(2*half+1)^2 patch around a cell, zero-padded where it leaves the grid."""
+def extract_patch(values: np.ndarray, center: tuple[int, int], half: int) -> np.ndarray:
+    """(2*half+1)^2 patch around cell (u, v), zero-padded where it leaves the grid."""
     size = 2 * half + 1
     patch = np.zeros((size, size), dtype=np.float64)
     h, w = values.shape
-    u0, v0 = center.u - half, center.v - half
+    u0, v0 = center[0] - half, center[1] - half
     su0, sv0 = max(u0, 0), max(v0, 0)
     su1, sv1 = min(u0 + size, w), min(v0 + size, h)
     if su0 < su1 and sv0 < sv1:
@@ -231,11 +230,11 @@ def joint_patch(
         )
     k = cfg.patch_half
     size = 2 * k + 1
-    center_cell = GridCoord(int(np.rint(y[0])), int(np.rint(y[1])))
-    edge = _normalize_max(extract_patch(e_refined, center_cell, k))
+    cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
+    edge = _normalize_max(extract_patch(e_refined, (cu, cv), k))
     # Bump evaluated in absolute coordinates so a fractional landmark stays centered.
-    du = np.arange(size, dtype=np.float64) + (center_cell.u - k) - y[0]
-    dv = np.arange(size, dtype=np.float64) + (center_cell.v - k) - y[1]
+    du = np.arange(size, dtype=np.float64) + (cu - k) - y[0]
+    dv = np.arange(size, dtype=np.float64) + (cv - k) - y[1]
     bump = np.exp(-(du[None, :] ** 2 + dv[:, None] ** 2) / (2.0 * cfg.center_sigma**2))
     bump = _normalize_max(bump)
     return edge, bump, cfg.blend * edge + bump
@@ -294,8 +293,8 @@ def sample_label(
     return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
 
 
-def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
-    """Parse annotation lines ``id u1 v1 u2 v2 ...`` into landmark sets.
+def read_annotations(path) -> list[tuple[str, np.ndarray]]:
+    """Parse annotation lines ``id u1 v1 u2 v2 ...`` into (id, points [N, 2]) pairs.
 
     Ids are unique and hold no ``/`` or ``,``.
     """
@@ -325,11 +324,10 @@ def read_annotations(path) -> list[tuple[str, LandmarkSet]]:
                     f"first given on line {first_line[sid]}"
                 )
             first_line[sid] = lineno
-            try:
-                landmarks = LandmarkSet(np.array(coords, dtype=np.float64).reshape(-1, 2))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
-            samples.append((sid, landmarks))
+            points = np.array(coords, dtype=np.float64).reshape(-1, 2)
+            if not np.all(np.isfinite(points)):
+                raise ValueError(f"{path}:{lineno}: landmark coordinates must be finite")
+            samples.append((sid, points))
     if not samples:
         raise ValueError(f"{path}: no annotation lines found")
     return samples

@@ -24,6 +24,7 @@ from landmarklab.losses import (
     soft_argmax_l2_batch,
     structured_batch,
 )
+from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     GaussianLabel,
@@ -56,10 +57,12 @@ ROTATION_RANGE = (-0.26, 0.26)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when an objective's training loss turns non-finite."""
+    """Raised when an objective's training turns non-finite or overflows."""
 
     def __init__(self, objective: str, epoch: int):
-        super().__init__(f"{objective} diverged: non-finite loss at epoch {epoch}")
+        super().__init__(
+            f"{objective} diverged: non-finite or overflowing values at epoch {epoch}"
+        )
         self.epoch = epoch
 
 
@@ -269,8 +272,7 @@ def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
 
 def _argmax_nme(scores: np.ndarray, data: SynthData) -> float:
     """Mean per-sample NME of argmax inference from scores [B, N, H*W]."""
-    err = np.linalg.norm(argmax(scores, data.grid) - data.points, axis=-1)
-    return float((err.mean(-1) / data.norm).mean())
+    return float(nme(argmax(scores, data.grid), data.points, data.norm).mean())
 
 
 def split_dataset(dataset):
@@ -300,7 +302,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
     the heatmap size H*W (S = 400 against H*W = 1024 on the default bench).
 
     History records the held-out argmax-inference NME after each epoch.
-    Raises TrainingDiverged on a non-finite loss.
+    Raises TrainingDiverged on a non-finite loss or a floating-point
+    overflow or invalid operation.
     """
     if eval_dataset is None:
         dataset, eval_dataset = split_dataset(dataset)
@@ -315,31 +318,35 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     history = []
     n = len(dataset)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            scores = (gram[idx] @ coef).reshape(len(idx), n_landmarks, -1)
-            if not np.isfinite(scores).all():
-                raise TrainingDiverged(cfg.objective, epoch)
-            losses, grads = _batch_loss(scores, targets, idx, grid, cfg, epoch)
-            for loss in losses:  # sample by sample: this order fixes the output bits
-                epoch_loss += loss
-            if cfg.weight_decay > 0:
-                coef *= shrink
-            coef[idx] -= cfg.learning_rate / len(idx) * grads.reshape(len(idx), -1)
-        train_loss = epoch_loss / n
-        if not np.isfinite(train_loss):
-            raise TrainingDiverged(cfg.objective, epoch)
-        eval_scores = (eval_gram @ coef).reshape(len(eval_feats), n_landmarks, -1)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=float(train_loss),
-                eval_nme=_argmax_nme(eval_scores, eval_dataset),
-            )
-        )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(1, cfg.epochs + 1):
+                order = rng.permutation(n)
+                epoch_loss = 0.0
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    scores = (gram[idx] @ coef).reshape(len(idx), n_landmarks, -1)
+                    if not np.isfinite(scores).all():
+                        raise TrainingDiverged(cfg.objective, epoch)
+                    losses, grads = _batch_loss(scores, targets, idx, grid, cfg, epoch)
+                    for loss in losses:  # sample by sample: this order fixes the output bits
+                        epoch_loss += loss
+                    if cfg.weight_decay > 0:
+                        coef *= shrink
+                    coef[idx] -= cfg.learning_rate / len(idx) * grads.reshape(len(idx), -1)
+                train_loss = epoch_loss / n
+                if not np.isfinite(train_loss):
+                    raise TrainingDiverged(cfg.objective, epoch)
+                eval_scores = (eval_gram @ coef).reshape(len(eval_feats), n_landmarks, -1)
+                history.append(
+                    EpochStats(
+                        epoch=epoch,
+                        train_loss=float(train_loss),
+                        eval_nme=_argmax_nme(eval_scores, eval_dataset),
+                    )
+                )
+    except FloatingPointError as err:
+        raise TrainingDiverged(cfg.objective, epoch) from err
     return history
 
 

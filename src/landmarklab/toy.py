@@ -44,7 +44,7 @@ def default_init(length: int = 11) -> np.ndarray:
 
 
 class ToyDiverged(RuntimeError):
-    """Raised when gradient descent drives theta non-finite."""
+    """Raised when gradient descent drives theta non-finite or overflows the loss."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def run_toy(cfg: ToyConfig) -> list[ToySnapshot]:
     Snapshots are taken at step 0, every step listed in record_at, and the
     final step; loss and gradient in a snapshot describe the recorded
     iterate, before its update is applied.  Raises ToyDiverged once an
-    update leaves theta non-finite.
+    update leaves theta non-finite or evaluating it overflows.
     """
     theta = np.array(cfg.init_values, dtype=np.float64)
     record = {0, cfg.steps} | {s for s in cfg.record_at if 0 <= s <= cfg.steps}
@@ -118,7 +118,11 @@ def run_toy(cfg: ToyConfig) -> list[ToySnapshot]:
     for step in range(cfg.steps + 1):
         if not np.isfinite(theta).all():
             raise ToyDiverged(f"toy {cfg.objective} diverged: non-finite theta at step {step}")
-        loss, grad, arg, soft = _evaluate(theta, cfg)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                loss, grad, arg, soft = _evaluate(theta, cfg)
+        except FloatingPointError as err:
+            raise ToyDiverged(f"toy {cfg.objective} diverged: {err} at step {step}") from err
         if step in record:
             snapshots.append(
                 ToySnapshot(
@@ -131,5 +135,8 @@ def run_toy(cfg: ToyConfig) -> list[ToySnapshot]:
                 )
             )
         if step < cfg.steps:
-            theta = theta - cfg.learning_rate * grad
+            # An update that overflows leaves theta non-finite, which the
+            # next step reports.
+            with np.errstate(over="ignore"):
+                theta = theta - cfg.learning_rate * grad
     return snapshots

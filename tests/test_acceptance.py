@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from landmarklab.heatmap import GridCoord, LandmarkSet, argmax, soft_argmax, softmax
+from landmarklab.heatmap import argmax, soft_argmax, softmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -101,7 +101,7 @@ def test_criterion_2_gradient_suite():
             w = int(rng.integers(2, 17))
             h = int(rng.integers(2, 17))
             values = rng.normal(size=(h, w))
-            y_cell = GridCoord(int(rng.integers(0, w)), int(rng.integers(0, h)))
+            y_cell = (int(rng.integers(0, w)), int(rng.integers(0, h)))
             grid = (w, h)
             for spec in MARGIN_KINDS:
                 cfg = StructuredLossConfig(epsilon=1.0, margin=spec)
@@ -131,14 +131,14 @@ def test_criterion_3_structured_loss_identities():
             w = int(rng.integers(2, 13))
             h = int(rng.integers(2, 13))
             values = rng.normal(size=(h, w))
-            y = GridCoord(int(rng.integers(0, w)), int(rng.integers(0, h)))
+            u, v = y = (int(rng.integers(0, w)), int(rng.integers(0, h)))
             spec = MARGIN_KINDS[int(rng.integers(0, 4))]
             cfg = StructuredLossConfig(epsilon=1.0, margin=spec)
             grid = (w, h)
             value, grad = structured_batch(values.ravel(), y, grid, cfg)
             grad = grad.reshape(h, w)
             assert abs(grad.sum()) <= 1e-10
-            assert -1.0 <= grad[y.v, y.u] <= 0.0
+            assert -1.0 <= grad[v, u] <= 0.0
             shift = float(rng.uniform(-50, 50))
             shifted, _ = structured_batch((values + shift).ravel(), y, grid, cfg)
             assert abs(shifted - value) <= 1e-9
@@ -150,11 +150,11 @@ def test_criterion_3_structured_loss_identities():
             cold, _ = structured_batch(
                 values.ravel(), y, grid, StructuredLossConfig(epsilon=1e-4, margin=spec)
             )
-            hinge = (margin_table(spec, (y.u, y.v), w, h) + values).max() - values[y.v, y.u]
+            hinge = (margin_table(spec, y, w, h) + values).max() - values[v, u]
             assert abs(cold - hinge) < 1e-3
             eps = float(rng.uniform(0.2, 3.0))
             plain = StructuredLossConfig(epsilon=eps, margin=MarginSpec(kind=MarginKind.NONE))
-            ce = -eps * np.log(softmax(values.ravel() / eps)[y.v * w + y.u])
+            ce = -eps * np.log(softmax(values.ravel() / eps)[v * w + u])
             assert abs(structured_batch(values.ravel(), y, grid, plain)[0] - ce) <= 1e-10
 
 
@@ -226,7 +226,7 @@ def test_criterion_6_label_smoothing():
             label = fit_gaussian_label(refined, y, cfg)
             assert np.linalg.eigvalsh(label.cov).min() >= cfg.gamma * cfg.cov_reg
 
-        landmarks = LandmarkSet(np.array([[2.0, 32.0], [32.0, 32.0], [61.0, 32.0]]))
+        landmarks = np.array([[2.0, 32.0], [32.0, 32.0], [61.0, 32.0]])
         boundaries = BoundaryDef(((0, 1, 2),))
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, cfg), cfg)
         label = fit_gaussian_label(refined, (32.0, 32.0), cfg)
@@ -250,8 +250,8 @@ def test_criterion_6_label_smoothing():
 
 def test_criterion_7_metrics():
     with criterion(7, "metric definitions", budget_seconds=1.0):
-        pred = LandmarkSet(np.array([[3.0, 4.0], [10.0, 10.0]]))
-        gt = LandmarkSet(np.array([[0.0, 0.0], [10.0, 10.0]]))
+        pred = np.array([[3.0, 4.0], [10.0, 10.0]])
+        gt = np.array([[0.0, 0.0], [10.0, 10.0]])
         assert nme(pred, gt, 10.0) == 0.25
 
         auc_best, ced = auc_ced([0.0, 0.0], 0.10, 501)

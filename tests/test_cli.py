@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import landmarklab
+from landmarklab import cli
 from landmarklab.cli import _write_csv, main
+from landmarklab.toy import ToyConfig, run_toy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE_DATA = os.path.join(REPO_ROOT, "sample_data")
@@ -216,7 +218,6 @@ class TestToyCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that diverges
     def test_diverging_run_names_objective_and_step(self, tmp_path, capsys):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text("[toy]\nlearning_rate = 1.7e308\n")
@@ -225,6 +226,26 @@ class TestToyCommand:
         assert main(argv) == 2
         assert "toy softargmax diverged: non-finite theta at step 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_structured_run_is_a_divergence(self, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("[toy]\nlearning_rate = 1.7e308\n")
+        out = tmp_path / "out"
+        argv = ["toy", "--config", str(cfg), "--out", str(out), "--objective", "structured"]
+        assert main(argv) == 2
+        assert "toy structured diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_equal_toy_config_defaults(self, tmp_path, monkeypatch):
+        captured = []
+
+        def capture(toy_cfg):
+            captured.append(toy_cfg)
+            return run_toy(toy_cfg)
+
+        monkeypatch.setattr(cli, "run_toy", capture)
+        assert main(["toy", "--out", str(tmp_path)]) == 0
+        assert captured == [ToyConfig()]
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = main(["toy", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -276,8 +297,7 @@ class TestSynthCommand:
         cfg = tmp_path / "synth.cfg"
         cfg.write_text(DIVERGING_ARM_CFG)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert "heatmap_mse diverged" in capsys.readouterr().err
         assert not out.exists()
 

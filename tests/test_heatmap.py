@@ -3,7 +3,6 @@ import pytest
 
 import landmarklab
 from landmarklab.heatmap import (
-    LandmarkSet,
     argmax,
     gaussian_bumps,
     save_heatmap_pgm,
@@ -26,14 +25,6 @@ def test_star_import_resolves_all_exports():
     exec("from landmarklab import *", namespace)
     missing = [name for name in landmarklab.__all__ if name not in namespace]
     assert not missing
-
-
-class TestLandmarkSet:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LandmarkSet(np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            LandmarkSet(np.array([[0.0, np.inf]]))
 
 
 class TestArgmax:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from landmarklab.heatmap import GridCoord, argmax, softmax
+from landmarklab.heatmap import argmax, softmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -149,7 +149,7 @@ class TestStructuredLoss:
         for spec in ALL_MARGIN_SPECS:
             cfg = StructuredLossConfig(epsilon=1.3, margin=spec)
             values = rng.normal(size=(4, 5))
-            y = GridCoord(3, 2)
+            y = (3, 2)
             _, grad = structured_batch(values.ravel(), y, (5, 4), cfg)
             grad = grad.reshape(4, 5)
             assert abs(grad.sum()) < 1e-10
@@ -166,7 +166,7 @@ class TestStructuredLoss:
             h1 = rng.normal(size=(3, 5))
             h2 = rng.normal(size=(3, 5))
             t = rng.uniform()
-            y = GridCoord(int(rng.integers(0, 5)), int(rng.integers(0, 3)))
+            y = (int(rng.integers(0, 5)), int(rng.integers(0, 3)))
             mix, _ = structured_batch((t * h1 + (1 - t) * h2).ravel(), y, (5, 3), cfg)
             bound = (
                 t * structured_batch(h1.ravel(), y, (5, 3), cfg)[0]
@@ -178,7 +178,7 @@ class TestStructuredLoss:
         rng = np.random.default_rng(6)
         for eps in (0.25, 1.0, 3.0):
             values = rng.normal(size=(4, 4))
-            y = GridCoord(1, 2)
+            y = (1, 2)
             cfg = StructuredLossConfig(epsilon=eps, margin=NONE_SPEC)
             value, _ = structured_batch(values.ravel(), y, (4, 4), cfg)
             ce = -eps * np.log(softmax(values.ravel() / eps)[2 * 4 + 1])
@@ -189,7 +189,7 @@ class TestStructuredLoss:
         cfg = StructuredLossConfig(epsilon=1e-4, margin=RAW_L2)
         for _ in range(20):
             values = rng.normal(size=(4, 6))
-            y = GridCoord(2, 1)
+            y = (2, 1)
             value, _ = structured_batch(values.ravel(), y, (6, 4), cfg)
             aug = margin_table(RAW_L2, (2, 1), 6, 4) + values
             hinge = aug.max() - values[1, 2]
@@ -292,7 +292,7 @@ class TestSmoothedStructuredLoss:
         rng = np.random.default_rng(15)
         values = rng.normal(size=(7, 7)).ravel()
         label = GaussianLabel(mean=(4.2, 3.1), cov=1e-18 * np.eye(2))
-        direct_value, direct_grad = structured_batch(values, GridCoord(4, 3), (7, 7), self.CFG)
+        direct_value, direct_grad = structured_batch(values, (4, 3), (7, 7), self.CFG)
         one_value, one_grad = smoothed_structured_batch(
             values, sample_label(label, 1, 1, (7, 7)), (7, 7), self.CFG)
         assert one_value == direct_value

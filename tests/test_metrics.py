@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from landmarklab.cli import main
-from landmarklab.heatmap import LandmarkSet
 from landmarklab.metrics import (
     EvalConfig,
     auc_ced,
@@ -13,7 +12,7 @@ from landmarklab.metrics import (
 
 
 def pts(*pairs):
-    return LandmarkSet(np.array(pairs, dtype=float))
+    return np.array(pairs, dtype=float)
 
 
 class TestNme:
@@ -33,10 +32,24 @@ class TestNme:
         assert nme(pred, gt, 20.0) == nme(pred, gt, 10.0) / 2.0
 
     def test_rejects_mismatch_and_bad_d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="landmark count mismatch: 1 vs 2"):
             nme(pts((0, 0)), pts((0, 0), (1, 1)), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="landmark count mismatch: 1 vs 2"):
+            nme(np.zeros((3, 1, 2)), np.zeros((3, 2, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="normalizing distance must be positive"):
             nme(pts((0, 0)), pts((0, 0)), 0.0)
+        with pytest.raises(ValueError, match="normalizing distance must be positive"):
+            nme(np.zeros((3, 2, 2)), np.ones((3, 2, 2)), np.array([1.0, 0.0, 2.0]))
+
+    def test_batch_equals_single_set_calls_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        pred = rng.uniform(0.0, 32.0, size=(6, 5, 2))
+        gt = rng.uniform(0.0, 32.0, size=(6, 5, 2))
+        d = rng.uniform(1.0, 20.0, size=6)
+        batch = nme(pred, gt, d)
+        assert batch.shape == (6,)
+        single = np.array([nme(p, g, di) for p, g, di in zip(pred, gt, d)])
+        assert batch.tobytes() == single.tobytes()
 
 
 class TestFailureRate:

@@ -5,7 +5,6 @@ import pytest
 from scipy import ndimage
 
 from landmarklab.cli import main
-from landmarklab.heatmap import GridCoord, LandmarkSet
 from landmarklab.smoothing import (
     BoundaryDef,
     GaussianLabel,
@@ -28,7 +27,7 @@ CFG = SmoothingConfig()
 
 def horizontal_setup(size=64, row=32.0):
     """A straight horizontal boundary spanning the grid through one landmark."""
-    landmarks = LandmarkSet(np.array([[2.0, row], [size / 2.0, row], [size - 3.0, row]]))
+    landmarks = np.array([[2.0, row], [size / 2.0, row], [size - 3.0, row]])
     boundaries = BoundaryDef(((0, 1, 2),))
     return landmarks, boundaries
 
@@ -39,7 +38,7 @@ class TestBoundaryDef:
             BoundaryDef(((0,),))
 
     def test_index_validation(self):
-        landmarks = LandmarkSet(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        landmarks = np.array([[1.0, 1.0], [2.0, 2.0]])
         BoundaryDef(((0, 1),)).validate_for(landmarks)
         with pytest.raises(ValueError):
             BoundaryDef(((0, 2),)).validate_for(landmarks)
@@ -118,12 +117,12 @@ class TestSegmentDistanceField:
 
     def test_several_curves_through_edge_heatmap(self):
         rng = np.random.default_rng(32)
-        landmarks = LandmarkSet(rng.uniform(-4.0, 36.0, size=(9, 2)))
+        landmarks = rng.uniform(-4.0, 36.0, size=(9, 2))
         boundaries = BoundaryDef(((0, 1, 2, 3), (4, 5), (6, 7, 8, 6), (2, 2, 5)))
         cfg = SmoothingConfig(edge_map_size=32)
         segments = []
         for curve in boundaries.curves:
-            pts = landmarks.points[list(curve)]
+            pts = landmarks[list(curve)]
             segments.extend(zip(pts[:-1], pts[1:]))
         expected = edge_heatmap(reference_distance_field(segments, 32, 32), cfg.sigma_b)
         np.testing.assert_allclose(build_edge_heatmap(landmarks, boundaries, cfg),
@@ -242,7 +241,7 @@ class TestFitGaussianLabel:
     def test_rotation_equivariance(self):
         # Rotating the refined edge map by 90 deg swaps the covariance
         # diagonal and flips the correlation sign.
-        landmarks = LandmarkSet(np.array([[10.0, 10.0], [54.0, 54.0]]))
+        landmarks = np.array([[10.0, 10.0], [54.0, 54.0]])
         boundaries = BoundaryDef(((0, 1),))  # diagonal line, nonzero correlation
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
         y = (32.0, 32.0)
@@ -265,7 +264,7 @@ class TestFitGaussianLabel:
 
     def test_patch_extraction_zero_pads(self):
         values = np.arange(16.0).reshape(4, 4)
-        patch = extract_patch(values, GridCoord(0, 0), 1)
+        patch = extract_patch(values, (0, 0), 1)
         assert patch.shape == (3, 3)
         assert patch[0, 0] == 0.0 and patch[1, 1] == values[0, 0]
         assert patch[2, 2] == values[1, 1]
@@ -332,7 +331,7 @@ class TestAnnotationIo:
         path.write_text("s0 1.5 2 3 4\ns1 5 6 7 8\n")
         samples = read_annotations(path)
         assert [sid for sid, _ in samples] == ["s0", "s1"]
-        np.testing.assert_allclose(samples[0][1].points, [[1.5, 2.0], [3.0, 4.0]])
+        np.testing.assert_allclose(samples[0][1], [[1.5, 2.0], [3.0, 4.0]])
 
     def test_malformed_coordinate_cites_line(self, tmp_path):
         path = tmp_path / "ann.txt"
@@ -347,9 +346,10 @@ class TestAnnotationIo:
         with pytest.raises(ValueError, match=r"ann\.txt:2: landmark coordinates must be finite"):
             read_annotations(path)
 
-    def test_wrong_token_count_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["s0 1 2 3", "s0"], ids=["odd_count", "id_only"])
+    def test_wrong_token_count_rejected(self, tmp_path, line):
         path = tmp_path / "ann.txt"
-        path.write_text("s0 1 2 3\n")
+        path.write_text(f"{line}\n")
         with pytest.raises(ValueError, match=r":1"):
             read_annotations(path)
 
@@ -378,7 +378,7 @@ class TestAnnotationIo:
         refined = refine_edge_heatmap(
             build_edge_heatmap(landmarks, read_boundaries(bnd), CFG), CFG)
         expected = ["sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"]
-        for n, (u, v) in enumerate(landmarks.points):
+        for n, (u, v) in enumerate(landmarks):
             label = fit_gaussian_label(refined, (u, v), CFG)
             cells = (*label.mean, label.cov[0, 0], label.cov[0, 1], label.cov[1, 1])
             expected.append(",".join(["s0", str(n), *(format(float(x), ".12g") for x in cells)]))

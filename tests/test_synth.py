@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from landmarklab import synth
-from landmarklab.heatmap import LandmarkSet
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
@@ -178,7 +177,7 @@ class TestTrain:
         s = single_sample()
         cfg = TrainConfig(objective="heatmap_mse", learning_rate=1e12, epochs=40,
                           batch_size=1, seed=0)
-        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as exc:
+        with pytest.raises(TrainingDiverged) as exc:
             train(s, cfg, eval_dataset=s)
         assert exc.value.epoch >= 1
 
@@ -347,7 +346,7 @@ class TestLearningRateTuning:
     def test_all_rates_diverging_raises(self):
         ds = single_sample()[np.zeros(6, dtype=int)]
         cfg = TrainConfig(objective="heatmap_mse", epochs=2, batch_size=6, seed=0)
-        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged):
             tune_learning_rate(ds, cfg, [1e14], 0.30, probe_epochs=30, probe_samples=None)
 
 
@@ -390,7 +389,7 @@ class TestEvaluateNme:
         scorer = LinearScorer(np.random.default_rng(1).normal(size=(3, 256, 257)), 16, 16)
         cells = scorer.scores(features(ds)).argmax(axis=-1)
         per_sample = [
-            nme(LandmarkSet(np.stack([c % 16, c // 16], axis=-1)), LandmarkSet(p), d)
+            nme(np.stack([c % 16, c // 16], axis=-1), p, d)
             for c, p, d in zip(cells, ds.points, ds.norm)
         ]
         assert evaluate_nme(scorer, ds) == np.mean(per_sample)
