@@ -384,12 +384,20 @@ def cmd_eval(pred_path, gt_path, config_path, out) -> int:
     if norm_distance <= 0:
         raise CliError("eval.norm_distance must be positive")
     ids = sorted(preds)
-    errs = []
-    for i in ids:
+    # One nme call per (pred, gt) landmark count pair, in order of each
+    # group's first id, so a mismatch names the first mismatching id.
+    groups = {}
+    for row, i in enumerate(ids):
+        groups.setdefault((len(preds[i]), len(gts[i])), []).append(row)
+    errs = np.empty(len(ids))
+    for rows in groups.values():
+        group = [ids[row] for row in rows]
         try:
-            errs.append(nme(preds[i], gts[i], norm_distance))
+            errs[rows] = nme(np.stack([preds[i] for i in group]),
+                             np.stack([gts[i] for i in group]),
+                             np.full(len(rows), norm_distance))
         except ValueError as err:
-            raise CliError(f"sample {i}: {err}") from err
+            raise CliError(f"sample {group[0]}: {err}") from err
     try:
         report = evaluate(errs, EvalConfig(**section))
     except ValueError as err:

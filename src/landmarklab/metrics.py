@@ -40,8 +40,14 @@ def nme(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
     ``pred`` and ``gt`` hold points [..., N, 2] and ``d`` the distances
     [...]; the result is one NME per landmark set, shape [...].
     """
-    if pred.shape != gt.shape:
+    if pred.shape[-2] != gt.shape[-2]:
         raise ValueError(f"landmark count mismatch: {pred.shape[-2]} vs {gt.shape[-2]}")
+    if pred.shape != gt.shape:
+        raise ValueError(f"landmark set shape mismatch: {pred.shape} vs {gt.shape}")
+    if np.shape(d) != pred.shape[:-2]:
+        raise ValueError(
+            f"normalizing distances have shape {np.shape(d)}, expected {pred.shape[:-2]}"
+        )
     if not np.all(d > 0):
         raise ValueError(f"normalizing distance must be positive, got {d}")
     err = np.linalg.norm(pred - gt, axis=-1)
@@ -50,7 +56,7 @@ def nme(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
 
 def failure_rate(nmes, threshold: float) -> float:
     """Fraction of errors strictly greater than the threshold."""
-    arr = np.asarray(list(nmes), dtype=np.float64)
+    arr = np.asarray(nmes, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty error list")
     if threshold <= 0:
@@ -62,11 +68,12 @@ def auc_ced(nmes, threshold: float, n_points: int = 1001):
     """Area under the cumulative error distribution over [0, threshold].
 
     CED(t) is the fraction of errors <= t on a uniform grid of n_points
-    thresholds; the area is the trapezoidal integral divided by the
-    threshold, so the result lies in [0, 1].
+    thresholds, counted by binary search in the sorted errors; the area is
+    the trapezoidal integral divided by the threshold, so the result lies
+    in [0, 1].
     Returns (auc, [(threshold, fraction), ...]).
     """
-    arr = np.asarray(list(nmes), dtype=np.float64)
+    arr = np.asarray(nmes, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("empty error list")
     if threshold <= 0:
@@ -74,18 +81,18 @@ def auc_ced(nmes, threshold: float, n_points: int = 1001):
     if n_points < 2:
         raise ValueError("need at least two integration points")
     ts = np.linspace(0.0, threshold, n_points)
-    ced = (arr[None, :] <= ts[:, None]).mean(axis=1)
+    ced = np.searchsorted(np.sort(arr), ts, side="right") / arr.size
     auc = float(np.trapezoid(ced, ts) / threshold)
     return auc, list(zip(ts.tolist(), ced.tolist()))
 
 
 def evaluate(per_sample_nmes, cfg: EvalConfig = EvalConfig()) -> EvalReport:
     """Summarize per-sample errors into the full report."""
-    errs = [float(x) for x in per_sample_nmes]
+    errs = np.asarray(per_sample_nmes, dtype=np.float64)
     fr = failure_rate(errs, cfg.fr_threshold)
     auc, ced = auc_ced(errs, cfg.auc_threshold, cfg.ced_points)
     return EvalReport(
-        per_sample_nme=errs,
+        per_sample_nme=errs.tolist(),
         nme_mean=float(np.mean(errs)),
         fr=fr,
         auc=auc,

@@ -11,6 +11,7 @@ Everything is deterministic: sampling takes an explicit seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,10 +325,9 @@ def read_annotations(path) -> list[tuple[str, np.ndarray]]:
                     f"first given on line {first_line[sid]}"
                 )
             first_line[sid] = lineno
-            points = np.array(coords, dtype=np.float64).reshape(-1, 2)
-            if not np.all(np.isfinite(points)):
+            if not all(map(math.isfinite, coords)):
                 raise ValueError(f"{path}:{lineno}: landmark coordinates must be finite")
-            samples.append((sid, points))
+            samples.append((sid, np.array(coords).reshape(-1, 2)))
     if not samples:
         raise ValueError(f"{path}: no annotation lines found")
     return samples

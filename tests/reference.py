@@ -3,7 +3,8 @@
 The primal ``LinearScorer``, ``dataset_objective`` and ``evaluate_nme`` are
 what the dual-form ``synth.train`` must reproduce; ``margin_table`` is the
 margin evaluated on the grid; ``tune_learning_rate`` picks the learning
-rates of acceptance criterion 5.
+rates of acceptance criterion 5.  ``dense_auc_ced`` and ``per_id_nmes``
+are what ``metrics.auc_ced`` and the grouped ``eval`` must reproduce.
 """
 
 from dataclasses import dataclass, replace
@@ -12,6 +13,7 @@ import numpy as np
 
 from landmarklab.heatmap import coordinate_grids
 from landmarklab.losses import MarginSpec, _margin_from_diffs
+from landmarklab.metrics import nme
 from landmarklab.synth import (
     SynthData,
     TrainConfig,
@@ -125,3 +127,17 @@ def tune_learning_rate(
     if best_lr is None:
         raise TrainingDiverged(base_cfg.objective, 0)
     return best_lr
+
+
+def dense_auc_ced(nmes, threshold: float, n_points: int):
+    """``metrics.auc_ced`` by a [n_points, S] comparison matrix."""
+    arr = np.asarray(nmes, dtype=np.float64)
+    ts = np.linspace(0.0, threshold, n_points)
+    ced = (arr[None, :] <= ts[:, None]).mean(axis=1)
+    auc = float(np.trapezoid(ced, ts) / threshold)
+    return auc, list(zip(ts.tolist(), ced.tolist()))
+
+
+def per_id_nmes(preds: dict, gts: dict, norm_distance: float) -> list:
+    """One ``nme`` call per id, in sorted id order."""
+    return [float(nme(preds[i], gts[i], norm_distance)) for i in sorted(preds)]

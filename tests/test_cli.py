@@ -8,7 +8,10 @@ import pytest
 import landmarklab
 from landmarklab import cli
 from landmarklab.cli import _write_csv, main
+from landmarklab.smoothing import read_annotations
 from landmarklab.toy import ToyConfig, run_toy
+
+from reference import dense_auc_ced, per_id_nmes
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE_DATA = os.path.join(REPO_ROOT, "sample_data")
@@ -38,6 +41,18 @@ objective_b = heatmap_mse
 lr_b = 1e14
 epochs_b = 4
 batch_size = 2
+"""
+
+# The heatmap MSE arm at lr 0.1 stays finite while its train loss grows
+# 58.6x by epoch 2 and 4,880x by epoch 3.
+LOSS_GROWTH_CFG = """
+[synth]
+samples = 60
+width = 16
+height = 16
+epochs_a = 1
+objective_b = heatmap_mse
+lr_b = 0.1
 """
 
 IDENTICAL_ARMS_CFG = """
@@ -301,6 +316,15 @@ class TestSynthCommand:
         assert "heatmap_mse diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_growing_loss_is_a_divergence(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(LOSS_GROWTH_CFG)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "heatmap_mse diverged: train loss" in err and err.rstrip().endswith("at epoch 3")
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting, message", [
         ("samples = 1", "samples must be at least 2"),
         ("samples = 40\nmse_sigma = 0", "MSE target sigma must be positive"),
@@ -472,6 +496,46 @@ class TestEvalCommand:
         assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
         assert "sample s7: landmark count mismatch: 1 vs 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_first_mismatching_id_in_sorted_order_is_named(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        gt = tmp_path / "gt.txt"
+        write_annotations(pred, [("z", "1 2"), ("s7", "1 2"), ("m", "1 2 3 4 5 6"), ("a", "1 2")])
+        write_annotations(gt, [("a", "1 2"), ("m", "1 2"), ("s7", "1 2 3 4"), ("z", "1 2 3 4")])
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
+        assert "sample m: landmark count mismatch: 3 vs 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_ids, counts", [(10, (2, 3)), (500, (1, 2, 3, 4))],
+                             ids=["interleaved_2_3", "500_ids"])
+    def test_matches_per_id_reference(self, tmp_path, n_ids, counts):
+        # Ids in sorted order cycle through the landmark counts, and each
+        # file lists them in its own order.  Predictions lie about 1 px off,
+        # so the errors straddle the AUC threshold.
+        rng = np.random.default_rng(n_ids)
+        ids = [f"s{k:04d}" for k in range(n_ids)]
+        truth = [rng.uniform(0.0, 64.0, 2 * counts[k % len(counts)]) for k in range(n_ids)]
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        for path, noise in ((pred, 1.0), (gt, 0.0)):
+            rows = []
+            for k in rng.permutation(n_ids):
+                coords = truth[k] + rng.normal(0.0, noise, truth[k].shape)
+                rows.append((ids[k], " ".join(map(repr, coords.tolist()))))
+            write_annotations(path, rows)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("[eval]\nnorm_distance = 12.5\n")
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--config", str(cfg), "--out", str(out)]) == 0
+
+        errs = per_id_nmes(dict(read_annotations(pred)), dict(read_annotations(gt)), 12.5)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        _write_csv(ref / "per_sample.csv", "sample_id,nme",
+                   [*zip(ids, errs), ("mean", float(np.mean(errs)))])
+        _write_csv(ref / "ced.csv", "threshold,fraction", dense_auc_ced(errs, 0.10, 1001)[1])
+        for name in ("per_sample.csv", "ced.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_duplicate_id_names_both_lines(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landmarklab.cli import main
 from landmarklab.metrics import (
@@ -9,6 +11,8 @@ from landmarklab.metrics import (
     failure_rate,
     nme,
 )
+
+from reference import dense_auc_ced
 
 
 def pts(*pairs):
@@ -36,6 +40,12 @@ class TestNme:
             nme(pts((0, 0)), pts((0, 0), (1, 1)), 1.0)
         with pytest.raises(ValueError, match="landmark count mismatch: 1 vs 2"):
             nme(np.zeros((3, 1, 2)), np.zeros((3, 2, 2)), np.ones(3))
+        with pytest.raises(ValueError, match=r"shape mismatch: \(4, 3, 2\) vs \(5, 3, 2\)"):
+            nme(np.zeros((4, 3, 2)), np.zeros((5, 3, 2)), np.ones(4))
+        with pytest.raises(ValueError, match=r"have shape \(5,\), expected \(4,\)"):
+            nme(np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), np.ones(5))
+        with pytest.raises(ValueError, match=r"have shape \(\), expected \(4,\)"):
+            nme(np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), 1.0)
         with pytest.raises(ValueError, match="normalizing distance must be positive"):
             nme(pts((0, 0)), pts((0, 0)), 0.0)
         with pytest.raises(ValueError, match="normalizing distance must be positive"):
@@ -73,7 +83,32 @@ class TestFailureRate:
             failure_rate([], 0.1)
 
 
+@st.composite
+def ced_problems(draw):
+    """Errors drawn from a small pool, so values repeat: grid thresholds,
+    0.0 and values on either side of the threshold."""
+    threshold = draw(st.floats(1e-3, 10.0))
+    n_points = draw(st.integers(2, 300))
+    grid = np.linspace(0.0, threshold, n_points)
+    value = st.one_of(
+        st.integers(0, n_points - 1).map(lambda k: float(grid[k])),
+        st.just(0.0),
+        st.floats(0.0, 3.0 * threshold),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=20))
+    errs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return errs, threshold, n_points
+
+
 class TestAucCed:
+    @settings(max_examples=200, deadline=None)
+    @given(ced_problems())
+    def test_matches_dense_oracle_bit_for_bit(self, problem):
+        auc, ced = auc_ced(*problem)
+        want_auc, want_ced = dense_auc_ced(*problem)
+        assert np.float64(auc).tobytes() == np.float64(want_auc).tobytes()
+        assert np.array(ced).tobytes() == np.array(want_ced).tobytes()
+
     def test_all_zero_errors(self):
         auc, ced = auc_ced([0.0, 0.0, 0.0], 0.10, 101)
         assert auc == 1.0
