@@ -10,8 +10,6 @@ that exercise the whole stack with analytic gradients.
 from landmarklab.heatmap import argmax, soft_argmax, softmax
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
 from landmarklab.smoothing import (
-    BoundaryDef,
-    GaussianLabel,
     SmoothingConfig,
     build_edge_heatmap,
     fit_gaussian_label,
@@ -28,8 +26,6 @@ __all__ = [
     "MarginKind",
     "MarginSpec",
     "StructuredLossConfig",
-    "BoundaryDef",
-    "GaussianLabel",
     "SmoothingConfig",
     "build_edge_heatmap",
     "fit_gaussian_label",

@@ -258,6 +258,13 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     if section["target_nme"] <= 0:
         raise CliError(f"invalid synth config: target_nme must be positive, "
                        f"got {section['target_nme']}")
+    cfg_a = _train_cfg(section, "a", synth_seed)
+    cfg_b = _train_cfg(section, "b", synth_seed)
+    if section["with_smoothing"] and "structured" not in (cfg_a.objective, cfg_b.objective):
+        raise CliError(
+            f"invalid synth config: synth.with_smoothing applies to the structured "
+            f"objective only, but the arms are {cfg_a.objective} and {cfg_b.objective}"
+        )
     try:
         dataset = generate_dataset(
             section["samples"],
@@ -269,8 +276,6 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
         )
     except ValueError as err:
         raise CliError(f"invalid synth config: {err}") from err
-    cfg_a = _train_cfg(section, "a", synth_seed)
-    cfg_b = _train_cfg(section, "b", synth_seed)
     try:
         result, hist_a, hist_b = compare_convergence(
             dataset, cfg_a, cfg_b, section["target_nme"]
@@ -297,16 +302,16 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     return 0
 
 
-def _dump_label_pgms(out, sample_id, n, refined, y, label, scfg) -> None:
-    """Per-landmark PGMs of every smoothing stage, cropped around the landmark."""
+def _dump_label_pgms(out, sample_id, n, refined, y, cov, scfg) -> None:
+    """Per-landmark PGMs of every smoothing stage, cropped around landmark y."""
     k = scfg.patch_half
     cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
     edge_patch, bump, blended = joint_patch(refined, y, scfg)
     # Density of the fitted Gaussian on the same patch, peak-normalized.
     size = 2 * k + 1
-    uu = np.arange(size, dtype=np.float64)[None, :] + cu - k - label.mean[0]
-    vv = np.arange(size, dtype=np.float64)[:, None] + cv - k - label.mean[1]
-    inv = np.linalg.inv(label.cov)
+    uu = np.arange(size, dtype=np.float64)[None, :] + cu - k - y[0]
+    vv = np.arange(size, dtype=np.float64)[:, None] + cv - k - y[1]
+    inv = np.linalg.inv(cov)
     quad = inv[0, 0] * uu**2 + 2.0 * inv[0, 1] * uu * vv + inv[1, 1] * vv**2
     fitted = np.exp(-0.5 * quad)
     fitted /= fitted.max()
@@ -338,28 +343,30 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
     except ValueError as err:
         raise CliError(str(err)) from err
     # Every label is fitted before the first file is written, so a sample
-    # that fails leaves no output behind.
+    # that fails leaves no output behind.  A sigma whose square underflows
+    # fails here as a floating-point error, not as a warning.
     fits = []
     for sample_id, points in samples:
         try:
-            raw = build_edge_heatmap(points, boundaries, scfg)
-            refined = refine_edge_heatmap(raw, scfg)
-            labels = [fit_gaussian_label(refined, (u, v), scfg) for u, v in points]
-        except ValueError as err:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                raw = build_edge_heatmap(points, boundaries, scfg)
+                refined = refine_edge_heatmap(raw, scfg)
+                covs = [fit_gaussian_label(refined, (u, v), scfg) for u, v in points]
+        except (ValueError, FloatingPointError) as err:
             raise CliError(f"sample {sample_id}: {err}") from err
-        fits.append((sample_id, points, labels, (raw, refined) if dump_intermediates else None))
+        fits.append((sample_id, points, covs, (raw, refined) if dump_intermediates else None))
     out = _ensure_outdir(out)
-    for sample_id, points, labels, maps in fits:
+    for sample_id, points, covs, maps in fits:
         if maps is not None:
             raw, refined = maps
             save_heatmap_pgm(raw, os.path.join(out, f"{sample_id}_edge_raw.pgm"))
             save_heatmap_pgm(refined, os.path.join(out, f"{sample_id}_edge_refined.pgm"))
-            for n, ((u, v), label) in enumerate(zip(points, labels)):
-                _dump_label_pgms(out, sample_id, n, refined, (u, v), label, scfg)
+            for n, ((u, v), cov) in enumerate(zip(points, covs)):
+                _dump_label_pgms(out, sample_id, n, refined, (u, v), cov, scfg)
     rows = [
-        (sample_id, n, *label.mean, label.cov[0, 0], label.cov[0, 1], label.cov[1, 1])
-        for sample_id, _, labels, _ in fits
-        for n, label in enumerate(labels)
+        (sample_id, n, u, v, cov[0, 0], cov[0, 1], cov[1, 1])
+        for sample_id, points, covs, _ in fits
+        for n, ((u, v), cov) in enumerate(zip(points, covs))
     ]
     labels_path = os.path.join(out, "labels.csv")
     _write_csv(labels_path, "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv", rows)

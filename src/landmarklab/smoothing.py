@@ -3,8 +3,10 @@
 The pipeline rasterizes annotated boundary polylines into a soft edge
 heatmap, cleans it up with blur + sharpen, blends a small Gaussian bump at
 each landmark into the local edge patch, and fits a 2x2 covariance to the
-blended mass.  The result is a per-landmark Gaussian whose spread follows
-the local edge direction, used to draw jittered training targets.
+blended mass.  A label is that covariance [2, 2]: a Gaussian centred on
+its landmark whose spread follows the local edge direction, used to draw
+jittered training targets.  Boundaries are tuples of landmark indices,
+one per polyline.
 
 Everything is deterministic: sampling takes an explicit seed.
 """
@@ -15,27 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BoundaryDef:
-    """Boundary polylines given as ordered landmark-index sequences."""
-
-    curves: tuple
-
-    def __post_init__(self):
-        curves = tuple(tuple(int(i) for i in c) for c in self.curves)
-        for c in curves:
-            if len(c) < 2:
-                raise ValueError(f"boundary curve needs >= 2 points, got {c}")
-        object.__setattr__(self, "curves", curves)
-
-    def validate_for(self, points: np.ndarray) -> None:
-        n = len(points)
-        for c in self.curves:
-            for i in c:
-                if not 0 <= i < n:
-                    raise ValueError(f"boundary index {i} out of range for {n} landmarks")
 
 
 @dataclass(frozen=True)
@@ -61,26 +42,6 @@ class SmoothingConfig:
                 raise ValueError(f"{name} must be positive")
         if self.patch_half < 1:
             raise ValueError("patch_half must be positive")
-
-
-@dataclass(frozen=True)
-class GaussianLabel:
-    """Smoothing distribution for one landmark: mean in pixel units, 2x2 SPD covariance."""
-
-    mean: tuple
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = (float(self.mean[0]), float(self.mean[1]))
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.shape != (2, 2):
-            raise ValueError(f"covariance must be 2x2, got {cov.shape}")
-        if not np.all(np.isfinite(cov)) or abs(cov[0, 1] - cov[1, 0]) > 1e-12:
-            raise ValueError("covariance must be finite and symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def segment_distance_field(segments, width: int, height: int) -> np.ndarray:
@@ -132,19 +93,22 @@ def polyline_segments(vertices: np.ndarray) -> np.ndarray:
     return np.stack([pts[:-1], pts[1:]], 1)
 
 
-def build_edge_heatmap(
-    points: np.ndarray, boundaries: BoundaryDef, cfg: SmoothingConfig
-) -> np.ndarray:
+def build_edge_heatmap(points: np.ndarray, curves, cfg: SmoothingConfig) -> np.ndarray:
     """Rasterize the boundary polylines through points [N, 2] into a soft
     edge map [size, size] in [0, 1].
 
-    Each pixel gets ``edge_heatmap`` of its distance to the nearest
-    boundary segment.
+    ``curves`` holds one tuple of landmark indices per polyline.  Each
+    pixel gets ``edge_heatmap`` of its distance to the nearest boundary
+    segment.
     """
-    boundaries.validate_for(points)
+    n = len(points)
+    for curve in curves:
+        for i in curve:
+            if not 0 <= i < n:
+                raise ValueError(f"boundary index {i} out of range for {n} landmarks")
     size = cfg.edge_map_size
-    curves = [polyline_segments(points[list(c)]) for c in boundaries.curves]
-    segments = np.concatenate(curves) if curves else np.empty((0, 2, 2))
+    pieces = [polyline_segments(points[list(c)]) for c in curves]
+    segments = np.concatenate(pieces) if pieces else np.empty((0, 2, 2))
     return edge_heatmap(segment_distance_field(segments, size, size), cfg.sigma_b)
 
 
@@ -243,12 +207,12 @@ def joint_patch(
 
 def fit_gaussian_label(
     e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
-) -> GaussianLabel:
-    """Fit the directional smoothing Gaussian for landmark y on edge map [H, W].
+) -> np.ndarray:
+    """Covariance [2, 2] of the directional smoothing Gaussian for landmark
+    y on edge map [H, W]; the Gaussian's mean is y itself.
 
     The covariance is the weighted second moment of the blended patch about
-    its own weighted mean, ridged by cov_reg and scaled by gamma; the label
-    mean is pinned to y itself.
+    its own weighted mean, ridged by cov_reg and scaled by gamma.
     """
     _, _, m = joint_patch(e_refined, y, cfg)
     total = m.sum()
@@ -268,15 +232,17 @@ def fit_gaussian_label(
             [(w * du * dv).sum(), (w * dv * dv).sum()],
         ]
     )
-    cov += cfg.cov_reg * np.eye(2)
-    return GaussianLabel(mean=(float(y[0]), float(y[1])), cov=cfg.gamma * cov)
+    cov = cfg.gamma * (cov + cfg.cov_reg * np.eye(2))
+    if not (np.isfinite(cov).all() and np.linalg.eigvalsh(cov).min() > 0):
+        raise ValueError("label covariance must be finite and positive definite")
+    return cov
 
 
 def sample_label(
-    label: GaussianLabel, n: int, rng_seed: int, bounds: tuple[int, int]
+    mean, cov: np.ndarray, n: int, rng_seed: int, bounds: tuple[int, int]
 ) -> np.ndarray:
-    """Draw n grid cells [n, 2] of (u, v) from the label's Gaussian, rounded
-    and clamped in bounds (width, height).
+    """Draw n grid cells [n, 2] of (u, v) from the Gaussian with mean (u, v)
+    and covariance [2, 2], rounded and clamped in bounds (width, height).
 
     Deterministic per seed: standard normals from a seeded generator are
     colored by the covariance's Cholesky factor.
@@ -285,12 +251,12 @@ def sample_label(
         raise ValueError(f"need at least one sample, got {n}")
     width, height = bounds
     try:
-        chol = np.linalg.cholesky(label.cov)
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as err:
         raise ValueError("label covariance is not positive definite") from err
     rng = np.random.default_rng(rng_seed)
     z = rng.standard_normal((n, 2))
-    pts = np.asarray(label.mean) + z @ chol.T
+    pts = np.asarray(mean) + z @ chol.T
     return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
 
 
@@ -333,7 +299,7 @@ def read_annotations(path) -> list[tuple[str, np.ndarray]]:
     return samples
 
 
-def read_boundaries(path) -> BoundaryDef:
+def read_boundaries(path) -> tuple[tuple[int, ...], ...]:
     """Parse boundary lines, one comma-separated index sequence per curve."""
     curves = []
     with open(path) as f:
@@ -350,4 +316,4 @@ def read_boundaries(path) -> BoundaryDef:
             curves.append(curve)
     if not curves:
         raise ValueError(f"{path}: no boundary curves found")
-    return BoundaryDef(tuple(curves))
+    return tuple(curves)

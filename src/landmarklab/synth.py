@@ -27,7 +27,6 @@ from landmarklab.losses import (
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
-    GaussianLabel,
     SmoothingConfig,
     edge_heatmap,
     fit_gaussian_label,
@@ -43,7 +42,7 @@ OBJECTIVES = ("structured", "softargmax", "heatmap_mse")
 # any on-contour point keeps >= 0.9 of the peak brightness.
 RENDER_SIGMA = 1.6
 CONTOUR_POINTS = 128
-# Share of a dataset held out for evaluation when no eval set is given.
+# Share of a dataset that split_dataset holds out for evaluation.
 EVAL_FRACTION = 0.2
 
 # Randomization ranges, as fractions of the image size.
@@ -227,11 +226,11 @@ def generate_dataset(
     return data
 
 
-def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> list[GaussianLabel]:
-    """Directional labels for one sample's points [N, 2], the edge map taken
-    from its contour's distance field [H, W]."""
+def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> np.ndarray:
+    """Label covariances [N, 2, 2] for one sample's points [N, 2], the edge
+    map taken from its contour's distance field [H, W]."""
     refined = refine_edge_heatmap(edge_heatmap(distance, cfg.sigma_b), cfg)
-    return [fit_gaussian_label(refined, (u, v), cfg) for u, v in points]
+    return np.array([fit_gaussian_label(refined, (u, v), cfg) for u, v in points])
 
 
 def _targets(data: SynthData, cfg: TrainConfig):
@@ -239,11 +238,12 @@ def _targets(data: SynthData, cfg: TrainConfig):
 
     These are the clipped true cells [S, N, 2] (structured), the landmark
     points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
-    (heatmap MSE), or one list of fitted labels per sample (smoothed
-    structured).
+    (heatmap MSE), or the landmark points [S, N, 2] with their label
+    covariances [S, N, 2, 2] (smoothed structured).
     """
     if cfg.objective == "structured" and cfg.with_smoothing:
-        return [fit_sample_labels(d, p, cfg.smoothing) for d, p in zip(data.distance, data.points)]
+        covs = [fit_sample_labels(d, p, cfg.smoothing) for d, p in zip(data.distance, data.points)]
+        return data.points, np.array(covs)
     w, h = data.grid
     if cfg.objective == "structured":
         return np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int)
@@ -261,9 +261,11 @@ def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
     use the sub-seed ``mc/{epoch}/{i}/{n}``.
     """
     if cfg.objective == "structured" and cfg.with_smoothing:
+        points, covs = targets
         draws = np.array([
-            [sample_label(label, cfg.mc_samples, derive_seed(cfg.seed, f"mc/{epoch}/{i}/{n}"), grid)
-             for n, label in enumerate(targets[i])]
+            [sample_label(points[i, n], covs[i, n], cfg.mc_samples,
+                          derive_seed(cfg.seed, f"mc/{epoch}/{i}/{n}"), grid)
+             for n in range(points.shape[1])]
             for i in idx
         ])
         values, grads = smoothed_structured_batch(scores, draws, grid, cfg.structured)
@@ -292,11 +294,10 @@ def split_dataset(dataset):
     return dataset[:-n_eval], dataset[-n_eval:]
 
 
-def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
+def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     """Mini-batch gradient descent from zero weights; returns the history.
 
-    When no held-out set is passed, the tail 20% of ``dataset`` is held
-    out.  The scorer is linear and every update adds G^T X_b over rows of
+    The scorer is linear and every update adds G^T X_b over rows of
     the fixed train features X [S, H*W + 1], so the weights of landmark n
     always equal C_n^T X, with C_n the n-th block of H*W columns of the
     coefficients coef [S, N*H*W].
@@ -315,8 +316,6 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None) -> list[EpochStats]:
     or invalid operation, or a train loss above LOSS_GROWTH_LIMIT times the
     epoch-1 loss.
     """
-    if eval_dataset is None:
-        dataset, eval_dataset = split_dataset(dataset)
     feats, targets = features(dataset), _targets(dataset, cfg)
     eval_feats = features(eval_dataset)
     gram = feats @ feats.T

@@ -22,7 +22,6 @@ from landmarklab.losses import (
 )
 from landmarklab.metrics import auc_ced, failure_rate, nme
 from landmarklab.smoothing import (
-    BoundaryDef,
     SmoothingConfig,
     build_edge_heatmap,
     fit_gaussian_label,
@@ -223,28 +222,28 @@ def test_criterion_6_label_smoothing():
         for _ in range(10):
             refined = rng.random((48, 48))
             y = (float(rng.uniform(0, 47)), float(rng.uniform(0, 47)))
-            label = fit_gaussian_label(refined, y, cfg)
-            assert np.linalg.eigvalsh(label.cov).min() >= cfg.gamma * cfg.cov_reg
+            cov = fit_gaussian_label(refined, y, cfg)
+            assert np.linalg.eigvalsh(cov).min() >= cfg.gamma * cfg.cov_reg
 
         landmarks = np.array([[2.0, 32.0], [32.0, 32.0], [61.0, 32.0]])
-        boundaries = BoundaryDef(((0, 1, 2),))
+        boundaries = ((0, 1, 2),)
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, cfg), cfg)
-        label = fit_gaussian_label(refined, (32.0, 32.0), cfg)
-        evals, evecs = np.linalg.eigh(label.cov)
+        cov = fit_gaussian_label(refined, (32.0, 32.0), cfg)
+        evals, evecs = np.linalg.eigh(cov)
         dominant = evecs[:, np.argmax(evals)]
         angle = np.degrees(np.arctan2(abs(dominant[1]), abs(dominant[0])))
         assert angle < 8.0
         assert evals.max() / evals.min() > 1.5
 
         doubled = fit_gaussian_label(refined, (32.0, 32.0), replace(cfg, gamma=2 * cfg.gamma))
-        np.testing.assert_array_equal(doubled.cov, 2.0 * label.cov)
+        np.testing.assert_array_equal(doubled, 2.0 * cov)
 
         runs = []
         for _ in range(2):
             e = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, cfg), cfg)
-            lab = fit_gaussian_label(e, (32.0, 32.0), cfg)
-            cells = sample_label(lab, 10, 99, (64, 64))
-            runs.append((e.tobytes(), lab.cov.tobytes(), cells.tobytes()))
+            fitted = fit_gaussian_label(e, (32.0, 32.0), cfg)
+            cells = sample_label((32.0, 32.0), fitted, 10, 99, (64, 64))
+            runs.append((e.tobytes(), fitted.tobytes(), cells.tobytes()))
         assert runs[0] == runs[1]
 
 

@@ -353,6 +353,17 @@ class TestSynthCommand:
         assert "target_nme must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_smoothing_without_structured_arm_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG + "objective_a = softargmax\nobjective_b = heatmap_mse\n"
+                       "with_smoothing = true\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "synth.with_smoothing" in err
+        assert "softargmax and heatmap_mse" in err
+        assert not out.exists()
+
     def test_identical_arms_speedup_is_one(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text(IDENTICAL_ARMS_CFG)
@@ -407,6 +418,29 @@ class TestSmoothCommand:
         assert main(["smooth", str(ann), str(bnd), "--out", str(out),
                      "--dump-intermediates"]) == 2
         assert "sample b: landmark (90, 12) outside the 64x64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_index_out_of_range_leaves_no_output(self, tmp_path, capsys):
+        ann, bnd = self.setup_inputs(tmp_path)
+        bnd.write_text("0,1,3\n")
+        out = tmp_path / "out"
+        assert main(["smooth", str(ann), str(bnd), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sample s0: boundary index 3 out of range for 3 landmarks" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["center_sigma", "blur_sigma", "sigma_b"])
+    def test_underflowing_sigma_is_an_error(self, tmp_path, capsys, key):
+        # The sigma's square underflows to zero, so a Gaussian divides by it.
+        ann, bnd = self.setup_inputs(tmp_path)
+        cfg = tmp_path / "smooth.cfg"
+        cfg.write_text(f"[smooth]\n{key} = 1e-300\n")
+        out = tmp_path / "out"
+        assert main(["smooth", str(ann), str(bnd), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample s0: ") and err.count("\n") == 1
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_dump_intermediates(self, tmp_path):

@@ -15,7 +15,7 @@ from landmarklab.losses import (
     soft_argmax_l2_batch,
     structured_batch,
 )
-from landmarklab.smoothing import GaussianLabel, sample_label
+from landmarklab.smoothing import sample_label
 
 PROPERTY = settings(max_examples=60, deadline=None)
 MC_DRAWS = 3
@@ -38,7 +38,7 @@ def problems(draw, magnitude=5.0):
     maps = draw(arrays(np.float64, scores.shape, elements=st.floats(0.0, 1.0)))
     seed = draw(st.integers(0, 2**32))
     draws = np.array([
-        [sample_label(_label_at(points[b, n]), MC_DRAWS, seed + b * lead[1] + n,
+        [sample_label(points[b, n], LABEL_COV, MC_DRAWS, seed + b * lead[1] + n,
                       (width, height)) for n in range(lead[1])]
         for b in range(lead[0])
     ])
@@ -53,10 +53,6 @@ def problems(draw, magnitude=5.0):
     )
     return {"grid": (width, height), "scores": scores, "cells": cells,
             "points": points, "maps": maps, "draws": draws, "cfg": cfg}
-
-
-def _label_at(point):
-    return GaussianLabel(mean=tuple(point), cov=LABEL_COV)
 
 
 def kernels(p):

@@ -14,7 +14,7 @@ from landmarklab.losses import (
     soft_argmax_l2_batch,
     structured_batch,
 )
-from landmarklab.smoothing import GaussianLabel, sample_label
+from landmarklab.smoothing import sample_label
 
 from reference import margin_table
 
@@ -291,31 +291,31 @@ class TestSmoothedStructuredLoss:
     def test_degenerate_covariance_collapses_to_mean_cell(self):
         rng = np.random.default_rng(15)
         values = rng.normal(size=(7, 7)).ravel()
-        label = GaussianLabel(mean=(4.2, 3.1), cov=1e-18 * np.eye(2))
+        mean, cov = (4.2, 3.1), 1e-18 * np.eye(2)
         direct_value, direct_grad = structured_batch(values, (4, 3), (7, 7), self.CFG)
         one_value, one_grad = smoothed_structured_batch(
-            values, sample_label(label, 1, 1, (7, 7)), (7, 7), self.CFG)
+            values, sample_label(mean, cov, 1, 1, (7, 7)), (7, 7), self.CFG)
         assert one_value == direct_value
         np.testing.assert_array_equal(one_grad, direct_grad)
         # Averaging n identical draws only adds float round-off.
         many_value, many_grad = smoothed_structured_batch(
-            values, sample_label(label, 25, 1, (7, 7)), (7, 7), self.CFG)
+            values, sample_label(mean, cov, 25, 1, (7, 7)), (7, 7), self.CFG)
         np.testing.assert_allclose(many_value, direct_value, rtol=1e-13)
         np.testing.assert_allclose(many_grad, direct_grad, atol=1e-15)
 
     def test_is_mean_over_drawn_cells(self):
         rng = np.random.default_rng(16)
         values = rng.normal(size=(6, 6)).ravel()
-        label = GaussianLabel(mean=(2.5, 2.5), cov=np.array([[2.0, 0.3], [0.3, 1.0]]))
-        cells = sample_label(label, 5, 77, (6, 6))
+        mean, cov = (2.5, 2.5), np.array([[2.0, 0.3], [0.3, 1.0]])
+        cells = sample_label(mean, cov, 5, 77, (6, 6))
         expected = np.mean([structured_batch(values, c, (6, 6), self.CFG)[0] for c in cells])
         value, _ = smoothed_structured_batch(values, cells, (6, 6), self.CFG)
         assert abs(value - expected) < 1e-12
 
     def test_sample_mean_near_label_mean(self):
         # Statistical check: mean of 10k drawn coordinates within 3 sigma / sqrt(n).
-        label = GaussianLabel(mean=(4.0, 4.0), cov=np.eye(2))
-        cells = sample_label(label, 10_000, 5, (9, 9))
+        mean, cov = (4.0, 4.0), np.eye(2)
+        cells = sample_label(mean, cov, 10_000, 5, (9, 9))
         arr = np.array(cells, dtype=float)
         bound = 3.0 * 1.0 / np.sqrt(10_000)
         # Rounding inflates spread a little; allow its variance contribution.
@@ -329,7 +329,7 @@ class TestSmoothedStructuredLoss:
         rng = np.random.default_rng(17)
         values = rng.normal(size=(9, 9)).ravel()
         su, sv = 1.3, 0.8
-        label = GaussianLabel(mean=(4.6, 3.9), cov=np.diag([su**2, sv**2]))
+        mean, cov = (4.6, 3.9), np.diag([su**2, sv**2])
 
         def axis_masses(mean, sigma, n_cells):
             edges = np.arange(n_cells - 1) + 0.5
@@ -349,14 +349,14 @@ class TestSmoothedStructuredLoss:
         std = np.sqrt(max(exact_sq - exact**2, 0.0))
         n = 40_000
         mc, _ = smoothed_structured_batch(
-            values, sample_label(label, n, 123, (9, 9)), (9, 9), self.CFG)
+            values, sample_label(mean, cov, n, 123, (9, 9)), (9, 9), self.CFG)
         assert abs(mc - exact) < 4.0 * std / np.sqrt(n) + 1e-9
 
     def test_grad_averages_and_matches_fd(self):
         rng = np.random.default_rng(18)
         values = rng.normal(size=(5, 5))
-        label = GaussianLabel(mean=(2.0, 2.0), cov=np.array([[1.5, -0.4], [-0.4, 0.9]]))
-        draws = sample_label(label, 10, 3, (5, 5))
+        mean, cov = (2.0, 2.0), np.array([[1.5, -0.4], [-0.4, 0.9]])
+        draws = sample_label(mean, cov, 10, 3, (5, 5))
         _, grad = smoothed_structured_batch(values.ravel(), draws, (5, 5), self.CFG)
         grad = grad.reshape(5, 5)
         fd = finite_difference_grad(
@@ -367,8 +367,7 @@ class TestSmoothedStructuredLoss:
         assert abs(grad.sum()) < 1e-10
 
     def test_rejects_bad_inputs(self):
-        label = GaussianLabel(mean=(1.0, 1.0), cov=np.eye(2))
         with pytest.raises(ValueError):
-            sample_label(label, 0, 0, (3, 3))
-        with pytest.raises(ValueError):
-            GaussianLabel(mean=(1.0, 1.0), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+            sample_label((1.0, 1.0), np.eye(2), 0, 0, (3, 3))
+        with pytest.raises(ValueError, match="not positive definite"):
+            sample_label((1.0, 1.0), np.array([[1.0, 2.0], [2.0, 1.0]]), 1, 0, (3, 3))

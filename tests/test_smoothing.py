@@ -6,8 +6,6 @@ from scipy import ndimage
 
 from landmarklab.cli import main
 from landmarklab.smoothing import (
-    BoundaryDef,
-    GaussianLabel,
     SmoothingConfig,
     build_edge_heatmap,
     edge_heatmap,
@@ -28,20 +26,7 @@ CFG = SmoothingConfig()
 def horizontal_setup(size=64, row=32.0):
     """A straight horizontal boundary spanning the grid through one landmark."""
     landmarks = np.array([[2.0, row], [size / 2.0, row], [size - 3.0, row]])
-    boundaries = BoundaryDef(((0, 1, 2),))
-    return landmarks, boundaries
-
-
-class TestBoundaryDef:
-    def test_rejects_short_curves(self):
-        with pytest.raises(ValueError):
-            BoundaryDef(((0,),))
-
-    def test_index_validation(self):
-        landmarks = np.array([[1.0, 1.0], [2.0, 2.0]])
-        BoundaryDef(((0, 1),)).validate_for(landmarks)
-        with pytest.raises(ValueError):
-            BoundaryDef(((0, 2),)).validate_for(landmarks)
+    return landmarks, ((0, 1, 2),)
 
 
 class TestEdgeHeatmap:
@@ -67,7 +52,13 @@ class TestEdgeHeatmap:
     def test_rejects_empty_boundaries(self):
         landmarks, _ = horizontal_setup()
         with pytest.raises(ValueError):
-            build_edge_heatmap(landmarks, BoundaryDef(()), CFG)
+            build_edge_heatmap(landmarks, (), CFG)
+
+    def test_rejects_out_of_range_index(self):
+        landmarks = np.array([[1.0, 1.0], [2.0, 2.0]])
+        build_edge_heatmap(landmarks, ((0, 1),), CFG)
+        with pytest.raises(ValueError, match="boundary index 2 out of range for 2 landmarks"):
+            build_edge_heatmap(landmarks, ((0, 2),), CFG)
 
     def test_distance_field_point_segment(self):
         d = segment_distance_field([((1.0, 1.0), (3.0, 1.0))], 5, 3)
@@ -118,10 +109,10 @@ class TestSegmentDistanceField:
     def test_several_curves_through_edge_heatmap(self):
         rng = np.random.default_rng(32)
         landmarks = rng.uniform(-4.0, 36.0, size=(9, 2))
-        boundaries = BoundaryDef(((0, 1, 2, 3), (4, 5), (6, 7, 8, 6), (2, 2, 5)))
+        boundaries = ((0, 1, 2, 3), (4, 5), (6, 7, 8, 6), (2, 2, 5))
         cfg = SmoothingConfig(edge_map_size=32)
         segments = []
-        for curve in boundaries.curves:
+        for curve in boundaries:
             pts = landmarks[list(curve)]
             segments.extend(zip(pts[:-1], pts[1:]))
         expected = edge_heatmap(reference_distance_field(segments, 32, 32), cfg.sigma_b)
@@ -199,67 +190,67 @@ class TestFitGaussianLabel:
     def test_isotropic_without_edge_content(self):
         refined = np.zeros((33, 33))
         cfg = SmoothingConfig(blend=0.0)
-        label = fit_gaussian_label(refined, (16.0, 16.0), cfg)
-        assert abs(label.cov[0, 1]) < 1e-12
-        assert abs(label.cov[0, 0] / label.cov[1, 1] - 1.0) < 0.05
+        cov = fit_gaussian_label(refined, (16.0, 16.0), cfg)
+        assert abs(cov[0, 1]) < 1e-12
+        assert abs(cov[0, 0] / cov[1, 1] - 1.0) < 0.05
 
     def test_gamma_scaling_is_exact(self):
         landmarks, boundaries = horizontal_setup()
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
         y = (32.0, 32.0)
-        lab1 = fit_gaussian_label(refined, y, SmoothingConfig(gamma=0.01))
-        lab2 = fit_gaussian_label(refined, y, SmoothingConfig(gamma=0.02))
-        np.testing.assert_array_equal(lab2.cov, 2.0 * lab1.cov)
-        w1, v1 = np.linalg.eigh(lab1.cov)
-        w2, v2 = np.linalg.eigh(lab2.cov)
+        cov1 = fit_gaussian_label(refined, y, SmoothingConfig(gamma=0.01))
+        cov2 = fit_gaussian_label(refined, y, SmoothingConfig(gamma=0.02))
+        np.testing.assert_array_equal(cov2, 2.0 * cov1)
+        w1, v1 = np.linalg.eigh(cov1)
+        w2, v2 = np.linalg.eigh(cov2)
         np.testing.assert_allclose(np.abs(v1), np.abs(v2), atol=1e-12)
 
     def test_horizontal_edge_elongates_horizontally(self):
         landmarks, boundaries = horizontal_setup()
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
-        label = fit_gaussian_label(refined, (32.0, 32.0), CFG)
-        evals, evecs = np.linalg.eigh(label.cov)
+        cov = fit_gaussian_label(refined, (32.0, 32.0), CFG)
+        evals, evecs = np.linalg.eigh(cov)
         dominant = evecs[:, np.argmax(evals)]
         assert abs(dominant[0]) > 0.99  # |cosine| with the u axis
         assert evals.max() / evals.min() > 1.5
-
-    def test_mean_pinned_to_landmark(self):
-        landmarks, boundaries = horizontal_setup()
-        refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
-        label = fit_gaussian_label(refined, (30.4, 31.7), CFG)
-        assert label.mean == (30.4, 31.7)
 
     def test_spd_floor(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             refined = rng.random((40, 40))
             y = (float(rng.uniform(0, 39)), float(rng.uniform(0, 39)))
-            label = fit_gaussian_label(refined, y, CFG)
-            assert np.linalg.eigvalsh(label.cov).min() >= CFG.gamma * CFG.cov_reg
-            np.testing.assert_allclose(label.cov[0, 1], label.cov[1, 0], atol=1e-15)
+            cov = fit_gaussian_label(refined, y, CFG)
+            assert np.linalg.eigvalsh(cov).min() >= CFG.gamma * CFG.cov_reg
+            np.testing.assert_allclose(cov[0, 1], cov[1, 0], atol=1e-15)
+
+    def test_rejects_non_finite_covariance(self):
+        refined = np.zeros((33, 33))
+        refined[16, 16] = np.nan
+        with pytest.raises(ValueError, match="must be finite and positive definite"):
+            fit_gaussian_label(refined, (16.0, 16.0), CFG)
 
     def test_rotation_equivariance(self):
         # Rotating the refined edge map by 90 deg swaps the covariance
         # diagonal and flips the correlation sign.
         landmarks = np.array([[10.0, 10.0], [54.0, 54.0]])
-        boundaries = BoundaryDef(((0, 1),))  # diagonal line, nonzero correlation
+        boundaries = ((0, 1),)  # diagonal line, nonzero correlation
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
         y = (32.0, 32.0)
         base = fit_gaussian_label(refined, y, CFG)
         size = refined.shape[1]
         rotated = np.rot90(refined)
         # rot90 maps (u, v) -> (v, size-1-u), so the landmark lands on (32, 31).
-        rot_label = fit_gaussian_label(rotated, (y[1], size - 1 - y[0]), CFG)
-        np.testing.assert_allclose(rot_label.cov[0, 0], base.cov[1, 1], rtol=1e-9)
-        np.testing.assert_allclose(rot_label.cov[1, 1], base.cov[0, 0], rtol=1e-9)
-        np.testing.assert_allclose(rot_label.cov[0, 1], -base.cov[0, 1], rtol=1e-9)
-        assert abs(base.cov[0, 1]) > 1e-4
+        rot_cov = fit_gaussian_label(rotated, (y[1], size - 1 - y[0]), CFG)
+        np.testing.assert_allclose(rot_cov[0, 0], base[1, 1], rtol=1e-9)
+        np.testing.assert_allclose(rot_cov[1, 1], base[0, 0], rtol=1e-9)
+        np.testing.assert_allclose(rot_cov[0, 1], -base[0, 1], rtol=1e-9)
+        assert abs(base[0, 1]) > 1e-4
 
     def test_far_from_boundary_is_near_isotropic(self):
         landmarks, boundaries = horizontal_setup(row=5.0)
         refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
-        label = fit_gaussian_label(refined, (32.0, 50.0), CFG)
-        evals = np.linalg.eigvalsh(label.cov)
+        cov = fit_gaussian_label(refined, (32.0, 50.0), CFG)
+        evals = np.linalg.eigvalsh(cov)
         assert evals.max() / evals.min() < 1.1
 
     def test_patch_extraction_zero_pads(self):
@@ -280,37 +271,37 @@ class TestFitGaussianLabel:
 
 class TestSampleLabel:
     def test_degenerate_covariance(self):
-        label = GaussianLabel(mean=(3.4, 6.6), cov=1e-12 * np.eye(2))
-        cells = sample_label(label, 50, 0, (10, 10))
+        mean, cov = (3.4, 6.6), 1e-12 * np.eye(2)
+        cells = sample_label(mean, cov, 50, 0, (10, 10))
         np.testing.assert_array_equal(cells, np.tile([3, 7], (50, 1)))
 
     def test_seed_determinism(self):
-        label = GaussianLabel(mean=(5.0, 5.0), cov=np.array([[2.0, 0.5], [0.5, 1.0]]))
-        a = sample_label(label, 100, 42, (11, 11))
-        b = sample_label(label, 100, 42, (11, 11))
+        mean, cov = (5.0, 5.0), np.array([[2.0, 0.5], [0.5, 1.0]])
+        a = sample_label(mean, cov, 100, 42, (11, 11))
+        b = sample_label(mean, cov, 100, 42, (11, 11))
         assert a.shape == (100, 2)
         assert a.tobytes() == b.tobytes()
-        c = sample_label(label, 100, 43, (11, 11))
+        c = sample_label(mean, cov, 100, 43, (11, 11))
         assert not np.array_equal(a, c)
 
     def test_sample_variance_matches_covariance(self):
-        label = GaussianLabel(mean=(100.0, 100.0), cov=np.diag([4.0, 1.0]))
-        cells = np.array(sample_label(label, 10_000, 7, (201, 201)), dtype=float)
+        mean, cov = (100.0, 100.0), np.diag([4.0, 1.0])
+        cells = np.array(sample_label(mean, cov, 10_000, 7, (201, 201)), dtype=float)
         var_u = cells[:, 0].var()
         var_v = cells[:, 1].var()
         assert 3.5 <= var_u <= 4.5
         assert 0.8 <= var_v <= 1.2
 
     def test_clamping_keeps_cells_in_bounds(self):
-        label = GaussianLabel(mean=(0.0, 0.0), cov=25.0 * np.eye(2))
-        cells = sample_label(label, 500, 9, (4, 4))
+        mean, cov = (0.0, 0.0), 25.0 * np.eye(2)
+        cells = sample_label(mean, cov, 500, 9, (4, 4))
         arr = np.array(cells)
         assert arr.min() >= 0 and arr[:, 0].max() <= 3 and arr[:, 1].max() <= 3
 
     def test_rejects_bad_args(self):
-        label = GaussianLabel(mean=(1.0, 1.0), cov=np.eye(2))
+        mean, cov = (1.0, 1.0), np.eye(2)
         with pytest.raises(ValueError):
-            sample_label(label, 0, 0, (5, 5))
+            sample_label(mean, cov, 0, 0, (5, 5))
 
 
 class TestPipelineDeterminism:
@@ -319,9 +310,9 @@ class TestPipelineDeterminism:
         outs = []
         for _ in range(2):
             refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
-            label = fit_gaussian_label(refined, (31.0, 32.0), CFG)
-            cells = sample_label(label, 10, 1234, (64, 64))
-            outs.append((refined.tobytes(), label.cov.tobytes(), cells.tobytes()))
+            cov = fit_gaussian_label(refined, (31.0, 32.0), CFG)
+            cells = sample_label((31.0, 32.0), cov, 10, 1234, (64, 64))
+            outs.append((refined.tobytes(), cov.tobytes(), cells.tobytes()))
         assert outs[0] == outs[1]
 
 
@@ -356,14 +347,14 @@ class TestAnnotationIo:
     def test_boundary_parsing(self, tmp_path):
         path = tmp_path / "bnd.txt"
         path.write_text("0,1,2\n# comment\n3,4\n")
-        bd = read_boundaries(path)
-        assert bd.curves == ((0, 1, 2), (3, 4))
+        assert read_boundaries(path) == ((0, 1, 2), (3, 4))
 
     def test_boundary_errors(self, tmp_path):
         path = tmp_path / "bnd.txt"
-        path.write_text("0,x\n")
-        with pytest.raises(ValueError, match=r":1"):
-            read_boundaries(path)
+        for line in ("0,x", "0"):  # malformed index, curve of one index
+            path.write_text(f"{line}\n")
+            with pytest.raises(ValueError, match=r":1"):
+                read_boundaries(path)
 
     def test_labels_csv(self, tmp_path):
         ann = tmp_path / "ann.txt"
@@ -379,8 +370,8 @@ class TestAnnotationIo:
             build_edge_heatmap(landmarks, read_boundaries(bnd), CFG), CFG)
         expected = ["sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"]
         for n, (u, v) in enumerate(landmarks):
-            label = fit_gaussian_label(refined, (u, v), CFG)
-            cells = (*label.mean, label.cov[0, 0], label.cov[0, 1], label.cov[1, 1])
+            cov = fit_gaussian_label(refined, (u, v), CFG)
+            cells = (u, v, cov[0, 0], cov[0, 1], cov[1, 1])
             expected.append(",".join(["s0", str(n), *(format(float(x), ".12g") for x in cells)]))
         assert lines == expected
         assert lines[1].startswith("s0,0,20,32,")  # 20.0 is written as 20

@@ -357,10 +357,10 @@ class TestSmoothedLabels:
         contour = _ellipse_contour((8.0, 8.0), 5.0, 3.0, 0.0)
         dist = segment_distance_field(polyline_segments(contour), 16, 16)
         points = np.array([[13.0, 8.0], [3.0, 8.0]])
-        labels = fit_sample_labels(dist, points, SmoothingConfig(patch_half=4))
-        for label in labels:
-            assert np.linalg.eigvalsh(label.cov).min() > 0
-        cov = labels[0].cov
+        covs = fit_sample_labels(dist, points, SmoothingConfig(patch_half=4))
+        assert covs.shape == (2, 2, 2)
+        assert np.linalg.eigvalsh(covs).min() > 0
+        cov = covs[0]
         assert cov[1, 1] > cov[0, 0]  # spread along v (the edge direction)
 
     def test_training_reuses_stored_distance_fields(self, monkeypatch):
