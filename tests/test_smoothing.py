@@ -29,6 +29,14 @@ def horizontal_setup(size=64, row=32.0):
     return landmarks, ((0, 1, 2),)
 
 
+class TestBoundaryDef:
+    def test_rejects_short_curves(self, tmp_path):
+        path = tmp_path / "bnd.txt"
+        path.write_text("0,1\n2\n")
+        with pytest.raises(ValueError, match=r":2: boundary curve needs >= 2 indices"):
+            read_boundaries(path)
+
+
 class TestEdgeHeatmap:
     def test_on_segment_pixels_are_one(self):
         landmarks, boundaries = horizontal_setup()
@@ -351,10 +359,9 @@ class TestAnnotationIo:
 
     def test_boundary_errors(self, tmp_path):
         path = tmp_path / "bnd.txt"
-        for line in ("0,x", "0"):  # malformed index, curve of one index
-            path.write_text(f"{line}\n")
-            with pytest.raises(ValueError, match=r":1"):
-                read_boundaries(path)
+        path.write_text("0,x\n")
+        with pytest.raises(ValueError, match=r":1"):
+            read_boundaries(path)
 
     def test_labels_csv(self, tmp_path):
         ann = tmp_path / "ann.txt"
