@@ -40,6 +40,9 @@ class SmoothingConfig:
         for name in ("sigma_b", "blur_sigma", "center_sigma", "gamma", "cov_reg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("sharpness_factor", "blend"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.patch_half < 1:
             raise ValueError("patch_half must be positive")
 

@@ -63,6 +63,13 @@ ROTATION_RANGE = (-0.26, 0.26)
 # lr 0.1 on 60 samples at 16x16 reaches 58.6x at epoch 2 and 4,880x at 3.
 LOSS_GROWTH_LIMIT = 1e3
 
+# Bytes of score rows that train turns into losses and updates at once.
+# Rests on a sweep of compare_convergence over the perfbench synth-default
+# data (80 train rows of 3 x 32 x 32 cells, 1 BLAS thread, 2 cores, medians
+# of 15): 0.231 s at 128 KiB, 0.239 s at 256 KiB, 0.228 s at 512 KiB,
+# 0.253 s at 1 MiB, and 0.323 s with the batch in one block.
+BLOCK_BYTES = 512 * 1024
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when an objective's training turns non-finite, overflows, or
@@ -307,6 +314,14 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     average gradients; weight decay C first scales coef by (1 - lr * C),
     which equals adding C * theta.  The weights are never built.
 
+    After the batch's one GEMM, its rows are taken BLOCK_BYTES at a time:
+    each block's losses, gradients and coef update are done before the next
+    block's.  Every batch-sized temporary would cost the allocator fresh,
+    zero-filled pages, while block-sized ones reuse the same memory.  The
+    block size cannot change any output bit, since the scores all come
+    before the first update and a sample's loss, gradient and coef row
+    depend on its own score row alone.
+
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
     the heatmap size H*W (S = 400 against H*W = 1024 on the default bench).
@@ -323,6 +338,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     n_landmarks = dataset.points.shape[1]
     grid = dataset.grid
     coef = np.zeros((len(feats), n_landmarks * grid[0] * grid[1]))
+    block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     history = []
@@ -335,14 +351,19 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
                     scores = (gram[idx] @ coef).reshape(len(idx), n_landmarks, -1)
-                    if not np.isfinite(scores).all():
-                        raise TrainingDiverged(cfg.objective, epoch)
-                    losses, grads = _batch_loss(scores, targets, idx, grid, cfg, epoch)
-                    for loss in losses:  # sample by sample: this order fixes the output bits
-                        epoch_loss += loss
                     if cfg.weight_decay > 0:
                         coef *= shrink
-                    coef[idx] -= cfg.learning_rate / len(idx) * grads.reshape(len(idx), -1)
+                    step = cfg.learning_rate / len(idx)
+                    for lo in range(0, len(idx), block_rows):
+                        block = idx[lo : lo + block_rows]
+                        block_scores = scores[lo : lo + block_rows]
+                        if not np.isfinite(block_scores).all():
+                            raise TrainingDiverged(cfg.objective, epoch)
+                        losses, grads = _batch_loss(block_scores, targets, block, grid, cfg, epoch)
+                        for loss in losses:  # sample by sample: this order fixes the output bits
+                            epoch_loss += loss
+                        grads *= step
+                        coef[block] -= grads.reshape(len(block), -1)
                 train_loss = epoch_loss / n
                 if not np.isfinite(train_loss):
                     raise TrainingDiverged(cfg.objective, epoch)

@@ -443,6 +443,20 @@ class TestSmoothCommand:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("blend", "-0.5"), ("sharpness_factor", "-1e300")])
+    def test_negative_weight_is_rejected(self, tmp_path, capsys, key, value):
+        # Unchecked, blend = -0.5 failed as "joint patch has no mass" and
+        # sharpness_factor = -1e300 exited 0 with widened covariances.
+        cfg = tmp_path / "smooth.cfg"
+        cfg.write_text(f"[smooth]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"),
+                     os.path.join(SAMPLE_DATA, "boundaries.txt"),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid smooth config: {key} must be nonnegative")
+        assert not out.exists()
+
     def test_dump_intermediates(self, tmp_path):
         ann, bnd = self.setup_inputs(tmp_path)
         out = tmp_path / "out"

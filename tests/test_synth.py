@@ -31,6 +31,13 @@ from reference import LinearScorer, dataset_objective, evaluate_nme, tune_learni
 STRUCT_CFG = StructuredLossConfig(
     epsilon=1.0, margin=MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0)
 )
+# (objective, learning rate, with_smoothing): every training path.
+ARMS = [
+    ("structured", 0.5, False),
+    ("softargmax", 0.1, False),
+    ("heatmap_mse", 0.002, False),
+    ("structured", 0.5, True),
+]
 
 
 def single_sample(width=16, height=16):
@@ -199,6 +206,20 @@ class TestTrain:
             assert abs(a.train_loss - b.train_loss) < 1e-9
             assert abs(a.eval_nme - b.eval_nme) < 1e-9
 
+    @pytest.mark.parametrize("objective, lr, smoothed", ARMS)
+    def test_history_independent_of_block_size(self, monkeypatch, objective, lr, smoothed):
+        # Batches of 4, 4 and 2 rows, walked one row per block and in one
+        # block; weight decay must shrink coef once per batch either way.
+        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
+        cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=0.05,
+                          epochs=3, batch_size=4, seed=0, structured=STRUCT_CFG,
+                          with_smoothing=smoothed, mc_samples=2)
+        histories = []
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(synth, "BLOCK_BYTES", block_bytes)
+            histories.append(train(ds[:10], cfg, eval_dataset=ds[10:]))
+        assert histories[0] == histories[1]
+
 
 class TestDualForm:
     """train descends in dual form from zero; primal descent is the reference."""
@@ -320,6 +341,27 @@ class TestConvergenceComparison:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 1024 * 1025 * 8
+
+    @pytest.mark.parametrize("objective, lr, smoothed", ARMS)
+    def test_peak_memory_in_score_slabs(self, objective, lr, smoothed):
+        # A slab is one batch of score rows [B, N*H*W]; coef takes one more,
+        # and the MSE targets a third.  Working in row blocks peaked at
+        # 3.9-4.0 slabs (4.9 for MSE); batch-sized temporaries in the loss
+        # and update peaked at 5.7 (structured), 6.8 (soft-argmax and
+        # smoothed) and 7.7 (MSE).
+        ds = generate_dataset(130, 32, 32, 3, 0.02, seed=22)
+        train_set, eval_set = split_dataset(ds)
+        assert len(train_set) > 100
+        cfg = TrainConfig(objective=objective, learning_rate=lr, epochs=2,
+                          batch_size=len(train_set), seed=0,
+                          with_smoothing=smoothed, mc_samples=2)
+        tracemalloc.start()
+        try:
+            train(train_set, cfg, eval_dataset=eval_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.4 * len(train_set) * 3 * 32 * 32 * 8
 
     def test_mismatched_seeds_rejected(self):
         ds = generate_dataset(10, 16, 16, 2, 0.02, seed=15)
