@@ -5,6 +5,8 @@ what the dual-form ``synth.train`` must reproduce; ``margin_table`` is the
 margin evaluated on the grid; ``tune_learning_rate`` picks the learning
 rates of acceptance criterion 5.  ``dense_auc_ced`` and ``per_id_nmes``
 are what ``metrics.auc_ced`` and the grouped ``eval`` must reproduce.
+``row_distance_field`` is the row-by-row distance field that
+``smoothing.segment_distance_field`` must reproduce bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -141,3 +143,38 @@ def dense_auc_ced(nmes, threshold: float, n_points: int):
 def per_id_nmes(preds: dict, gts: dict, norm_distance: float) -> list:
     """One ``nme`` call per id, in sorted id order."""
     return [float(nme(preds[i], gts[i], norm_distance)) for i in sorted(preds)]
+
+
+def row_distance_field(segments, width: int, height: int) -> np.ndarray:
+    """``smoothing.segment_distance_field`` one pixel row at a time, over
+    ``[M, W]`` arrays with the segments on the first axis."""
+    segs = np.asarray(segments, dtype=np.float64)
+    if segs.size == 0:
+        raise ValueError("no segments given")
+    if segs.ndim != 3 or segs.shape[1:] != (2, 2):
+        raise ValueError(f"segments must have shape (M, 2, 2), got {segs.shape}")
+    au, av = segs[:, 0, 0, None], segs[:, 0, 1, None]  # [M, 1]
+    abu, abv = segs[:, 1, 0, None] - au, segs[:, 1, 1, None] - av
+    denom = abu * abu + abv * abv
+    # ab = 0 on a zero-length segment, so dividing by 1 there gives t = 0.
+    denom[denom == 0.0] = 1.0
+    u = np.arange(width, dtype=np.float64)
+    proj_u = (u - au) * abu  # [M, W], the same on every row
+    proj_v = (np.arange(height) - av) * abv  # [M, H], one column per row
+    best = np.empty((height, width))
+    for v in range(height):
+        t = proj_u + proj_v[:, v, None]
+        t /= denom
+        np.clip(t, 0.0, 1.0, out=t)
+        # Offset from the pixel to the nearest point of each segment.
+        du = t * abu
+        du += au
+        du -= u
+        dv = t * abv
+        dv += av
+        dv -= v
+        du *= du
+        dv *= dv
+        du += dv
+        du.min(axis=0, out=best[v])
+    return np.sqrt(best, out=best)

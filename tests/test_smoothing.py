@@ -1,9 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from landmarklab import smoothing, synth
 from landmarklab.cli import main
 from landmarklab.smoothing import (
     SmoothingConfig,
@@ -19,6 +21,8 @@ from landmarklab.smoothing import (
     sample_label,
     segment_distance_field,
 )
+
+from reference import row_distance_field
 
 CFG = SmoothingConfig()
 
@@ -94,18 +98,88 @@ def reference_distance_field(segments, width, height):
     return best.reshape(height, width)
 
 
+def random_segment_cases():
+    """60 (segments, width, height) cases on non-square grids of 1-39 px."""
+    rng = np.random.default_rng(31)
+    for case in range(60):
+        width, height = (int(x) for x in rng.integers(1, 40, size=2))
+        segs = rng.uniform(-15.0, 55.0, size=(int(rng.integers(1, 24)), 2, 2))
+        # Zero-length segments, some of them off the grid.
+        segs[: case % 4, 1] = segs[: case % 4, 0]
+        yield segs, width, height
+
+
+def check_every_field(monkeypatch, module):
+    """Make ``module``'s distance-field calls assert bit identity with the
+    row-by-row oracle; returns the list of (M, width, height) calls seen."""
+    kernel = module.segment_distance_field
+    calls = []
+
+    def checked(segments, width, height):
+        field = kernel(segments, width, height)
+        assert np.array_equal(field, row_distance_field(segments, width, height))
+        calls.append((len(segments), width, height))
+        return field
+
+    monkeypatch.setattr(module, "segment_distance_field", checked)
+    return calls
+
+
+def ellipse_segments(size):
+    """A closed 128-segment ellipse across a size x size grid."""
+    t = np.linspace(0, 2 * np.pi, 129)
+    return polyline_segments(np.stack([size * (0.5 + 0.31 * np.cos(t)),
+                                       size * (0.5 + 0.19 * np.sin(t))], axis=1))
+
+
 class TestSegmentDistanceField:
     def test_matches_per_segment_loop(self):
-        rng = np.random.default_rng(31)
-        for case in range(60):
-            width, height = (int(x) for x in rng.integers(1, 40, size=2))
-            segs = rng.uniform(-15.0, 55.0, size=(int(rng.integers(1, 24)), 2, 2))
-            # Zero-length segments, some of them off the grid.
-            segs[: case % 4, 1] = segs[: case % 4, 0]
+        for segs, width, height in random_segment_cases():
             d = segment_distance_field(segs, width, height)
             assert d.shape == (height, width)
             np.testing.assert_allclose(d, reference_distance_field(segs, width, height),
                                        rtol=0, atol=1e-12)
+            assert np.array_equal(d, row_distance_field(segs, width, height))
+
+    @pytest.mark.parametrize("size", [32, 16])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_rendered_contours_bit_identical_to_row_kernel(self, monkeypatch, size, seed):
+        calls = check_every_field(monkeypatch, synth)
+        synth.generate_dataset(100, size, size, 3, 0.02, seed=seed)
+        assert calls == [(128, size, size)] * 100
+
+    def test_face_edge_maps_bit_identical_to_row_kernel(self, monkeypatch):
+        calls = check_every_field(monkeypatch, smoothing)
+        data = Path(__file__).resolve().parents[1] / "sample_data"
+        curves = read_boundaries(data / "boundaries.txt")
+        rng = np.random.default_rng(33)
+        for _, points in read_annotations(data / "annotations.txt"):
+            for _ in range(10):
+                moved = points + rng.uniform(-4.0, 4.0, 2) + rng.normal(0.0, 1.5, points.shape)
+                build_edge_heatmap(moved, curves, CFG)
+        assert set(calls) == {(6, 64, 64)}
+
+    def test_field_independent_of_block_size(self, monkeypatch):
+        cases = [*random_segment_cases(), (ellipse_segments(32), 32, 32),
+                 (ellipse_segments(64), 64, 64), (ellipse_segments(48), 48, 22)]
+        fields = []
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(smoothing, "FIELD_BLOCK_BYTES", block_bytes)
+            fields.append([segment_distance_field(*case) for case in cases])
+        for one_row, whole in zip(*fields):
+            assert np.array_equal(one_row, whole)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (-2, 4), (4, -1)])
+    def test_rejects_non_positive_sides(self, width, height):
+        with pytest.raises(ValueError, match="grid sides must be positive"):
+            segment_distance_field([((1.0, 1.0), (3.0, 1.0))], width, height)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_endpoints(self, bad):
+        segs = np.array([[[1.0, 1.0], [3.0, 1.0]], [[2.0, 2.0], [5.0, 4.0]]])
+        segs[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="segment endpoints must be finite"):
+            segment_distance_field(segs, 8, 6)
 
     def test_only_zero_length_segments_are_points(self):
         segs = np.array([[[2.0, 1.0], [2.0, 1.0]], [[-3.0, 7.5], [-3.0, 7.5]]])
