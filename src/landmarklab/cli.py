@@ -302,29 +302,31 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
     return 0
 
 
-def _dump_label_pgms(out, sample_id, n, refined, y, cov, scfg) -> None:
-    """Per-landmark PGMs of every smoothing stage, cropped around landmark y."""
+def _dump_label_pgms(out, sample_id, raw, refined, points, covs, scfg) -> None:
+    """PGMs of a sample's edge maps and of every smoothing stage for each
+    landmark of points [N, 2] with covariances [N, 2, 2], cropped around it."""
+    save_heatmap_pgm(raw, os.path.join(out, f"{sample_id}_edge_raw.pgm"))
+    save_heatmap_pgm(refined, os.path.join(out, f"{sample_id}_edge_refined.pgm"))
     k = scfg.patch_half
-    cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
-    edge_patch, bump, blended = joint_patch(refined, y, scfg)
-    # Density of the fitted Gaussian on the same patch, peak-normalized.
-    size = 2 * k + 1
-    uu = np.arange(size, dtype=np.float64)[None, :] + cu - k - y[0]
-    vv = np.arange(size, dtype=np.float64)[:, None] + cv - k - y[1]
-    inv = np.linalg.inv(cov)
-    quad = inv[0, 0] * uu**2 + 2.0 * inv[0, 1] * uu * vv + inv[1, 1] * vv**2
+    centers = np.rint(points).astype(int)
+    edge_patch, bump, blended = joint_patch(refined, points, scfg)
+    # Density of each fitted Gaussian on its landmark's patch, peak-normalized.
+    d = np.arange(2 * k + 1, dtype=np.float64) + centers[..., None] - k - points[..., None]
+    uu, vv = d[:, 0, None, :], d[:, 1, :, None]
+    inv = np.linalg.inv(covs)[..., None, None]
+    quad = inv[:, 0, 0] * uu**2 + 2.0 * inv[:, 0, 1] * uu * vv + inv[:, 1, 1] * vv**2
     fitted = np.exp(-0.5 * quad)
-    fitted /= fitted.max()
-    raw_patch = extract_patch(refined, (cu, cv), k)
+    fitted /= fitted.max(axis=(-2, -1), keepdims=True)
     panels = {
-        "edge_raw_patch": raw_patch,
+        "edge_raw_patch": extract_patch(refined, centers, k),
         "edge_refined_patch": edge_patch,
         "center": bump,
         "joint": blended,
         "fitted": fitted,
     }
-    for name, arr in panels.items():
-        save_heatmap_pgm(arr, os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm"))
+    for n in range(len(points)):
+        for name, arr in panels.items():
+            save_heatmap_pgm(arr[n], os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm"))
 
 
 def cmd_smooth(annotations_path, boundaries_path, config_path, out,
@@ -351,18 +353,14 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 raw = build_edge_heatmap(points, boundaries, scfg)
                 refined = refine_edge_heatmap(raw, scfg)
-                covs = [fit_gaussian_label(refined, (u, v), scfg) for u, v in points]
+                covs = fit_gaussian_label(refined, points, scfg)
         except (ValueError, FloatingPointError) as err:
             raise CliError(f"sample {sample_id}: {err}") from err
         fits.append((sample_id, points, covs, (raw, refined) if dump_intermediates else None))
     out = _ensure_outdir(out)
     for sample_id, points, covs, maps in fits:
         if maps is not None:
-            raw, refined = maps
-            save_heatmap_pgm(raw, os.path.join(out, f"{sample_id}_edge_raw.pgm"))
-            save_heatmap_pgm(refined, os.path.join(out, f"{sample_id}_edge_refined.pgm"))
-            for n, ((u, v), cov) in enumerate(zip(points, covs)):
-                _dump_label_pgms(out, sample_id, n, refined, (u, v), cov, scfg)
+            _dump_label_pgms(out, sample_id, *maps, points, covs, scfg)
     rows = [
         (sample_id, n, u, v, cov[0, 0], cov[0, 1], cov[1, 1])
         for sample_id, points, covs, _ in fits
@@ -387,6 +385,8 @@ def cmd_eval(pred_path, gt_path, config_path, out) -> int:
     missing = sorted(set(preds) ^ set(gts))
     if missing:
         raise CliError(f"sample ids do not match between files: {' '.join(missing)}")
+    if "mean" in preds:
+        raise CliError("sample id 'mean' is taken by the summary row of per_sample.csv")
     norm_distance = section.pop("norm_distance")
     if norm_distance <= 0:
         raise CliError("eval.norm_distance must be positive")
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--config", default=None)
     toy.add_argument("--out", default=".")
     toy.add_argument("--seed", type=int, default=None, help=no_draws)
-    toy.add_argument("--objective", choices=("structured", "softargmax"), default=None)
+    toy.add_argument("--objective", choices=TOY_OBJECTIVES, default=None)
 
     synth = sub.add_parser("synth", help="synthetic convergence comparison")
     synth.add_argument("--config", default=None)
@@ -480,7 +480,9 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args.pred, args.gt, args.config, args.out)
         raise CliError(f"unknown command {args.command}")
-    except CliError as err:
+    # Configs and inputs are read under handlers that raise CliError, so an
+    # OSError that gets here came from writing an output.
+    except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

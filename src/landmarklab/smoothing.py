@@ -183,79 +183,74 @@ def refine_edge_heatmap(e: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
     return np.clip(sharp, 0.0, blurred.max())
 
 
-def extract_patch(values: np.ndarray, center: tuple[int, int], half: int) -> np.ndarray:
-    """(2*half+1)^2 patch around cell (u, v), zero-padded where it leaves the grid."""
+def _check_on_grid(points: np.ndarray, shape, what: str, grid: str) -> None:
+    """Raise naming the first of points [..., 2] off a grid (H, W); NaN is off."""
+    height, width = shape
+    off = ~((points >= 0) & (points <= (width - 1, height - 1))).all(axis=-1)
+    if off.any():
+        u, v = points[off][0]
+        raise ValueError(f"{what} ({u:g}, {v:g}) outside the {width}x{height} {grid}")
+
+
+def extract_patch(values: np.ndarray, centers, half: int) -> np.ndarray:
+    """Fresh patches [..., 2*half+1, 2*half+1] of grid [H, W] around cells
+    centers [..., 2] of (u, v), zero-padded where they leave the grid."""
+    c = np.asarray(centers)
+    _check_on_grid(c, values.shape, "center", "grid")
     size = 2 * half + 1
-    patch = np.zeros((size, size), dtype=np.float64)
-    h, w = values.shape
-    u0, v0 = center[0] - half, center[1] - half
-    su0, sv0 = max(u0, 0), max(v0, 0)
-    su1, sv1 = min(u0 + size, w), min(v0 + size, h)
-    if su0 < su1 and sv0 < sv1:
-        patch[sv0 - v0 : sv1 - v0, su0 - u0 : su1 - u0] = values[sv0:sv1, su0:su1]
-    return patch
+    padded = np.pad(np.asarray(values, dtype=np.float64), half)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (size, size))
+    return windows[c[..., 1], c[..., 0]]
 
 
 def _normalize_max(arr: np.ndarray) -> np.ndarray:
-    m = arr.max()
-    return arr / m if m > 0 else arr
+    """Each patch of arr [..., P, P] over its peak, unless the peak is not positive."""
+    m = arr.max(axis=(-2, -1), keepdims=True)
+    return arr / np.where(m > 0, m, 1.0)
 
 
 def joint_patch(
-    e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
+    e_refined: np.ndarray, points, cfg: SmoothingConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge patch, center bump, and their blend around landmark y on edge map [H, W].
+    """Edge patches, center bumps, and their blends around landmarks
+    points [..., 2] on edge map [H, W].
 
-    Returns (edge_patch, center_patch, blended), each (2k+1) x (2k+1) and
-    the first two normalized to peak 1.  The blend is
+    Returns (edge_patch, center_patch, blended), each [..., 2k+1, 2k+1]
+    and the first two normalized to peak 1.  The blend is
     ``blend * edge_patch + center_patch``.
     """
-    height, width = e_refined.shape
-    if not (0 <= y[0] <= width - 1 and 0 <= y[1] <= height - 1):
-        raise ValueError(
-            f"landmark ({y[0]:g}, {y[1]:g}) outside the {width}x{height} edge map"
-        )
+    y = np.asarray(points, dtype=np.float64)
+    _check_on_grid(y, e_refined.shape, "landmark", "edge map")
     k = cfg.patch_half
-    size = 2 * k + 1
-    cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
-    edge = _normalize_max(extract_patch(e_refined, (cu, cv), k))
-    # Bump evaluated in absolute coordinates so a fractional landmark stays centered.
-    du = np.arange(size, dtype=np.float64) + (cu - k) - y[0]
-    dv = np.arange(size, dtype=np.float64) + (cv - k) - y[1]
-    bump = np.exp(-(du[None, :] ** 2 + dv[:, None] ** 2) / (2.0 * cfg.center_sigma**2))
+    c = np.rint(y).astype(int)
+    edge = _normalize_max(extract_patch(e_refined, c, k))
+    # Cell offsets [..., 2, P] from the landmark, so a fractional landmark stays centered.
+    d = np.arange(2 * k + 1, dtype=np.float64) + (c - k)[..., None] - y[..., None]
+    du, dv = d[..., 0, None, :], d[..., 1, :, None]
+    bump = np.exp(-(du**2 + dv**2) / (2.0 * cfg.center_sigma**2))
     bump = _normalize_max(bump)
     return edge, bump, cfg.blend * edge + bump
 
 
-def fit_gaussian_label(
-    e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
-) -> np.ndarray:
-    """Covariance [2, 2] of the directional smoothing Gaussian for landmark
-    y on edge map [H, W]; the Gaussian's mean is y itself.
+def fit_gaussian_label(e_refined: np.ndarray, points, cfg: SmoothingConfig) -> np.ndarray:
+    """Covariances [..., 2, 2] of the directional smoothing Gaussians for
+    landmarks points [..., 2] on edge map [H, W]; each mean is its landmark.
 
-    The covariance is the weighted second moment of the blended patch about
-    its own weighted mean, ridged by cov_reg and scaled by gamma.
+    A covariance is the weighted second moment of its landmark's blended
+    patch about the patch's weighted mean, ridged by cov_reg and scaled by gamma.
     """
-    _, _, m = joint_patch(e_refined, y, cfg)
-    total = m.sum()
-    if total <= 0:
+    _, _, m = joint_patch(e_refined, points, cfg)
+    total = m.sum(axis=(-2, -1), keepdims=True)
+    if (total <= 0).any():
         raise ValueError("joint patch has no mass")
     w = m / total
-    size = m.shape[0]
-    coords_u = np.arange(size, dtype=np.float64)[None, :]
-    coords_v = np.arange(size, dtype=np.float64)[:, None]
-    mu_u = float((w * coords_u).sum())
-    mu_v = float((w * coords_v).sum())
-    du = coords_u - mu_u
-    dv = coords_v - mu_v
-    cov = np.array(
-        [
-            [(w * du * du).sum(), (w * du * dv).sum()],
-            [(w * du * dv).sum(), (w * dv * dv).sum()],
-        ]
-    )
+    coords = np.arange(m.shape[-1], dtype=np.float64)
+    du = coords - (w * coords).sum(axis=(-2, -1), keepdims=True)
+    dv = coords[:, None] - (w * coords[:, None]).sum(axis=(-2, -1), keepdims=True)
+    uu, uv, vv = ((w * a * b).sum(axis=(-2, -1)) for a, b in ((du, du), (du, dv), (dv, dv)))
+    cov = np.stack([uu, uv, uv, vv], axis=-1).reshape(*uu.shape, 2, 2)
     cov = cfg.gamma * (cov + cfg.cov_reg * np.eye(2))
-    if not (np.isfinite(cov).all() and np.linalg.eigvalsh(cov).min() > 0):
+    if not (np.isfinite(cov).all() and (np.linalg.eigvalsh(cov).min(axis=-1) > 0).all()):
         raise ValueError("label covariance must be finite and positive definite")
     return cov
 

@@ -237,7 +237,7 @@ def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> np.ndarray:
     """Label covariances [N, 2, 2] for one sample's points [N, 2], the edge
     map taken from its contour's distance field [H, W]."""
     refined = refine_edge_heatmap(edge_heatmap(distance, cfg.sigma_b), cfg)
-    return np.array([fit_gaussian_label(refined, (u, v), cfg) for u, v in points])
+    return fit_gaussian_label(refined, points, cfg)
 
 
 def _targets(data: SynthData, cfg: TrainConfig):

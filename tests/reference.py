@@ -7,6 +7,10 @@ rates of acceptance criterion 5.  ``dense_auc_ced`` and ``per_id_nmes``
 are what ``metrics.auc_ced`` and the grouped ``eval`` must reproduce.
 ``row_distance_field`` is the row-by-row distance field that
 ``smoothing.segment_distance_field`` must reproduce bit for bit.
+``extract_patch``, ``joint_patch`` and ``fit_gaussian_label`` fit one
+landmark at a time, and ``label_panels`` builds one landmark's PGM panels
+from them; the array functions of ``smoothing`` and the PGMs of ``smooth
+--dump-intermediates`` must reproduce them bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -16,6 +20,7 @@ import numpy as np
 from landmarklab.heatmap import coordinate_grids
 from landmarklab.losses import MarginSpec, _margin_from_diffs
 from landmarklab.metrics import nme
+from landmarklab.smoothing import SmoothingConfig
 from landmarklab.synth import (
     SynthData,
     TrainConfig,
@@ -178,3 +183,103 @@ def row_distance_field(segments, width: int, height: int) -> np.ndarray:
         du += dv
         du.min(axis=0, out=best[v])
     return np.sqrt(best, out=best)
+
+
+def extract_patch(values: np.ndarray, center: tuple[int, int], half: int) -> np.ndarray:
+    """(2*half+1)^2 patch around cell (u, v), zero-padded where it leaves the grid."""
+    size = 2 * half + 1
+    patch = np.zeros((size, size), dtype=np.float64)
+    h, w = values.shape
+    u0, v0 = center[0] - half, center[1] - half
+    su0, sv0 = max(u0, 0), max(v0, 0)
+    su1, sv1 = min(u0 + size, w), min(v0 + size, h)
+    if su0 < su1 and sv0 < sv1:
+        patch[sv0 - v0 : sv1 - v0, su0 - u0 : su1 - u0] = values[sv0:sv1, su0:su1]
+    return patch
+
+
+def _normalize_max(arr: np.ndarray) -> np.ndarray:
+    m = arr.max()
+    return arr / m if m > 0 else arr
+
+
+def joint_patch(
+    e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge patch, center bump, and their blend around landmark y on edge map [H, W].
+
+    Returns (edge_patch, center_patch, blended), each (2k+1) x (2k+1) and
+    the first two normalized to peak 1.  The blend is
+    ``blend * edge_patch + center_patch``.
+    """
+    height, width = e_refined.shape
+    if not (0 <= y[0] <= width - 1 and 0 <= y[1] <= height - 1):
+        raise ValueError(
+            f"landmark ({y[0]:g}, {y[1]:g}) outside the {width}x{height} edge map"
+        )
+    k = cfg.patch_half
+    size = 2 * k + 1
+    cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
+    edge = _normalize_max(extract_patch(e_refined, (cu, cv), k))
+    # Bump evaluated in absolute coordinates so a fractional landmark stays centered.
+    du = np.arange(size, dtype=np.float64) + (cu - k) - y[0]
+    dv = np.arange(size, dtype=np.float64) + (cv - k) - y[1]
+    bump = np.exp(-(du[None, :] ** 2 + dv[:, None] ** 2) / (2.0 * cfg.center_sigma**2))
+    bump = _normalize_max(bump)
+    return edge, bump, cfg.blend * edge + bump
+
+
+def fit_gaussian_label(
+    e_refined: np.ndarray, y: tuple[float, float], cfg: SmoothingConfig
+) -> np.ndarray:
+    """Covariance [2, 2] of the directional smoothing Gaussian for landmark
+    y on edge map [H, W]; the Gaussian's mean is y itself.
+
+    The covariance is the weighted second moment of the blended patch about
+    its own weighted mean, ridged by cov_reg and scaled by gamma.
+    """
+    _, _, m = joint_patch(e_refined, y, cfg)
+    total = m.sum()
+    if total <= 0:
+        raise ValueError("joint patch has no mass")
+    w = m / total
+    size = m.shape[0]
+    coords_u = np.arange(size, dtype=np.float64)[None, :]
+    coords_v = np.arange(size, dtype=np.float64)[:, None]
+    mu_u = float((w * coords_u).sum())
+    mu_v = float((w * coords_v).sum())
+    du = coords_u - mu_u
+    dv = coords_v - mu_v
+    cov = np.array(
+        [
+            [(w * du * du).sum(), (w * du * dv).sum()],
+            [(w * du * dv).sum(), (w * dv * dv).sum()],
+        ]
+    )
+    cov = cfg.gamma * (cov + cfg.cov_reg * np.eye(2))
+    if not (np.isfinite(cov).all() and np.linalg.eigvalsh(cov).min() > 0):
+        raise ValueError("label covariance must be finite and positive definite")
+    return cov
+
+
+def label_panels(refined: np.ndarray, y, cov: np.ndarray, cfg: SmoothingConfig) -> dict:
+    """The five PGM panels of landmark y, cropped around it, by name."""
+    k = cfg.patch_half
+    cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
+    edge_patch, bump, blended = joint_patch(refined, y, cfg)
+    # Density of the fitted Gaussian on the same patch, peak-normalized.
+    size = 2 * k + 1
+    uu = np.arange(size, dtype=np.float64)[None, :] + cu - k - y[0]
+    vv = np.arange(size, dtype=np.float64)[:, None] + cv - k - y[1]
+    inv = np.linalg.inv(cov)
+    quad = inv[0, 0] * uu**2 + 2.0 * inv[0, 1] * uu * vv + inv[1, 1] * vv**2
+    fitted = np.exp(-0.5 * quad)
+    fitted /= fitted.max()
+    raw_patch = extract_patch(refined, (cu, cv), k)
+    return {
+        "edge_raw_patch": raw_patch,
+        "edge_refined_patch": edge_patch,
+        "center": bump,
+        "joint": blended,
+        "fitted": fitted,
+    }

@@ -8,10 +8,18 @@ import pytest
 import landmarklab
 from landmarklab import cli
 from landmarklab.cli import _write_csv, main
-from landmarklab.smoothing import read_annotations
+from landmarklab.heatmap import save_heatmap_pgm
+from landmarklab.smoothing import (
+    SmoothingConfig,
+    build_edge_heatmap,
+    read_annotations,
+    read_boundaries,
+    refine_edge_heatmap,
+)
 from landmarklab.toy import ToyConfig, run_toy
 
-from reference import dense_auc_ced, per_id_nmes
+from reference import dense_auc_ced, label_panels, per_id_nmes
+from reference import fit_gaussian_label as fit_one_label
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE_DATA = os.path.join(REPO_ROOT, "sample_data")
@@ -468,6 +476,45 @@ class TestSmoothCommand:
         assert "s0_lm0_fitted.pgm" in pgms
         assert "s0_edge_raw.pgm" in pgms
 
+    @pytest.mark.parametrize("gamma", [SmoothingConfig().gamma, 4.0])
+    def test_dumped_pgms_match_per_landmark_reference(self, tmp_path, gamma):
+        # Every PGM of the shipped sample data, byte for byte, against
+        # panels built one landmark at a time.  At the default gamma a
+        # fitted panel lights only the landmark's own pixel; at 4 it shows
+        # the Gaussian's shape.
+        ann = os.path.join(SAMPLE_DATA, "annotations.txt")
+        bnd = os.path.join(SAMPLE_DATA, "boundaries.txt")
+        config = tmp_path / "smooth.cfg"
+        config.write_text(f"[smooth]\ngamma = {gamma!r}\n")
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert main(["smooth", ann, bnd, "--config", str(config), "--out", str(out),
+                     "--dump-intermediates"]) == 0
+        ref.mkdir()
+        cfg = SmoothingConfig(gamma=gamma)
+        for sid, points in read_annotations(ann):
+            raw = build_edge_heatmap(points, read_boundaries(bnd), cfg)
+            refined = refine_edge_heatmap(raw, cfg)
+            save_heatmap_pgm(raw, ref / f"{sid}_edge_raw.pgm")
+            save_heatmap_pgm(refined, ref / f"{sid}_edge_refined.pgm")
+            for n, y in enumerate(points):
+                cov = fit_one_label(refined, tuple(y), cfg)
+                for name, panel in label_panels(refined, tuple(y), cov, cfg).items():
+                    save_heatmap_pgm(panel, ref / f"{sid}_lm{n}_{name}.pgm")
+        names = sorted(p.name for p in out.glob("*.pgm"))
+        assert names == sorted(p.name for p in ref.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_write_error_is_a_cli_error(self, tmp_path, capsys):
+        # A 240-character id fits labels.csv, but its per-landmark PGM
+        # names pass the file system's 255-byte limit.
+        ann, bnd = self.setup_inputs(tmp_path)
+        write_annotations(ann, [("s" * 240, "20 32 32 32 44 32")])
+        assert main(["smooth", str(ann), str(bnd), "--out", str(tmp_path / "out"),
+                     "--dump-intermediates"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
     def test_malformed_line_cites_lineno(self, tmp_path, capsys):
         ann, bnd = self.setup_inputs(tmp_path, bad_line=True)
         rc = main(["smooth", str(ann), str(bnd), "--out", str(tmp_path / "out")])
@@ -526,6 +573,16 @@ class TestEvalCommand:
         assert main(["eval", str(pred), str(gt), "--config", str(cfg),
                      "--out", str(out)]) == 0
         assert "NME=0.25" in capsys.readouterr().out
+
+    def test_id_mean_is_rejected(self, tmp_path, capsys):
+        # per_sample.csv ends with the summary row "mean", which an id of
+        # that name would duplicate.
+        gt = tmp_path / "gt.txt"
+        write_annotations(gt, [("a", "1 2"), ("mean", "3 4")])
+        out = tmp_path / "out"
+        assert main(["eval", str(gt), str(gt), "--out", str(out)]) == 2
+        assert "sample id 'mean'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_id_mismatch_names_offender(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"

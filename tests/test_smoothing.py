@@ -22,6 +22,7 @@ from landmarklab.smoothing import (
     segment_distance_field,
 )
 
+import reference
 from reference import row_distance_field
 
 CFG = SmoothingConfig()
@@ -349,6 +350,72 @@ class TestFitGaussianLabel:
         assert edge.shape == bump.shape == blended.shape == (2 * k + 1, 2 * k + 1)
         assert bump[k, k] == 1.0
         np.testing.assert_allclose(blended, CFG.blend * edge + bump, atol=1e-15)
+
+    @pytest.mark.parametrize("center", [(-1, 2), (2, -1), (5, 0), (0, 4), (-3, -3)])
+    def test_extract_patch_rejects_off_grid_center(self, center):
+        # A negative index would wrap to the far side of the grid unchecked.
+        values = np.ones((4, 5))
+        match = rf"center \({center[0]}, {center[1]}\) outside the 5x4 grid"
+        with pytest.raises(ValueError, match=match):
+            extract_patch(values, [(1, 1), center, (9, 9)], 1)
+
+    def test_first_outside_landmark_is_named(self):
+        points = np.array([[1.0, 1.0], [40.5, 2.0], [3.0, 3.0], [-2.0, 7.0]])
+        with pytest.raises(ValueError, match=r"landmark \(40.5, 2\) outside the 33x33 edge map"):
+            fit_gaussian_label(np.zeros((33, 33)), points, CFG)
+
+    def test_patches_are_fresh_arrays(self):
+        values = np.arange(25.0).reshape(5, 5)
+        patches = extract_patch(values, [(0, 0), (2, 2)], 1)
+        assert patches.shape == (2, 3, 3) and patches.flags.writeable
+        patches[...] = -1.0
+        assert values.min() == 0.0
+
+
+def border_coords(rng, side, n):
+    """n coordinates in [0, side - 1], most of them on, next to or half a
+    pixel from a border."""
+    near = np.array([0.0, 0.3, 0.5, 1.0, side - 2.0, side - 1.5, side - 1.2, side - 1.0])
+    return np.where(rng.random(n) < 0.75, rng.choice(near, n), rng.uniform(0, side - 1, n))
+
+
+class TestLandmarkArrays:
+    """The array functions against the per-landmark reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed, kind", enumerate(["random", "no_blend", "zero_map"]))
+    def test_matches_per_landmark_reference(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for half in range(1, 13):
+            for n in range(1, 9):
+                height, width = rng.integers(3, 40, 2)
+                values = rng.random((height, width))
+                if kind == "zero_map":
+                    values[...] = 0.0
+                blend = 0.0 if kind == "no_blend" else rng.uniform(0.0, 2.0)
+                cfg = SmoothingConfig(patch_half=half, blend=blend)
+                points = np.stack([border_coords(rng, width, n), border_coords(rng, height, n)], 1)
+                centers = np.rint(points).astype(int)
+                patches = extract_patch(values, centers, half)
+                joint = joint_patch(values, points, cfg)
+                covs = fit_gaussian_label(values, points, cfg)
+                for i, y in enumerate(points):
+                    ref = reference.extract_patch(values, tuple(centers[i]), half)
+                    assert np.array_equal(patches[i], ref)
+                    for new, old in zip(joint, reference.joint_patch(values, tuple(y), cfg)):
+                        assert np.array_equal(new[i], old)
+                    ref = reference.fit_gaussian_label(values, tuple(y), cfg)
+                    assert np.array_equal(covs[i], ref)
+
+    def test_leading_axes_and_single_landmark(self):
+        rng = np.random.default_rng(5)
+        values = rng.random((20, 30))
+        points = np.stack([border_coords(rng, 30, 6), border_coords(rng, 20, 6)], 1)
+        covs = fit_gaussian_label(values, points.reshape(2, 3, 2), CFG)
+        assert covs.shape == (2, 3, 2, 2)
+        flat = fit_gaussian_label(values, points, CFG)
+        np.testing.assert_array_equal(covs.reshape(6, 2, 2), flat)
+        assert fit_gaussian_label(values, tuple(points[4]), CFG).shape == (2, 2)
+        np.testing.assert_array_equal(fit_gaussian_label(values, points[4], CFG), covs[1, 1])
 
 
 class TestSampleLabel:
