@@ -276,12 +276,16 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
         )
     except ValueError as err:
         raise CliError(f"invalid synth config: {err}") from err
+    # Of the steps below only label fitting raises ValueError, and an
+    # overflowing covariance raises here rather than warn.
     try:
-        result, hist_a, hist_b = compare_convergence(
-            dataset, cfg_a, cfg_b, section["target_nme"]
-        )
+        with np.errstate(over="raise", invalid="raise"):
+            result, hist_a, hist_b = compare_convergence(dataset, cfg_a, cfg_b,
+                                                         section["target_nme"])
     except TrainingDiverged as err:
         raise CliError(str(err)) from err
+    except (ValueError, FloatingPointError) as err:
+        raise CliError(f"cannot fit smoothing labels: {err}") from err
     out = _ensure_outdir(out)
     # Arms sharing an objective tag their history files with the arm.
     shared = cfg_a.objective == cfg_b.objective
@@ -318,7 +322,7 @@ def _dump_label_pgms(out, sample_id, raw, refined, points, covs, scfg) -> None:
     fitted = np.exp(-0.5 * quad)
     fitted /= fitted.max(axis=(-2, -1), keepdims=True)
     panels = {
-        "edge_raw_patch": extract_patch(refined, centers, k),
+        "edge_raw_patch": extract_patch(raw, centers, k),
         "edge_refined_patch": edge_patch,
         "center": bump,
         "joint": blended,

@@ -258,11 +258,11 @@ def fit_gaussian_label(e_refined: np.ndarray, points, cfg: SmoothingConfig) -> n
 def sample_label(
     mean, cov: np.ndarray, n: int, rng_seed: int, bounds: tuple[int, int]
 ) -> np.ndarray:
-    """Draw n grid cells [n, 2] of (u, v) from the Gaussian with mean (u, v)
-    and covariance [2, 2], rounded and clamped in bounds (width, height).
+    """Draw n grid cells [..., n, 2] of (u, v) per Gaussian, means [..., 2] and
+    covariances [..., 2, 2] or one [2, 2], rounded and clamped in bounds (w, h).
 
-    Deterministic per seed: standard normals from a seeded generator are
-    colored by the covariance's Cholesky factor.
+    Deterministic per seed: one generator's standard normals [..., n, 2] are
+    colored by each Cholesky factor, so a single mean takes the first n pairs.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
@@ -271,9 +271,9 @@ def sample_label(
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as err:
         raise ValueError("label covariance is not positive definite") from err
-    rng = np.random.default_rng(rng_seed)
-    z = rng.standard_normal((n, 2))
-    pts = np.asarray(mean) + z @ chol.T
+    mean = np.asarray(mean)
+    z = np.random.default_rng(rng_seed).standard_normal((*mean.shape[:-1], n, 2))
+    pts = mean[..., None, :] + z @ np.swapaxes(chol, -1, -2)
     return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
 
 

@@ -259,30 +259,20 @@ def _targets(data: SynthData, cfg: TrainConfig):
     return gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h)
 
 
-def _batch_loss(scores, targets, idx, grid, cfg: TrainConfig, epoch: int):
-    """Per-sample losses [B] and heatmap gradients [B, N, H*W] for samples idx.
-
-    ``scores`` holds the samples' heatmaps [B, N, H*W] and ``targets`` is
-    what ``_targets`` returned.  A sample's loss sums its landmark terms in
-    landmark order.  Smoothed structured draws for landmark n of sample i
-    use the sub-seed ``mc/{epoch}/{i}/{n}``.
-    """
+def _batch_loss(scores, targets, grid, cfg: TrainConfig):
+    """Per-sample losses [B] and heatmap gradients [B, N, H*W] for heatmaps
+    scores [B, N, H*W] and their samples' rows of what ``_targets`` returned,
+    or of the smoothed arm's Monte Carlo cells [S, N, mc_samples, 2].  A
+    sample's loss sums its landmark terms in landmark order."""
     if cfg.objective == "structured" and cfg.with_smoothing:
-        points, covs = targets
-        draws = np.array([
-            [sample_label(points[i, n], covs[i, n], cfg.mc_samples,
-                          derive_seed(cfg.seed, f"mc/{epoch}/{i}/{n}"), grid)
-             for n in range(points.shape[1])]
-            for i in idx
-        ])
-        values, grads = smoothed_structured_batch(scores, draws, grid, cfg.structured)
+        values, grads = smoothed_structured_batch(scores, targets, grid, cfg.structured)
     elif cfg.objective == "structured":
-        values, grads = structured_batch(scores, targets[idx], grid, cfg.structured)
+        values, grads = structured_batch(scores, targets, grid, cfg.structured)
     elif cfg.objective == "softargmax":
-        values, grads = soft_argmax_l2_batch(scores, targets[idx], grid)
+        values, grads = soft_argmax_l2_batch(scores, targets, grid)
     else:
-        values, grads = heatmap_mse_batch(scores, targets[idx])
-    losses = np.zeros(len(idx))
+        values, grads = heatmap_mse_batch(scores, targets)
+    losses = np.zeros(len(scores))
     for n in range(values.shape[1]):
         losses += values[:, n]
     return losses, grads
@@ -320,7 +310,9 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     zero-filled pages, while block-sized ones reuse the same memory.  The
     block size cannot change any output bit, since the scores all come
     before the first update and a sample's loss, gradient and coef row
-    depend on its own score row alone.
+    depend on its own score row alone.  Each epoch draws every sample's
+    Monte Carlo cells at once from the sub-seed ``mc/{epoch}``, so neither
+    batch size nor shuffle order changes them.
 
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
@@ -347,6 +339,10 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(1, cfg.epochs + 1):
                 order = rng.permutation(n)
+                epoch_targets = targets
+                if cfg.objective == "structured" and cfg.with_smoothing:
+                    mc_seed = derive_seed(cfg.seed, f"mc/{epoch}")
+                    epoch_targets = sample_label(*targets, cfg.mc_samples, mc_seed, grid)
                 epoch_loss = 0.0
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
@@ -359,7 +355,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                         block_scores = scores[lo : lo + block_rows]
                         if not np.isfinite(block_scores).all():
                             raise TrainingDiverged(cfg.objective, epoch)
-                        losses, grads = _batch_loss(block_scores, targets, block, grid, cfg, epoch)
+                        losses, grads = _batch_loss(block_scores, epoch_targets[block], grid, cfg)
                         for loss in losses:  # sample by sample: this order fixes the output bits
                             epoch_loss += loss
                         grads *= step

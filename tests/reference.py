@@ -9,17 +9,23 @@ are what ``metrics.auc_ced`` and the grouped ``eval`` must reproduce.
 ``smoothing.segment_distance_field`` must reproduce bit for bit.
 ``extract_patch``, ``joint_patch`` and ``fit_gaussian_label`` fit one
 landmark at a time, and ``label_panels`` builds one landmark's PGM panels
-from them; the array functions of ``smoothing`` and the PGMs of ``smooth
---dump-intermediates`` must reproduce them bit for bit.
+from them, its raw-map panel cut from the raw edge map and the rest from
+the refined one; the array functions of ``smoothing`` and the PGMs of
+``smooth --dump-intermediates`` must reproduce them bit for bit.
+``sample_label`` draws one landmark's cells from its own seeded
+generator; ``smoothing.sample_label`` must reproduce it bit for bit for
+a single mean.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from landmarklab import smoothing
 from landmarklab.heatmap import coordinate_grids
 from landmarklab.losses import MarginSpec, _margin_from_diffs
 from landmarklab.metrics import nme
+from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import SmoothingConfig
 from landmarklab.synth import (
     SynthData,
@@ -86,12 +92,15 @@ def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
 
     objective = mean over samples of the summed per-landmark loss, plus
     C/2 * |theta|^2.  The reference for gradient checks and for the dual
-    form ``train`` keeps.
+    form ``train`` keeps.  The smoothed structured arm takes the epoch-1
+    Monte Carlo draws.
     """
     feats, targets = features(dataset), _targets(dataset, cfg)
-    idx = np.arange(len(dataset))
     grid = (scorer.width, scorer.height)
-    losses, grads = _batch_loss(scorer.scores(feats), targets, idx, grid, cfg, epoch=1)
+    if cfg.objective == "structured" and cfg.with_smoothing:
+        targets = smoothing.sample_label(*targets, cfg.mc_samples,
+                                         derive_seed(cfg.seed, "mc/1"), grid)
+    losses, grads = _batch_loss(scorer.scores(feats), targets, grid, cfg)
     total = 0.0
     for loss in losses:  # sample by sample, in the order train sums them
         total += loss
@@ -262,8 +271,11 @@ def fit_gaussian_label(
     return cov
 
 
-def label_panels(refined: np.ndarray, y, cov: np.ndarray, cfg: SmoothingConfig) -> dict:
-    """The five PGM panels of landmark y, cropped around it, by name."""
+def label_panels(
+    raw: np.ndarray, refined: np.ndarray, y, cov: np.ndarray, cfg: SmoothingConfig
+) -> dict:
+    """The five PGM panels of landmark y, cropped around it from the raw
+    and refined edge maps, by name."""
     k = cfg.patch_half
     cu, cv = int(np.rint(y[0])), int(np.rint(y[1]))
     edge_patch, bump, blended = joint_patch(refined, y, cfg)
@@ -275,7 +287,7 @@ def label_panels(refined: np.ndarray, y, cov: np.ndarray, cfg: SmoothingConfig) 
     quad = inv[0, 0] * uu**2 + 2.0 * inv[0, 1] * uu * vv + inv[1, 1] * vv**2
     fitted = np.exp(-0.5 * quad)
     fitted /= fitted.max()
-    raw_patch = extract_patch(refined, (cu, cv), k)
+    raw_patch = extract_patch(raw, (cu, cv), k)
     return {
         "edge_raw_patch": raw_patch,
         "edge_refined_patch": edge_patch,
@@ -283,3 +295,25 @@ def label_panels(refined: np.ndarray, y, cov: np.ndarray, cfg: SmoothingConfig) 
         "joint": blended,
         "fitted": fitted,
     }
+
+
+def sample_label(
+    mean, cov: np.ndarray, n: int, rng_seed: int, bounds: tuple[int, int]
+) -> np.ndarray:
+    """Draw n grid cells [n, 2] of (u, v) from the Gaussian with mean (u, v)
+    and covariance [2, 2], rounded and clamped in bounds (width, height).
+
+    Deterministic per seed: standard normals from a seeded generator are
+    colored by the covariance's Cholesky factor.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
+    width, height = bounds
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("label covariance is not positive definite") from err
+    rng = np.random.default_rng(rng_seed)
+    z = rng.standard_normal((n, 2))
+    pts = np.asarray(mean) + z @ chol.T
+    return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)

@@ -324,6 +324,18 @@ class TestSynthCommand:
         assert "heatmap_mse diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_label_fit_is_a_cli_error(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("[synth]\nsamples = 20\nwidth = 16\nheight = 16\nlandmarks = 2\n"
+                       "epochs_a = 1\nepochs_b = 1\nwith_smoothing = true\ngamma = 1e308\n")
+        out = tmp_path / "out"
+        # The suite turns warnings into errors, so the overflow must not warn.
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot fit smoothing labels: overflow")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_growing_loss_is_a_divergence(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text(LOSS_GROWTH_CFG)
@@ -498,12 +510,23 @@ class TestSmoothCommand:
             save_heatmap_pgm(refined, ref / f"{sid}_edge_refined.pgm")
             for n, y in enumerate(points):
                 cov = fit_one_label(refined, tuple(y), cfg)
-                for name, panel in label_panels(refined, tuple(y), cov, cfg).items():
+                for name, panel in label_panels(raw, refined, tuple(y), cov, cfg).items():
                     save_heatmap_pgm(panel, ref / f"{sid}_lm{n}_{name}.pgm")
         names = sorted(p.name for p in out.glob("*.pgm"))
         assert names == sorted(p.name for p in ref.iterdir())
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_raw_patches_are_cut_from_the_raw_map(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"),
+                     os.path.join(SAMPLE_DATA, "boundaries.txt"), "--out", str(out),
+                     "--dump-intermediates"]) == 0
+        raw = sorted(out.glob("*_edge_raw_patch.pgm"))
+        assert len(raw) == 24
+        for path in raw:
+            refined = path.with_name(path.name.replace("_raw_", "_refined_"))
+            assert path.read_bytes() != refined.read_bytes(), path.name
 
     def test_write_error_is_a_cli_error(self, tmp_path, capsys):
         # A 240-character id fits labels.csv, but its per-landmark PGM

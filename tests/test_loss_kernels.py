@@ -37,11 +37,7 @@ def problems(draw, magnitude=5.0):
     points = draw(arrays(np.float64, lead + (2,), elements=unit)) * [width - 1, height - 1]
     maps = draw(arrays(np.float64, scores.shape, elements=st.floats(0.0, 1.0)))
     seed = draw(st.integers(0, 2**32))
-    draws = np.array([
-        [sample_label(points[b, n], LABEL_COV, MC_DRAWS, seed + b * lead[1] + n,
-                      (width, height)) for n in range(lead[1])]
-        for b in range(lead[0])
-    ])
+    draws = sample_label(points, LABEL_COV, MC_DRAWS, seed, (width, height))
     cfg = StructuredLossConfig(
         epsilon=draw(st.floats(0.2, 3.0)),
         margin=MarginSpec(

@@ -453,6 +453,58 @@ class TestSampleLabel:
             sample_label(mean, cov, 0, 0, (5, 5))
 
 
+class TestSampleLabelArrays:
+    """One call draws for a stack of Gaussians; the per-landmark reference
+    draws for one."""
+
+    BOUNDS = (9, 7)
+
+    @staticmethod
+    def gaussians(lead, seed=31):
+        """Means in and around a 9x7 grid with covariances from 1e-3 to 1e2 px^2."""
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(-2.0, 10.0, lead + (2,))
+        a = rng.normal(size=lead + (2, 2))
+        covs = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(2)
+        return means, covs * 10.0 ** rng.uniform(-3.0, 2.0, lead + (1, 1))
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_single_mean_matches_per_landmark_reference(self, n):
+        means, covs = self.gaussians((40,))
+        for seed, (mean, cov) in enumerate(zip(means, covs)):
+            expected = reference.sample_label(mean, cov, n, seed, self.BOUNDS)
+            for m in (mean, tuple(mean)):
+                cells = sample_label(m, cov, n, seed, self.BOUNDS)
+                assert cells.shape == (n, 2) and cells.dtype == expected.dtype
+                np.testing.assert_array_equal(cells, expected)
+
+    @pytest.mark.parametrize("lead", [(1, 1), (4, 3), (5, 1), (2, 6)])
+    def test_stack_colors_one_stream(self, lead):
+        means, covs = self.gaussians(lead)
+        n, seed = 4, 77
+        cells = sample_label(means, covs, n, seed, self.BOUNDS)
+        assert cells.shape == lead + (n, 2)
+        z = np.random.default_rng(seed).standard_normal(lead + (n, 2))
+        for s in range(lead[0]):
+            for k in range(lead[1]):
+                pts = means[s, k] + z[s, k] @ np.linalg.cholesky(covs[s, k]).T
+                expected = np.clip(np.rint(pts), 0, [8, 6]).astype(int)
+                np.testing.assert_array_equal(cells[s, k], expected)
+
+    def test_one_covariance_serves_every_mean(self):
+        means, covs = self.gaussians((3, 4))
+        shared = np.broadcast_to(covs[1, 2], covs.shape)
+        np.testing.assert_array_equal(sample_label(means, covs[1, 2], 5, 8, self.BOUNDS),
+                                      sample_label(means, shared, 5, 8, self.BOUNDS))
+
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1), (3, 2)])
+    def test_non_positive_definite_anywhere_raises(self, at):
+        means, covs = self.gaussians((4, 3))
+        covs[at] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValueError, match="not positive definite"):
+            sample_label(means, covs, 3, 0, self.BOUNDS)
+
+
 class TestPipelineDeterminism:
     def test_bit_identical_runs(self):
         landmarks, boundaries = horizontal_setup()

@@ -7,7 +7,12 @@ from landmarklab import synth
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
-from landmarklab.smoothing import SmoothingConfig, polyline_segments, segment_distance_field
+from landmarklab.smoothing import (
+    SmoothingConfig,
+    polyline_segments,
+    sample_label,
+    segment_distance_field,
+)
 from landmarklab.synth import (
     CENTER_RANGE,
     MAJOR_RANGE,
@@ -404,6 +409,30 @@ class TestSmoothedLabels:
         assert np.linalg.eigvalsh(covs).min() > 0
         cov = covs[0]
         assert cov[1, 1] > cov[0, 0]  # spread along v (the edge direction)
+
+    def test_draws_follow_the_sample_not_the_batch(self, monkeypatch):
+        # At learning rate 0 the scores stay zero, so an epoch's train loss
+        # depends on the Monte Carlo cells alone.  At gamma = 4 a label's
+        # standard deviation is a few pixels, so the draws leave the cell.
+        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return sample_label(*args)
+
+        monkeypatch.setattr(synth, "sample_label", counted)
+        losses = []
+        for batch in (1, 3, 10):
+            cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=2,
+                              batch_size=batch, seed=0, structured=STRUCT_CFG,
+                              with_smoothing=True, smoothing=SmoothingConfig(gamma=4.0),
+                              mc_samples=3)
+            losses.append([h.train_loss for h in train(ds[:10], cfg, eval_dataset=ds[10:])])
+        assert losses[0] == losses[1] == losses[2]
+        assert losses[0][0] != losses[0][1]
+        # One draw per epoch, each from its own sub-seed.
+        assert calls == [derive_seed(0, "mc/1"), derive_seed(0, "mc/2")] * 3
 
     def test_training_reuses_stored_distance_fields(self, monkeypatch):
         ds = generate_dataset(10, 16, 16, 2, 0.02, seed=9)
