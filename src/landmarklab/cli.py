@@ -489,6 +489,11 @@ def main(argv=None) -> int:
     except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    # A config that asks for more memory than the machine has, such as a
+    # huge mc_samples, fails in an allocation.
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -160,24 +160,25 @@ def soft_argmax_l2_batch(scores, targets, grid):
     Zero whenever a row's softmax mass balances around the target, even
     with the argmax on a wrong cell.
     """
-    uu, vv = (c.ravel() for c in coordinate_grids(*grid))
+    uu, vv = coordinate_grids(*grid)
     targets = np.asarray(targets, dtype=np.float64)
     p = softmax(scores)
-    su = (uu * p).sum(axis=-1, keepdims=True)
-    sv = (vv * p).sum(axis=-1, keepdims=True)
+    # p and this one work buffer are the only [..., H*W] temporaries.
+    work = np.multiply(uu.ravel(), p)
+    su = work.sum(axis=-1, keepdims=True)
+    sv = np.multiply(vv.ravel(), p, out=work).sum(axis=-1, keepdims=True)
     ru = su - targets[..., :1]
     rv = sv - targets[..., 1:]
     value = (ru * ru + rv * rv)[..., 0]
-    # grad = 2 p (ru (uu - su) + rv (vv - sv)), built in place to bound the
-    # number of [..., H*W] temporaries.
-    grad = uu - su
-    grad *= ru
-    dv = vv - sv
-    dv *= rv
-    grad += dv
+    # grad = 2 p (ru (uu - su) + rv (vv - sv)); the first term varies along
+    # columns only and the second along rows only, so each is a [..., 1, W]
+    # or [..., H, 1] array broadcast into the work buffer.
+    cols = (uu[0] - su[..., None]) * ru[..., None]
+    rows = (vv[:, :1] - sv[..., None]) * rv[..., None]
+    np.add(cols, rows, out=work.reshape(*work.shape[:-1], *uu.shape))
     p *= 2.0
-    grad *= p
-    return value, grad
+    work *= p
+    return value, work
 
 
 def heatmap_mse_batch(scores, targets):

@@ -64,11 +64,15 @@ ROTATION_RANGE = (-0.26, 0.26)
 LOSS_GROWTH_LIMIT = 1e3
 
 # Bytes of score rows that train turns into losses and updates at once.
-# Rests on a sweep of compare_convergence over the perfbench synth-default
-# data (80 train rows of 3 x 32 x 32 cells, 1 BLAS thread, 2 cores, medians
-# of 15): 0.231 s at 128 KiB, 0.239 s at 256 KiB, 0.228 s at 512 KiB,
-# 0.253 s at 1 MiB, and 0.323 s with the batch in one block.
-BLOCK_BYTES = 512 * 1024
+# Rests on a sweep over the perfbench synth-default data (80 train rows of
+# 3 x 32 x 32 cells, 1 BLAS thread, 2 cores): compare_convergence took
+# 0.223, 0.202 and 0.191 s (medians of 25) at 128, 256 and 512 KiB, and
+# one soft-argmax train call peaked at 4.90, 5.15 and 5.71 MB traced.
+# 256 KiB keeps most of 128 KiB's smaller working set without its 10%
+# longer run.  A sweep before the soft-argmax kernel had one work buffer
+# found larger blocks slower: 0.253 s at 1 MiB and 0.323 s with the batch
+# in one block, against 0.228 s at 512 KiB.
+BLOCK_BYTES = 256 * 1024
 
 
 class TrainingDiverged(RuntimeError):
@@ -146,6 +150,9 @@ class TrainConfig:
             raise ValueError("need at least one Monte Carlo sample")
         if self.mse_sigma <= 0:
             raise ValueError("MSE target sigma must be positive")
+        if 2.0 * self.mse_sigma * self.mse_sigma == 0:  # gaussian_bumps divides by it
+            raise ValueError(f"MSE target sigma {self.mse_sigma:g} is too small: "
+                             f"2 sigma^2 underflows to 0")
 
 
 @dataclass
@@ -304,15 +311,20 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     average gradients; weight decay C first scales coef by (1 - lr * C),
     which equals adding C * theta.  The weights are never built.
 
-    After the batch's one GEMM, its rows are taken BLOCK_BYTES at a time:
-    each block's losses, gradients and coef update are done before the next
-    block's.  Every batch-sized temporary would cost the allocator fresh,
-    zero-filled pages, while block-sized ones reuse the same memory.  The
-    block size cannot change any output bit, since the scores all come
-    before the first update and a sample's loss, gradient and coef row
-    depend on its own score row alone.  Each epoch draws every sample's
-    Monte Carlo cells at once from the sub-seed ``mc/{epoch}``, so neither
-    batch size nor shuffle order changes them.
+    The working set is fixed for the call and does not grow with the
+    epochs.  The features are dropped once the two Gram matrices are
+    formed.  Every batch is scored into one buffer [min(batch_size, S),
+    N*H*W] and every evaluation into one buffer [S_eval, N*H*W], both
+    allocated once.  After the batch's one GEMM, its rows are taken
+    BLOCK_BYTES at a time: each block's losses, gradients and coef update
+    are done before the next block's, so besides coef and the two buffers
+    only block-sized temporaries come and go, and they reuse the same
+    memory where batch-sized ones would cost the allocator fresh,
+    zero-filled pages.  The block size cannot change any output bit, since
+    the scores all come before the first update and a sample's loss,
+    gradient and coef row depend on its own score row alone.  Each epoch
+    draws every sample's Monte Carlo cells at once from the sub-seed
+    ``mc/{epoch}``, so neither batch size nor shuffle order changes them.
 
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
@@ -324,17 +336,19 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     epoch-1 loss.
     """
     feats, targets = features(dataset), _targets(dataset, cfg)
-    eval_feats = features(eval_dataset)
     gram = feats @ feats.T
-    eval_gram = eval_feats @ feats.T
+    eval_gram = features(eval_dataset) @ feats.T
+    del feats
     n_landmarks = dataset.points.shape[1]
     grid = dataset.grid
-    coef = np.zeros((len(feats), n_landmarks * grid[0] * grid[1]))
+    n = len(dataset)
+    coef = np.zeros((n, n_landmarks * grid[0] * grid[1]))
+    score_buf = np.empty((min(cfg.batch_size, n), coef.shape[1]))
+    eval_buf = np.empty((len(eval_dataset), coef.shape[1]))
     block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     history = []
-    n = len(dataset)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(1, cfg.epochs + 1):
@@ -346,7 +360,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                 epoch_loss = 0.0
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    scores = (gram[idx] @ coef).reshape(len(idx), n_landmarks, -1)
+                    scores = np.matmul(gram[idx], coef, out=score_buf[: len(idx)])
+                    scores = scores.reshape(len(idx), n_landmarks, -1)
                     if cfg.weight_decay > 0:
                         coef *= shrink
                     step = cfg.learning_rate / len(idx)
@@ -360,6 +375,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                             epoch_loss += loss
                         grads *= step
                         coef[block] -= grads.reshape(len(block), -1)
+                        del grads  # freed before the next block's kernel allocates
                 train_loss = epoch_loss / n
                 if not np.isfinite(train_loss):
                     raise TrainingDiverged(cfg.objective, epoch)
@@ -371,7 +387,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                         f"train loss {train_loss:.6g} above {LOSS_GROWTH_LIMIT:g}x "
                         f"the epoch-1 loss {first_loss:.6g}",
                     )
-                eval_scores = (eval_gram @ coef).reshape(len(eval_feats), n_landmarks, -1)
+                eval_scores = np.matmul(eval_gram, coef, out=eval_buf)
+                eval_scores = eval_scores.reshape(len(eval_dataset), n_landmarks, -1)
                 history.append(
                     EpochStats(
                         epoch=epoch,

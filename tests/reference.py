@@ -14,7 +14,9 @@ the refined one; the array functions of ``smoothing`` and the PGMs of
 ``smooth --dump-intermediates`` must reproduce them bit for bit.
 ``sample_label`` draws one landmark's cells from its own seeded
 generator; ``smoothing.sample_label`` must reproduce it bit for bit for
-a single mean.
+a single mean.  ``soft_argmax_l2_batch`` builds the gradient from
+full-size coordinate differences; ``losses.soft_argmax_l2_batch`` must
+reproduce its values and gradients bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from landmarklab import smoothing
-from landmarklab.heatmap import coordinate_grids
+from landmarklab.heatmap import coordinate_grids, softmax
 from landmarklab.losses import MarginSpec, _margin_from_diffs
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
@@ -317,3 +319,24 @@ def sample_label(
     z = rng.standard_normal((n, 2))
     pts = np.asarray(mean) + z @ chol.T
     return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
+
+
+def soft_argmax_l2_batch(scores, targets, grid):
+    """Soft-argmax L2 values [...] and gradients [..., H*W] over score rows
+    [..., H*W] with (u, v) targets [..., 2], one [..., H*W] array per term."""
+    uu, vv = (c.ravel() for c in coordinate_grids(*grid))
+    targets = np.asarray(targets, dtype=np.float64)
+    p = softmax(scores)
+    su = (uu * p).sum(axis=-1, keepdims=True)
+    sv = (vv * p).sum(axis=-1, keepdims=True)
+    ru = su - targets[..., :1]
+    rv = sv - targets[..., 1:]
+    value = (ru * ru + rv * rv)[..., 0]
+    grad = uu - su
+    grad *= ru
+    dv = vv - sv
+    dv *= rv
+    grad += dv
+    p *= 2.0
+    grad *= p
+    return value, grad

@@ -336,6 +336,18 @@ class TestSynthCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.49 PiB for an array", ""])
+    def test_allocation_failure_is_a_cli_error(self, tmp_path, capsys, monkeypatch, message):
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_dataset", fail)
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory: {message or 'an allocation failed'}\n"
+        assert not out.exists()
+
     def test_growing_loss_is_a_divergence(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text(LOSS_GROWTH_CFG)
@@ -349,6 +361,8 @@ class TestSynthCommand:
         ("samples = 1", "samples must be at least 2"),
         ("samples = 40\nmse_sigma = 0", "MSE target sigma must be positive"),
         ("samples = 40\nmse_sigma = -1.5", "MSE target sigma must be positive"),
+        ("samples = 40\nobjective_b = heatmap_mse\nmse_sigma = 1e-170",
+         "MSE target sigma 1e-170 is too small: 2 sigma^2 underflows to 0"),
         ("samples = 40\nnoise_sigma = -0.5", "noise sigma must be nonnegative"),
         ("samples = 40\nobjective_a = foo",
          f"synth.objective_a must be one of {SYNTH_OBJECTIVES}, got 'foo'"),

@@ -1,11 +1,12 @@
 """Property tests for the array-level loss kernels and readouts over score rows [..., H*W]."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from landmarklab.heatmap import argmax, soft_argmax
+from landmarklab.heatmap import argmax, soft_argmax, softmax
 from landmarklab.losses import (
     MarginKind,
     MarginSpec,
@@ -16,6 +17,8 @@ from landmarklab.losses import (
     structured_batch,
 )
 from landmarklab.smoothing import sample_label
+
+import reference
 
 PROPERTY = settings(max_examples=60, deadline=None)
 MC_DRAWS = 3
@@ -130,3 +133,18 @@ def test_large_scores_stay_finite(p):
         assert np.isfinite(value).all(), name
         assert np.isfinite(grad).all(), name
 
+
+@pytest.mark.parametrize("grid", [(32, 32), (16, 16), (20, 12), (11, 1)])
+@pytest.mark.parametrize("scale", [0.1, 3.0, 30.0])
+@pytest.mark.parametrize("lead", [(), (4, 3)])
+def test_soft_argmax_matches_reference_bit_for_bit(grid, scale, lead):
+    width, height = grid
+    rng = np.random.default_rng(width * height)
+    scores = scale * rng.uniform(-30.0, 30.0, lead + (width * height,))
+    # Rows spread over 1800 at scale 30, so part of each softmax underflows to zero.
+    assert (softmax(scores) == 0.0).any() == (scale == 30.0)
+    targets = rng.uniform(0.0, 1.0, lead + (2,)) * [width - 1, height - 1]
+    value, grad = soft_argmax_l2_batch(scores, targets, grid)
+    ref_value, ref_grad = reference.soft_argmax_l2_batch(scores, targets, grid)
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(grad, ref_grad)

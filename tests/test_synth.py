@@ -350,10 +350,11 @@ class TestConvergenceComparison:
     @pytest.mark.parametrize("objective, lr, smoothed", ARMS)
     def test_peak_memory_in_score_slabs(self, objective, lr, smoothed):
         # A slab is one batch of score rows [B, N*H*W]; coef takes one more,
-        # and the MSE targets a third.  Working in row blocks peaked at
-        # 3.9-4.0 slabs (4.9 for MSE); batch-sized temporaries in the loss
-        # and update peaked at 5.7 (structured), 6.8 (soft-argmax and
-        # smoothed) and 7.7 (MSE).
+        # and the MSE targets a third.  Scoring into buffers allocated once
+        # peaks at 2.5-2.7 slabs (3.6 for MSE); a fresh score array per
+        # epoch peaked at 3.9-4.0 (4.9 for MSE), and batch-sized
+        # temporaries in the loss and update at 5.7 (structured), 6.8
+        # (soft-argmax and smoothed) and 7.7 (MSE).
         ds = generate_dataset(130, 32, 32, 3, 0.02, seed=22)
         train_set, eval_set = split_dataset(ds)
         assert len(train_set) > 100
@@ -367,6 +368,27 @@ class TestConvergenceComparison:
         finally:
             tracemalloc.stop()
         assert peak < 5.4 * len(train_set) * 3 * 32 * 32 * 8
+
+    def test_working_set_does_not_grow_with_epochs(self):
+        # The synth-default shape on the soft-argmax arm: 80 train rows in
+        # one batch, so coef and the batch's score buffer take 1.97 MB
+        # each.  Beyond those and the eval scores, only the Gram matrices
+        # and block temporaries come and go: 5.2 MB in all, where a fresh
+        # score array per epoch and five temporaries per block peaked at
+        # 7.75 MB.
+        ds = generate_dataset(100, 32, 32, 3, 0.02, seed=1)
+        train_set, eval_set = split_dataset(ds)
+        cfg = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=3, seed=0)
+        coef_bytes = len(train_set) * 3 * 32 * 32 * 8
+        eval_bytes = len(eval_set) * 3 * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            train(train_set, cfg, eval_dataset=eval_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 2 * coef_bytes + eval_bytes + 2**20
 
     def test_mismatched_seeds_rejected(self):
         ds = generate_dataset(10, 16, 16, 2, 0.02, seed=15)
