@@ -92,15 +92,6 @@ DEFAULTS = {
 }
 
 
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the config file; unknown keys are errors."""
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
@@ -127,7 +118,7 @@ def load_config(path: str | None) -> dict:
             default = DEFAULTS[section][key]
             try:
                 if isinstance(default, bool):
-                    cfg[section][key] = _parse_bool(raw)
+                    cfg[section][key] = parser.getboolean(section, key)
                 elif isinstance(default, int):
                     cfg[section][key] = int(raw)
                 elif isinstance(default, float):
@@ -178,11 +169,11 @@ def _write_csv(path: str, header: str, rows) -> None:
                              for x in row) + "\n")
 
 
-def cmd_toy(config_path, out, objective=None) -> int:
-    cfg = load_config(config_path)
+def cmd_toy(args) -> int:
+    cfg = load_config(args.config)
     section = cfg["toy"]
-    if objective is not None:
-        section["objective"] = objective
+    if args.objective is not None:
+        section["objective"] = args.objective
     try:
         record_at = tuple(int(t) for t in str(section["record_at"]).split(",") if t.strip())
         toy_cfg = ToyConfig(
@@ -202,7 +193,7 @@ def cmd_toy(config_path, out, objective=None) -> int:
         snapshots = run_toy(toy_cfg)
     except ToyDiverged as err:
         raise CliError(str(err)) from err
-    out = _ensure_outdir(out)
+    out = _ensure_outdir(args.out)
     _write_csv(os.path.join(out, "toy_trace.csv"), "step,k,theta_k,grad_k", (
         (snap.step, k, t, g)
         for snap in snapshots
@@ -245,12 +236,14 @@ def _train_cfg(section: dict, arm: str, seed: int) -> TrainConfig:
         raise CliError(f"invalid synth config: {err}") from err
 
 
-def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
-    cfg = load_config(config_path)
+def cmd_synth(args) -> int:
+    if args.epochs is not None and args.epochs < 1:
+        raise CliError("--epochs must be at least 1")
+    cfg = load_config(args.config)
     section = cfg["synth"]
-    root_seed = cfg["run"]["seed"] if seed is None else seed
-    if epochs is not None:
-        section["epochs_a"] = section["epochs_b"] = epochs
+    root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
+    if args.epochs is not None:
+        section["epochs_a"] = section["epochs_b"] = args.epochs
     synth_seed = derive_seed(root_seed, "synth")
     if section["samples"] < 2:
         raise CliError("invalid synth config: samples must be at least 2 "
@@ -286,7 +279,7 @@ def cmd_synth(config_path, out, seed=None, epochs=None) -> int:
         raise CliError(str(err)) from err
     except (ValueError, FloatingPointError) as err:
         raise CliError(f"cannot fit smoothing labels: {err}") from err
-    out = _ensure_outdir(out)
+    out = _ensure_outdir(args.out)
     # Arms sharing an objective tag their history files with the arm.
     shared = cfg_a.objective == cfg_b.objective
     for arm, objective, hist in (("a", cfg_a.objective, hist_a), ("b", cfg_b.objective, hist_b)):
@@ -333,17 +326,16 @@ def _dump_label_pgms(out, sample_id, raw, refined, points, covs, scfg) -> None:
             save_heatmap_pgm(arr[n], os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm"))
 
 
-def cmd_smooth(annotations_path, boundaries_path, config_path, out,
-               dump_intermediates=False) -> int:
-    cfg = load_config(config_path)
+def cmd_smooth(args) -> int:
+    cfg = load_config(args.config)
     section = cfg["smooth"]
     try:
         scfg = SmoothingConfig(**section)
     except (TypeError, ValueError) as err:
         raise CliError(f"invalid smooth config: {err}") from err
     try:
-        samples = read_annotations(annotations_path)
-        boundaries = read_boundaries(boundaries_path)
+        samples = read_annotations(args.annotations)
+        boundaries = read_boundaries(args.boundaries)
     except OSError as err:
         raise CliError(f"cannot read input: {err}") from err
     except ValueError as err:
@@ -360,8 +352,8 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
                 covs = fit_gaussian_label(refined, points, scfg)
         except (ValueError, FloatingPointError) as err:
             raise CliError(f"sample {sample_id}: {err}") from err
-        fits.append((sample_id, points, covs, (raw, refined) if dump_intermediates else None))
-    out = _ensure_outdir(out)
+        fits.append((sample_id, points, covs, (raw, refined) if args.dump_intermediates else None))
+    out = _ensure_outdir(args.out)
     for sample_id, points, covs, maps in fits:
         if maps is not None:
             _dump_label_pgms(out, sample_id, *maps, points, covs, scfg)
@@ -376,12 +368,19 @@ def cmd_smooth(annotations_path, boundaries_path, config_path, out,
     return 0
 
 
-def cmd_eval(pred_path, gt_path, config_path, out) -> int:
-    cfg = load_config(config_path)
+def cmd_eval(args) -> int:
+    cfg = load_config(args.config)
     section = cfg["eval"]
+    norm_distance = section.pop("norm_distance")
+    if norm_distance <= 0:
+        raise CliError("invalid eval config: eval.norm_distance must be positive")
     try:
-        preds = dict(read_annotations(pred_path))
-        gts = dict(read_annotations(gt_path))
+        eval_cfg = EvalConfig(**section)
+    except ValueError as err:
+        raise CliError(f"invalid eval config: {err}") from err
+    try:
+        preds = dict(read_annotations(args.pred))
+        gts = dict(read_annotations(args.gt))
     except OSError as err:
         raise CliError(f"cannot read input: {err}") from err
     except ValueError as err:
@@ -391,9 +390,6 @@ def cmd_eval(pred_path, gt_path, config_path, out) -> int:
         raise CliError(f"sample ids do not match between files: {' '.join(missing)}")
     if "mean" in preds:
         raise CliError("sample id 'mean' is taken by the summary row of per_sample.csv")
-    norm_distance = section.pop("norm_distance")
-    if norm_distance <= 0:
-        raise CliError("eval.norm_distance must be positive")
     ids = sorted(preds)
     # One nme call per (pred, gt) landmark count pair, in order of each
     # group's first id, so a mismatch names the first mismatching id.
@@ -404,16 +400,18 @@ def cmd_eval(pred_path, gt_path, config_path, out) -> int:
     for rows in groups.values():
         group = [ids[row] for row in rows]
         try:
-            errs[rows] = nme(np.stack([preds[i] for i in group]),
-                             np.stack([gts[i] for i in group]),
-                             np.full(len(rows), norm_distance))
+            # Finite inputs overflow only to inf, which is reported below.
+            with np.errstate(over="ignore"):
+                errs[rows] = nme(np.stack([preds[i] for i in group]),
+                                 np.stack([gts[i] for i in group]),
+                                 np.full(len(rows), norm_distance))
         except ValueError as err:
             raise CliError(f"sample {group[0]}: {err}") from err
-    try:
-        report = evaluate(errs, EvalConfig(**section))
-    except ValueError as err:
-        raise CliError(str(err)) from err
-    out = _ensure_outdir(out)
+    finite = np.isfinite(errs)
+    if not finite.all():
+        raise CliError(f"sample {ids[finite.argmin()]}: NME overflows to inf")
+    report = evaluate(errs, eval_cfg)
+    out = _ensure_outdir(args.out)
     _write_csv(os.path.join(out, "per_sample.csv"), "sample_id,nme",
                [*zip(ids, report.per_sample_nme), ("mean", report.nme_mean)])
     _write_csv(os.path.join(out, "ced.csv"), "threshold,fraction", report.ced_points)
@@ -434,56 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     no_draws = "accepted for a uniform command line; this command draws nothing"
 
-    toy = sub.add_parser("toy", help="1-D gradient-descent dynamics")
-    toy.add_argument("--config", default=None)
-    toy.add_argument("--out", default=".")
-    toy.add_argument("--seed", type=int, default=None, help=no_draws)
-    toy.add_argument("--objective", choices=TOY_OBJECTIVES, default=None)
+    # Each subcommand: its positionals, the options every command takes, its handler.
+    def command(name, run, summary, *positionals, seed_help=no_draws):
+        cmd = sub.add_parser(name, help=summary)
+        for positional in positionals:
+            cmd.add_argument(positional)
+        cmd.add_argument("--config", default=None)
+        cmd.add_argument("--out", default=".")
+        cmd.add_argument("--seed", type=int, default=None, help=seed_help)
+        cmd.set_defaults(run=run)
+        return cmd
 
-    synth = sub.add_parser("synth", help="synthetic convergence comparison")
-    synth.add_argument("--config", default=None)
-    synth.add_argument("--out", default=".")
-    synth.add_argument("--seed", type=int, default=None)
-    synth.add_argument("--epochs", type=int, default=None)
-
-    smooth = sub.add_parser("smooth", help="fit edge-aware Gaussian labels")
-    smooth.add_argument("annotations")
-    smooth.add_argument("boundaries")
-    smooth.add_argument("--config", default=None)
-    smooth.add_argument("--out", default=".")
-    smooth.add_argument("--seed", type=int, default=None, help=no_draws)
-    smooth.add_argument("--dump-intermediates", action="store_true")
-
-    ev = sub.add_parser("eval", help="NME / FR / AUC report")
-    ev.add_argument("pred")
-    ev.add_argument("gt")
-    ev.add_argument("--config", default=None)
-    ev.add_argument("--out", default=".")
-    ev.add_argument("--seed", type=int, default=None, help=no_draws)
-
+    command("toy", cmd_toy, "1-D gradient-descent dynamics").add_argument(
+        "--objective", choices=TOY_OBJECTIVES, default=None)
+    command("synth", cmd_synth, "synthetic convergence comparison", seed_help=None).add_argument(
+        "--epochs", type=int, default=None)
+    command("smooth", cmd_smooth, "fit edge-aware Gaussian labels",
+            "annotations", "boundaries").add_argument("--dump-intermediates", action="store_true")
+    command("eval", cmd_eval, "NME / FR / AUC report", "pred", "gt")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "toy":
-            return cmd_toy(args.config, args.out, objective=args.objective)
-        if args.command == "synth":
-            if args.epochs is not None and args.epochs < 1:
-                raise CliError("--epochs must be at least 1")
-            return cmd_synth(args.config, args.out, seed=args.seed, epochs=args.epochs)
-        if args.command == "smooth":
-            return cmd_smooth(
-                args.annotations,
-                args.boundaries,
-                args.config,
-                args.out,
-                dump_intermediates=args.dump_intermediates,
-            )
-        if args.command == "eval":
-            return cmd_eval(args.pred, args.gt, args.config, args.out)
-        raise CliError(f"unknown command {args.command}")
+        return args.run(args)
     # Configs and inputs are read under handlers that raise CliError, so an
     # OSError that gets here came from writing an output.
     except (CliError, OSError) as err:

@@ -172,12 +172,7 @@ class ConvergenceResult:
 def _ellipse_contour(center, a, b, phi) -> np.ndarray:
     t = np.linspace(0.0, 2.0 * np.pi, CONTOUR_POINTS, endpoint=False)
     t = np.append(t, 0.0)  # close the loop
-    x = a * np.cos(t)
-    y = b * np.sin(t)
-    c, s = np.cos(phi), np.sin(phi)
-    return np.stack(
-        [center[0] + c * x - s * y, center[1] + s * x + c * y], axis=1
-    )
+    return np.stack(_contour_point(center, a, b, phi, t), axis=1)
 
 
 def _contour_point(center, a, b, phi, t):
@@ -232,7 +227,7 @@ def generate_dataset(
         pixels = np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))
         if noise_sigma > 0:
             pixels = pixels + rng.normal(0.0, noise_sigma, pixels.shape)
-        pts = np.array([_contour_point(center, a, b, phi, t) for t in angles])
+        pts = np.stack(_contour_point(center, a, b, phi, angles), axis=1)
         data.pixels[i] = np.clip(pixels, 0.0, 1.0)
         data.points[i] = pts
         data.norm[i] = np.linalg.norm(pts[0] - pts[1])

@@ -210,6 +210,58 @@ def test_undecodable_config_names_path(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", [("toy", "margin_normalize"),
+                                          ("synth", "with_smoothing")])
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("yes", True), ("True", True), ("ON", True), ("yEs", True),
+    ("0", False), ("No", False), ("false", False), ("OFF", False), ("oFf", False),
+])
+def test_boolean_config_values(tmp_path, section, key, raw, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert cli.load_config(str(cfg))[section][key] is value
+
+
+def test_bad_boolean_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SMALL_SYNTH_CFG + "with_smoothing = maybe\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bad value for synth.with_smoothing: 'maybe'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def help_page(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, own", [
+    ("toy", ["--objective"]),
+    ("synth", ["--epochs"]),
+    ("smooth", ["annotations", "boundaries", "--dump-intermediates"]),
+    ("eval", ["pred", "gt"]),
+])
+def test_subcommand_help_lists_its_arguments(capsys, command, own):
+    page = help_page(capsys, [command])
+    assert page.startswith(f"usage: landmarklab {command} ")
+    listed = page.split()
+    for arg in ("--config", "--out", "--seed", *own):
+        assert arg in listed, arg
+
+
+def test_root_help_names_every_config_key(capsys):
+    page = help_page(capsys, [])
+    for command in ("toy", "synth", "smooth", "eval"):
+        assert command in page.split()
+    lines = {line.split("] ", 1)[0].strip() + "]": line.split("] ", 1)[1]
+             for line in page.splitlines() if line.startswith("  [")}
+    assert {section: value.split(", ") for section, value in lines.items()} == {
+        f"[{section}]": list(keys) for section, keys in cli.DEFAULTS.items()}
+
+
 class TestToyCommand:
     def test_default_run_recovers_target(self, tmp_path, capsys):
         assert main(["toy", "--out", str(tmp_path)]) == 0
@@ -678,6 +730,41 @@ class TestEvalCommand:
         _write_csv(ref / "ced.csv", "threshold,fraction", dense_auc_ced(errs, 0.10, 1001)[1])
         for name in ("per_sample.csv", "ced.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.parametrize("pred_rows, gt_rows, norm_distance, named", [
+        ([("z", "1e200 0"), ("a", "1 2"), ("m", "1e200 0")],
+         [("a", "1 2"), ("m", "-1e200 0"), ("z", "-1e200 0")], 1.0, "m"),
+        ([("b", "1 2"), ("a", "0 0")], [("a", "0 0"), ("b", "0 0")], 1e-320, "b"),
+    ], ids=["huge_error", "tiny_norm_distance"])
+    def test_overflowing_nme_is_an_error(self, tmp_path, capsys, pred_rows, gt_rows,
+                                         norm_distance, named):
+        # Every NME but a's overflows to inf; the first such id in sorted
+        # order is named.
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        write_annotations(pred, pred_rows)
+        write_annotations(gt, gt_rows)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"[eval]\nnorm_distance = {norm_distance!r}\n")
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: sample {named}: NME overflows")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("fr_threshold = 0", "thresholds must be positive"),
+        ("auc_threshold = -0.1", "thresholds must be positive"),
+        ("ced_points = 1", "need at least two CED points"),
+        ("norm_distance = 0", "eval.norm_distance must be positive"),
+    ])
+    def test_config_checked_before_inputs(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"[eval]\n{setting}\n")
+        out = tmp_path / "out"
+        argv = ["eval", str(tmp_path / "missing_pred.txt"), str(tmp_path / "missing_gt.txt"),
+                "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: invalid eval config: {message}\n"
+        assert not out.exists()
 
     def test_duplicate_id_names_both_lines(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
