@@ -83,7 +83,6 @@ DEFAULTS = {
         "margin_s": 0.01,
         "margin_normalize": True,
         "with_smoothing": False,
-        "mc_samples": 10,
         "gamma": 0.01,
         "mse_sigma": 1.5,
     },
@@ -229,7 +228,6 @@ def _train_cfg(section: dict, arm: str, seed: int) -> TrainConfig:
             ),
             with_smoothing=section["with_smoothing"],
             smoothing=SmoothingConfig(gamma=section["gamma"]),
-            mc_samples=section["mc_samples"],
             mse_sigma=section["mse_sigma"],
         )
     except ValueError as err:
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     # A config that asks for more memory than the machine has, such as a
-    # huge mc_samples, fails in an allocation.
+    # huge synth.samples, fails in an allocation.
     except MemoryError as err:
         print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return 2

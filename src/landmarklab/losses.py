@@ -7,8 +7,8 @@ are not checked here: every caller validates or clips its own.
 * ``structured_batch`` -- a margin-augmented log-sum-exp over all grid
   cells minus the score at the true cell.  Convex in the heatmap values;
   its gradient is softmax-minus-one-hot.
-* ``smoothed_structured_batch`` -- the structured objective averaged over
-  drawn target cells, for uncertainty-aware targets.
+* ``smoothed_structured_batch`` -- the structured objective as a weighted
+  sum over several target cells, for uncertainty-aware targets.
 * ``soft_argmax_l2_batch`` -- squared coordinate error of the softmax
   expectation of the grid coordinates.
 * ``heatmap_mse_batch`` -- plain squared error against a target grid.
@@ -142,16 +142,19 @@ def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
     return value, z
 
 
-def smoothed_structured_batch(scores, draws, grid, cfg: StructuredLossConfig):
-    """Mean structured loss over target draws [..., D, 2], accumulated draw by draw."""
-    draws = np.asarray(draws)
+def smoothed_structured_batch(scores, cells, weights, grid, cfg: StructuredLossConfig):
+    """Structured loss over score rows [..., H*W] summed over target cells
+    [..., K, 2] with weights [..., K], one kernel call per cell slot."""
+    cells, weights = np.asarray(cells), np.asarray(weights)
     value = np.zeros(scores.shape[:-1])
     grad = np.zeros_like(scores)
-    for d in range(draws.shape[-2]):
-        v, g = structured_batch(scores, draws[..., d, :], grid, cfg)
-        value += v
+    for k in range(cells.shape[-2]):
+        v, g = structured_batch(scores, cells[..., k, :], grid, cfg)
+        w = weights[..., k]
+        value += w * v
+        g *= w[..., None]
         grad += g
-    return value / draws.shape[-2], grad / draws.shape[-2]
+    return value, grad
 
 
 def soft_argmax_l2_batch(scores, targets, grid):

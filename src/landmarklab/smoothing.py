@@ -4,9 +4,10 @@ The pipeline rasterizes annotated boundary polylines into a soft edge
 heatmap, cleans it up with blur + sharpen, blends a small Gaussian bump at
 each landmark into the local edge patch, and fits a 2x2 covariance to the
 blended mass.  A label is that covariance [2, 2]: a Gaussian centred on
-its landmark whose spread follows the local edge direction, used to draw
-jittered training targets.  Boundaries are tuples of landmark indices,
-one per polyline.
+its landmark whose spread follows the local edge direction.  Training
+targets are the grid cells of a fixed cubature rule through each label;
+seeded draws from it are available as well.  Boundaries are tuples of
+landmark indices, one per polyline.
 
 Everything is deterministic: sampling takes an explicit seed.
 """
@@ -255,6 +256,19 @@ def fit_gaussian_label(e_refined: np.ndarray, points, cfg: SmoothingConfig) -> n
     return cov
 
 
+def _gaussian_cells(mean, cov: np.ndarray, z: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
+    """Standard normal points z [..., K, 2] mapped through each Gaussian, means
+    [..., 2] and covariances [..., 2, 2], as grid cells [..., K, 2] rounded and
+    clamped in bounds (w, h)."""
+    width, height = bounds
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("label covariance is not positive definite") from err
+    pts = np.asarray(mean)[..., None, :] + z @ np.swapaxes(chol, -1, -2)
+    return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
+
+
 def sample_label(
     mean, cov: np.ndarray, n: int, rng_seed: int, bounds: tuple[int, int]
 ) -> np.ndarray:
@@ -266,15 +280,43 @@ def sample_label(
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    width, height = bounds
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("label covariance is not positive definite") from err
-    mean = np.asarray(mean)
-    z = np.random.default_rng(rng_seed).standard_normal((*mean.shape[:-1], n, 2))
-    pts = mean[..., None, :] + z @ np.swapaxes(chol, -1, -2)
-    return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
+    shape = (*np.shape(mean)[:-1], n, 2)
+    return _gaussian_cells(mean, cov, np.random.default_rng(rng_seed).standard_normal(shape),
+                           bounds)
+
+
+# The 3x3 probabilists' Gauss-Hermite product rule: nodes [9, 2] in row-major
+# order of (u, v) node pairs, and weights [9] summing to 1.  Its weighted
+# nodes have a standard normal's mean and covariance.  The 1-D rule (nodes
+# 0 and +-sqrt(3), weights 2/3 and 1/6) is written out: importing
+# numpy.polynomial for it would add 0.8 MB to every command's peak RSS.
+_Z = np.sqrt(3.0) * np.array([-1.0, 0.0, 1.0])
+_W = np.array([1.0, 4.0, 1.0]) / 6.0
+_CUBATURE_NODES = np.stack(np.meshgrid(_Z, _Z, indexing="ij"), -1).reshape(-1, 2)
+_CUBATURE_WEIGHTS = np.outer(_W, _W).ravel()
+
+
+def label_cells(points, covs: np.ndarray, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Target cells [..., K, 2] and weights [..., K] of the Gaussian labels with
+    means points [..., 2] and covariances covs [..., 2, 2] on grid (w, h).
+
+    The 9 nodes of a 3x3 Gauss-Hermite product rule go through each label's
+    Cholesky factor, are rounded and clamped like ``sample_label``'s draws,
+    and merge with summed weights where they share a cell.  A row lists its
+    distinct cells in order of first node, then zero-weight cells up to K,
+    the most distinct cells of any row.  Before rounding the nodes have each
+    label's mean and covariance, but the targets, though deterministic, only
+    approximate the expectation over the Gaussian's rounded cells.
+    """
+    cells = _gaussian_cells(points, covs, _CUBATURE_NODES, grid)
+    same = (cells[..., :, None, :] == cells[..., None, :, :]).all(axis=-1)
+    # A node leads its cell when no earlier node has the cell.
+    lead = ~np.tril(same, -1).any(axis=-1)
+    weights = np.where(lead, np.where(same, _CUBATURE_WEIGHTS, 0.0).sum(axis=-1), 0.0)
+    k = lead.sum(axis=-1).max()
+    order = np.argsort(~lead, axis=-1, kind="stable")[..., :k]
+    return (np.take_along_axis(cells, order[..., None], -2),
+            np.take_along_axis(weights, order, -1))
 
 
 def read_annotations(path) -> list[tuple[str, np.ndarray]]:

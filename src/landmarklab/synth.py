@@ -30,9 +30,9 @@ from landmarklab.smoothing import (
     SmoothingConfig,
     edge_heatmap,
     fit_gaussian_label,
+    label_cells,
     polyline_segments,
     refine_edge_heatmap,
-    sample_label,
     segment_distance_field,
 )
 
@@ -132,7 +132,6 @@ class TrainConfig:
     )
     with_smoothing: bool = False
     smoothing: SmoothingConfig = SmoothingConfig()
-    mc_samples: int = 10
     mse_sigma: float = 1.5
 
     def __post_init__(self):
@@ -146,8 +145,6 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
-        if self.mc_samples < 1:
-            raise ValueError("need at least one Monte Carlo sample")
         if self.mse_sigma <= 0:
             raise ValueError("MSE target sigma must be positive")
         if 2.0 * self.mse_sigma * self.mse_sigma == 0:  # gaussian_bumps divides by it
@@ -242,38 +239,38 @@ def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> np.ndarray:
     return fit_gaussian_label(refined, points, cfg)
 
 
-def _targets(data: SynthData, cfg: TrainConfig):
-    """Every sample's targets for the objective.
+def _targets(data: SynthData, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
+    """Every sample's targets for the objective, as a tuple of arrays with
+    one row per sample.
 
     These are the clipped true cells [S, N, 2] (structured), the landmark
     points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
-    (heatmap MSE), or the landmark points [S, N, 2] with their label
-    covariances [S, N, 2, 2] (smoothed structured).
+    (heatmap MSE), or the cubature cells [S, N, K, 2] and weights
+    [S, N, K] of ``label_cells`` (smoothed structured).
     """
+    w, h = data.grid
     if cfg.objective == "structured" and cfg.with_smoothing:
         covs = [fit_sample_labels(d, p, cfg.smoothing) for d, p in zip(data.distance, data.points)]
-        return data.points, np.array(covs)
-    w, h = data.grid
+        return label_cells(data.points, np.array(covs), data.grid)
     if cfg.objective == "structured":
-        return np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int)
+        return (np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int),)
     if cfg.objective == "softargmax":
-        return data.points
-    return gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h)
+        return (data.points,)
+    return (gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h),)
 
 
 def _batch_loss(scores, targets, grid, cfg: TrainConfig):
     """Per-sample losses [B] and heatmap gradients [B, N, H*W] for heatmaps
-    scores [B, N, H*W] and their samples' rows of what ``_targets`` returned,
-    or of the smoothed arm's Monte Carlo cells [S, N, mc_samples, 2].  A
-    sample's loss sums its landmark terms in landmark order."""
+    scores [B, N, H*W] and their samples' rows of the arrays ``_targets``
+    returned.  A sample's loss sums its landmark terms in landmark order."""
     if cfg.objective == "structured" and cfg.with_smoothing:
-        values, grads = smoothed_structured_batch(scores, targets, grid, cfg.structured)
+        values, grads = smoothed_structured_batch(scores, *targets, grid, cfg.structured)
     elif cfg.objective == "structured":
-        values, grads = structured_batch(scores, targets, grid, cfg.structured)
+        values, grads = structured_batch(scores, *targets, grid, cfg.structured)
     elif cfg.objective == "softargmax":
-        values, grads = soft_argmax_l2_batch(scores, targets, grid)
+        values, grads = soft_argmax_l2_batch(scores, *targets, grid)
     else:
-        values, grads = heatmap_mse_batch(scores, targets)
+        values, grads = heatmap_mse_batch(scores, *targets)
     losses = np.zeros(len(scores))
     for n in range(values.shape[1]):
         losses += values[:, n]
@@ -317,9 +314,9 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     memory where batch-sized ones would cost the allocator fresh,
     zero-filled pages.  The block size cannot change any output bit, since
     the scores all come before the first update and a sample's loss,
-    gradient and coef row depend on its own score row alone.  Each epoch
-    draws every sample's Monte Carlo cells at once from the sub-seed
-    ``mc/{epoch}``, so neither batch size nor shuffle order changes them.
+    gradient and coef row depend on its own score row alone.  Every
+    objective's targets are fixed arrays, computed once per call, so
+    neither the epoch, the batch size nor the shuffle order changes them.
 
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
@@ -348,10 +345,6 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(1, cfg.epochs + 1):
                 order = rng.permutation(n)
-                epoch_targets = targets
-                if cfg.objective == "structured" and cfg.with_smoothing:
-                    mc_seed = derive_seed(cfg.seed, f"mc/{epoch}")
-                    epoch_targets = sample_label(*targets, cfg.mc_samples, mc_seed, grid)
                 epoch_loss = 0.0
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
@@ -365,7 +358,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                         block_scores = scores[lo : lo + block_rows]
                         if not np.isfinite(block_scores).all():
                             raise TrainingDiverged(cfg.objective, epoch)
-                        losses, grads = _batch_loss(block_scores, epoch_targets[block], grid, cfg)
+                        block_targets = [t[block] for t in targets]
+                        losses, grads = _batch_loss(block_scores, block_targets, grid, cfg)
                         for loss in losses:  # sample by sample: this order fixes the output bits
                             epoch_loss += loss
                         grads *= step

@@ -80,6 +80,9 @@ class ToyConfig:
             raise ValueError("learning rate must be positive")
         if self.steps < 1:
             raise ValueError("need at least one step")
+        for step in self.record_at:
+            if not 0 <= step <= self.steps:
+                raise ValueError(f"record_at step {step} outside [0, {self.steps}]")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         object.__setattr__(self, "init_values", tuple(float(x) for x in init))
@@ -113,7 +116,7 @@ def run_toy(cfg: ToyConfig) -> list[ToySnapshot]:
     update leaves theta non-finite or evaluating it overflows.
     """
     theta = np.array(cfg.init_values, dtype=np.float64)
-    record = {0, cfg.steps} | {s for s in cfg.record_at if 0 <= s <= cfg.steps}
+    record = {0, cfg.steps, *cfg.record_at}
     snapshots = []
     for step in range(cfg.steps + 1):
         if not np.isfinite(theta).all():

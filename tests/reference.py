@@ -23,11 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from landmarklab import smoothing
 from landmarklab.heatmap import coordinate_grids, softmax
 from landmarklab.losses import MarginSpec, _margin_from_diffs
 from landmarklab.metrics import nme
-from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import SmoothingConfig
 from landmarklab.synth import (
     SynthData,
@@ -94,14 +92,10 @@ def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
 
     objective = mean over samples of the summed per-landmark loss, plus
     C/2 * |theta|^2.  The reference for gradient checks and for the dual
-    form ``train`` keeps.  The smoothed structured arm takes the epoch-1
-    Monte Carlo draws.
+    form ``train`` keeps.
     """
     feats, targets = features(dataset), _targets(dataset, cfg)
     grid = (scorer.width, scorer.height)
-    if cfg.objective == "structured" and cfg.with_smoothing:
-        targets = smoothing.sample_label(*targets, cfg.mc_samples,
-                                         derive_seed(cfg.seed, "mc/1"), grid)
     losses, grads = _batch_loss(scorer.scores(feats), targets, grid, cfg)
     total = 0.0
     for loss in losses:  # sample by sample, in the order train sums them

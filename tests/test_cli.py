@@ -284,6 +284,8 @@ class TestToyCommand:
         ("margin = foo", f"toy.margin must be one of {MARGINS}, got 'foo'"),
         ("length = 5\ntarget = 2",
          "invalid toy config: the default bimodal start needs length >= 10, got 5"),
+        ("record_at = 60", "invalid toy config: record_at step 60 outside [0, 50]"),
+        ("steps = 20\nrecord_at = 10,-1", "invalid toy config: record_at step -1 outside [0, 20]"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "toy.cfg"
@@ -360,6 +362,16 @@ class TestSynthCommand:
             for row in hist:
                 assert_12g(row["train_loss"])
                 assert_12g(row["eval_nme"])
+
+    def test_removed_mc_samples_key_rejected(self, tmp_path, capsys):
+        # The smoothed arm's targets are fixed cubature cells, so the number
+        # of Monte Carlo draws is no longer a setting.
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG + "with_smoothing = true\nmc_samples = 10\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}: unknown key 'mc_samples' in [synth]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_epochs_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"

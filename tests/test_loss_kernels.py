@@ -41,6 +41,7 @@ def problems(draw, magnitude=5.0):
     maps = draw(arrays(np.float64, scores.shape, elements=st.floats(0.0, 1.0)))
     seed = draw(st.integers(0, 2**32))
     draws = sample_label(points, LABEL_COV, MC_DRAWS, seed, (width, height))
+    weights = np.full(lead + (MC_DRAWS,), 1.0 / MC_DRAWS)
     cfg = StructuredLossConfig(
         epsilon=draw(st.floats(0.2, 3.0)),
         margin=MarginSpec(
@@ -51,7 +52,7 @@ def problems(draw, magnitude=5.0):
         ),
     )
     return {"grid": (width, height), "scores": scores, "cells": cells,
-            "points": points, "maps": maps, "draws": draws, "cfg": cfg}
+            "points": points, "maps": maps, "draws": draws, "weights": weights, "cfg": cfg}
 
 
 def kernels(p):
@@ -59,7 +60,7 @@ def kernels(p):
     grid, cfg = p["grid"], p["cfg"]
     return {
         "structured": lambda s: structured_batch(s, p["cells"], grid, cfg),
-        "smoothed": lambda s: smoothed_structured_batch(s, p["draws"], grid, cfg),
+        "smoothed": lambda s: smoothed_structured_batch(s, p["draws"], p["weights"], grid, cfg),
         "softargmax": lambda s: soft_argmax_l2_batch(s, p["points"], grid),
         "mse": lambda s: heatmap_mse_batch(s, p["maps"]),
     }
@@ -113,7 +114,8 @@ def test_batch_equals_single_heatmap_calls_bit_for_bit(p):
     results = {name: fn(p["scores"]) for name, fn in kernels(p).items()}
     coords = {name: fn(p["scores"], p["grid"]) for name, fn in READOUTS.items()}
     for b, n in np.ndindex(p["scores"].shape[:-1]):
-        row = {key: p[key][b, n] for key in ("scores", "cells", "points", "maps", "draws")}
+        row = {key: p[key][b, n]
+               for key in ("scores", "cells", "points", "maps", "draws", "weights")}
         for name, fn in kernels({**p, **row}).items():
             single_value, single_grad = fn(row["scores"])
             value, grad = results[name]

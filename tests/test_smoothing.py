@@ -505,6 +505,72 @@ class TestSampleLabelArrays:
             sample_label(means, covs, 3, 0, self.BOUNDS)
 
 
+class TestLabelCells:
+    """The fixed cubature targets: a 3x3 Gauss-Hermite product rule through
+    each label, merged to distinct cells."""
+
+    BOUNDS = TestSampleLabelArrays.BOUNDS
+
+    @staticmethod
+    def rule():
+        """Nodes [9, 2] in row-major order of (u, v) pairs and weights [9],
+        built from numpy's probabilists' Gauss-Hermite rule."""
+        z, w = np.polynomial.hermite_e.hermegauss(3)
+        nodes = np.array([(zu, zv) for zu in z for zv in z])
+        weights = np.array([wu * wv for wu in w for wv in w]) / (2.0 * np.pi)
+        return nodes, weights
+
+    def test_nodes_reproduce_mean_and_covariance(self):
+        nodes, weights = self.rule()
+        means, covs = TestSampleLabelArrays.gaussians((40,))
+        for mean, cov in zip(means, covs):
+            pts = mean + nodes @ np.linalg.cholesky(cov).T
+            centered = pts - mean
+            np.testing.assert_allclose(weights @ pts, mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose((weights * centered.T) @ centered, cov,
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(40,), (4, 3), (1, 1)])
+    def test_rows_list_distinct_cells_in_node_order(self, lead):
+        nodes, weights = self.rule()
+        means, covs = TestSampleLabelArrays.gaussians(lead)
+        cells, cell_weights = smoothing.label_cells(means, covs, self.BOUNDS)
+        k = cells.shape[-2]
+        assert cells.shape == lead + (k, 2) and cell_weights.shape == lead + (k,)
+        assert (cells >= 0).all() and (cells <= [8, 6]).all()
+        np.testing.assert_allclose(cell_weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        widths = []
+        for idx in np.ndindex(lead):
+            expected = {}
+            pts = means[idx] + nodes @ np.linalg.cholesky(covs[idx]).T
+            for (u, v), w in zip(np.clip(np.rint(pts), 0, [8, 6]).astype(int), weights):
+                expected[u, v] = expected.get((u, v), 0.0) + w
+            m = len(expected)
+            widths.append(m)
+            assert [tuple(c) for c in cells[idx][:m]] == list(expected)
+            np.testing.assert_allclose(cell_weights[idx][:m], list(expected.values()),
+                                       rtol=1e-15)
+            assert (cell_weights[idx][m:] == 0).all()
+        assert k == max(widths)
+
+    def test_near_zero_gamma_gives_one_cell(self):
+        ds = synth.generate_dataset(6, 16, 16, 3, 0.02, seed=5)
+        scfg = SmoothingConfig(gamma=1e-15)
+        covs = np.array([synth.fit_sample_labels(d, p, scfg)
+                         for d, p in zip(ds.distance, ds.points)])
+        cells, weights = smoothing.label_cells(ds.points, covs, ds.grid)
+        assert cells.shape == (6, 3, 1, 2)
+        np.testing.assert_array_equal(cells[..., 0, :],
+                                      np.clip(np.rint(ds.points), 0, 15).astype(int))
+        np.testing.assert_array_equal(weights, 1.0)
+
+    def test_non_positive_definite_raises(self):
+        means, covs = TestSampleLabelArrays.gaussians((4, 3))
+        covs[2, 1] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValueError, match="not positive definite"):
+            smoothing.label_cells(means, covs, self.BOUNDS)
+
+
 class TestPipelineDeterminism:
     def test_bit_identical_runs(self):
         landmarks, boundaries = horizontal_setup()

@@ -3,14 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from landmarklab import synth
+from landmarklab import smoothing, synth
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     SmoothingConfig,
     polyline_segments,
-    sample_label,
     segment_distance_field,
 )
 from landmarklab.synth import (
@@ -202,7 +201,6 @@ class TestTrain:
         smoothed = replace(
             plain,
             with_smoothing=True,
-            mc_samples=3,
             smoothing=SmoothingConfig(gamma=1e-15),
         )
         hist_plain = train(ds[:8], plain, eval_dataset=ds[8:])
@@ -218,7 +216,7 @@ class TestTrain:
         ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
         cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=0.05,
                           epochs=3, batch_size=4, seed=0, structured=STRUCT_CFG,
-                          with_smoothing=smoothed, mc_samples=2)
+                          with_smoothing=smoothed)
         histories = []
         for block_bytes in (1, 1 << 40):
             monkeypatch.setattr(synth, "BLOCK_BYTES", block_bytes)
@@ -239,9 +237,18 @@ class TestDualForm:
         "objective, lr", [("structured", 0.5), ("softargmax", 0.1), ("heatmap_mse", 0.002)]
     )
     def test_full_batch_matches_primal_descent(self, objective, lr):
+        self.check_primal_descent(objective, lr, with_smoothing=False)
+
+    def test_smoothed_full_batch_matches_primal_descent(self):
+        # Fixed cubature targets: every epoch descends the same objective.
+        self.check_primal_descent("structured", 0.5, with_smoothing=True)
+
+    def check_primal_descent(self, objective, lr, with_smoothing):
         train_set, eval_set = self.split()
         cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=self.C,
-                          epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG)
+                          epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG,
+                          with_smoothing=with_smoothing,
+                          smoothing=SmoothingConfig(gamma=4.0))
         hist = train(train_set, cfg, eval_dataset=eval_set)
         primal = LinearScorer.zeros(2, 16, 16)
         for stats in hist:
@@ -360,7 +367,7 @@ class TestConvergenceComparison:
         assert len(train_set) > 100
         cfg = TrainConfig(objective=objective, learning_rate=lr, epochs=2,
                           batch_size=len(train_set), seed=0,
-                          with_smoothing=smoothed, mc_samples=2)
+                          with_smoothing=smoothed)
         tracemalloc.start()
         try:
             train(train_set, cfg, eval_dataset=eval_set)
@@ -432,29 +439,35 @@ class TestSmoothedLabels:
         cov = covs[0]
         assert cov[1, 1] > cov[0, 0]  # spread along v (the edge direction)
 
-    def test_draws_follow_the_sample_not_the_batch(self, monkeypatch):
+    def test_targets_follow_the_sample_not_the_batch(self, monkeypatch):
         # At learning rate 0 the scores stay zero, so an epoch's train loss
-        # depends on the Monte Carlo cells alone.  At gamma = 4 a label's
-        # standard deviation is a few pixels, so the draws leave the cell.
+        # depends on the target cells alone.  At gamma = 4 a label's
+        # standard deviation is a few pixels, so its cells leave the
+        # landmark's cell.
         ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
-        calls = []
+        names = []
 
-        def counted(*args):
-            calls.append(args[3])
-            return sample_label(*args)
+        def recorded(seed, name):
+            names.append(name)
+            return derive_seed(seed, name)
 
-        monkeypatch.setattr(synth, "sample_label", counted)
+        def no_draws(*args):
+            raise AssertionError("train drew random target cells")
+
+        monkeypatch.setattr(synth, "derive_seed", recorded)
+        monkeypatch.setattr(smoothing, "sample_label", no_draws)
+        assert not hasattr(synth, "sample_label")
         losses = []
         for batch in (1, 3, 10):
             cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=2,
                               batch_size=batch, seed=0, structured=STRUCT_CFG,
-                              with_smoothing=True, smoothing=SmoothingConfig(gamma=4.0),
-                              mc_samples=3)
+                              with_smoothing=True, smoothing=SmoothingConfig(gamma=4.0))
             losses.append([h.train_loss for h in train(ds[:10], cfg, eval_dataset=ds[10:])])
         assert losses[0] == losses[1] == losses[2]
-        assert losses[0][0] != losses[0][1]
-        # One draw per epoch, each from its own sub-seed.
-        assert calls == [derive_seed(0, "mc/1"), derive_seed(0, "mc/2")] * 3
+        # The targets do not change between epochs; only the summation order does.
+        assert losses[0][1] == pytest.approx(losses[0][0], rel=1e-12)
+        # The shuffle is the only random stream train draws from.
+        assert names == ["shuffle"] * 3
 
     def test_training_reuses_stored_distance_fields(self, monkeypatch):
         ds = generate_dataset(10, 16, 16, 2, 0.02, seed=9)
@@ -464,7 +477,7 @@ class TestSmoothedLabels:
 
         monkeypatch.setattr(synth, "segment_distance_field", recompute)
         cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0,
-                          with_smoothing=True, mc_samples=2)
+                          with_smoothing=True)
         assert len(train(ds[:8], cfg, eval_dataset=ds[8:])) == 1
 
 
