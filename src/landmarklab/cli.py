@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
@@ -118,6 +119,9 @@ def load_config(path: str | None) -> dict:
             try:
                 if isinstance(default, bool):
                     cfg[section][key] = parser.getboolean(section, key)
+                elif isinstance(default, (int, float)) and "_" in raw:
+                    # int() and float() would read 1_0 as 10.
+                    raise ValueError(f"'_' in {raw!r}")
                 elif isinstance(default, int):
                     cfg[section][key] = int(raw)
                 elif isinstance(default, float):
@@ -174,7 +178,12 @@ def cmd_toy(args) -> int:
     if args.objective is not None:
         section["objective"] = args.objective
     try:
-        record_at = tuple(int(t) for t in str(section["record_at"]).split(",") if t.strip())
+        steps = [t for t in str(section["record_at"]).split(",") if t.strip()]
+        for t in steps:
+            # int() would read 1_0 as 10.
+            if "_" in t:
+                raise ValueError(f"malformed record_at step {t.strip()!r}")
+        record_at = tuple(map(int, steps))
         toy_cfg = ToyConfig(
             length=section["length"],
             target=section["target"],
@@ -332,7 +341,7 @@ def cmd_smooth(args) -> int:
     except (TypeError, ValueError) as err:
         raise CliError(f"invalid smooth config: {err}") from err
     try:
-        samples = read_annotations(args.annotations)
+        ids, offsets, points = read_annotations(args.annotations)
         boundaries = read_boundaries(args.boundaries)
     except OSError as err:
         raise CliError(f"cannot read input: {err}") from err
@@ -342,27 +351,27 @@ def cmd_smooth(args) -> int:
     # that fails leaves no output behind.  A sigma whose square underflows
     # fails here as a floating-point error, not as a warning.
     fits = []
-    for sample_id, points in samples:
+    for s, sample_id in enumerate(ids):
+        sample = points[offsets[s] : offsets[s + 1]]
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                raw = build_edge_heatmap(points, boundaries, scfg)
+                raw = build_edge_heatmap(sample, boundaries, scfg)
                 refined = refine_edge_heatmap(raw, scfg)
-                covs = fit_gaussian_label(refined, points, scfg)
+                covs = fit_gaussian_label(refined, sample, scfg)
         except (ValueError, FloatingPointError) as err:
             raise CliError(f"sample {sample_id}: {err}") from err
-        fits.append((sample_id, points, covs, (raw, refined) if args.dump_intermediates else None))
+        fits.append((sample_id, sample, covs, (raw, refined) if args.dump_intermediates else None))
     out = _ensure_outdir(args.out)
-    for sample_id, points, covs, maps in fits:
+    for sample_id, sample, covs, maps in fits:
         if maps is not None:
-            _dump_label_pgms(out, sample_id, *maps, points, covs, scfg)
-    rows = [
-        (sample_id, n, u, v, cov[0, 0], cov[0, 1], cov[1, 1])
-        for sample_id, points, covs, _ in fits
-        for n, ((u, v), cov) in enumerate(zip(points, covs))
-    ]
+            _dump_label_pgms(out, sample_id, *maps, sample, covs, scfg)
     labels_path = os.path.join(out, "labels.csv")
-    _write_csv(labels_path, "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv", rows)
-    print(f"smooth: {len(samples)} samples, {len(rows)} labels -> {labels_path}")
+    _write_csv(labels_path, "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv", (
+        (sample_id, n, u, v, cov[0, 0], cov[0, 1], cov[1, 1])
+        for sample_id, sample, covs, _ in fits
+        for n, ((u, v), cov) in enumerate(zip(sample, covs))
+    ))
+    print(f"smooth: {len(ids)} samples, {len(points)} labels -> {labels_path}")
     return 0
 
 
@@ -377,41 +386,48 @@ def cmd_eval(args) -> int:
     except ValueError as err:
         raise CliError(f"invalid eval config: {err}") from err
     try:
-        preds = dict(read_annotations(args.pred))
-        gts = dict(read_annotations(args.gt))
+        pred_ids, pred_offsets, pred_points = read_annotations(args.pred)
+        gt_ids, gt_offsets, gt_points = read_annotations(args.gt)
     except OSError as err:
         raise CliError(f"cannot read input: {err}") from err
     except ValueError as err:
         raise CliError(str(err)) from err
-    missing = sorted(set(preds) ^ set(gts))
-    if missing:
+    # Each file's sample indices in sorted id order.  Ids are unique within
+    # a file, so the files hold the same ids exactly when the sorted lists
+    # are equal.
+    pred_order = sorted(range(len(pred_ids)), key=pred_ids.__getitem__)
+    gt_order = sorted(range(len(gt_ids)), key=gt_ids.__getitem__)
+    ids = [pred_ids[k] for k in pred_order]
+    if ids != [gt_ids[k] for k in gt_order]:
+        missing = sorted(set(pred_ids) ^ set(gt_ids))
         raise CliError(f"sample ids do not match between files: {' '.join(missing)}")
-    if "mean" in preds:
+    if "mean" in ids:
         raise CliError("sample id 'mean' is taken by the summary row of per_sample.csv")
-    ids = sorted(preds)
+    pred_order, gt_order = np.array(pred_order), np.array(gt_order)
+    pred_starts, gt_starts = pred_offsets[pred_order], gt_offsets[gt_order]
+    counts = np.stack([np.diff(pred_offsets)[pred_order], np.diff(gt_offsets)[gt_order]], 1)
     # One nme call per (pred, gt) landmark count pair, in order of each
-    # group's first id, so a mismatch names the first mismatching id.
-    groups = {}
-    for row, i in enumerate(ids):
-        groups.setdefault((len(preds[i]), len(gts[i])), []).append(row)
+    # group's first sorted id, so a mismatch names the first mismatching id.
+    _, first = np.unique(counts, axis=0, return_index=True)
     errs = np.empty(len(ids))
-    for rows in groups.values():
-        group = [ids[row] for row in rows]
+    for row in np.sort(first):
+        rows = np.flatnonzero((counts == counts[row]).all(axis=1))
+        # The group's points [G, N, 2] of each file, gathered by index.
+        pred = pred_points[pred_starts[rows, None] + np.arange(counts[row, 0])]
+        gt = gt_points[gt_starts[rows, None] + np.arange(counts[row, 1])]
         try:
             # Finite inputs overflow only to inf, which is reported below.
             with np.errstate(over="ignore"):
-                errs[rows] = nme(np.stack([preds[i] for i in group]),
-                                 np.stack([gts[i] for i in group]),
-                                 np.full(len(rows), norm_distance))
+                errs[rows] = nme(pred, gt, np.full(len(rows), norm_distance))
         except ValueError as err:
-            raise CliError(f"sample {group[0]}: {err}") from err
+            raise CliError(f"sample {ids[row]}: {err}") from err
     finite = np.isfinite(errs)
     if not finite.all():
         raise CliError(f"sample {ids[finite.argmin()]}: NME overflows to inf")
     report = evaluate(errs, eval_cfg)
     out = _ensure_outdir(args.out)
     _write_csv(os.path.join(out, "per_sample.csv"), "sample_id,nme",
-               [*zip(ids, report.per_sample_nme), ("mean", report.nme_mean)])
+               itertools.chain(zip(ids, report.per_sample_nme), [("mean", report.nme_mean)]))
     _write_csv(os.path.join(out, "ced.csv"), "threshold,fraction", report.ced_points)
     print(f"eval: NME={report.nme_mean:.6g} FR={report.fr:.6g} AUC={report.auc:.6g}")
     return 0

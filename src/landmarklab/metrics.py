@@ -50,8 +50,12 @@ def nme(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
         )
     if not np.all(d > 0):
         raise ValueError(f"normalizing distance must be positive, got {d}")
-    err = np.linalg.norm(pred - gt, axis=-1)
-    return err.mean(-1) / d
+    # np.linalg.norm's sum of squares, taken in place: the same bits with
+    # one [..., N, 2] temporary instead of three.
+    sq = np.subtract(pred, gt, dtype=np.float64)
+    sq *= sq
+    err = sq.sum(-1)
+    return np.sqrt(err, out=err).mean(-1) / d
 
 
 def failure_rate(nmes, threshold: float) -> float:

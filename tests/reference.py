@@ -4,7 +4,9 @@ The primal ``LinearScorer``, ``dataset_objective`` and ``evaluate_nme`` are
 what the dual-form ``synth.train`` must reproduce; ``margin_table`` is the
 margin evaluated on the grid; ``tune_learning_rate`` picks the learning
 rates of acceptance criterion 5.  ``dense_auc_ced`` and ``per_id_nmes``
-are what ``metrics.auc_ced`` and the grouped ``eval`` must reproduce.
+are what ``metrics.auc_ced`` and the grouped ``eval`` must reproduce;
+``annotation_samples`` splits what ``read_annotations`` returns into one
+``(id, points)`` pair per sample for them and the per-landmark oracles.
 ``row_distance_field`` is the row-by-row distance field that
 ``smoothing.segment_distance_field`` must reproduce bit for bit.
 ``extract_patch``, ``joint_patch`` and ``fit_gaussian_label`` fit one
@@ -26,7 +28,7 @@ import numpy as np
 from landmarklab.heatmap import coordinate_grids, softmax
 from landmarklab.losses import MarginSpec, _margin_from_diffs
 from landmarklab.metrics import nme
-from landmarklab.smoothing import SmoothingConfig
+from landmarklab.smoothing import SmoothingConfig, read_annotations
 from landmarklab.synth import (
     SynthData,
     TrainConfig,
@@ -148,6 +150,12 @@ def dense_auc_ced(nmes, threshold: float, n_points: int):
     ced = (arr[None, :] <= ts[:, None]).mean(axis=1)
     auc = float(np.trapezoid(ced, ts) / threshold)
     return auc, list(zip(ts.tolist(), ced.tolist()))
+
+
+def annotation_samples(path) -> list:
+    """(id, points [N, 2]) of each sample of an annotation file, in file order."""
+    ids, offsets, points = read_annotations(path)
+    return [(sid, points[offsets[s] : offsets[s + 1]]) for s, sid in enumerate(ids)]
 
 
 def per_id_nmes(preds: dict, gts: dict, norm_distance: float) -> list:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ from landmarklab.heatmap import save_heatmap_pgm
 from landmarklab.smoothing import (
     SmoothingConfig,
     build_edge_heatmap,
-    read_annotations,
     read_boundaries,
     refine_edge_heatmap,
 )
 from landmarklab.toy import ToyConfig, run_toy
 
-from reference import dense_auc_ced, label_panels, per_id_nmes
+from reference import annotation_samples, dense_auc_ced, label_panels, per_id_nmes
 from reference import fit_gaussian_label as fit_one_label
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -177,6 +177,26 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, command, section, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("eval", "eval", "norm_distance", "1_0"),
+    ("eval", "eval", "ced_points", "1_001"),
+    ("synth", "synth", "samples", "4_0"),
+    ("toy", "toy", "learning_rate", "0.1_5"),
+])
+def test_underscore_numeral_config_value_rejected(tmp_path, capsys, command, section, key,
+                                                  value):
+    # int() and float() read 1_0 as 10.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    gt = tmp_path / "gt.txt"
+    write_annotations(gt, [("a", "1 2 3 4")])
+    inputs = [str(gt), str(gt)] if command == "eval" else []
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: bad value for {section}.{key}: '{value}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[toy]\nobjective = 50%\n", "objective must be one of"),
     ("[toy]\nlearning_rate = %(steps)s\n", "bad value for toy.learning_rate: '%(steps)s'"),
@@ -286,6 +306,7 @@ class TestToyCommand:
          "invalid toy config: the default bimodal start needs length >= 10, got 5"),
         ("record_at = 60", "invalid toy config: record_at step 60 outside [0, 50]"),
         ("steps = 20\nrecord_at = 10,-1", "invalid toy config: record_at step -1 outside [0, 20]"),
+        ("record_at = 10, 2_0", "invalid toy config: malformed record_at step '2_0'"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "toy.cfg"
@@ -581,7 +602,7 @@ class TestSmoothCommand:
                      "--dump-intermediates"]) == 0
         ref.mkdir()
         cfg = SmoothingConfig(gamma=gamma)
-        for sid, points in read_annotations(ann):
+        for sid, points in annotation_samples(ann):
             raw = build_edge_heatmap(points, read_boundaries(bnd), cfg)
             refined = refine_edge_heatmap(raw, cfg)
             save_heatmap_pgm(raw, ref / f"{sid}_edge_raw.pgm")
@@ -734,7 +755,7 @@ class TestEvalCommand:
         out = tmp_path / "out"
         assert main(["eval", str(pred), str(gt), "--config", str(cfg), "--out", str(out)]) == 0
 
-        errs = per_id_nmes(dict(read_annotations(pred)), dict(read_annotations(gt)), 12.5)
+        errs = per_id_nmes(dict(annotation_samples(pred)), dict(annotation_samples(gt)), 12.5)
         ref = tmp_path / "ref"
         ref.mkdir()
         _write_csv(ref / "per_sample.csv", "sample_id,nme",
@@ -801,6 +822,106 @@ class TestEvalCommand:
         assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
         assert f"pred.txt:2: sample id {sid!r} contains '/' or ','" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == inputs
+
+
+class TestInputText:
+    """Annotation and boundary files are UTF-8, and numerals have no ``_``."""
+
+    @pytest.mark.parametrize("command", ["eval", "smooth"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, capsys, command):
+        ann = tmp_path / "ann.txt"
+        ann.write_bytes(b"s0 20 32 32 32 44 32\ns1 \xff 1 2 3 4 5\n")
+        bnd = tmp_path / "bnd.txt"
+        bnd.write_text("0,1,2\n")
+        argv = [str(ann), str(ann)] if command == "eval" else [str(ann), str(bnd)]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {ann}:2: not valid UTF-8\n"
+        assert not out.exists()
+
+    def test_undecodable_boundary_file(self, tmp_path, capsys):
+        bnd = tmp_path / "bnd.txt"
+        bnd.write_bytes(b"# \xe9dge\n0,1,2\n")
+        out = tmp_path / "out"
+        assert main(["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"), str(bnd),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bnd}:1: not valid UTF-8\n"
+        assert not out.exists()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # With the mark read as text, the ids were "s0" and "\ufeffs0".
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        write_annotations(pred, [("s0", "3 4 10 10")])
+        gt.write_bytes(b"\xef\xbb\xbfs0 0 0 10 10\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("[eval]\nnorm_distance = 10\n")
+        assert main(["eval", str(pred), str(gt), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "NME=0.25" in capsys.readouterr().out
+
+    def test_underscore_coordinate_rejected(self, tmp_path, capsys):
+        # Read as 10, it scored NME 4.5 with exit 0.
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        write_annotations(pred, [("s0", "1_0 2 3 4")])
+        write_annotations(gt, [("s0", "1 2 3 4")])
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {pred}:1: malformed coordinate token\n"
+        assert not out.exists()
+
+    def test_underscore_boundary_index_rejected(self, tmp_path, capsys):
+        # Read as 10, it failed as "boundary index 10 out of range".
+        bnd = tmp_path / "bnd.txt"
+        bnd.write_text("0,1_0\n")
+        out = tmp_path / "out"
+        assert main(["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"), str(bnd),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bnd}:1: malformed boundary index\n"
+        assert not out.exists()
+
+
+class TestMemory:
+    def test_eval_peak_over_many_ids(self, tmp_path):
+        # The benchmark's eval shape: 4,000 ids of 4 landmarks.  Reading
+        # one [N, 2] array per id and stacking them again peaked at 4.7 MB;
+        # one points array per file and gathered groups peak at 2.4-2.6 MB.
+        rng = np.random.default_rng(1)
+        ids = [f"id{k:06d}" for k in range(4000)]
+        gt = rng.uniform(0.0, 64.0, (4000, 8))
+        for path, points in ((tmp_path / "gt.txt", gt),
+                             (tmp_path / "pred.txt", gt + rng.normal(0.0, 0.08, gt.shape))):
+            write_annotations(path, [(i, " ".join(f"{x:.4f}" for x in row))
+                                     for i, row in zip(ids, points)])
+        argv = ["eval", str(tmp_path / "pred.txt"), str(tmp_path / "gt.txt"),
+                "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
+
+    def test_commands_import_neither_random_nor_polynomial(self, tmp_path):
+        # numpy loads both lazily; they would add about 2 MB and 0.8 MB of RSS.
+        ann = os.path.join(SAMPLE_DATA, "annotations.txt")
+        bnd = os.path.join(SAMPLE_DATA, "boundaries.txt")
+        script = (
+            "import sys\n"
+            "from landmarklab.cli import main\n"
+            f"assert main(['eval', {ann!r}, {ann!r}, '--out', {str(tmp_path / 'eval')!r}]) == 0\n"
+            f"assert main(['smooth', {ann!r}, {bnd!r}, '--dump-intermediates',\n"
+            f"             '--out', {str(tmp_path / 'smooth')!r}]) == 0\n"
+            f"assert main(['toy', '--out', {str(tmp_path / 'toy')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('numpy.random', 'numpy.polynomial'))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(landmarklab.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

@@ -51,6 +51,19 @@ class TestNme:
         with pytest.raises(ValueError, match="normalizing distance must be positive"):
             nme(np.zeros((3, 2, 2)), np.ones((3, 2, 2)), np.array([1.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e200])
+    def test_matches_linalg_norm_bit_for_bit(self, scale):
+        # nme squares in place; np.linalg.norm is the reference.
+        rng = np.random.default_rng(4)
+        pred, gt = rng.normal(0.0, scale, (2, 50, 7, 2))
+        d = rng.uniform(0.5, 2.0, 50)
+        with np.errstate(over="ignore"):
+            expected = np.linalg.norm(pred - gt, axis=-1).mean(-1) / d
+            assert nme(pred, gt, d).tobytes() == expected.tobytes()
+        ints = rng.integers(-50, 50, (2, 5, 3, 2))
+        assert nme(*ints, np.ones(5)).tobytes() == np.linalg.norm(
+            ints[0] - ints[1], axis=-1).mean(-1).tobytes()
+
     def test_batch_equals_single_set_calls_bit_for_bit(self):
         rng = np.random.default_rng(3)
         pred = rng.uniform(0.0, 32.0, size=(6, 5, 2))

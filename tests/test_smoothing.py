@@ -154,7 +154,7 @@ class TestSegmentDistanceField:
         data = Path(__file__).resolve().parents[1] / "sample_data"
         curves = read_boundaries(data / "boundaries.txt")
         rng = np.random.default_rng(33)
-        for _, points in read_annotations(data / "annotations.txt"):
+        for _, points in reference.annotation_samples(data / "annotations.txt"):
             for _ in range(10):
                 moved = points + rng.uniform(-4.0, 4.0, 2) + rng.normal(0.0, 1.5, points.shape)
                 build_edge_heatmap(moved, curves, CFG)
@@ -587,9 +587,70 @@ class TestAnnotationIo:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ann.txt"
         path.write_text("s0 1.5 2 3 4\ns1 5 6 7 8\n")
-        samples = read_annotations(path)
-        assert [sid for sid, _ in samples] == ["s0", "s1"]
-        np.testing.assert_allclose(samples[0][1], [[1.5, 2.0], [3.0, 4.0]])
+        ids, offsets, points = read_annotations(path)
+        assert ids == ["s0", "s1"]
+        np.testing.assert_allclose(points[offsets[0] : offsets[1]], [[1.5, 2.0], [3.0, 4.0]])
+
+    def test_ids_offsets_and_points(self, tmp_path):
+        # 1-4 landmarks per sample, between comment and blank lines.
+        path = tmp_path / "ann.txt"
+        path.write_text("# header\nz 1 2 3 4 5 6\n\n  a 7 8\n# middle\n"
+                        "m 9 10 11 12 13 14 15 16\n\t\nb 17 18 19 20\n")
+        ids, offsets, points = read_annotations(path)
+        assert ids == ["z", "a", "m", "b"]
+        assert offsets.tolist() == [0, 3, 4, 8, 10]
+        assert points.dtype == np.float64 and points.shape == (10, 2)
+        assert points.flags.c_contiguous
+        assert points.ravel().tolist() == [float(k) for k in range(1, 21)]
+
+    @pytest.mark.parametrize("text", ["s0 1 2\ns1 nan 3\ns2 x 4\n", "s0 1 2\ns1 inf 3\ns0 1 4\n",
+                                      "s0 1 2\ns1 -inf 3\ns2 1 2 3\n"],
+                             ids=["malformed", "duplicate", "odd_count"])
+    def test_non_finite_line_reported_before_a_later_error(self, tmp_path, text):
+        path = tmp_path / "ann.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"ann\.txt:2: landmark coordinates must be finite"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("s0 nan x", "malformed coordinate token"),
+        ("s/0 nan 1", "sample id 's/0' contains '/' or ','"),
+        ("s0 nan 1", "duplicate sample id 's0', first given on line 1"),
+    ])
+    def test_line_errors_come_before_its_non_finite_value(self, tmp_path, line, message):
+        path = tmp_path / "ann.txt"
+        path.write_text(f"s0 1 2\n{line}\n")
+        with pytest.raises(ValueError, match=rf"ann\.txt:2: {message}"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize("line", ["s0 1_0 2 3 4", "s0 1 2 3 4_5", "s0 1 2 3 1_0e1"])
+    def test_underscore_numerals_rejected(self, tmp_path, line):
+        # float() reads 1_0 as 10; an underscore in the id is fine.
+        path = tmp_path / "ann.txt"
+        path.write_text(f"face_1 1 2\n{line}\n")
+        with pytest.raises(ValueError, match=r"ann\.txt:2: malformed coordinate token"):
+            read_annotations(path)
+        path.write_text("face_1 1 2\n")
+        assert read_annotations(path)[0] == ["face_1"]
+
+    def test_utf8_with_and_without_bom(self, tmp_path):
+        ann, bnd = tmp_path / "ann.txt", tmp_path / "bnd.txt"
+        for bom in (b"", b"\xef\xbb\xbf"):
+            ann.write_bytes(bom + "# r\u00e9sum\u00e9\ns0 1 2\n".encode())
+            bnd.write_bytes(bom + b"0,1\n")
+            ids, offsets, points = read_annotations(ann)
+            assert ids == ["s0"] and points.tolist() == [[1.0, 2.0]]
+            assert read_boundaries(bnd) == ((0, 1),)
+
+    @pytest.mark.parametrize("reader, line", [
+        (read_annotations, "s{} 1 2"), (read_boundaries, "0,{}")], ids=["annotations", "boundaries"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, reader, line):
+        # Line 3001 lies well past the decoder's first chunk.
+        path = tmp_path / "in.txt"
+        lines = [line.format(k + 1).encode() for k in range(3000)]
+        path.write_bytes(b"\n".join([*lines, b"# caf\xff", *lines[:2]]) + b"\n")
+        with pytest.raises(ValueError, match=r"in\.txt:3001: not valid UTF-8$"):
+            reader(path)
 
     def test_malformed_coordinate_cites_line(self, tmp_path):
         path = tmp_path / "ann.txt"
@@ -622,6 +683,13 @@ class TestAnnotationIo:
         with pytest.raises(ValueError, match=r":1"):
             read_boundaries(path)
 
+    def test_boundary_underscore_index_rejected(self, tmp_path):
+        # int() reads 1_0 as 10, which failed as "boundary index 10 out of range".
+        path = tmp_path / "bnd.txt"
+        path.write_text("0,1\n0,1_0\n")
+        with pytest.raises(ValueError, match=r"bnd\.txt:2: malformed boundary index"):
+            read_boundaries(path)
+
     def test_labels_csv(self, tmp_path):
         ann = tmp_path / "ann.txt"
         ann.write_text("s0 20 32 32 32 44 32\n")
@@ -631,7 +699,7 @@ class TestAnnotationIo:
         assert main(["smooth", str(ann), str(bnd), "--out", str(out)]) == 0
         lines = (out / "labels.csv").read_text().splitlines()
         assert lines[0] == "sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"
-        [(_, landmarks)] = read_annotations(ann)
+        [(_, landmarks)] = reference.annotation_samples(ann)
         refined = refine_edge_heatmap(
             build_edge_heatmap(landmarks, read_boundaries(bnd), CFG), CFG)
         expected = ["sample_id,landmark_id,mean_u,mean_v,cov_uu,cov_uv,cov_vv"]
