@@ -93,7 +93,8 @@ DEFAULTS = {
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the config file; unknown keys are errors."""
+    """Defaults overlaid with the UTF-8 config file, whose leading BOM is
+    dropped; unknown keys are errors."""
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return cfg
@@ -101,7 +102,7 @@ def load_config(path: str | None) -> dict:
     # [DEFAULT] section is rejected as unknown rather than merged into all.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             parser.read_file(f)
     except OSError as err:
         raise CliError(f"cannot read config file {path}: {err.strerror}") from err
@@ -119,9 +120,9 @@ def load_config(path: str | None) -> dict:
             try:
                 if isinstance(default, bool):
                     cfg[section][key] = parser.getboolean(section, key)
-                elif isinstance(default, (int, float)) and "_" in raw:
-                    # int() and float() would read 1_0 as 10.
-                    raise ValueError(f"'_' in {raw!r}")
+                elif isinstance(default, (int, float)) and ("_" in raw or not raw.isascii()):
+                    # int() and float() would read 1_0 as 10, and any Unicode digit.
+                    raise ValueError(f"not ASCII without '_': {raw!r}")
                 elif isinstance(default, int):
                     cfg[section][key] = int(raw)
                 elif isinstance(default, float):

@@ -12,13 +12,22 @@ All operations here are pure functions; treat their inputs as read-only.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
+@functools.lru_cache(maxsize=32)
 def coordinate_grids(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (U, V) index grids of shape (height, width)."""
+    """Return (U, V) float index grids of shape (height, width).
+
+    Built once per grid and shared by every call, so both are read-only.
+    """
     v, u = np.mgrid[0:height, 0:width]
-    return u.astype(np.float64), v.astype(np.float64)
+    grids = u.astype(np.float64), v.astype(np.float64)
+    for g in grids:
+        g.flags.writeable = False
+    return grids
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -50,7 +59,9 @@ def argmax(scores: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     ``grid`` is (width, height).  Ties go to the lowest row-major index.
     """
     k = scores.argmax(axis=-1)
-    return np.stack([k % grid[0], k // grid[0]], axis=-1)
+    cells = np.empty((*k.shape, 2), dtype=k.dtype)
+    np.divmod(k, grid[0], out=(cells[..., 1], cells[..., 0]))
+    return cells
 
 
 def gaussian_bumps(centers, width: int, height: int, sigma: float) -> np.ndarray:

@@ -128,17 +128,21 @@ def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
     width, height = grid
     cells = np.asarray(cells)
     eps = cfg.epsilon
-    k = (cells[..., 1] * width + cells[..., 0])[..., None]  # linear index of the target
     z = _cell_margins(cfg.margin, cells, width, height)
     z += scores
     m = z.max(axis=-1, keepdims=True)
     z -= m
-    z /= eps
+    if eps != 1.0:  # x / 1.0 == x, so skipping the division keeps every bit
+        z /= eps
     np.exp(z, out=z)
     total = z.sum(axis=-1, keepdims=True)
-    value = eps * np.log(total[..., 0]) + m[..., 0] - np.take_along_axis(scores, k, -1)[..., 0]
+    # The target entries as one [rows, k] gather, k the target's linear index.
+    rows = np.arange(total.size)
+    k = (cells[..., 1] * width + cells[..., 0]).ravel()
+    target = scores.reshape(rows.size, -1)[rows, k].reshape(total.shape[:-1])
+    value = eps * np.log(total[..., 0]) + m[..., 0] - target
     z /= total
-    np.put_along_axis(z, k, np.take_along_axis(z, k, -1) - 1.0, -1)
+    z.reshape(rows.size, -1)[rows, k] -= 1.0
     return value, z
 
 

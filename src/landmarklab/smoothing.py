@@ -342,9 +342,10 @@ def read_annotations(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse annotation lines ``id u1 v1 u2 v2 ...`` into (ids, offsets, points).
 
     ``ids`` lists the sample ids in file order; they are unique and hold no
-    ``/`` or ``,``.  Sample ``s`` has the rows ``points[offsets[s]:offsets[s + 1]]``
+    ``/``, ``,`` or NUL.  Sample ``s`` has the rows ``points[offsets[s]:offsets[s + 1]]``
     of one C-contiguous float64 array points [P, 2], and offsets [S + 1]
-    starts at 0.  A coordinate is a Python float literal without ``_``.
+    starts at 0.  A coordinate is an ASCII Python float literal without
+    ``_``; the part of a line after its id is ASCII.
     The first bad line in the file is reported.
     """
     # Imported here, not at module level: loading the extension module adds
@@ -363,15 +364,19 @@ def read_annotations(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: expected 'id u1 v1 ...' with N >= 1 pairs")
             sid = tokens[0]
             try:
-                # float() would read 1_0 as 10.
+                # float() would read 1_0 as 10, and any Unicode digit as its value.
                 if line.find("_", len(sid)) >= 0:
                     raise ValueError("'_' in a coordinate")
+                if not (line.isascii() or line[len(sid):].isascii()):
+                    raise ValueError("non-ASCII coordinate")
                 coords.extend(map(float, tokens[1:]))
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: malformed coordinate token") from err
             # Ids name output files and fill CSV cells.
             if "/" in sid or "," in sid:
                 raise ValueError(f"{path}:{lineno}: sample id {sid!r} contains '/' or ','")
+            if "\0" in sid:
+                raise ValueError(f"{path}:{lineno}: sample id {sid!r} contains a NUL character")
             if sid in seen:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate sample id {sid!r}, "
@@ -404,14 +409,14 @@ def _check_finite(path, lines, offsets, coords) -> None:
 def read_boundaries(path) -> tuple[tuple[int, ...], ...]:
     """Parse boundary lines, one comma-separated index sequence per curve.
 
-    An index is a Python int literal without ``_``.
+    An index is an ASCII Python int literal without ``_``.
     """
     curves = []
     for lineno, line in _text_lines(path):
         try:
-            # int() would read 1_0 as 10.
-            if "_" in line:
-                raise ValueError("'_' in an index")
+            # int() would read 1_0 as 10, and any Unicode digit as its value.
+            if "_" in line or not line.isascii():
+                raise ValueError("index not ASCII without '_'")
             curve = tuple(int(tok) for tok in line.split(","))
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: malformed boundary index") from err

@@ -166,16 +166,23 @@ class ConvergenceResult:
     speedup: float | None  # epochs_b / epochs_a; None when either never converged
 
 
+# Parameter angles of the contour vertices; the last closes the loop.
+_CONTOUR_T = np.append(np.linspace(0.0, 2.0 * np.pi, CONTOUR_POINTS, endpoint=False), 0.0)
+
+
 def _ellipse_contour(center, a, b, phi) -> np.ndarray:
-    t = np.linspace(0.0, 2.0 * np.pi, CONTOUR_POINTS, endpoint=False)
-    t = np.append(t, 0.0)  # close the loop
-    return np.stack(_contour_point(center, a, b, phi, t), axis=1)
+    """Closed contour vertices [..., CONTOUR_POINTS + 1, 2] of ellipses."""
+    return _contour_point(center, a, b, phi, _CONTOUR_T)
 
 
-def _contour_point(center, a, b, phi, t):
+def _contour_point(center, a, b, phi, t) -> np.ndarray:
+    """Points [..., T, 2] at parameter angles t [T] on ellipses with centers
+    [..., 2], semi-axes a and b [...] and tilts phi [...]."""
+    center = np.asarray(center, dtype=np.float64)[..., None, :]
+    a, b, phi = (np.asarray(x, dtype=np.float64)[..., None] for x in (a, b, phi))
     c, s = np.cos(phi), np.sin(phi)
     x, y = a * np.cos(t), b * np.sin(t)
-    return center[0] + c * x - s * y, center[1] + s * x + c * y
+    return np.stack([center[..., 0] + c * x - s * y, center[..., 1] + s * x + c * y], axis=-1)
 
 
 def generate_dataset(
@@ -193,6 +200,11 @@ def generate_dataset(
     to [0, 1].  Landmarks sit at evenly spaced parameter angles on the
     contour; the normalizing distance of a sample is the gap between its
     first two landmarks.  Deterministic per seed.
+
+    One sample at a time, in the generator's stream order, draws its
+    ellipse (center, axes, tilt) and then its noise, straight into its
+    pixel rows, and renders its contour's distance field.  The landmarks
+    and their normalizing distances are computed for all samples at once.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -204,13 +216,9 @@ def generate_dataset(
         raise ValueError("noise sigma must be nonnegative")
     rng = np.random.default_rng(derive_seed(seed, "synth-data"))
     size = min(width, height)
-    angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
-    data = SynthData(
-        pixels=np.empty((n_samples, height, width)),
-        points=np.empty((n_samples, n_landmarks, 2)),
-        norm=np.empty(n_samples),
-        distance=np.empty((n_samples, height, width)),
-    )
+    pixels = np.zeros((n_samples, height, width))
+    distance = np.empty((n_samples, height, width))
+    ellipses = np.empty((n_samples, 5))  # center u, center v, a, b, phi
     for i in range(n_samples):
         center = (
             rng.uniform(CENTER_RANGE[0] * width, CENTER_RANGE[1] * width),
@@ -219,17 +227,20 @@ def generate_dataset(
         a = rng.uniform(MAJOR_RANGE[0] * size, MAJOR_RANGE[1] * size)
         b = rng.uniform(MINOR_RANGE[0] * a, MINOR_RANGE[1] * a)
         phi = rng.uniform(ROTATION_RANGE[0], ROTATION_RANGE[1])
+        ellipses[i] = *center, a, b, phi
         contour = _ellipse_contour(center, a, b, phi)
-        dist = segment_distance_field(polyline_segments(contour), width, height)
-        pixels = np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))
+        distance[i] = segment_distance_field(polyline_segments(contour), width, height)
         if noise_sigma > 0:
-            pixels = pixels + rng.normal(0.0, noise_sigma, pixels.shape)
-        pts = np.stack(_contour_point(center, a, b, phi, angles), axis=1)
-        data.pixels[i] = np.clip(pixels, 0.0, 1.0)
-        data.points[i] = pts
-        data.norm[i] = np.linalg.norm(pts[0] - pts[1])
-        data.distance[i] = dist
-    return data
+            # rng.normal(0, sigma) scales these same standard normal draws.
+            rng.standard_normal(out=pixels[i])
+            pixels[i] *= noise_sigma
+        pixels[i] += np.exp(-(distance[i] ** 2) / (2.0 * RENDER_SIGMA**2))
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
+    points = _contour_point(ellipses[:, :2], *ellipses.T[2:], angles)
+    # One norm per sample: norm(..., axis=-1) over all of them rounds differently.
+    norm = np.array([np.linalg.norm(p[0] - p[1]) for p in points])
+    return SynthData(pixels=pixels, points=points, norm=norm, distance=distance)
 
 
 def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> np.ndarray:
@@ -279,7 +290,7 @@ def _batch_loss(scores, targets, grid, cfg: TrainConfig):
 
 def _argmax_nme(scores: np.ndarray, data: SynthData) -> float:
     """Mean per-sample NME of argmax inference from scores [B, N, H*W]."""
-    return float(nme(argmax(scores, data.grid), data.points, data.norm).mean())
+    return float(nme(argmax(scores, data.grid), data.points, data.norm).sum() / len(data))
 
 
 def split_dataset(dataset):

@@ -19,6 +19,14 @@ generator; ``smoothing.sample_label`` must reproduce it bit for bit for
 a single mean.  ``soft_argmax_l2_batch`` builds the gradient from
 full-size coordinate differences; ``losses.soft_argmax_l2_batch`` must
 reproduce its values and gradients bit for bit.
+``generate_dataset`` renders one sample at a time from scalar ellipse
+parameters, ``argmax`` stacks the column and row of each maximum,
+``structured_batch`` reads and writes its target entries with
+``take_along_axis`` and ``put_along_axis``, ``nme_mean`` averages
+with ``mean`` and ``argmax_nme`` is the held-out readout built from
+those two; ``synth.generate_dataset``, ``heatmap.argmax``,
+``losses.structured_batch``, ``metrics.nme`` and ``synth._argmax_nme``
+must reproduce them bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -26,10 +34,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from landmarklab.heatmap import coordinate_grids, softmax
-from landmarklab.losses import MarginSpec, _margin_from_diffs
+from landmarklab.losses import MarginSpec, StructuredLossConfig, _cell_margins, _margin_from_diffs
 from landmarklab.metrics import nme
-from landmarklab.smoothing import SmoothingConfig, read_annotations
+from landmarklab.seeding import derive_seed
+from landmarklab.smoothing import (
+    SmoothingConfig,
+    polyline_segments,
+    read_annotations,
+    segment_distance_field,
+)
 from landmarklab.synth import (
+    CENTER_RANGE,
+    CONTOUR_POINTS,
+    MAJOR_RANGE,
+    MINOR_RANGE,
+    RENDER_SIGMA,
+    ROTATION_RANGE,
     SynthData,
     TrainConfig,
     TrainingDiverged,
@@ -342,3 +362,83 @@ def soft_argmax_l2_batch(scores, targets, grid):
     p *= 2.0
     grad *= p
     return value, grad
+
+
+def _contour_point(center, a, b, phi, t):
+    c, s = np.cos(phi), np.sin(phi)
+    x, y = a * np.cos(t), b * np.sin(t)
+    return center[0] + c * x - s * y, center[1] + s * x + c * y
+
+
+def generate_dataset(n_samples: int, width: int = 32, height: int = 32, n_landmarks: int = 3,
+                     noise_sigma: float = 0.02, seed: int = 0) -> SynthData:
+    """``synth.generate_dataset`` for valid arguments, one sample at a time:
+    scalar ellipse parameters, the sample's own contour, segments, noise
+    array and landmark stack."""
+    rng = np.random.default_rng(derive_seed(seed, "synth-data"))
+    size = min(width, height)
+    angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
+    t = np.append(np.linspace(0.0, 2.0 * np.pi, CONTOUR_POINTS, endpoint=False), 0.0)
+    data = SynthData(
+        pixels=np.empty((n_samples, height, width)),
+        points=np.empty((n_samples, n_landmarks, 2)),
+        norm=np.empty(n_samples),
+        distance=np.empty((n_samples, height, width)),
+    )
+    for i in range(n_samples):
+        center = (
+            rng.uniform(CENTER_RANGE[0] * width, CENTER_RANGE[1] * width),
+            rng.uniform(CENTER_RANGE[0] * height, CENTER_RANGE[1] * height),
+        )
+        a = rng.uniform(MAJOR_RANGE[0] * size, MAJOR_RANGE[1] * size)
+        b = rng.uniform(MINOR_RANGE[0] * a, MINOR_RANGE[1] * a)
+        phi = rng.uniform(ROTATION_RANGE[0], ROTATION_RANGE[1])
+        contour = np.stack(_contour_point(center, a, b, phi, t), axis=1)
+        dist = segment_distance_field(polyline_segments(contour), width, height)
+        pixels = np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))
+        if noise_sigma > 0:
+            pixels = pixels + rng.normal(0.0, noise_sigma, pixels.shape)
+        pts = np.stack(_contour_point(center, a, b, phi, angles), axis=1)
+        data.pixels[i] = np.clip(pixels, 0.0, 1.0)
+        data.points[i] = pts
+        data.norm[i] = np.linalg.norm(pts[0] - pts[1])
+        data.distance[i] = dist
+    return data
+
+
+def argmax(scores: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """``heatmap.argmax``: the (u, v) cells [..., 2] of each row's maximum."""
+    k = scores.argmax(axis=-1)
+    return np.stack([k % grid[0], k // grid[0]], axis=-1)
+
+
+def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
+    """``losses.structured_batch``, its target entries taken and put along the last axis."""
+    width, height = grid
+    cells = np.asarray(cells)
+    eps = cfg.epsilon
+    k = (cells[..., 1] * width + cells[..., 0])[..., None]
+    z = _cell_margins(cfg.margin, cells, width, height)
+    z += scores
+    m = z.max(axis=-1, keepdims=True)
+    z -= m
+    z /= eps
+    np.exp(z, out=z)
+    total = z.sum(axis=-1, keepdims=True)
+    value = eps * np.log(total[..., 0]) + m[..., 0] - np.take_along_axis(scores, k, -1)[..., 0]
+    z /= total
+    np.put_along_axis(z, k, np.take_along_axis(z, k, -1) - 1.0, -1)
+    return value, z
+
+
+def nme_mean(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
+    """``metrics.nme`` for valid arguments, averaging with ``mean``."""
+    sq = np.subtract(pred, gt, dtype=np.float64)
+    sq *= sq
+    err = sq.sum(-1)
+    return np.sqrt(err, out=err).mean(-1) / d
+
+
+def argmax_nme(scores: np.ndarray, data: SynthData) -> float:
+    """``synth._argmax_nme`` from the ``argmax`` and ``nme_mean`` above."""
+    return float(nme_mean(argmax(scores, data.grid), data.points, data.norm).mean())

@@ -859,6 +859,52 @@ class TestInputText:
                      "--out", str(tmp_path / "out")]) == 0
         assert "NME=0.25" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["eval", "smooth"])
+    def test_nul_in_id_rejected(self, tmp_path, capsys, command):
+        # smooth ended in an "embedded null byte" traceback at its first PGM,
+        # and eval wrote the NUL into per_sample.csv.
+        ann, bnd = tmp_path / "ann.txt", tmp_path / "bnd.txt"
+        ann.write_text("s\x00x 20 32 32 32 44 32\n")
+        bnd.write_text("0,1,2\n")
+        argv = [str(ann), str(ann)] if command == "eval" else [
+            str(ann), str(bnd), "--dump-intermediates"]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ann}:1: sample id 's\\x00x' contains a NUL character\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic_indic", "full_width"])
+    def test_non_ascii_digits_rejected(self, tmp_path, capsys, digit):
+        # Read as 1, "a <digit> 2 3 4" scored NME 0 against "a 1 2 3 4" with exit 0.
+        pred, gt, bnd = tmp_path / "pred.txt", tmp_path / "gt.txt", tmp_path / "bnd.txt"
+        pred.write_text(f"a {digit} 2 3 4\n", encoding="utf-8")
+        write_annotations(gt, [("a", "1 2 3 4")])
+        out = tmp_path / "out"
+        assert main(["eval", str(pred), str(gt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {pred}:1: malformed coordinate token\n"
+        bnd.write_text(f"0,{digit}\n", encoding="utf-8")
+        assert main(["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"), str(bnd),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bnd}:1: malformed boundary index\n"
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"[eval]\nnorm_distance = {digit}0\n", encoding="utf-8")
+        assert main(["eval", str(gt), str(gt), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: bad value for eval.norm_distance: '{digit}0'\n")
+        assert not out.exists()
+
+    def test_config_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # The mark was read as text: "File contains no section headers".
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        write_annotations(pred, [("s0", "3 4 10 10")])
+        write_annotations(gt, [("s0", "0 0 10 10")])
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf[eval]\nnorm_distance = 10\n")
+        assert main(["eval", str(pred), str(gt), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "NME=0.25" in capsys.readouterr().out
+
     def test_underscore_coordinate_rejected(self, tmp_path, capsys):
         # Read as 10, it scored NME 4.5 with exit 0.
         pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"

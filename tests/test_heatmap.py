@@ -4,6 +4,7 @@ import pytest
 import landmarklab
 from landmarklab.heatmap import (
     argmax,
+    coordinate_grids,
     gaussian_bumps,
     save_heatmap_pgm,
     soft_argmax,
@@ -25,6 +26,27 @@ def test_star_import_resolves_all_exports():
     exec("from landmarklab import *", namespace)
     missing = [name for name in landmarklab.__all__ if name not in namespace]
     assert not missing
+
+
+class TestCoordinateGrids:
+    def test_values(self):
+        uu, vv = coordinate_grids(4, 3)
+        v, u = np.mgrid[0:3, 0:4]
+        assert uu.dtype == vv.dtype == np.float64
+        assert np.array_equal(uu, u) and np.array_equal(vv, v)
+
+    def test_repeat_calls_share_read_only_grids(self):
+        uu, vv = coordinate_grids(5, 2)
+        again = coordinate_grids(5, 2)
+        assert again[0] is uu and again[1] is vv
+        for grid in (uu, vv, uu.ravel(), vv[0]):
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            uu += 1.0
+        assert coordinate_grids(5, 2)[0][0, 0] == 0.0
+        assert coordinate_grids(2, 5)[0].shape == (5, 2)
 
 
 class TestArgmax:

@@ -1,5 +1,7 @@
 """Property tests for the array-level loss kernels and readouts over score rows [..., H*W]."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,21 @@ def test_soft_argmax_matches_reference_bit_for_bit(grid, scale, lead):
     ref_value, ref_grad = reference.soft_argmax_l2_batch(scores, targets, grid)
     assert np.array_equal(value, ref_value)
     assert np.array_equal(grad, ref_grad)
+
+
+@PROPERTY
+@given(problems())
+def test_structured_and_argmax_match_reference_bit_for_bit(p):
+    # Rounded scores tie often, and epsilon 1 skips the division by the temperature.
+    grid = p["grid"]
+    for scores in (p["scores"], np.rint(p["scores"])):
+        for s, cells in ((scores, p["cells"]), (scores[0, 0], p["cells"][0, 0])):
+            for cfg in (p["cfg"], replace(p["cfg"], epsilon=1.0)):
+                value, grad = structured_batch(s, cells, grid, cfg)
+                ref_value, ref_grad = reference.structured_batch(s, cells, grid, cfg)
+                assert np.shape(value) == np.shape(ref_value)
+                assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+                assert grad.tobytes() == ref_grad.tobytes()
+            found, expected = argmax(s, grid), reference.argmax(s, grid)
+            assert found.dtype == expected.dtype and found.shape == expected.shape
+            assert found.tobytes() == expected.tobytes()

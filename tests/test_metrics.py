@@ -12,7 +12,7 @@ from landmarklab.metrics import (
     nme,
 )
 
-from reference import dense_auc_ced
+from reference import dense_auc_ced, nme_mean
 
 
 def pts(*pairs):
@@ -63,6 +63,20 @@ class TestNme:
         ints = rng.integers(-50, 50, (2, 5, 3, 2))
         assert nme(*ints, np.ones(5)).tobytes() == np.linalg.norm(
             ints[0] - ints[1], axis=-1).mean(-1).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), max_size=2), n=st.integers(1, 9),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_mean_reference_bit_for_bit(self, lead, n, scale, seed):
+        # sum / N against np.mean, on float and integer points.
+        rng = np.random.default_rng(seed)
+        pred, gt = rng.normal(0.0, scale, (2, *lead, n, 2))
+        d = rng.uniform(0.5, 2.0, tuple(lead))
+        ints = np.rint(pred).astype(int), np.rint(gt).astype(int)
+        for args in ((pred, gt, d), (*ints, d)):
+            found, expected = nme(*args), nme_mean(*args)
+            assert np.shape(found) == np.shape(expected)
+            assert np.asarray(found).tobytes() == np.asarray(expected).tobytes()
 
     def test_batch_equals_single_set_calls_bit_for_bit(self):
         rng = np.random.default_rng(3)

@@ -633,6 +633,26 @@ class TestAnnotationIo:
         path.write_text("face_1 1 2\n")
         assert read_annotations(path)[0] == ["face_1"]
 
+    def test_nul_in_id_rejected(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_text("s0 1 2\ns\x00x 3 4\n")
+        with pytest.raises(ValueError,
+                           match=r"ann\.txt:2: sample id 's\\x00x' contains a NUL character"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic_indic", "full_width"])
+    def test_non_ascii_digits_rejected(self, tmp_path, digit):
+        # float() and int() read any Unicode decimal digit; ids may hold them.
+        ann, bnd = tmp_path / "ann.txt", tmp_path / "bnd.txt"
+        ann.write_text(f"s{digit} 1 2 3 4\na {digit} 2 3 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"ann\.txt:2: malformed coordinate token"):
+            read_annotations(ann)
+        ann.write_text(f"s{digit} 1 2 3 4\n", encoding="utf-8")
+        assert read_annotations(ann)[0] == [f"s{digit}"]
+        bnd.write_text(f"0,1\n0,{digit}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bnd\.txt:2: malformed boundary index"):
+            read_boundaries(bnd)
+
     def test_utf8_with_and_without_bom(self, tmp_path):
         ann, bnd = tmp_path / "ann.txt", tmp_path / "bnd.txt"
         for bom in (b"", b"\xef\xbb\xbf"):

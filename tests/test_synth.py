@@ -30,6 +30,7 @@ from landmarklab.synth import (
     train,
 )
 
+import reference
 from reference import LinearScorer, dataset_objective, evaluate_nme, tune_learning_rate
 
 STRUCT_CFG = StructuredLossConfig(
@@ -74,6 +75,17 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(
             ds.pixels, np.exp(-(ds.distance**2) / (2.0 * RENDER_SIGMA**2))
         )
+
+    @pytest.mark.parametrize("args", [
+        (5, 16, 16, 2, 0.05, 3), (7, 20, 13, 4, 0.0, 1), (3, 32, 32, 3, 0.02, 0),
+        (4, 12, 17, 5, 0.5, 11),
+    ])
+    def test_matches_per_sample_reference_bit_for_bit(self, args):
+        # Array-level contours and landmarks, noise drawn into the pixels.
+        found, expected = generate_dataset(*args), reference.generate_dataset(*args)
+        for name in ("pixels", "points", "norm", "distance"):
+            a, b = getattr(found, name), getattr(expected, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_pixels_clipped_to_unit_range(self):
         ds = generate_dataset(5, 16, 16, 2, 0.5, seed=2)
@@ -499,6 +511,14 @@ class TestEvaluateNme:
             for c, p, d in zip(cells, ds.points, ds.norm)
         ]
         assert evaluate_nme(scorer, ds) == np.mean(per_sample)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_readout_matches_reference_bit_for_bit(self, seed):
+        # Rounded scores tie often; both go through divmod cells and sum / N.
+        ds = generate_dataset(9, 16, 12, 3, 0.02, seed=seed)
+        scores = np.random.default_rng(seed).normal(0.0, 2.0, (9, 3, 16 * 12))
+        for s in (scores, np.rint(scores)):
+            assert synth._argmax_nme(s, ds) == reference.argmax_nme(s, ds)
 
     def test_split_dataset_shapes(self):
         ds = generate_dataset(10, 16, 16, 2, 0.0, seed=18)
