@@ -14,7 +14,6 @@ from landmarklab.smoothing import (
     build_edge_heatmap,
     fit_gaussian_label,
     refine_edge_heatmap,
-    sample_label,
 )
 
 __version__ = "0.1.0"
@@ -30,5 +29,4 @@ __all__ = [
     "build_edge_heatmap",
     "fit_gaussian_label",
     "refine_edge_heatmap",
-    "sample_label",
 ]

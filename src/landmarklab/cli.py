@@ -181,8 +181,8 @@ def cmd_toy(args) -> int:
     try:
         steps = [t for t in str(section["record_at"]).split(",") if t.strip()]
         for t in steps:
-            # int() would read 1_0 as 10.
-            if "_" in t:
+            # int() would read 1_0 as 10, and any Unicode digit as its value.
+            if "_" in t or not t.isascii():
                 raise ValueError(f"malformed record_at step {t.strip()!r}")
         record_at = tuple(map(int, steps))
         toy_cfg = ToyConfig(

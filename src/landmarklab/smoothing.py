@@ -5,11 +5,8 @@ heatmap, cleans it up with blur + sharpen, blends a small Gaussian bump at
 each landmark into the local edge patch, and fits a 2x2 covariance to the
 blended mass.  A label is that covariance [2, 2]: a Gaussian centred on
 its landmark whose spread follows the local edge direction.  Training
-targets are the grid cells of a fixed cubature rule through each label;
-seeded draws from it are available as well.  Boundaries are tuples of
-landmark indices, one per polyline.
-
-Everything is deterministic: sampling takes an explicit seed.
+targets are the grid cells of a fixed cubature rule through each label.
+Boundaries are tuples of landmark indices, one per polyline.
 """
 
 from __future__ import annotations
@@ -255,35 +252,6 @@ def fit_gaussian_label(e_refined: np.ndarray, points, cfg: SmoothingConfig) -> n
     return cov
 
 
-def _gaussian_cells(mean, cov: np.ndarray, z: np.ndarray, bounds: tuple[int, int]) -> np.ndarray:
-    """Standard normal points z [..., K, 2] mapped through each Gaussian, means
-    [..., 2] and covariances [..., 2, 2], as grid cells [..., K, 2] rounded and
-    clamped in bounds (w, h)."""
-    width, height = bounds
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("label covariance is not positive definite") from err
-    pts = np.asarray(mean)[..., None, :] + z @ np.swapaxes(chol, -1, -2)
-    return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
-
-
-def sample_label(
-    mean, cov: np.ndarray, n: int, rng_seed: int, bounds: tuple[int, int]
-) -> np.ndarray:
-    """Draw n grid cells [..., n, 2] of (u, v) per Gaussian, means [..., 2] and
-    covariances [..., 2, 2] or one [2, 2], rounded and clamped in bounds (w, h).
-
-    Deterministic per seed: one generator's standard normals [..., n, 2] are
-    colored by each Cholesky factor, so a single mean takes the first n pairs.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    shape = (*np.shape(mean)[:-1], n, 2)
-    return _gaussian_cells(mean, cov, np.random.default_rng(rng_seed).standard_normal(shape),
-                           bounds)
-
-
 # The 3x3 probabilists' Gauss-Hermite product rule: nodes [9, 2] in row-major
 # order of (u, v) node pairs, and weights [9] summing to 1.  Its weighted
 # nodes have a standard normal's mean and covariance.  The 1-D rule (nodes
@@ -300,14 +268,20 @@ def label_cells(points, covs: np.ndarray, grid: tuple[int, int]) -> tuple[np.nda
     means points [..., 2] and covariances covs [..., 2, 2] on grid (w, h).
 
     The 9 nodes of a 3x3 Gauss-Hermite product rule go through each label's
-    Cholesky factor, are rounded and clamped like ``sample_label``'s draws,
-    and merge with summed weights where they share a cell.  A row lists its
-    distinct cells in order of first node, then zero-weight cells up to K,
-    the most distinct cells of any row.  Before rounding the nodes have each
-    label's mean and covariance, but the targets, though deterministic, only
+    Cholesky factor, are rounded and clamped to the grid, and merge with
+    summed weights where they share a cell.  A row lists its distinct cells
+    in order of first node, then zero-weight cells up to K, the most
+    distinct cells of any row.  Before rounding the nodes have each label's
+    mean and covariance, but the targets, though deterministic, only
     approximate the expectation over the Gaussian's rounded cells.
     """
-    cells = _gaussian_cells(points, covs, _CUBATURE_NODES, grid)
+    width, height = grid
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("label covariance is not positive definite") from err
+    nodes = np.asarray(points)[..., None, :] + _CUBATURE_NODES @ np.swapaxes(chol, -1, -2)
+    cells = np.clip(np.rint(nodes), 0, [width - 1, height - 1]).astype(int)
     same = (cells[..., :, None, :] == cells[..., None, :, :]).all(axis=-1)
     # A node leads its cell when no earlier node has the cell.
     lead = ~np.tril(same, -1).any(axis=-1)
@@ -342,11 +316,11 @@ def read_annotations(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse annotation lines ``id u1 v1 u2 v2 ...`` into (ids, offsets, points).
 
     ``ids`` lists the sample ids in file order; they are unique and hold no
-    ``/``, ``,`` or NUL.  Sample ``s`` has the rows ``points[offsets[s]:offsets[s + 1]]``
-    of one C-contiguous float64 array points [P, 2], and offsets [S + 1]
-    starts at 0.  A coordinate is an ASCII Python float literal without
-    ``_``; the part of a line after its id is ASCII.
-    The first bad line in the file is reported.
+    ``/``, ``,`` or control character.  Sample ``s`` has the rows
+    ``points[offsets[s]:offsets[s + 1]]`` of one C-contiguous float64 array
+    points [P, 2], and offsets [S + 1] starts at 0.  A coordinate is an
+    ASCII Python float literal without ``_``; the part of a line after its
+    id is ASCII.  The first bad line in the file is reported.
     """
     # Imported here, not at module level: loading the extension module adds
     # about 0.1 MB to the peak RSS of synth and toy, which read no annotations.
@@ -375,8 +349,11 @@ def read_annotations(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             # Ids name output files and fill CSV cells.
             if "/" in sid or "," in sid:
                 raise ValueError(f"{path}:{lineno}: sample id {sid!r} contains '/' or ','")
-            if "\0" in sid:
-                raise ValueError(f"{path}:{lineno}: sample id {sid!r} contains a NUL character")
+            # isprintable() is one C call that passes the common id.  It is also
+            # False for some Unicode that ids may hold, so it only gates the scan.
+            if not sid.isprintable() and any(c < " " or c == "\x7f" for c in sid):
+                raise ValueError(
+                    f"{path}:{lineno}: sample id {sid!r} contains a control character")
             if sid in seen:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate sample id {sid!r}, "

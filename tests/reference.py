@@ -14,11 +14,9 @@ landmark at a time, and ``label_panels`` builds one landmark's PGM panels
 from them, its raw-map panel cut from the raw edge map and the rest from
 the refined one; the array functions of ``smoothing`` and the PGMs of
 ``smooth --dump-intermediates`` must reproduce them bit for bit.
-``sample_label`` draws one landmark's cells from its own seeded
-generator; ``smoothing.sample_label`` must reproduce it bit for bit for
-a single mean.  ``soft_argmax_l2_batch`` builds the gradient from
-full-size coordinate differences; ``losses.soft_argmax_l2_batch`` must
-reproduce its values and gradients bit for bit.
+``soft_argmax_l2_batch`` builds the gradient from full-size coordinate
+differences; ``losses.soft_argmax_l2_batch`` must reproduce its values
+and gradients bit for bit.
 ``generate_dataset`` renders one sample at a time from scalar ellipse
 parameters, ``argmax`` stacks the column and row of each maximum,
 ``structured_batch`` reads and writes its target entries with
@@ -319,28 +317,6 @@ def label_panels(
         "joint": blended,
         "fitted": fitted,
     }
-
-
-def sample_label(
-    mean, cov: np.ndarray, n: int, rng_seed: int, bounds: tuple[int, int]
-) -> np.ndarray:
-    """Draw n grid cells [n, 2] of (u, v) from the Gaussian with mean (u, v)
-    and covariance [2, 2], rounded and clamped in bounds (width, height).
-
-    Deterministic per seed: standard normals from a seeded generator are
-    colored by the covariance's Cholesky factor.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    width, height = bounds
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("label covariance is not positive definite") from err
-    rng = np.random.default_rng(rng_seed)
-    z = rng.standard_normal((n, 2))
-    pts = np.asarray(mean) + z @ chol.T
-    return np.clip(np.rint(pts), 0, [width - 1, height - 1]).astype(int)
 
 
 def soft_argmax_l2_batch(scores, targets, grid):

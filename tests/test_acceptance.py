@@ -25,8 +25,8 @@ from landmarklab.smoothing import (
     SmoothingConfig,
     build_edge_heatmap,
     fit_gaussian_label,
+    label_cells,
     refine_edge_heatmap,
-    sample_label,
 )
 from landmarklab.synth import TrainConfig, compare_convergence, generate_dataset
 from landmarklab.toy import ToyConfig, run_toy
@@ -242,8 +242,8 @@ def test_criterion_6_label_smoothing():
         for _ in range(2):
             e = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, cfg), cfg)
             fitted = fit_gaussian_label(e, (32.0, 32.0), cfg)
-            cells = sample_label((32.0, 32.0), fitted, 10, 99, (64, 64))
-            runs.append((e.tobytes(), fitted.tobytes(), cells.tobytes()))
+            cells, weights = label_cells((32.0, 32.0), fitted, (64, 64))
+            runs.append((e.tobytes(), fitted.tobytes(), cells.tobytes(), weights.tobytes()))
         assert runs[0] == runs[1]
 
 

@@ -307,10 +307,12 @@ class TestToyCommand:
         ("record_at = 60", "invalid toy config: record_at step 60 outside [0, 50]"),
         ("steps = 20\nrecord_at = 10,-1", "invalid toy config: record_at step -1 outside [0, 20]"),
         ("record_at = 10, 2_0", "invalid toy config: malformed record_at step '2_0'"),
+        ("record_at = \u0661\u0660,20",
+         "invalid toy config: malformed record_at step '\u0661\u0660'"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "toy.cfg"
-        cfg.write_text(f"[toy]\n{setting}\n")
+        cfg.write_text(f"[toy]\n{setting}\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -862,17 +864,19 @@ class TestInputText:
     @pytest.mark.parametrize("command", ["eval", "smooth"])
     def test_nul_in_id_rejected(self, tmp_path, capsys, command):
         # smooth ended in an "embedded null byte" traceback at its first PGM,
-        # and eval wrote the NUL into per_sample.csv.
+        # and eval wrote the NUL, or any other control character, into
+        # per_sample.csv.
         ann, bnd = tmp_path / "ann.txt", tmp_path / "bnd.txt"
-        ann.write_text("s\x00x 20 32 32 32 44 32\n")
         bnd.write_text("0,1,2\n")
         argv = [str(ann), str(ann)] if command == "eval" else [
             str(ann), str(bnd), "--dump-intermediates"]
         out = tmp_path / "out"
-        assert main([command, *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {ann}:1: sample id 's\\x00x' contains a NUL character\n")
-        assert not out.exists()
+        for char in ("\x00", "\x01", "\x7f"):
+            ann.write_text(f"s{char}x 20 32 32 32 44 32\n")
+            assert main([command, *argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {ann}:1: sample id 's\\x{ord(char):02x}x' contains a control character\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic_indic", "full_width"])
     def test_non_ascii_digits_rejected(self, tmp_path, capsys, digit):

@@ -18,12 +18,11 @@ from landmarklab.losses import (
     soft_argmax_l2_batch,
     structured_batch,
 )
-from landmarklab.smoothing import sample_label
+from landmarklab.smoothing import label_cells
 
 import reference
 
 PROPERTY = settings(max_examples=60, deadline=None)
-MC_DRAWS = 3
 LABEL_COV = np.array([[1.5, 0.4], [0.4, 0.8]])
 
 
@@ -41,9 +40,9 @@ def problems(draw, magnitude=5.0):
     unit = st.floats(0.0, 1.0)
     points = draw(arrays(np.float64, lead + (2,), elements=unit)) * [width - 1, height - 1]
     maps = draw(arrays(np.float64, scores.shape, elements=st.floats(0.0, 1.0)))
-    seed = draw(st.integers(0, 2**32))
-    draws = sample_label(points, LABEL_COV, MC_DRAWS, seed, (width, height))
-    weights = np.full(lead + (MC_DRAWS,), 1.0 / MC_DRAWS)
+    # Rows whose label covers fewer cells than the widest are padded with
+    # zero-weight slots, as in training.
+    label, weights = label_cells(points, LABEL_COV, (width, height))
     cfg = StructuredLossConfig(
         epsilon=draw(st.floats(0.2, 3.0)),
         margin=MarginSpec(
@@ -54,7 +53,7 @@ def problems(draw, magnitude=5.0):
         ),
     )
     return {"grid": (width, height), "scores": scores, "cells": cells,
-            "points": points, "maps": maps, "draws": draws, "weights": weights, "cfg": cfg}
+            "points": points, "maps": maps, "label": label, "weights": weights, "cfg": cfg}
 
 
 def kernels(p):
@@ -62,7 +61,7 @@ def kernels(p):
     grid, cfg = p["grid"], p["cfg"]
     return {
         "structured": lambda s: structured_batch(s, p["cells"], grid, cfg),
-        "smoothed": lambda s: smoothed_structured_batch(s, p["draws"], p["weights"], grid, cfg),
+        "smoothed": lambda s: smoothed_structured_batch(s, p["label"], p["weights"], grid, cfg),
         "softargmax": lambda s: soft_argmax_l2_batch(s, p["points"], grid),
         "mse": lambda s: heatmap_mse_batch(s, p["maps"]),
     }
@@ -117,7 +116,7 @@ def test_batch_equals_single_heatmap_calls_bit_for_bit(p):
     coords = {name: fn(p["scores"], p["grid"]) for name, fn in READOUTS.items()}
     for b, n in np.ndindex(p["scores"].shape[:-1]):
         row = {key: p[key][b, n]
-               for key in ("scores", "cells", "points", "maps", "draws", "weights")}
+               for key in ("scores", "cells", "points", "maps", "label", "weights")}
         for name, fn in kernels({**p, **row}).items():
             single_value, single_grad = fn(row["scores"])
             value, grad = results[name]

@@ -14,7 +14,7 @@ from landmarklab.losses import (
     soft_argmax_l2_batch,
     structured_batch,
 )
-from landmarklab.smoothing import label_cells, sample_label
+from landmarklab.smoothing import label_cells
 
 from reference import margin_table
 
@@ -285,11 +285,6 @@ class TestHeatmapMseLoss:
         assert_grad_close(grad.reshape(4, 4), fd)
 
 
-def uniform(cells):
-    """Weights [..., D] of 1/D for drawn cells [..., D, 2]."""
-    return np.full(cells.shape[:-1], 1.0 / cells.shape[-2])
-
-
 class TestSmoothedStructuredLoss:
     CFG = StructuredLossConfig(epsilon=1.0, margin=RAW_L1)
 
@@ -298,15 +293,15 @@ class TestSmoothedStructuredLoss:
         values = rng.normal(size=(7, 7)).ravel()
         mean, cov = (4.2, 3.1), 1e-18 * np.eye(2)
         direct_value, direct_grad = structured_batch(values, (4, 3), (7, 7), self.CFG)
-        one = sample_label(mean, cov, 1, 1, (7, 7))
-        one_value, one_grad = smoothed_structured_batch(values, one, uniform(one), (7, 7),
-                                                        self.CFG)
+        one, weights = label_cells(mean, cov, (7, 7))
+        assert one.shape == (1, 2) and weights.tolist() == [1.0]
+        one_value, one_grad = smoothed_structured_batch(values, one, weights, (7, 7), self.CFG)
         assert one_value == direct_value
         np.testing.assert_array_equal(one_grad, direct_grad)
-        # Averaging n identical draws only adds float round-off.
-        many = sample_label(mean, cov, 25, 1, (7, 7))
-        many_value, many_grad = smoothed_structured_batch(values, many, uniform(many), (7, 7),
-                                                          self.CFG)
+        # Averaging n identical cells only adds float round-off.
+        many = np.repeat(one, 25, axis=0)
+        many_value, many_grad = smoothed_structured_batch(values, many, np.full(25, 1.0 / 25),
+                                                          (7, 7), self.CFG)
         np.testing.assert_allclose(many_value, direct_value, rtol=1e-13)
         np.testing.assert_allclose(many_grad, direct_grad, atol=1e-15)
 
@@ -314,28 +309,37 @@ class TestSmoothedStructuredLoss:
         rng = np.random.default_rng(16)
         values = rng.normal(size=(6, 6)).ravel()
         mean, cov = (2.5, 2.5), np.array([[2.0, 0.3], [0.3, 1.0]])
-        cells = sample_label(mean, cov, 5, 77, (6, 6))
-        expected = np.mean([structured_batch(values, c, (6, 6), self.CFG)[0] for c in cells])
-        value, _ = smoothed_structured_batch(values, cells, uniform(cells), (6, 6), self.CFG)
+        cells, weights = label_cells(mean, cov, (6, 6))
+        assert len(cells) > 1
+        expected = sum(w * structured_batch(values, c, (6, 6), self.CFG)[0]
+                       for c, w in zip(cells, weights))
+        value, _ = smoothed_structured_batch(values, cells, weights, (6, 6), self.CFG)
         assert abs(value - expected) < 1e-12
 
-    def test_sample_mean_near_label_mean(self):
-        # Statistical check: mean of 10k drawn coordinates within 3 sigma / sqrt(n).
-        mean, cov = (4.0, 4.0), np.eye(2)
-        cells = sample_label(mean, cov, 10_000, 5, (9, 9))
-        arr = np.array(cells, dtype=float)
-        bound = 3.0 * 1.0 / np.sqrt(10_000)
-        # Rounding inflates spread a little; allow its variance contribution.
-        bound = 3.0 * np.sqrt((1.0 + 1.0 / 12.0) / 10_000)
-        assert abs(arr[:, 0].mean() - 4.0) < bound
-        assert abs(arr[:, 1].mean() - 4.0) < bound
+    def test_zero_weight_padding_is_inert(self):
+        # label_cells pads each row with zero-weight cells up to the widest row.
+        rng = np.random.default_rng(26)
+        means = rng.uniform(0.0, 4.0, (3, 2, 2))
+        a = rng.normal(size=(3, 2, 2, 2))
+        scale = 10.0 ** rng.uniform(-2.0, 0.5, (3, 2, 1, 1))
+        covs = a @ np.swapaxes(a, -1, -2) * scale + 1e-3 * np.eye(2)
+        cells, weights = label_cells(means, covs, (5, 5))
+        assert (weights == 0).sum() == 9
+        scores = rng.normal(size=(3, 2, 25))
+        value, grad = smoothed_structured_batch(scores, cells, weights, (5, 5), self.CFG)
+        for idx in np.ndindex(3, 2):
+            live = weights[idx] > 0
+            row_value, row_grad = smoothed_structured_batch(
+                scores[idx], cells[idx][live], weights[idx][live], (5, 5), self.CFG)
+            assert row_value.tobytes() == value[idx].tobytes()
+            assert row_grad.tobytes() == grad[idx].tobytes()
 
     # Independent oracle for a diagonal covariance: the expectation over
     # rounded-and-clamped cells factorizes into per-axis normal masses.
     ENUM_MEAN, ENUM_SIGMA = (4.6, 3.9), (1.3, 0.8)
 
     def exact_enumeration(self, values):
-        """Expected loss over the rounded, clamped cells on a 9 x 9 grid, and its std."""
+        """Expected loss over the rounded, clamped cells on a 9 x 9 grid."""
         def axis_masses(mean, sigma, n_cells):
             edges = np.arange(n_cells - 1) + 0.5
             cdf = stats.norm.cdf(edges, loc=mean, scale=sigma)
@@ -344,22 +348,11 @@ class TestSmoothedStructuredLoss:
         pu = axis_masses(self.ENUM_MEAN[0], self.ENUM_SIGMA[0], 9)
         pv = axis_masses(self.ENUM_MEAN[1], self.ENUM_SIGMA[1], 9)
         exact = 0.0
-        exact_sq = 0.0
         for u in range(9):
             for v in range(9):
-                w = pu[u] * pv[v]
                 lv, _ = structured_batch(values, (u, v), (9, 9), self.CFG)
-                exact += w * lv
-                exact_sq += w * lv * lv
-        return exact, np.sqrt(max(exact_sq - exact**2, 0.0))
-
-    def test_monte_carlo_matches_exact_enumeration(self):
-        values = np.random.default_rng(17).normal(size=(9, 9)).ravel()
-        exact, std = self.exact_enumeration(values)
-        n = 40_000
-        cells = sample_label(self.ENUM_MEAN, np.diag(np.square(self.ENUM_SIGMA)), n, 123, (9, 9))
-        mc, _ = smoothed_structured_batch(values, cells, uniform(cells), (9, 9), self.CFG)
-        assert abs(mc - exact) < 4.0 * std / np.sqrt(n) + 1e-9
+                exact += pu[u] * pv[v] * lv
+        return exact
 
     def test_cubature_near_exact_enumeration(self):
         """The cubature cells give a deterministic expected loss, not the exact one.
@@ -367,11 +360,10 @@ class TestSmoothedStructuredLoss:
         Its nine nodes match the Gaussian's mean and covariance, but the loss
         of a rounded cell is not a low-order polynomial of the node.  At sigma
         (1.3, 0.8) the rule gives 13.501 against the exact 12.508, an error
-        of 0.993 (7.9%), or 2.3 standard deviations of one 10-draw Monte
-        Carlo estimate.  The bound of 1.0 sits just above that.
+        of 0.993 (7.9%).  The bound of 1.0 sits just above that.
         """
         values = np.random.default_rng(17).normal(size=(9, 9)).ravel()
-        exact, _ = self.exact_enumeration(values)
+        exact = self.exact_enumeration(values)
         cells, weights = label_cells(self.ENUM_MEAN, np.diag(np.square(self.ENUM_SIGMA)), (9, 9))
         value, _ = smoothed_structured_batch(values, cells, weights, (9, 9), self.CFG)
         assert abs(value - exact) < 1.0
@@ -380,19 +372,12 @@ class TestSmoothedStructuredLoss:
         rng = np.random.default_rng(18)
         values = rng.normal(size=(5, 5))
         mean, cov = (2.0, 2.0), np.array([[1.5, -0.4], [-0.4, 0.9]])
-        draws = sample_label(mean, cov, 10, 3, (5, 5))
-        weights = uniform(draws)
-        _, grad = smoothed_structured_batch(values.ravel(), draws, weights, (5, 5), self.CFG)
+        cells, weights = label_cells(mean, cov, (5, 5))
+        _, grad = smoothed_structured_batch(values.ravel(), cells, weights, (5, 5), self.CFG)
         grad = grad.reshape(5, 5)
         fd = finite_difference_grad(
-            lambda x: smoothed_structured_batch(x.ravel(), draws, weights, (5, 5), self.CFG)[0],
+            lambda x: smoothed_structured_batch(x.ravel(), cells, weights, (5, 5), self.CFG)[0],
             values,
         )
         assert_grad_close(grad, fd)
         assert abs(grad.sum()) < 1e-10
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            sample_label((1.0, 1.0), np.eye(2), 0, 0, (3, 3))
-        with pytest.raises(ValueError, match="not positive definite"):
-            sample_label((1.0, 1.0), np.array([[1.0, 2.0], [2.0, 1.0]]), 1, 0, (3, 3))

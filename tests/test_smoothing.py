@@ -18,7 +18,6 @@ from landmarklab.smoothing import (
     read_annotations,
     read_boundaries,
     refine_edge_heatmap,
-    sample_label,
     segment_distance_field,
 )
 
@@ -418,44 +417,9 @@ class TestLandmarkArrays:
         np.testing.assert_array_equal(fit_gaussian_label(values, points[4], CFG), covs[1, 1])
 
 
-class TestSampleLabel:
-    def test_degenerate_covariance(self):
-        mean, cov = (3.4, 6.6), 1e-12 * np.eye(2)
-        cells = sample_label(mean, cov, 50, 0, (10, 10))
-        np.testing.assert_array_equal(cells, np.tile([3, 7], (50, 1)))
-
-    def test_seed_determinism(self):
-        mean, cov = (5.0, 5.0), np.array([[2.0, 0.5], [0.5, 1.0]])
-        a = sample_label(mean, cov, 100, 42, (11, 11))
-        b = sample_label(mean, cov, 100, 42, (11, 11))
-        assert a.shape == (100, 2)
-        assert a.tobytes() == b.tobytes()
-        c = sample_label(mean, cov, 100, 43, (11, 11))
-        assert not np.array_equal(a, c)
-
-    def test_sample_variance_matches_covariance(self):
-        mean, cov = (100.0, 100.0), np.diag([4.0, 1.0])
-        cells = np.array(sample_label(mean, cov, 10_000, 7, (201, 201)), dtype=float)
-        var_u = cells[:, 0].var()
-        var_v = cells[:, 1].var()
-        assert 3.5 <= var_u <= 4.5
-        assert 0.8 <= var_v <= 1.2
-
-    def test_clamping_keeps_cells_in_bounds(self):
-        mean, cov = (0.0, 0.0), 25.0 * np.eye(2)
-        cells = sample_label(mean, cov, 500, 9, (4, 4))
-        arr = np.array(cells)
-        assert arr.min() >= 0 and arr[:, 0].max() <= 3 and arr[:, 1].max() <= 3
-
-    def test_rejects_bad_args(self):
-        mean, cov = (1.0, 1.0), np.eye(2)
-        with pytest.raises(ValueError):
-            sample_label(mean, cov, 0, 0, (5, 5))
-
-
-class TestSampleLabelArrays:
-    """One call draws for a stack of Gaussians; the per-landmark reference
-    draws for one."""
+class TestLabelCells:
+    """The fixed cubature targets: a 3x3 Gauss-Hermite product rule through
+    each label, merged to distinct cells."""
 
     BOUNDS = (9, 7)
 
@@ -468,49 +432,6 @@ class TestSampleLabelArrays:
         covs = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(2)
         return means, covs * 10.0 ** rng.uniform(-3.0, 2.0, lead + (1, 1))
 
-    @pytest.mark.parametrize("n", [1, 3, 10])
-    def test_single_mean_matches_per_landmark_reference(self, n):
-        means, covs = self.gaussians((40,))
-        for seed, (mean, cov) in enumerate(zip(means, covs)):
-            expected = reference.sample_label(mean, cov, n, seed, self.BOUNDS)
-            for m in (mean, tuple(mean)):
-                cells = sample_label(m, cov, n, seed, self.BOUNDS)
-                assert cells.shape == (n, 2) and cells.dtype == expected.dtype
-                np.testing.assert_array_equal(cells, expected)
-
-    @pytest.mark.parametrize("lead", [(1, 1), (4, 3), (5, 1), (2, 6)])
-    def test_stack_colors_one_stream(self, lead):
-        means, covs = self.gaussians(lead)
-        n, seed = 4, 77
-        cells = sample_label(means, covs, n, seed, self.BOUNDS)
-        assert cells.shape == lead + (n, 2)
-        z = np.random.default_rng(seed).standard_normal(lead + (n, 2))
-        for s in range(lead[0]):
-            for k in range(lead[1]):
-                pts = means[s, k] + z[s, k] @ np.linalg.cholesky(covs[s, k]).T
-                expected = np.clip(np.rint(pts), 0, [8, 6]).astype(int)
-                np.testing.assert_array_equal(cells[s, k], expected)
-
-    def test_one_covariance_serves_every_mean(self):
-        means, covs = self.gaussians((3, 4))
-        shared = np.broadcast_to(covs[1, 2], covs.shape)
-        np.testing.assert_array_equal(sample_label(means, covs[1, 2], 5, 8, self.BOUNDS),
-                                      sample_label(means, shared, 5, 8, self.BOUNDS))
-
-    @pytest.mark.parametrize("at", [(0, 0), (2, 1), (3, 2)])
-    def test_non_positive_definite_anywhere_raises(self, at):
-        means, covs = self.gaussians((4, 3))
-        covs[at] = [[1.0, 2.0], [2.0, 1.0]]
-        with pytest.raises(ValueError, match="not positive definite"):
-            sample_label(means, covs, 3, 0, self.BOUNDS)
-
-
-class TestLabelCells:
-    """The fixed cubature targets: a 3x3 Gauss-Hermite product rule through
-    each label, merged to distinct cells."""
-
-    BOUNDS = TestSampleLabelArrays.BOUNDS
-
     @staticmethod
     def rule():
         """Nodes [9, 2] in row-major order of (u, v) pairs and weights [9],
@@ -522,7 +443,7 @@ class TestLabelCells:
 
     def test_nodes_reproduce_mean_and_covariance(self):
         nodes, weights = self.rule()
-        means, covs = TestSampleLabelArrays.gaussians((40,))
+        means, covs = self.gaussians((40,))
         for mean, cov in zip(means, covs):
             pts = mean + nodes @ np.linalg.cholesky(cov).T
             centered = pts - mean
@@ -533,7 +454,7 @@ class TestLabelCells:
     @pytest.mark.parametrize("lead", [(40,), (4, 3), (1, 1)])
     def test_rows_list_distinct_cells_in_node_order(self, lead):
         nodes, weights = self.rule()
-        means, covs = TestSampleLabelArrays.gaussians(lead)
+        means, covs = self.gaussians(lead)
         cells, cell_weights = smoothing.label_cells(means, covs, self.BOUNDS)
         k = cells.shape[-2]
         assert cells.shape == lead + (k, 2) and cell_weights.shape == lead + (k,)
@@ -565,10 +486,11 @@ class TestLabelCells:
         np.testing.assert_array_equal(weights, 1.0)
 
     def test_non_positive_definite_raises(self):
-        means, covs = TestSampleLabelArrays.gaussians((4, 3))
-        covs[2, 1] = [[1.0, 2.0], [2.0, 1.0]]
-        with pytest.raises(ValueError, match="not positive definite"):
-            smoothing.label_cells(means, covs, self.BOUNDS)
+        for at in [(0, 0), (2, 1), (3, 2)]:
+            means, covs = self.gaussians((4, 3))
+            covs[at] = [[1.0, 2.0], [2.0, 1.0]]
+            with pytest.raises(ValueError, match="not positive definite"):
+                smoothing.label_cells(means, covs, self.BOUNDS)
 
 
 class TestPipelineDeterminism:
@@ -578,8 +500,8 @@ class TestPipelineDeterminism:
         for _ in range(2):
             refined = refine_edge_heatmap(build_edge_heatmap(landmarks, boundaries, CFG), CFG)
             cov = fit_gaussian_label(refined, (31.0, 32.0), CFG)
-            cells = sample_label((31.0, 32.0), cov, 10, 1234, (64, 64))
-            outs.append((refined.tobytes(), cov.tobytes(), cells.tobytes()))
+            cells, weights = smoothing.label_cells((31.0, 32.0), cov, (64, 64))
+            outs.append((refined.tobytes(), cov.tobytes(), cells.tobytes(), weights.tobytes()))
         assert outs[0] == outs[1]
 
 
@@ -634,11 +556,16 @@ class TestAnnotationIo:
         assert read_annotations(path)[0] == ["face_1"]
 
     def test_nul_in_id_rejected(self, tmp_path):
+        # Any character below a space, and DEL, is refused.  A zero-width space
+        # is not printable to str.isprintable, but it is no control character.
         path = tmp_path / "ann.txt"
-        path.write_text("s0 1 2\ns\x00x 3 4\n")
-        with pytest.raises(ValueError,
-                           match=r"ann\.txt:2: sample id 's\\x00x' contains a NUL character"):
-            read_annotations(path)
+        for char in ("\x00", "\x01", "\x7f"):
+            path.write_text(f"s0 1 2\ns{char}x 3 4\n")
+            message = rf"ann\.txt:2: sample id 's\\x{ord(char):02x}x' contains a control"
+            with pytest.raises(ValueError, match=message):
+                read_annotations(path)
+        path.write_text("s0 1 2\ns\u200bx 3 4\n", encoding="utf-8")
+        assert read_annotations(path)[0] == ["s0", "s\u200bx"]
 
     @pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic_indic", "full_width"])
     def test_non_ascii_digits_rejected(self, tmp_path, digit):

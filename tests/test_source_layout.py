@@ -1,0 +1,37 @@
+"""Checks on the shape of the source tree itself."""
+
+import ast
+from pathlib import Path
+
+import landmarklab
+
+SRC = Path(landmarklab.__file__).parent
+
+
+def referenced_names(tree):
+    """Every name a module reads: bare names, attributes and import aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_definition_is_referenced_in_src():
+    """A public module-level function or class must be named by code in
+    ``src/`` outside ``__init__.py``.
+
+    This is a proxy for "reached by a command": the package exports and
+    the tests do not count, and neither do mentions in docstrings.  A
+    definition that nothing names should be deleted, not maintained.
+    """
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    used = {name for tree in trees.values() for name in referenced_names(tree)}
+    unused = [f"{module}:{node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert not unused, f"defined in src/ but named by no code there: {unused}"
