@@ -19,6 +19,7 @@ import configparser
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from landmarklab.heatmap import save_heatmap_pgm
 from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
-from landmarklab.metrics import EvalConfig, evaluate, nme
+from landmarklab.metrics import EvalConfig, auc_ced, failure_rate, nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     SmoothingConfig,
@@ -179,11 +180,12 @@ def cmd_toy(args) -> int:
     if args.objective is not None:
         section["objective"] = args.objective
     try:
-        steps = [t for t in str(section["record_at"]).split(",") if t.strip()]
+        steps = [t.strip() for t in str(section["record_at"]).split(",") if t.strip()]
         for t in steps:
-            # int() would read 1_0 as 10, and any Unicode digit as its value.
-            if "_" in t or not t.isascii():
-                raise ValueError(f"malformed record_at step {t.strip()!r}")
+            # ASCII digits only: int() would also read 1_0 as 10, and any
+            # Unicode digit as its value.
+            if not re.fullmatch(r"[+-]?[0-9]+", t):
+                raise ValueError(f"malformed record_at step {t!r}")
         record_at = tuple(map(int, steps))
         toy_cfg = ToyConfig(
             length=section["length"],
@@ -406,31 +408,33 @@ def cmd_eval(args) -> int:
         raise CliError("sample id 'mean' is taken by the summary row of per_sample.csv")
     pred_order, gt_order = np.array(pred_order), np.array(gt_order)
     pred_starts, gt_starts = pred_offsets[pred_order], gt_offsets[gt_order]
-    counts = np.stack([np.diff(pred_offsets)[pred_order], np.diff(gt_offsets)[gt_order]], 1)
-    # One nme call per (pred, gt) landmark count pair, in order of each
-    # group's first sorted id, so a mismatch names the first mismatching id.
-    _, first = np.unique(counts, axis=0, return_index=True)
+    counts, gt_counts = np.diff(pred_offsets)[pred_order], np.diff(gt_offsets)[gt_order]
+    differ = counts != gt_counts
+    if differ.any():
+        k = differ.argmax()
+        raise CliError(f"sample {ids[k]}: landmark count mismatch: {counts[k]} vs {gt_counts[k]}")
+    # One nme call per landmark count that occurs, on each file's points
+    # [G, N, 2] gathered by index.  (np.unique would import numpy.ma, which
+    # adds 1 MB to the peak RSS.)
     errs = np.empty(len(ids))
-    for row in np.sort(first):
-        rows = np.flatnonzero((counts == counts[row]).all(axis=1))
-        # The group's points [G, N, 2] of each file, gathered by index.
-        pred = pred_points[pred_starts[rows, None] + np.arange(counts[row, 0])]
-        gt = gt_points[gt_starts[rows, None] + np.arange(counts[row, 1])]
-        try:
-            # Finite inputs overflow only to inf, which is reported below.
-            with np.errstate(over="ignore"):
-                errs[rows] = nme(pred, gt, np.full(len(rows), norm_distance))
-        except ValueError as err:
-            raise CliError(f"sample {ids[row]}: {err}") from err
+    for n in np.flatnonzero(np.bincount(counts)):
+        rows = np.flatnonzero(counts == n)
+        pred = pred_points[pred_starts[rows, None] + np.arange(n)]
+        gt = gt_points[gt_starts[rows, None] + np.arange(n)]
+        # Finite inputs overflow only to inf, which is reported below.
+        with np.errstate(over="ignore"):
+            errs[rows] = nme(pred, gt, np.full(len(rows), norm_distance))
     finite = np.isfinite(errs)
     if not finite.all():
         raise CliError(f"sample {ids[finite.argmin()]}: NME overflows to inf")
-    report = evaluate(errs, eval_cfg)
+    nme_mean = float(np.mean(errs))
+    fr = failure_rate(errs, eval_cfg.fr_threshold)
+    auc, ced = auc_ced(errs, eval_cfg.auc_threshold, eval_cfg.ced_points)
     out = _ensure_outdir(args.out)
     _write_csv(os.path.join(out, "per_sample.csv"), "sample_id,nme",
-               itertools.chain(zip(ids, report.per_sample_nme), [("mean", report.nme_mean)]))
-    _write_csv(os.path.join(out, "ced.csv"), "threshold,fraction", report.ced_points)
-    print(f"eval: NME={report.nme_mean:.6g} FR={report.fr:.6g} AUC={report.auc:.6g}")
+               itertools.chain(zip(ids, errs), [("mean", nme_mean)]))
+    _write_csv(os.path.join(out, "ced.csv"), "threshold,fraction", ced)
+    print(f"eval: NME={nme_mean:.6g} FR={fr:.6g} AUC={auc:.6g}")
     return 0
 
 

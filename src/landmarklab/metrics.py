@@ -1,5 +1,7 @@
 """Localization quality metrics: normalized mean error, failure rate, CED/AUC.
 
+Each function maps arrays to numbers; the ``eval`` command is the one
+place that turns per-sample errors into a report and its CSVs.
 Boundary conventions: the failure rate counts samples with error strictly
 above the threshold, while the cumulative error distribution counts errors
 less than or equal to each threshold, so FR(t) = 1 - CED(t) away from ties.
@@ -23,15 +25,6 @@ class EvalConfig:
             raise ValueError("thresholds must be positive")
         if self.ced_points < 2:
             raise ValueError("need at least two CED points")
-
-
-@dataclass
-class EvalReport:
-    per_sample_nme: list
-    nme_mean: float
-    fr: float
-    auc: float
-    ced_points: list  # (threshold, fraction) pairs, fraction nondecreasing
 
 
 def nme(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
@@ -90,16 +83,3 @@ def auc_ced(nmes, threshold: float, n_points: int = 1001):
     auc = float(np.trapezoid(ced, ts) / threshold)
     return auc, list(zip(ts.tolist(), ced.tolist()))
 
-
-def evaluate(per_sample_nmes, cfg: EvalConfig = EvalConfig()) -> EvalReport:
-    """Summarize per-sample errors into the full report."""
-    errs = np.asarray(per_sample_nmes, dtype=np.float64)
-    fr = failure_rate(errs, cfg.fr_threshold)
-    auc, ced = auc_ced(errs, cfg.auc_threshold, cfg.ced_points)
-    return EvalReport(
-        per_sample_nme=errs.tolist(),
-        nme_mean=float(np.mean(errs)),
-        fr=fr,
-        auc=auc,
-        ced_points=ced,
-    )

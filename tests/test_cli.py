@@ -20,6 +20,7 @@ from landmarklab.toy import ToyConfig, run_toy
 
 from reference import annotation_samples, dense_auc_ced, label_panels, per_id_nmes
 from reference import fit_gaussian_label as fit_one_label
+from test_golden_digests import DEFAULT_SYNTH, check, digests
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLE_DATA = os.path.join(REPO_ROOT, "sample_data")
@@ -309,6 +310,8 @@ class TestToyCommand:
         ("record_at = 10, 2_0", "invalid toy config: malformed record_at step '2_0'"),
         ("record_at = \u0661\u0660,20",
          "invalid toy config: malformed record_at step '\u0661\u0660'"),
+        ("record_at = 5.0", "invalid toy config: malformed record_at step '5.0'"),
+        ("record_at = x", "invalid toy config: malformed record_at step 'x'"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "toy.cfg"
@@ -497,9 +500,12 @@ class TestSynthCommand:
             hist = read_csv_rows(tmp_path / f"history_structured_{arm}.csv")
             assert [int(r["epoch"]) for r in hist] == list(range(1, epochs + 1))
 
-    def test_default_bench_orders_objectives(self, tmp_path):
-        # Full default configuration; the slowest CLI test (~20 s).
-        assert main(["synth", "--out", str(tmp_path)]) == 0
+    def test_default_bench_orders_objectives(self, tmp_path, capsys):
+        # Full default configuration; the slowest CLI test (about 1.6 s).
+        code = main(["synth", "--out", str(tmp_path)])
+        assert code == 0
+        # Its bytes are golden too, checked here to spare a second run.
+        check(DEFAULT_SYNTH, digests(tmp_path, [capsys.readouterr().out], [code], tmp_path))
         rows = read_csv_rows(tmp_path / "convergence.csv")
         assert rows[0]["objective_a"] == "structured"
         assert rows[0]["objective_b"] == "softargmax"

@@ -7,7 +7,6 @@ from landmarklab.cli import main
 from landmarklab.metrics import (
     EvalConfig,
     auc_ced,
-    evaluate,
     failure_rate,
     nme,
 )
@@ -177,13 +176,15 @@ class TestAucCed:
 
 class TestEvaluate:
     def test_report_consistency(self):
-        errs = [0.0, 0.05, 0.15, 0.25]
-        report = evaluate(errs, EvalConfig(fr_threshold=0.10, auc_threshold=0.10))
-        assert report.per_sample_nme == errs
-        assert report.nme_mean == pytest.approx(np.mean(errs))
-        assert report.fr == 0.5
-        fracs = [f for _, f in report.ced_points]
+        errs = np.array([0.0, 0.05, 0.15, 0.25])
+        cfg = EvalConfig(fr_threshold=0.10, auc_threshold=0.10)
+        assert failure_rate(errs, cfg.fr_threshold) == 0.5
+        auc, ced = auc_ced(errs, cfg.auc_threshold, cfg.ced_points)
+        fracs = [f for _, f in ced]
         assert fracs == sorted(fracs)
+        # Away from ties FR(t) = 1 - CED(t), and the AUC lies in [0, 1].
+        assert fracs[-1] == 1.0 - failure_rate(errs, cfg.auc_threshold)
+        assert 0.0 <= auc <= 1.0
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
@@ -209,10 +210,9 @@ class TestReportIo:
 
     def test_report_csv(self, tmp_path):
         out = self.run_eval(tmp_path)
-        report = evaluate([0.25, 0.0], EvalConfig(ced_points=3))
         # Samples in id order, then the mean.
         assert (out / "per_sample.csv").read_text().splitlines() == [
-            "sample_id,nme", "a,0.25", "b,0", f"mean,{format(report.nme_mean, '.12g')}"]
+            "sample_id,nme", "a,0.25", "b,0", f"mean,{format(np.mean([0.25, 0.0]), '.12g')}"]
 
     def test_ced_csv(self, tmp_path):
         out = self.run_eval(tmp_path)
