@@ -431,8 +431,11 @@ def cmd_eval(args) -> int:
     fr = failure_rate(errs, eval_cfg.fr_threshold)
     auc, ced = auc_ced(errs, eval_cfg.auc_threshold, eval_cfg.ced_points)
     out = _ensure_outdir(args.out)
+    # Python floats format faster than numpy scalars; 1024 at a time keeps no per-id list.
+    floats = itertools.chain.from_iterable(
+        errs[lo : lo + 1024].tolist() for lo in range(0, len(errs), 1024))
     _write_csv(os.path.join(out, "per_sample.csv"), "sample_id,nme",
-               itertools.chain(zip(ids, errs), [("mean", nme_mean)]))
+               itertools.chain(zip(ids, floats), [("mean", nme_mean)]))
     _write_csv(os.path.join(out, "ced.csv"), "threshold,fraction", ced)
     print(f"eval: NME={nme_mean:.6g} FR={fr:.6g} AUC={auc:.6g}")
     return 0

@@ -147,7 +147,7 @@ def _gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
 
 def _convolve_replicate_1d(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     pad = len(kernel) // 2
-    pad_width = [(0, 0), (0, 0)]
+    pad_width = [(0, 0)] * arr.ndim
     pad_width[axis] = (pad, pad)
     padded = np.pad(arr, pad_width, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=axis)
@@ -160,29 +160,29 @@ _SMOOTH3 = np.array([[1.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 1.0, 1.0]]) / 13.0
 
 
 def _smooth3x3(arr: np.ndarray) -> np.ndarray:
-    padded = np.pad(arr, 1, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    return np.einsum("ijkl,kl->ij", windows, _SMOOTH3)
+    padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(-2, -1))
+    return np.einsum("...ijkl,kl->...ij", windows, _SMOOTH3)
 
 
 def refine_edge_heatmap(e: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
-    """Gaussian-blur then sharpen the raw edge map [H, W].
+    """Gaussian-blur then sharpen each raw edge map of e [..., H, W].
 
     Sharpening blends a 3x3-smoothed copy with the blurred map at factor f:
     out = (1 - f) * smooth(x) + f * x, so f = 1 is the identity and f > 1
-    amplifies detail.  The result is clamped back into [0, max(x)].
+    amplifies detail.  Each map is clamped back into [0, max(x)] of its x.
     """
     k = _gaussian_kernel_1d(cfg.blur_kernel, cfg.blur_sigma)
-    blurred = _convolve_replicate_1d(e, k, axis=1)
-    blurred = _convolve_replicate_1d(blurred, k, axis=0)
+    blurred = _convolve_replicate_1d(e, k, axis=-1)
+    blurred = _convolve_replicate_1d(blurred, k, axis=-2)
     f = cfg.sharpness_factor
     sharp = (1.0 - f) * _smooth3x3(blurred) + f * blurred
-    return np.clip(sharp, 0.0, blurred.max())
+    return np.clip(sharp, 0.0, blurred.max(axis=(-2, -1), keepdims=True))
 
 
 def _check_on_grid(points: np.ndarray, shape, what: str, grid: str) -> None:
-    """Raise naming the first of points [..., 2] off a grid (H, W); NaN is off."""
-    height, width = shape
+    """Raise naming the first of points [..., 2] in C order off grids [..., H, W]; NaN is off."""
+    height, width = shape[-2:]
     off = ~((points >= 0) & (points <= (width - 1, height - 1))).all(axis=-1)
     if off.any():
         u, v = points[off][0]
@@ -190,14 +190,17 @@ def _check_on_grid(points: np.ndarray, shape, what: str, grid: str) -> None:
 
 
 def extract_patch(values: np.ndarray, centers, half: int) -> np.ndarray:
-    """Fresh patches [..., 2*half+1, 2*half+1] of grid [H, W] around cells
-    centers [..., 2] of (u, v), zero-padded where they leave the grid."""
+    """Fresh patches [..., N, 2*half+1, 2*half+1] of grids [..., H, W] around
+    their cells centers [..., N, 2] of (u, v), zero-padded where they leave
+    the grid; one grid [H, W] takes centers of any shape [..., 2]."""
+    values = np.asarray(values, dtype=np.float64)
     c = np.asarray(centers)
     _check_on_grid(c, values.shape, "center", "grid")
     size = 2 * half + 1
-    padded = np.pad(np.asarray(values, dtype=np.float64), half)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (size, size))
-    return windows[c[..., 1], c[..., 0]]
+    padded = np.pad(values, [(0, 0)] * (values.ndim - 2) + [(half, half)] * 2)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (size, size), axis=(-2, -1))
+    maps = (i[..., None] for i in np.indices(values.shape[:-2], sparse=True))
+    return windows[(*maps, c[..., 1], c[..., 0])]
 
 
 def _normalize_max(arr: np.ndarray) -> np.ndarray:
@@ -210,7 +213,7 @@ def joint_patch(
     e_refined: np.ndarray, points, cfg: SmoothingConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge patches, center bumps, and their blends around landmarks
-    points [..., 2] on edge map [H, W].
+    points on edge maps, shaped as ``extract_patch`` takes them.
 
     Returns (edge_patch, center_patch, blended), each [..., 2k+1, 2k+1]
     and the first two normalized to peak 1.  The blend is
@@ -230,8 +233,8 @@ def joint_patch(
 
 
 def fit_gaussian_label(e_refined: np.ndarray, points, cfg: SmoothingConfig) -> np.ndarray:
-    """Covariances [..., 2, 2] of the directional smoothing Gaussians for
-    landmarks points [..., 2] on edge map [H, W]; each mean is its landmark.
+    """Covariances [..., 2, 2] of the directional smoothing Gaussians for landmarks
+    points on edge maps, shaped as ``extract_patch`` takes them; each mean is its landmark.
 
     A covariance is the weighted second moment of its landmark's blended
     patch about the patch's weighted mean, ridged by cov_reg and scaled by gamma.

@@ -11,6 +11,7 @@ compared on equal footing by epochs-to-target-error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -243,45 +244,36 @@ def generate_dataset(
     return SynthData(pixels=pixels, points=points, norm=norm, distance=distance)
 
 
-def fit_sample_labels(distance, points, cfg: SmoothingConfig) -> np.ndarray:
-    """Label covariances [N, 2, 2] for one sample's points [N, 2], the edge
-    map taken from its contour's distance field [H, W]."""
-    refined = refine_edge_heatmap(edge_heatmap(distance, cfg.sigma_b), cfg)
-    return fit_gaussian_label(refined, points, cfg)
-
-
-def _targets(data: SynthData, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
-    """Every sample's targets for the objective, as a tuple of arrays with
-    one row per sample.
+def _objective(data: SynthData, cfg: TrainConfig):
+    """The objective's batch kernel, its grid and loss config bound, and
+    its targets: a tuple of arrays with one row per sample.
 
     These are the clipped true cells [S, N, 2] (structured), the landmark
     points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
     (heatmap MSE), or the cubature cells [S, N, K, 2] and weights
     [S, N, K] of ``label_cells`` (smoothed structured).
     """
-    w, h = data.grid
+    grid = w, h = data.grid
     if cfg.objective == "structured" and cfg.with_smoothing:
-        covs = [fit_sample_labels(d, p, cfg.smoothing) for d, p in zip(data.distance, data.points)]
-        return label_cells(data.points, np.array(covs), data.grid)
+        scfg = cfg.smoothing
+        refined = refine_edge_heatmap(edge_heatmap(data.distance, scfg.sigma_b), scfg)
+        covs = fit_gaussian_label(refined, data.points, scfg)
+        return (partial(smoothed_structured_batch, grid=grid, cfg=cfg.structured),
+                label_cells(data.points, covs, grid))
     if cfg.objective == "structured":
-        return (np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int),)
+        return (partial(structured_batch, grid=grid, cfg=cfg.structured),
+                (np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int),))
     if cfg.objective == "softargmax":
-        return (data.points,)
-    return (gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h),)
+        return partial(soft_argmax_l2_batch, grid=grid), (data.points,)
+    return heatmap_mse_batch, (
+        gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h),)
 
 
-def _batch_loss(scores, targets, grid, cfg: TrainConfig):
-    """Per-sample losses [B] and heatmap gradients [B, N, H*W] for heatmaps
-    scores [B, N, H*W] and their samples' rows of the arrays ``_targets``
-    returned.  A sample's loss sums its landmark terms in landmark order."""
-    if cfg.objective == "structured" and cfg.with_smoothing:
-        values, grads = smoothed_structured_batch(scores, *targets, grid, cfg.structured)
-    elif cfg.objective == "structured":
-        values, grads = structured_batch(scores, *targets, grid, cfg.structured)
-    elif cfg.objective == "softargmax":
-        values, grads = soft_argmax_l2_batch(scores, *targets, grid)
-    else:
-        values, grads = heatmap_mse_batch(scores, *targets)
+def _batch_loss(kernel, scores, targets):
+    """Per-sample losses [B] and heatmap gradients [B, N, H*W] of an ``_objective``
+    kernel for heatmaps scores [B, N, H*W] and their samples' rows of its
+    targets.  A sample's loss sums its landmark terms in landmark order."""
+    values, grads = kernel(scores, *targets)
     losses = np.zeros(len(scores))
     for n in range(values.shape[1]):
         losses += values[:, n]
@@ -338,7 +330,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     or invalid operation, or a train loss above LOSS_GROWTH_LIMIT times the
     epoch-1 loss.
     """
-    feats, targets = features(dataset), _targets(dataset, cfg)
+    feats, (kernel, targets) = features(dataset), _objective(dataset, cfg)
     gram = feats @ feats.T
     eval_gram = features(eval_dataset) @ feats.T
     del feats
@@ -370,7 +362,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                         if not np.isfinite(block_scores).all():
                             raise TrainingDiverged(cfg.objective, epoch)
                         block_targets = [t[block] for t in targets]
-                        losses, grads = _batch_loss(block_scores, block_targets, grid, cfg)
+                        losses, grads = _batch_loss(kernel, block_scores, block_targets)
                         for loss in losses:  # sample by sample: this order fixes the output bits
                             epoch_loss += loss
                         grads *= step

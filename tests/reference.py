@@ -53,7 +53,7 @@ from landmarklab.synth import (
     TrainingDiverged,
     _argmax_nme,
     _batch_loss,
-    _targets,
+    _objective,
     features,
     first_epoch_at_target,
     split_dataset,
@@ -114,9 +114,9 @@ def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
     C/2 * |theta|^2.  The reference for gradient checks and for the dual
     form ``train`` keeps.
     """
-    feats, targets = features(dataset), _targets(dataset, cfg)
-    grid = (scorer.width, scorer.height)
-    losses, grads = _batch_loss(scorer.scores(feats), targets, grid, cfg)
+    feats = features(dataset)
+    kernel, targets = _objective(dataset, cfg)
+    losses, grads = _batch_loss(kernel, scorer.scores(feats), targets)
     total = 0.0
     for loss in losses:  # sample by sample, in the order train sums them
         total += loss

@@ -4,7 +4,10 @@ of fixed command runs against the digests in ``golden_digests.json``.
 The cases are each benchmark workload (``perfbench/workloads.py``) at
 seeds 1 and 7, ``smooth --dump-intermediates`` and ``eval`` on
 ``sample_data/``, and the default ``synth`` at seed 0, which
-``test_cli.py`` checks inside the test that already runs it.  The file
+``test_cli.py`` checks inside the test that already runs it, and a
+16x16 ``synth`` whose two structured arms are both smoothed and trained
+in mini-batches of 5, with labels wide enough (``gamma = 0.1``) that
+their cubature rows pad to K = 9 cells.  The file
 also records the Python, numpy and BLAS build the digests were taken
 with; elsewhere every case fails and names the key that differs.  A
 change that alters output bytes on purpose re-records the file with
@@ -63,11 +66,21 @@ def _sample_data(inputs, out):
             ["eval", ann, ann, "--out", os.path.join(out, "eval")]]
 
 
+def _smoothed_minibatch(inputs, out):
+    config = os.path.join(inputs, "synth.ini")
+    with open(config, "w") as f:
+        f.write("[synth]\nwidth = 16\nheight = 16\nsamples = 24\nbatch_size = 5\n"
+                "with_smoothing = true\ngamma = 0.1\nobjective_b = structured\nlr_b = 0.5\n"
+                "epochs_a = 3\nepochs_b = 3\n")
+    return [["synth", "--config", config, "--out", out, "--seed", "3"]]
+
+
 # Each case: (inputs dir, out dir) -> its command lines, after writing its inputs.
 CASES = {
     **{f"{name}@{seed}": _workload_case(workload, seed)
        for name, workload in _load_workloads().items() for seed in (1, 7)},
     "sample_data": _sample_data,
+    "smoothed-minibatch@3": _smoothed_minibatch,
     DEFAULT_SYNTH: lambda inputs, out: [["synth", "--out", out]],
 }
 

@@ -362,6 +362,11 @@ class TestFitGaussianLabel:
         points = np.array([[1.0, 1.0], [40.5, 2.0], [3.0, 3.0], [-2.0, 7.0]])
         with pytest.raises(ValueError, match=r"landmark \(40.5, 2\) outside the 33x33 edge map"):
             fit_gaussian_label(np.zeros((33, 33)), points, CFG)
+        # On a stack the first in C order: map 1's second landmark before map 2's first.
+        stacked = np.full((3, 2, 2), 4.0)
+        stacked[1, 1], stacked[2, 0] = points[1], points[3]
+        with pytest.raises(ValueError, match=r"landmark \(40.5, 2\) outside the 33x33 edge map"):
+            fit_gaussian_label(np.zeros((3, 33, 33)), stacked, CFG)
 
     def test_patches_are_fresh_arrays(self):
         values = np.arange(25.0).reshape(5, 5)
@@ -415,6 +420,27 @@ class TestLandmarkArrays:
         np.testing.assert_array_equal(covs.reshape(6, 2, 2), flat)
         assert fit_gaussian_label(values, tuple(points[4]), CFG).shape == (2, 2)
         np.testing.assert_array_equal(fit_gaussian_label(values, points[4], CFG), covs[1, 1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stack_matches_per_map_calls_and_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        # Each map has its own peak, so a clamp to the stack's maximum would show.
+        raw = rng.random((6, 32, 32)) * rng.uniform(0.1, 1.0, (6, 1, 1))
+        points = np.stack([border_coords(rng, 32, 18), border_coords(rng, 32, 18)], 1)
+        points = points.reshape(6, 3, 2)
+        centers = np.rint(points).astype(int)
+        refined = refine_edge_heatmap(raw, CFG)
+        patches = extract_patch(refined, centers, CFG.patch_half)
+        covs = fit_gaussian_label(refined, points, CFG)
+        assert patches.shape == (6, 3, 2 * CFG.patch_half + 1, 2 * CFG.patch_half + 1)
+        assert covs.shape == (6, 3, 2, 2)
+        for s in range(6):
+            assert np.array_equal(refined[s], refine_edge_heatmap(raw[s], CFG))
+            assert np.array_equal(patches[s], extract_patch(refined[s], centers[s], CFG.patch_half))
+            assert np.array_equal(covs[s], fit_gaussian_label(refined[s], points[s], CFG))
+            for n, y in enumerate(points[s]):
+                ref = reference.fit_gaussian_label(refined[s], tuple(y), CFG)
+                assert np.array_equal(covs[s, n], ref)
 
 
 class TestLabelCells:
@@ -477,8 +503,8 @@ class TestLabelCells:
     def test_near_zero_gamma_gives_one_cell(self):
         ds = synth.generate_dataset(6, 16, 16, 3, 0.02, seed=5)
         scfg = SmoothingConfig(gamma=1e-15)
-        covs = np.array([synth.fit_sample_labels(d, p, scfg)
-                         for d, p in zip(ds.distance, ds.points)])
+        refined = refine_edge_heatmap(edge_heatmap(ds.distance, scfg.sigma_b), scfg)
+        covs = fit_gaussian_label(refined, ds.points, scfg)
         cells, weights = smoothing.label_cells(ds.points, covs, ds.grid)
         assert cells.shape == (6, 3, 1, 2)
         np.testing.assert_array_equal(cells[..., 0, :],

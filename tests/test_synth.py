@@ -9,7 +9,10 @@ from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     SmoothingConfig,
+    edge_heatmap,
+    fit_gaussian_label,
     polyline_segments,
+    refine_edge_heatmap,
     segment_distance_field,
 )
 from landmarklab.synth import (
@@ -24,7 +27,6 @@ from landmarklab.synth import (
     compare_convergence,
     features,
     first_epoch_at_target,
-    fit_sample_labels,
     generate_dataset,
     split_dataset,
     train,
@@ -445,7 +447,9 @@ class TestSmoothedLabels:
         contour = _ellipse_contour((8.0, 8.0), 5.0, 3.0, 0.0)
         dist = segment_distance_field(polyline_segments(contour), 16, 16)
         points = np.array([[13.0, 8.0], [3.0, 8.0]])
-        covs = fit_sample_labels(dist, points, SmoothingConfig(patch_half=4))
+        scfg = SmoothingConfig(patch_half=4)
+        covs = fit_gaussian_label(refine_edge_heatmap(edge_heatmap(dist, scfg.sigma_b), scfg),
+                                  points, scfg)
         assert covs.shape == (2, 2, 2)
         assert np.linalg.eigvalsh(covs).min() > 0
         cov = covs[0]
