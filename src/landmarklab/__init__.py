@@ -8,7 +8,7 @@ that exercise the whole stack with analytic gradients.
 """
 
 from landmarklab.heatmap import argmax, soft_argmax, softmax
-from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig
+from landmarklab.losses import StructuredLossConfig
 from landmarklab.smoothing import (
     SmoothingConfig,
     build_edge_heatmap,
@@ -22,8 +22,6 @@ __all__ = [
     "argmax",
     "soft_argmax",
     "softmax",
-    "MarginKind",
-    "MarginSpec",
     "StructuredLossConfig",
     "SmoothingConfig",
     "build_edge_heatmap",

@@ -6,7 +6,9 @@ are not checked here: every caller validates or clips its own.
 
 * ``structured_batch`` -- a margin-augmented log-sum-exp over all grid
   cells minus the score at the true cell.  Convex in the heatmap values;
-  its gradient is softmax-minus-one-hot.
+  its gradient is softmax-minus-one-hot.  Its temperature and margin are
+  one flat ``StructuredLossConfig``, whose fields are the loss keys of the
+  config file, so a sweep varies one with ``dataclasses.replace``.
 * ``smoothed_structured_batch`` -- the structured objective as a weighted
   sum over several target cells, for uncertainty-aware targets.
 * ``soft_argmax_l2_batch`` -- squared coordinate error of the softmax
@@ -20,7 +22,6 @@ table is a constant per call).
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -31,84 +32,78 @@ from numpy.lib.stride_tricks import sliding_window_view
 from landmarklab.heatmap import coordinate_grids, softmax
 
 
-class MarginKind(enum.Enum):
-    NONE = "none"
-    L1 = "l1"
-    L2 = "l2"
-    SMOOTH_L1 = "smooth_l1"
-
-
-@dataclass(frozen=True)
-class MarginSpec:
-    """Distance penalty added to every candidate cell's score.
-
-    With ``normalize_coords`` set, coordinates are divided by
-    max(width, height) before the distance is taken, which keeps the
-    smooth-l1 threshold ``s`` meaningful on any grid size.
-    """
-
-    kind: MarginKind = MarginKind.NONE
-    s: float = 0.01
-    alpha: float = 1.0
-    normalize_coords: bool = True
-
-    def __post_init__(self):
-        if not isinstance(self.kind, MarginKind):
-            raise ValueError(f"unknown margin kind {self.kind!r}")
-        if self.kind is MarginKind.SMOOTH_L1 and self.s <= 0:
-            raise ValueError(f"smooth-l1 threshold must be positive, got {self.s}")
-        if self.alpha < 0:
-            raise ValueError(f"margin weight must be nonnegative, got {self.alpha}")
+MARGINS = ("none", "l1", "l2", "smooth_l1")
 
 
 @dataclass(frozen=True)
 class StructuredLossConfig:
+    """Temperature and margin of the structured objective; the fields are
+    the loss keys of the ``[toy]`` and ``[synth]`` config sections.
+
+    ``margin`` is the distance penalty added to every candidate cell's
+    score, one of ``MARGINS``, weighted by ``margin_alpha``.  ``margin_s``
+    is the smooth-l1 threshold.  With ``margin_normalize`` set, coordinates
+    are divided by max(width, height) before the distance is taken, which
+    keeps ``margin_s`` meaningful on any grid size.
+    """
+
     epsilon: float = 1.0
-    margin: MarginSpec = MarginSpec()
+    margin: str = "none"
+    margin_s: float = 0.01
+    margin_alpha: float = 1.0
+    margin_normalize: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"temperature must be positive, got {self.epsilon}")
+        if self.margin not in MARGINS:
+            raise ValueError(f"unknown margin kind {self.margin!r}")
+        if self.margin == "smooth_l1" and self.margin_s <= 0:
+            raise ValueError(f"smooth-l1 threshold must be positive, got {self.margin_s}")
+        if self.margin_alpha < 0:
+            raise ValueError(f"margin weight must be nonnegative, got {self.margin_alpha}")
 
 
-def _margin_from_diffs(delta: MarginSpec, du, dv):
+def _margin_from_diffs(cfg: StructuredLossConfig, du, dv):
     """Margin for coordinate differences; du/dv may be scalars or arrays."""
     d1 = np.abs(du) + np.abs(dv)
-    if delta.kind is MarginKind.NONE:
+    if cfg.margin == "none":
         return np.zeros_like(d1)
-    if delta.kind is MarginKind.L1:
-        return delta.alpha * d1
-    if delta.kind is MarginKind.L2:
-        return delta.alpha * np.sqrt(du * du + dv * dv)
+    if cfg.margin == "l1":
+        return cfg.margin_alpha * d1
+    if cfg.margin == "l2":
+        return cfg.margin_alpha * np.sqrt(du * du + dv * dv)
+    s = cfg.margin_s
     d2sq = du * du + dv * dv
-    quad = 0.5 / delta.s * d2sq
-    lin = d1 - 0.5 * delta.s
-    return delta.alpha * np.where(d1 < delta.s, quad, lin)
+    quad = 0.5 / s * d2sq
+    lin = d1 - 0.5 * s
+    return cfg.margin_alpha * np.where(d1 < s, quad, lin)
 
 
 @functools.lru_cache(maxsize=32)
-def _margin_windows(delta: MarginSpec, width: int, height: int) -> np.ndarray:
+def _margin_windows(cfg: StructuredLossConfig, width: int, height: int) -> np.ndarray:
     """H x W windows of the margin table over all (2H-1) x (2W-1) offsets.
 
-    Built once per (margin, grid) and shared by every call, so the table is
+    Built once per (config, grid) and shared by every call, so the table is
     read-only: no caller can write through the cache.
     """
-    scale = float(max(width, height)) if delta.normalize_coords else 1.0
+    scale = float(max(width, height)) if cfg.margin_normalize else 1.0
     du = np.arange(1 - width, width) / scale
     dv = np.arange(1 - height, height)[:, None] / scale
-    table = _margin_from_diffs(delta, du, dv)
+    table = _margin_from_diffs(cfg, du, dv)
     table.flags.writeable = False
     return sliding_window_view(table, (height, width))
 
 
-def _cell_margins(delta: MarginSpec, cells: np.ndarray, width: int, height: int) -> np.ndarray:
+def _cell_margins(cfg: StructuredLossConfig, cells: np.ndarray, width: int,
+                  height: int) -> np.ndarray:
     """Margin of every grid cell against integer target cells [..., 2], shape [..., H*W].
 
     The margin depends only on the offset between a cell and the target, so
     it is tabulated once over all (2H-1) x (2W-1) offsets and each target's
     H x W window is gathered from that table.
     """
-    windows = _margin_windows(delta, width, height)
+    windows = _margin_windows(cfg, width, height)
     # Index arrays (never scalars) so the gather always returns a fresh, writable array.
     rows = np.atleast_1d(height - 1 - cells[..., 1])
     cols = np.atleast_1d(width - 1 - cells[..., 0])
@@ -128,7 +123,7 @@ def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
     width, height = grid
     cells = np.asarray(cells)
     eps = cfg.epsilon
-    z = _cell_margins(cfg.margin, cells, width, height)
+    z = _cell_margins(cfg, cells, width, height)
     z += scores
     m = z.max(axis=-1, keepdims=True)
     z -= m

@@ -19,12 +19,15 @@ class EvalConfig:
     fr_threshold: float = 0.10
     auc_threshold: float = 0.10
     ced_points: int = 1001
+    norm_distance: float = 1.0
 
     def __post_init__(self):
         if self.fr_threshold <= 0 or self.auc_threshold <= 0:
             raise ValueError("thresholds must be positive")
         if self.ced_points < 2:
             raise ValueError("need at least two CED points")
+        if self.norm_distance <= 0:
+            raise ValueError("norm_distance must be positive")
 
 
 def nme(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:

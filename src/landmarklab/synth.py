@@ -17,8 +17,6 @@ import numpy as np
 
 from landmarklab.heatmap import argmax, gaussian_bumps
 from landmarklab.losses import (
-    MarginKind,
-    MarginSpec,
     StructuredLossConfig,
     heatmap_mse_batch,
     smoothed_structured_batch,
@@ -70,9 +68,9 @@ LOSS_GROWTH_LIMIT = 1e3
 # 0.223, 0.202 and 0.191 s (medians of 25) at 128, 256 and 512 KiB, and
 # one soft-argmax train call peaked at 4.90, 5.15 and 5.71 MB traced.
 # 256 KiB keeps most of 128 KiB's smaller working set without its 10%
-# longer run.  A sweep before the soft-argmax kernel had one work buffer
-# found larger blocks slower: 0.253 s at 1 MiB and 0.323 s with the batch
-# in one block, against 0.228 s at 512 KiB.
+# longer run.  With the batch in one block the same comparison on 100
+# samples took 0.33-0.38 s against 0.19-0.22 s (medians of 15, two
+# rounds), and its process peaked at 46.3 MB against 42.9 MB.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -127,10 +125,7 @@ class TrainConfig:
     # which keeps the non-convex soft-argmax arm off mini-batch noise.
     batch_size: int = 500
     seed: int = 0
-    structured: StructuredLossConfig = StructuredLossConfig(
-        epsilon=1.0,
-        margin=MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0),
-    )
+    structured: StructuredLossConfig = StructuredLossConfig(margin="smooth_l1")
     with_smoothing: bool = False
     smoothing: SmoothingConfig = SmoothingConfig()
     mse_sigma: float = 1.5

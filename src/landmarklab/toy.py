@@ -16,21 +16,12 @@ import numpy as np
 
 from landmarklab.heatmap import argmax, soft_argmax
 from landmarklab.losses import (
-    MarginKind,
-    MarginSpec,
     StructuredLossConfig,
     soft_argmax_l2_batch,
     structured_batch,
 )
 
 OBJECTIVES = ("structured", "softargmax")
-
-# Margins on raw cell indices: the grid is a bare parameter vector, so the
-# distances are hand-checkable integers.
-_TOY_STRUCTURED = StructuredLossConfig(
-    epsilon=1.0,
-    margin=MarginSpec(kind=MarginKind.L2, alpha=1.0, normalize_coords=False),
-)
 
 
 def default_init(length: int = 11) -> np.ndarray:
@@ -55,7 +46,9 @@ class ToyConfig:
     learning_rate: float = 0.1
     steps: int = 50
     objective: str = "structured"
-    structured: StructuredLossConfig = _TOY_STRUCTURED
+    # Margins on raw cell indices: the grid is a bare parameter vector, so
+    # the distances are hand-checkable integers.
+    structured: StructuredLossConfig = StructuredLossConfig(margin="l2", margin_normalize=False)
     record_at: tuple = (10, 20, 50)
 
     def __post_init__(self):

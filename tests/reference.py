@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from landmarklab.heatmap import coordinate_grids, softmax
-from landmarklab.losses import MarginSpec, StructuredLossConfig, _cell_margins, _margin_from_diffs
+from landmarklab.losses import StructuredLossConfig, _cell_margins, _margin_from_diffs
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
@@ -61,13 +61,14 @@ from landmarklab.synth import (
 )
 
 
-def margin_table(delta: MarginSpec, y: tuple[float, float], width: int, height: int) -> np.ndarray:
+def margin_table(cfg: StructuredLossConfig, y: tuple[float, float], width: int,
+                 height: int) -> np.ndarray:
     """Margin against every grid cell, shape (height, width)."""
     uu, vv = coordinate_grids(width, height)
-    scale = float(max(width, height)) if delta.normalize_coords else 1.0
+    scale = float(max(width, height)) if cfg.margin_normalize else 1.0
     du = (uu - float(y[0])) / scale
     dv = (vv - float(y[1])) / scale
-    return _margin_from_diffs(delta, du, dv)
+    return _margin_from_diffs(cfg, du, dv)
 
 
 @dataclass
@@ -394,7 +395,7 @@ def structured_batch(scores, cells, grid, cfg: StructuredLossConfig):
     cells = np.asarray(cells)
     eps = cfg.epsilon
     k = (cells[..., 1] * width + cells[..., 0])[..., None]
-    z = _cell_margins(cfg.margin, cells, width, height)
+    z = _cell_margins(cfg, cells, width, height)
     z += scores
     m = z.max(axis=-1, keepdims=True)
     z -= m

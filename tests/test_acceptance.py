@@ -13,8 +13,6 @@ import numpy as np
 
 from landmarklab.heatmap import argmax, soft_argmax, softmax
 from landmarklab.losses import (
-    MarginKind,
-    MarginSpec,
     StructuredLossConfig,
     heatmap_mse_batch,
     soft_argmax_l2_batch,
@@ -68,10 +66,11 @@ def grad_check(analytic, values, fn, step=1e-5, rel_tol=1e-6, abs_floor=1e-8):
 
 
 MARGIN_KINDS = [
-    MarginSpec(kind=MarginKind.NONE),
-    MarginSpec(kind=MarginKind.L1, alpha=1.0, normalize_coords=True),
-    MarginSpec(kind=MarginKind.L2, alpha=1.0, normalize_coords=True),
-    MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0, normalize_coords=True),
+    StructuredLossConfig(margin="none"),
+    StructuredLossConfig(margin="l1", margin_alpha=1.0, margin_normalize=True),
+    StructuredLossConfig(margin="l2", margin_alpha=1.0, margin_normalize=True),
+    StructuredLossConfig(margin="smooth_l1", margin_s=0.01, margin_alpha=1.0,
+                         margin_normalize=True),
 ]
 
 
@@ -103,7 +102,7 @@ def test_criterion_2_gradient_suite():
             y_cell = (int(rng.integers(0, w)), int(rng.integers(0, h)))
             grid = (w, h)
             for spec in MARGIN_KINDS:
-                cfg = StructuredLossConfig(epsilon=1.0, margin=spec)
+                cfg = replace(spec, epsilon=1.0)
                 _, grad = structured_batch(values.ravel(), y_cell, grid, cfg)
                 grad_check(
                     grad.reshape(h, w), values,
@@ -132,7 +131,7 @@ def test_criterion_3_structured_loss_identities():
             values = rng.normal(size=(h, w))
             u, v = y = (int(rng.integers(0, w)), int(rng.integers(0, h)))
             spec = MARGIN_KINDS[int(rng.integers(0, 4))]
-            cfg = StructuredLossConfig(epsilon=1.0, margin=spec)
+            cfg = replace(spec, epsilon=1.0)
             grid = (w, h)
             value, grad = structured_batch(values.ravel(), y, grid, cfg)
             grad = grad.reshape(h, w)
@@ -147,12 +146,12 @@ def test_criterion_3_structured_loss_identities():
             bound = t * value + (1 - t) * structured_batch(other.ravel(), y, grid, cfg)[0]
             assert mixed <= bound + 1e-9
             cold, _ = structured_batch(
-                values.ravel(), y, grid, StructuredLossConfig(epsilon=1e-4, margin=spec)
+                values.ravel(), y, grid, replace(spec, epsilon=1e-4)
             )
             hinge = (margin_table(spec, y, w, h) + values).max() - values[v, u]
             assert abs(cold - hinge) < 1e-3
             eps = float(rng.uniform(0.2, 3.0))
-            plain = StructuredLossConfig(epsilon=eps, margin=MarginSpec(kind=MarginKind.NONE))
+            plain = StructuredLossConfig(epsilon=eps, margin="none")
             ce = -eps * np.log(softmax(values.ravel() / eps)[v * w + u])
             assert abs(structured_batch(values.ravel(), y, grid, plain)[0] - ce) <= 1e-10
 

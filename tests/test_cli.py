@@ -10,12 +10,14 @@ import landmarklab
 from landmarklab import cli
 from landmarklab.cli import _write_csv, main
 from landmarklab.heatmap import save_heatmap_pgm
+from landmarklab.losses import StructuredLossConfig
 from landmarklab.smoothing import (
     SmoothingConfig,
     build_edge_heatmap,
     read_boundaries,
     refine_edge_heatmap,
 )
+from landmarklab.synth import compare_convergence
 from landmarklab.toy import ToyConfig, run_toy
 
 from reference import annotation_samples, dense_auc_ced, label_panels, per_id_nmes
@@ -115,6 +117,16 @@ def assert_12g(cell):
 UNSAFE_IDS = ("a/b", "../esc", "a,b")
 MARGINS = "('none', 'l1', 'l2', 'smooth_l1')"
 SYNTH_OBJECTIVES = "('structured', 'softargmax', 'heatmap_mse')"
+
+
+def loss_keys(normalize: bool):
+    """Config lines setting every loss key of [toy] or [synth] off its
+    default, and the StructuredLossConfig they must build.  Only the
+    default of margin_normalize differs between the two sections."""
+    keys = {"epsilon": 0.7, "margin": "l1", "margin_s": 0.2, "margin_alpha": 0.5,
+            "margin_normalize": normalize}
+    lines = "".join(f"{k} = {str(v).lower()}\n" for k, v in keys.items())
+    return lines, StructuredLossConfig(**keys)
 
 
 def test_write_csv_cells(tmp_path):
@@ -350,6 +362,20 @@ class TestToyCommand:
         assert main(["toy", "--out", str(tmp_path)]) == 0
         assert captured == [ToyConfig()]
 
+    def test_loss_keys_reach_the_config(self, tmp_path, monkeypatch):
+        lines, expected = loss_keys(normalize=True)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("[toy]\n" + lines)
+        captured = []
+
+        def capture(toy_cfg):
+            captured.append(toy_cfg.structured)
+            return run_toy(toy_cfg)
+
+        monkeypatch.setattr(cli, "run_toy", capture)
+        assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert captured == [expected]
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = main(["toy", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc != 0
@@ -388,6 +414,20 @@ class TestSynthCommand:
             for row in hist:
                 assert_12g(row["train_loss"])
                 assert_12g(row["eval_nme"])
+
+    def test_loss_keys_reach_both_arms(self, tmp_path, monkeypatch):
+        lines, expected = loss_keys(normalize=False)
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG + lines)
+        captured = []
+
+        def capture(dataset, cfg_a, cfg_b, target_nme):
+            captured.extend((cfg_a.structured, cfg_b.structured))
+            return compare_convergence(dataset, cfg_a, cfg_b, target_nme)
+
+        monkeypatch.setattr(cli, "compare_convergence", capture)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert captured == [expected, expected]
 
     def test_removed_mc_samples_key_rejected(self, tmp_path, capsys):
         # The smoothed arm's targets are fixed cubature cells, so the number
@@ -795,7 +835,7 @@ class TestEvalCommand:
         ("fr_threshold = 0", "thresholds must be positive"),
         ("auc_threshold = -0.1", "thresholds must be positive"),
         ("ced_points = 1", "need at least two CED points"),
-        ("norm_distance = 0", "eval.norm_distance must be positive"),
+        ("norm_distance = 0", "norm_distance must be positive"),
     ])
     def test_config_checked_before_inputs(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "eval.cfg"

@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from landmarklab.heatmap import argmax, soft_argmax, softmax
 from landmarklab.losses import (
-    MarginKind,
-    MarginSpec,
+    MARGINS,
     StructuredLossConfig,
     heatmap_mse_batch,
     smoothed_structured_batch,
@@ -45,12 +44,10 @@ def problems(draw, magnitude=5.0):
     label, weights = label_cells(points, LABEL_COV, (width, height))
     cfg = StructuredLossConfig(
         epsilon=draw(st.floats(0.2, 3.0)),
-        margin=MarginSpec(
-            kind=draw(st.sampled_from(list(MarginKind))),
-            s=draw(st.floats(0.05, 1.0)),
-            alpha=draw(st.floats(0.0, 2.0)),
-            normalize_coords=draw(st.booleans()),
-        ),
+        margin=draw(st.sampled_from(MARGINS)),
+        margin_s=draw(st.floats(0.05, 1.0)),
+        margin_alpha=draw(st.floats(0.0, 2.0)),
+        margin_normalize=draw(st.booleans()),
     )
     return {"grid": (width, height), "scores": scores, "cells": cells,
             "points": points, "maps": maps, "label": label, "weights": weights, "cfg": cfg}

@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from landmarklab.heatmap import argmax, softmax
 from landmarklab.losses import (
-    MarginKind,
-    MarginSpec,
     StructuredLossConfig,
     _cell_margins,
     _margin_windows,
@@ -18,14 +18,15 @@ from landmarklab.smoothing import label_cells
 
 from reference import margin_table
 
-RAW_L1 = MarginSpec(kind=MarginKind.L1, alpha=1.0, normalize_coords=False)
-RAW_L2 = MarginSpec(kind=MarginKind.L2, alpha=1.0, normalize_coords=False)
-RAW_SMOOTH = MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0, normalize_coords=False)
-NONE_SPEC = MarginSpec(kind=MarginKind.NONE)
+RAW_L1 = StructuredLossConfig(margin="l1", margin_alpha=1.0, margin_normalize=False)
+RAW_L2 = StructuredLossConfig(margin="l2", margin_alpha=1.0, margin_normalize=False)
+RAW_SMOOTH = StructuredLossConfig(margin="smooth_l1", margin_s=0.01, margin_alpha=1.0,
+                                  margin_normalize=False)
+NONE_SPEC = StructuredLossConfig(margin="none")
 
 ALL_MARGIN_SPECS = [NONE_SPEC, RAW_L1, RAW_L2, RAW_SMOOTH,
-                    MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0,
-                               normalize_coords=True)]
+                    StructuredLossConfig(margin="smooth_l1", margin_s=0.01, margin_alpha=1.0,
+                                         margin_normalize=True)]
 
 
 def finite_difference_grad(fn, values, step=1e-5):
@@ -83,21 +84,21 @@ class TestMargin:
         np.testing.assert_allclose(margin_table(RAW_L2, (0, 0), 10, 10)[4, 3], 5.0)
 
     def test_normalized_coordinates(self):
-        spec = MarginSpec(kind=MarginKind.L2, alpha=2.0, normalize_coords=True)
+        spec = StructuredLossConfig(margin="l2", margin_alpha=2.0, margin_normalize=True)
         got = margin_table(spec, (0.0, 0.0), 20, 10)[4, 3]
         np.testing.assert_allclose(got, 2.0 * 5.0 / 20.0, rtol=1e-12)
 
     def test_alpha_scales(self):
-        spec = MarginSpec(kind=MarginKind.L1, alpha=3.0, normalize_coords=False)
+        spec = StructuredLossConfig(margin="l1", margin_alpha=3.0, margin_normalize=False)
         np.testing.assert_allclose(margin_table(spec, (0, 0), 4, 4)[1, 1], 6.0)
 
     def test_rejects_invalid_spec(self):
         with pytest.raises(ValueError):
-            MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.0)
+            StructuredLossConfig(margin="smooth_l1", margin_s=0.0)
         with pytest.raises(ValueError):
-            MarginSpec(kind=MarginKind.L1, alpha=-0.5)
+            StructuredLossConfig(margin="l1", margin_alpha=-0.5)
         with pytest.raises(ValueError):
-            MarginSpec(kind="manhattan")
+            StructuredLossConfig(margin="manhattan")
 
     def test_table_matches_pointwise(self):
         # The structured kernel gathers each integer target's margins from
@@ -114,7 +115,7 @@ class TestMargin:
 class TestStructuredLoss:
     def test_uniform_heatmap_value_and_grad(self):
         scores = np.zeros(4)
-        cfg = StructuredLossConfig(epsilon=1.0, margin=NONE_SPEC)
+        cfg = replace(NONE_SPEC, epsilon=1.0)
         for y in range(4):
             value, _ = structured_batch(scores, (y, 0), (4, 1), cfg)
             np.testing.assert_allclose(value, np.log(4.0), rtol=1e-12)
@@ -123,7 +124,7 @@ class TestStructuredLoss:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(21)
-        cfg = StructuredLossConfig(epsilon=0.8, margin=RAW_L1)
+        cfg = replace(RAW_L1, epsilon=0.8)
         h = rng.normal(size=(3, 4))
         base, _ = structured_batch(h.ravel(), (2, 1), (4, 3), cfg)
         for c in (-17.0, 0.5, 1234.0):
@@ -135,11 +136,11 @@ class TestStructuredLoss:
         scores = np.array([0.4, 0.1, 0.0, 0.1, 0.4])
         aug = np.abs(np.arange(5) - 2) + scores
         expected = np.log(np.exp(aug).sum()) - scores[2]
-        cfg = StructuredLossConfig(epsilon=1.0, margin=RAW_L1)
+        cfg = replace(RAW_L1, epsilon=1.0)
         value, _ = structured_batch(scores, (2, 0), (5, 1), cfg)
         np.testing.assert_allclose(value, expected, rtol=1e-12)
         # Small-temperature limit tends to the worst augmented score.
-        cfg0 = StructuredLossConfig(epsilon=1e-6, margin=RAW_L1)
+        cfg0 = replace(RAW_L1, epsilon=1e-6)
         value0, _ = structured_batch(scores, (2, 0), (5, 1), cfg0)
         np.testing.assert_allclose(value0, aug.max() - scores[2], atol=1e-5)
         assert abs(value0 - 2.4) < 1e-5
@@ -147,7 +148,7 @@ class TestStructuredLoss:
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(2)
         for spec in ALL_MARGIN_SPECS:
-            cfg = StructuredLossConfig(epsilon=1.3, margin=spec)
+            cfg = replace(spec, epsilon=1.3)
             values = rng.normal(size=(4, 5))
             y = (3, 2)
             _, grad = structured_batch(values.ravel(), y, (5, 4), cfg)
@@ -161,7 +162,7 @@ class TestStructuredLoss:
 
     def test_convexity_in_heatmap(self):
         rng = np.random.default_rng(4)
-        cfg = StructuredLossConfig(epsilon=0.5, margin=RAW_SMOOTH)
+        cfg = replace(RAW_SMOOTH, epsilon=0.5)
         for _ in range(50):
             h1 = rng.normal(size=(3, 5))
             h2 = rng.normal(size=(3, 5))
@@ -179,14 +180,14 @@ class TestStructuredLoss:
         for eps in (0.25, 1.0, 3.0):
             values = rng.normal(size=(4, 4))
             y = (1, 2)
-            cfg = StructuredLossConfig(epsilon=eps, margin=NONE_SPEC)
+            cfg = replace(NONE_SPEC, epsilon=eps)
             value, _ = structured_batch(values.ravel(), y, (4, 4), cfg)
             ce = -eps * np.log(softmax(values.ravel() / eps)[2 * 4 + 1])
             assert abs(value - ce) < 1e-10
 
     def test_small_temperature_hinge_limit(self):
         rng = np.random.default_rng(8)
-        cfg = StructuredLossConfig(epsilon=1e-4, margin=RAW_L2)
+        cfg = replace(RAW_L2, epsilon=1e-4)
         for _ in range(20):
             values = rng.normal(size=(4, 6))
             y = (2, 1)
@@ -205,7 +206,7 @@ class TestStructuredLoss:
         with pytest.raises(ValueError):
             windows[0, 0, 0, 0] = 1.0
         # The gradient is built in a fresh gather, so writing it leaves the cache alone.
-        cfg = StructuredLossConfig(epsilon=1.0, margin=RAW_L2)
+        cfg = replace(RAW_L2, epsilon=1.0)
         scores = np.random.default_rng(3).normal(size=(2, 24))
         cells = np.array([[0, 0], [5, 3]])
         value, grad = structured_batch(scores, cells, (6, 4), cfg)
@@ -224,7 +225,7 @@ class TestSoftArgmaxL2Loss:
         assert value < 1e-18
         assert tuple(argmax(h, (5, 1))) == (0, 0)
         # The structured objective still penalizes this heatmap.
-        cfg = StructuredLossConfig(margin=RAW_L1)
+        cfg = RAW_L1
         structured_value, _ = structured_batch(h, (2, 0), (5, 1), cfg)
         assert structured_value > 0.5
 
@@ -286,7 +287,7 @@ class TestHeatmapMseLoss:
 
 
 class TestSmoothedStructuredLoss:
-    CFG = StructuredLossConfig(epsilon=1.0, margin=RAW_L1)
+    CFG = replace(RAW_L1, epsilon=1.0)
 
     def test_degenerate_covariance_collapses_to_mean_cell(self):
         rng = np.random.default_rng(15)

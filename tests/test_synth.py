@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landmarklab import synth
-from landmarklab.losses import MarginKind, MarginSpec, StructuredLossConfig, structured_batch
+from landmarklab.losses import StructuredLossConfig, structured_batch
 from landmarklab.metrics import nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
@@ -36,7 +36,7 @@ import reference
 from reference import LinearScorer, dataset_objective, evaluate_nme, tune_learning_rate
 
 STRUCT_CFG = StructuredLossConfig(
-    epsilon=1.0, margin=MarginSpec(kind=MarginKind.SMOOTH_L1, s=0.01, alpha=1.0)
+    epsilon=1.0, margin="smooth_l1", margin_s=0.01, margin_alpha=1.0
 )
 # (objective, learning rate, with_smoothing): every training path.
 ARMS = [
