@@ -19,7 +19,6 @@ import configparser
 import itertools
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, fields
 
@@ -40,7 +39,7 @@ from landmarklab.smoothing import (
     refine_edge_heatmap,
 )
 from landmarklab.synth import OBJECTIVES as SYNTH_OBJECTIVES
-from landmarklab.synth import TrainConfig, TrainingDiverged, compare_convergence, generate_dataset
+from landmarklab.synth import SynthConfig, TrainingDiverged, compare_convergence, generate_dataset
 from landmarklab.toy import OBJECTIVES as TOY_OBJECTIVES
 from landmarklab.toy import ToyConfig, ToyDiverged, run_toy
 
@@ -49,48 +48,37 @@ class CliError(Exception):
     """User-facing failure: bad config, bad input file, or a diverged run."""
 
 
-# The loss keys come from the class attributes that hold the dataclass
-# field defaults: building a ToyConfig here would sort its bimodal start,
-# and numpy's first argsort adds 0.2-0.3 MB to the peak RSS of every command.
+def _keys(cls, *not_keys) -> dict:
+    """The config keys of dataclass ``cls``, less ``not_keys``, with their
+    defaults: its fields, with a ``structured`` field spread into the loss
+    keys.
+
+    The defaults are read off the class: building a ToyConfig here would
+    sort its bimodal start, and numpy's first argsort adds 0.2-0.3 MB to
+    the peak RSS of every command.
+    """
+    keys = {}
+    for f in fields(cls):
+        if f.name == "structured":
+            keys.update(asdict(f.default))
+        elif f.name not in not_keys:
+            keys[f.name] = f.default
+    return keys
+
+
 DEFAULTS = {
     "run": {"seed": 0},
-    "toy": {
-        "length": 11,
-        "target": 5,
-        "learning_rate": 0.1,
-        "steps": 50,
-        "objective": "structured",
-        "record_at": "10,20,50",
-        **asdict(ToyConfig.structured),
-    },
-    "synth": {
-        "samples": 500,
-        "width": 32,
-        "height": 32,
-        "landmarks": 3,
-        "noise_sigma": 0.02,
-        "target_nme": 0.30,
-        "batch_size": 500,
-        "weight_decay": 0.0,
-        "objective_a": "structured",
-        "lr_a": 4.0,
-        "epochs_a": 12,
-        "objective_b": "softargmax",
-        "lr_b": 0.2,
-        "epochs_b": 25,
-        **asdict(TrainConfig.structured),
-        "with_smoothing": False,
-        "gamma": 0.01,
-        "mse_sigma": 1.5,
-    },
-    "smooth": asdict(SmoothingConfig()),
-    "eval": asdict(EvalConfig()),
+    "toy": _keys(ToyConfig, "init_values"),
+    "synth": _keys(SynthConfig),
+    "smooth": _keys(SmoothingConfig),
+    "eval": _keys(EvalConfig),
 }
 
 
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the UTF-8 config file, whose leading BOM is
-    dropped; unknown keys are errors."""
+    dropped; unknown keys are errors.  A key whose default is a tuple
+    takes a comma-separated list of integers."""
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return cfg
@@ -116,11 +104,13 @@ def load_config(path: str | None) -> dict:
             try:
                 if isinstance(default, bool):
                     cfg[section][key] = parser.getboolean(section, key)
-                elif isinstance(default, (int, float)) and ("_" in raw or not raw.isascii()):
+                elif not isinstance(default, str) and ("_" in raw or not raw.isascii()):
                     # int() and float() would read 1_0 as 10, and any Unicode digit.
                     raise ValueError(f"not ASCII without '_': {raw!r}")
                 elif isinstance(default, int):
                     cfg[section][key] = int(raw)
+                elif isinstance(default, tuple):
+                    cfg[section][key] = tuple(int(t) for t in raw.split(",") if t.strip())
                 elif isinstance(default, float):
                     value = float(raw)
                     if not math.isfinite(value):
@@ -133,18 +123,24 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _choice(name: str, section: dict, key: str, choices: tuple) -> str:
-    """The value of ``[name] key``, which must be one of ``choices``."""
-    value = section[key]
-    if value not in choices:
-        raise CliError(f"{name}.{key} must be one of {choices}, got {value!r}")
-    return value
-
-
-def _structured(name: str, section: dict) -> StructuredLossConfig:
-    """The structured loss config of ``[name]``, whose loss keys are its fields."""
-    _choice(name, section, "margin", MARGINS)
-    return StructuredLossConfig(**{f.name: section[f.name] for f in fields(StructuredLossConfig)})
+def _section(cfg: dict, name: str, cls, **choices):
+    """``[name]`` of ``cfg`` as a ``cls``: its keys fill the fields of that
+    name and its loss keys a ``structured`` field.  Each key in ``choices``,
+    and ``margin``, must hold one of its listed values."""
+    section = cfg[name]
+    values = {f.name: section[f.name] for f in fields(cls) if f.name in section}
+    if "margin" in section:
+        choices["margin"] = MARGINS
+    for key, allowed in choices.items():
+        if section[key] not in allowed:
+            raise CliError(f"{name}.{key} must be one of {allowed}, got {section[key]!r}")
+    try:
+        if "margin" in section:
+            values["structured"] = StructuredLossConfig(
+                **{f.name: section[f.name] for f in fields(StructuredLossConfig)})
+        return cls(**values)
+    except ValueError as err:
+        raise CliError(f"invalid {name} config: {err}") from err
 
 
 def _ensure_outdir(out: str) -> str:
@@ -168,28 +164,9 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def cmd_toy(args) -> int:
     cfg = load_config(args.config)
-    section = cfg["toy"]
     if args.objective is not None:
-        section["objective"] = args.objective
-    try:
-        steps = [t.strip() for t in str(section["record_at"]).split(",") if t.strip()]
-        for t in steps:
-            # ASCII digits only: int() would also read 1_0 as 10, and any
-            # Unicode digit as its value.
-            if not re.fullmatch(r"[+-]?[0-9]+", t):
-                raise ValueError(f"malformed record_at step {t!r}")
-        record_at = tuple(map(int, steps))
-        toy_cfg = ToyConfig(
-            length=section["length"],
-            target=section["target"],
-            learning_rate=section["learning_rate"],
-            steps=section["steps"],
-            objective=_choice("toy", section, "objective", TOY_OBJECTIVES),
-            structured=_structured("toy", section),
-            record_at=record_at,
-        )
-    except ValueError as err:
-        raise CliError(f"invalid toy config: {err}") from err
+        cfg["toy"]["objective"] = args.objective
+    toy_cfg = _section(cfg, "toy", ToyConfig, objective=TOY_OBJECTIVES)
     try:
         snapshots = run_toy(toy_cfg)
     except ToyDiverged as err:
@@ -215,64 +192,26 @@ def cmd_toy(args) -> int:
     return 0
 
 
-def _train_cfg(section: dict, arm: str, seed: int) -> TrainConfig:
-    """The TrainConfig of arm ``a`` or ``b`` of the ``[synth]`` section."""
-    try:
-        return TrainConfig(
-            objective=_choice("synth", section, f"objective_{arm}", SYNTH_OBJECTIVES),
-            learning_rate=section[f"lr_{arm}"],
-            weight_decay=section["weight_decay"],
-            epochs=section[f"epochs_{arm}"],
-            batch_size=section["batch_size"],
-            seed=seed,
-            structured=_structured("synth", section),
-            with_smoothing=section["with_smoothing"],
-            smoothing=SmoothingConfig(gamma=section["gamma"]),
-            mse_sigma=section["mse_sigma"],
-        )
-    except ValueError as err:
-        raise CliError(f"invalid synth config: {err}") from err
-
-
 def cmd_synth(args) -> int:
-    if args.epochs is not None and args.epochs < 1:
-        raise CliError("--epochs must be at least 1")
     cfg = load_config(args.config)
-    section = cfg["synth"]
-    root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
     if args.epochs is not None:
-        section["epochs_a"] = section["epochs_b"] = args.epochs
+        cfg["synth"]["epochs_a"] = cfg["synth"]["epochs_b"] = args.epochs
+    synth = _section(cfg, "synth", SynthConfig,
+                     objective_a=SYNTH_OBJECTIVES, objective_b=SYNTH_OBJECTIVES)
+    root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
     synth_seed = derive_seed(root_seed, "synth")
-    if section["samples"] < 2:
-        raise CliError("invalid synth config: samples must be at least 2 "
-                       "(one to train on, one held out)")
-    if section["target_nme"] <= 0:
-        raise CliError(f"invalid synth config: target_nme must be positive, "
-                       f"got {section['target_nme']}")
-    cfg_a = _train_cfg(section, "a", synth_seed)
-    cfg_b = _train_cfg(section, "b", synth_seed)
-    if section["with_smoothing"] and "structured" not in (cfg_a.objective, cfg_b.objective):
-        raise CliError(
-            f"invalid synth config: synth.with_smoothing applies to the structured "
-            f"objective only, but the arms are {cfg_a.objective} and {cfg_b.objective}"
-        )
+    cfg_a, cfg_b = synth.arm("a", synth_seed), synth.arm("b", synth_seed)
     try:
-        dataset = generate_dataset(
-            section["samples"],
-            section["width"],
-            section["height"],
-            section["landmarks"],
-            section["noise_sigma"],
-            seed=synth_seed,
-        )
+        dataset = generate_dataset(synth.samples, synth.width, synth.height, synth.landmarks,
+                                   synth.noise_sigma, seed=synth_seed)
     except ValueError as err:
         raise CliError(f"invalid synth config: {err}") from err
-    # Of the steps below only label fitting raises ValueError, and an
-    # overflowing covariance raises here rather than warn.
+    # Of the steps below only label fitting raises ValueError or, as an
+    # overflowing covariance does here rather than warn, FloatingPointError:
+    # SynthConfig rejects an MSE sigma whose target bumps would overflow.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            result, hist_a, hist_b = compare_convergence(dataset, cfg_a, cfg_b,
-                                                         section["target_nme"])
+            result, hist_a, hist_b = compare_convergence(dataset, cfg_a, cfg_b, synth.target_nme)
     except TrainingDiverged as err:
         raise CliError(str(err)) from err
     except (ValueError, FloatingPointError) as err:
@@ -288,7 +227,7 @@ def cmd_synth(args) -> int:
     speedup = float("nan") if result.speedup is None else result.speedup
     _write_csv(os.path.join(out, "convergence.csv"),
                "objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup",
-               [(cfg_a.objective, cfg_b.objective, section["target_nme"],
+               [(cfg_a.objective, cfg_b.objective, synth.target_nme,
                  -1 if ea is None else ea, -1 if eb is None else eb, speedup)])
     print(
         f"synth: epochs_a[{cfg_a.objective}]={ea} epochs_b[{cfg_b.objective}]={eb} "
@@ -325,12 +264,7 @@ def _dump_label_pgms(out, sample_id, raw, refined, points, covs, scfg) -> None:
 
 
 def cmd_smooth(args) -> int:
-    cfg = load_config(args.config)
-    section = cfg["smooth"]
-    try:
-        scfg = SmoothingConfig(**section)
-    except ValueError as err:
-        raise CliError(f"invalid smooth config: {err}") from err
+    scfg = _section(load_config(args.config), "smooth", SmoothingConfig)
     try:
         ids, offsets, points = read_annotations(args.annotations)
         boundaries = read_boundaries(args.boundaries)
@@ -367,11 +301,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        eval_cfg = EvalConfig(**cfg["eval"])
-    except ValueError as err:
-        raise CliError(f"invalid eval config: {err}") from err
+    eval_cfg = _section(load_config(args.config), "eval", EvalConfig)
     try:
         pred_ids, pred_offsets, pred_points = read_annotations(args.pred)
         gt_ids, gt_offsets, gt_points = read_annotations(args.gt)

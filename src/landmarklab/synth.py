@@ -10,6 +10,7 @@ compared on equal footing by epochs-to-target-error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -138,7 +139,7 @@ class TrainConfig:
         if self.weight_decay < 0:
             raise ValueError("weight decay must be nonnegative")
         if self.epochs < 1:
-            raise ValueError("need at least one epoch")
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
         if self.mse_sigma <= 0:
@@ -146,6 +147,70 @@ class TrainConfig:
         if 2.0 * self.mse_sigma * self.mse_sigma == 0:  # gaussian_bumps divides by it
             raise ValueError(f"MSE target sigma {self.mse_sigma:g} is too small: "
                              f"2 sigma^2 underflows to 0")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """The ``[synth]`` config section: its keys are the fields, in order,
+    with the loss keys held in ``structured``.  Defaults shared with
+    TrainConfig are TrainConfig's."""
+
+    samples: int = 500
+    width: int = 32
+    height: int = 32
+    landmarks: int = 3
+    noise_sigma: float = 0.02
+    target_nme: float = 0.30
+    batch_size: int = TrainConfig.batch_size
+    weight_decay: float = TrainConfig.weight_decay
+    objective_a: str = "structured"
+    lr_a: float = 4.0
+    epochs_a: int = 12
+    objective_b: str = "softargmax"
+    lr_b: float = 0.2
+    epochs_b: int = 25
+    structured: StructuredLossConfig = TrainConfig.structured
+    with_smoothing: bool = TrainConfig.with_smoothing
+    gamma: float = SmoothingConfig.gamma
+    mse_sigma: float = TrainConfig.mse_sigma
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ValueError("samples must be at least 2 (one to train on, one held out)")
+        if self.target_nme <= 0:
+            raise ValueError(f"target_nme must be positive, got {self.target_nme}")
+        for name in "ab":  # raises on a setting that the arm's TrainConfig rejects
+            self.arm(name, 0)
+        objectives = self.objective_a, self.objective_b
+        if self.with_smoothing and "structured" not in objectives:
+            raise ValueError(
+                f"synth.with_smoothing applies to the structured objective only, "
+                f"but the arms are {self.objective_a} and {self.objective_b}"
+            )
+        # gaussian_bumps divides the squared distances from each landmark,
+        # inside the grid, to its cells, none above far, by 2 sigma^2.
+        far = (self.width - 1) ** 2 + (self.height - 1) ** 2
+        two_var = 2.0 * self.mse_sigma * self.mse_sigma
+        if "heatmap_mse" in objectives and math.isinf(far / two_var):
+            raise ValueError(
+                f"MSE target sigma {self.mse_sigma:g} is too small for a "
+                f"{self.width}x{self.height} grid: distance^2 / (2 sigma^2) overflows"
+            )
+
+    def arm(self, name: str, seed: int) -> TrainConfig:
+        """The TrainConfig of arm ``a`` or ``b``, shuffling from ``seed``."""
+        return TrainConfig(
+            objective=getattr(self, f"objective_{name}"),
+            learning_rate=getattr(self, f"lr_{name}"),
+            weight_decay=self.weight_decay,
+            epochs=getattr(self, f"epochs_{name}"),
+            batch_size=self.batch_size,
+            seed=seed,
+            structured=self.structured,
+            with_smoothing=self.with_smoothing,
+            smoothing=SmoothingConfig(gamma=self.gamma),
+            mse_sigma=self.mse_sigma,
+        )
 
 
 @dataclass
@@ -228,8 +293,10 @@ def generate_dataset(
         distance[i] = segment_distance_field(polyline_segments(contour), width, height)
         if noise_sigma > 0:
             # rng.normal(0, sigma) scales these same standard normal draws.
+            # A huge sigma overflows draws to +-inf, which the clip takes to 0 or 1.
             rng.standard_normal(out=pixels[i])
-            pixels[i] *= noise_sigma
+            with np.errstate(over="ignore"):
+                pixels[i] *= noise_sigma
         pixels[i] += np.exp(-(distance[i] ** 2) / (2.0 * RENDER_SIGMA**2))
     np.clip(pixels, 0.0, 1.0, out=pixels)
     angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks

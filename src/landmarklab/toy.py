@@ -40,16 +40,20 @@ class ToyDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ToyConfig:
+    """The ``[toy]`` config section: the fields are its keys, in order,
+    except that ``structured`` holds the loss keys and ``init_values``,
+    empty for the default bimodal start, is no key."""
+
     length: int = 11
     target: int = 5
     init_values: tuple = ()
     learning_rate: float = 0.1
     steps: int = 50
     objective: str = "structured"
+    record_at: tuple = (10, 20, 50)
     # Margins on raw cell indices: the grid is a bare parameter vector, so
     # the distances are hand-checkable integers.
     structured: StructuredLossConfig = StructuredLossConfig(margin="l2", margin_normalize=False)
-    record_at: tuple = (10, 20, 50)
 
     def __post_init__(self):
         if self.length < 2:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from landmarklab import cli
 from landmarklab.cli import _write_csv, main
 from landmarklab.heatmap import save_heatmap_pgm
 from landmarklab.losses import StructuredLossConfig
+from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     SmoothingConfig,
     build_edge_heatmap,
     read_boundaries,
     refine_edge_heatmap,
 )
-from landmarklab.synth import compare_convergence
+from landmarklab.synth import SynthConfig, TrainConfig, compare_convergence, generate_dataset
 from landmarklab.toy import ToyConfig, run_toy
 
 from reference import annotation_samples, dense_auc_ced, label_panels, per_id_nmes
@@ -319,11 +321,10 @@ class TestToyCommand:
          "invalid toy config: the default bimodal start needs length >= 10, got 5"),
         ("record_at = 60", "invalid toy config: record_at step 60 outside [0, 50]"),
         ("steps = 20\nrecord_at = 10,-1", "invalid toy config: record_at step -1 outside [0, 20]"),
-        ("record_at = 10, 2_0", "invalid toy config: malformed record_at step '2_0'"),
-        ("record_at = \u0661\u0660,20",
-         "invalid toy config: malformed record_at step '\u0661\u0660'"),
-        ("record_at = 5.0", "invalid toy config: malformed record_at step '5.0'"),
-        ("record_at = x", "invalid toy config: malformed record_at step 'x'"),
+        ("record_at = 10, 2_0", "bad value for toy.record_at: '10, 2_0'"),
+        ("record_at = \u0661\u0660,20", "bad value for toy.record_at: '\u0661\u0660,20'"),
+        ("record_at = 5.0", "bad value for toy.record_at: '5.0'"),
+        ("record_at = x", "bad value for toy.record_at: 'x'"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
         cfg = tmp_path / "toy.cfg"
@@ -375,6 +376,45 @@ class TestToyCommand:
         monkeypatch.setattr(cli, "run_toy", capture)
         assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert captured == [expected]
+
+    def test_every_key_reaches_the_config(self, tmp_path, monkeypatch):
+        lines, structured = loss_keys(normalize=True)
+        text = ("length = 12\ntarget = 4\nlearning_rate = 0.2\nsteps = 40\n"
+                "objective = softargmax\nrecord_at = 5,15\n" + lines)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("[toy]\n" + text)
+        section = cli.load_config(str(cfg))["toy"]
+        assert {line.split(" = ")[0] for line in text.splitlines()} == section.keys()
+        assert all(section[key] != value for key, value in cli.DEFAULTS["toy"].items())
+        captured = []
+
+        def capture(toy_cfg):
+            captured.append(toy_cfg)
+            return run_toy(toy_cfg)
+
+        monkeypatch.setattr(cli, "run_toy", capture)
+        assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert captured == [ToyConfig(length=12, target=4, learning_rate=0.2, steps=40,
+                                      objective="softargmax", record_at=(5, 15),
+                                      structured=structured)]
+
+    # Forms of record_at that read as integer lists: a sign, spaces around
+    # a step, empty items and an empty value, which records no extra step.
+    @pytest.mark.parametrize("raw, steps", [
+        ("+10", (10,)),
+        ("10 , 20", (10, 20)),
+        ("010,  +20 ,50", (10, 20, 50)),
+        ("10,20,", (10, 20)),
+        (",10,,20", (10, 20)),
+        ("", ()),
+    ])
+    def test_record_at_forms(self, tmp_path, raw, steps):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"[toy]\nrecord_at = {raw}\n")
+        assert cli.load_config(str(cfg))["toy"]["record_at"] == steps
+        assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        recorded = [int(row["step"]) for row in read_csv_rows(tmp_path / "toy_summary.csv")]
+        assert recorded == sorted({0, 50, *steps})
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = main(["toy", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -428,6 +468,63 @@ class TestSynthCommand:
         monkeypatch.setattr(cli, "compare_convergence", capture)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert captured == [expected, expected]
+
+    def test_every_key_reaches_both_arms_and_the_data(self, tmp_path, monkeypatch):
+        lines, structured = loss_keys(normalize=False)
+        text = ("samples = 11\nwidth = 13\nheight = 14\nlandmarks = 4\nnoise_sigma = 0.03\n"
+                "target_nme = 0.4\nbatch_size = 7\nweight_decay = 0.001\n"
+                "objective_a = heatmap_mse\nlr_a = 0.05\nepochs_a = 2\n"
+                "objective_b = structured\nlr_b = 3.0\nepochs_b = 3\n"
+                "with_smoothing = true\ngamma = 0.02\nmse_sigma = 2.0\n" + lines)
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("[synth]\n" + text)
+        loaded = cli.load_config(str(cfg))
+        assert {line.split(" = ")[0] for line in text.splitlines()} == loaded["synth"].keys()
+        assert all(loaded["synth"][key] != value for key, value in cli.DEFAULTS["synth"].items())
+        assert cli._section(loaded, "synth", SynthConfig) == SynthConfig(
+            samples=11, width=13, height=14, landmarks=4, noise_sigma=0.03, target_nme=0.4,
+            batch_size=7, weight_decay=0.001,
+            objective_a="heatmap_mse", lr_a=0.05, epochs_a=2,
+            objective_b="structured", lr_b=3.0, epochs_b=3,
+            structured=structured, with_smoothing=True, gamma=0.02, mse_sigma=2.0)
+        calls = {}
+
+        def data(*args, **kwargs):
+            calls["data"] = args, kwargs
+            return generate_dataset(*args, **kwargs)
+
+        def compare(dataset, cfg_a, cfg_b, target_nme):
+            calls["compare"] = cfg_a, cfg_b, target_nme
+            return compare_convergence(dataset, cfg_a, cfg_b, target_nme)
+
+        monkeypatch.setattr(cli, "generate_dataset", data)
+        monkeypatch.setattr(cli, "compare_convergence", compare)
+        argv = ["synth", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        seed = derive_seed(5, "synth")
+        arm = partial(TrainConfig, weight_decay=0.001, batch_size=7, seed=seed,
+                      structured=structured, with_smoothing=True,
+                      smoothing=SmoothingConfig(gamma=0.02), mse_sigma=2.0)
+        assert calls == {
+            "data": ((11, 13, 14, 4, 0.03), {"seed": seed}),
+            "compare": (arm(objective="heatmap_mse", learning_rate=0.05, epochs=2),
+                        arm(objective="structured", learning_rate=3.0, epochs=3), 0.4),
+        }
+
+    def test_huge_noise_gives_clipped_images(self, tmp_path, monkeypatch):
+        # Draws scaled past the largest float overflow to +-inf, which the
+        # clip takes to 0 and 1 without a warning (the suite makes it an error).
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG + "noise_sigma = 1e308\n")
+        datasets = []
+
+        def data(*args, **kwargs):
+            datasets.append(generate_dataset(*args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(cli, "generate_dataset", data)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert np.isin(datasets[0].pixels, (0.0, 1.0)).all()
 
     def test_removed_mc_samples_key_rejected(self, tmp_path, capsys):
         # The smoothed arm's targets are fixed cubature cells, so the number
@@ -493,6 +590,9 @@ class TestSynthCommand:
         ("samples = 40\nmse_sigma = -1.5", "MSE target sigma must be positive"),
         ("samples = 40\nobjective_b = heatmap_mse\nmse_sigma = 1e-170",
          "MSE target sigma 1e-170 is too small: 2 sigma^2 underflows to 0"),
+        ("samples = 40\nobjective_b = heatmap_mse\nmse_sigma = 1e-160",
+         "invalid synth config: MSE target sigma 1e-160 is too small for a 16x16 grid: "
+         "distance^2 / (2 sigma^2) overflows"),
         ("samples = 40\nnoise_sigma = -0.5", "noise sigma must be nonnegative"),
         ("samples = 40\nobjective_a = foo",
          f"synth.objective_a must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
