@@ -10,7 +10,10 @@ compared on equal footing by epochs-to-target-error.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -246,6 +249,50 @@ def _contour_point(center, a, b, phi, t) -> np.ndarray:
     return np.stack([center[..., 0] + c * x - s * y, center[..., 1] + s * x + c * y], axis=-1)
 
 
+def _render(ellipses, pixels, distance, start: int, stop: int) -> None:
+    """Write the distance fields of samples start..stop-1 into ``distance``
+    and add their contours' brightness to ``pixels``."""
+    height, width = pixels.shape[1:]
+    for i in range(start, stop):
+        u, v, a, b, phi = ellipses[i].tolist()
+        contour = _ellipse_contour((u, v), a, b, phi)
+        distance[i] = segment_distance_field(polyline_segments(contour), width, height)
+        pixels[i] += np.exp(-(distance[i] ** 2) / (2.0 * RENDER_SIGMA**2))
+
+
+def _split_on_two_threads(work, n: int) -> None:
+    """Run ``work(start, stop)`` over 0..n-1: the caller takes the first
+    half and one helper thread the rest when the process may use at least
+    two CPUs, else the caller takes all of it.
+
+    The helper runs in a copy of the caller's context, so it sees the
+    caller's ``np.errstate``.  It is joined before this returns or raises,
+    and an exception it raised is raised again here.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2 or n < 2:
+        work(0, n)
+        return
+    half = (n + 1) // 2
+    errors = []
+
+    def helper():
+        try:
+            work(half, n)
+        except BaseException as err:
+            errors.append(err)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        work(0, half)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def generate_dataset(
     n_samples: int,
     width: int = 32,
@@ -262,10 +309,15 @@ def generate_dataset(
     contour; the normalizing distance of a sample is the gap between its
     first two landmarks.  Deterministic per seed.
 
-    One sample at a time, in the generator's stream order, draws its
-    ellipse (center, axes, tilt) and then its noise, straight into its
-    pixel rows, and renders its contour's distance field.  The landmarks
-    and their normalizing distances are computed for all samples at once.
+    The calling thread makes every random draw, one sample at a time in
+    the generator's stream order: its ellipse (center, axes, tilt), then
+    its noise, straight into its pixel rows.  Only then are the distance
+    fields rendered, the first half of the samples by the caller and the
+    rest by one helper thread when the process has at least two usable
+    CPUs.  Each sample's field and brightness depend on its own ellipse
+    alone and take the same float operations on either thread, so the
+    split cannot change a bit of the output.  The landmarks and their
+    normalizing distances are computed for all samples at once.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -289,15 +341,13 @@ def generate_dataset(
         b = rng.uniform(MINOR_RANGE[0] * a, MINOR_RANGE[1] * a)
         phi = rng.uniform(ROTATION_RANGE[0], ROTATION_RANGE[1])
         ellipses[i] = *center, a, b, phi
-        contour = _ellipse_contour(center, a, b, phi)
-        distance[i] = segment_distance_field(polyline_segments(contour), width, height)
         if noise_sigma > 0:
             # rng.normal(0, sigma) scales these same standard normal draws.
             # A huge sigma overflows draws to +-inf, which the clip takes to 0 or 1.
             rng.standard_normal(out=pixels[i])
             with np.errstate(over="ignore"):
                 pixels[i] *= noise_sigma
-        pixels[i] += np.exp(-(distance[i] ** 2) / (2.0 * RENDER_SIGMA**2))
+    _split_on_two_threads(partial(_render, ellipses, pixels, distance), n_samples)
     np.clip(pixels, 0.0, 1.0, out=pixels)
     angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
     points = _contour_point(ellipses[:, :2], *ellipses.T[2:], angles)

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -134,6 +136,89 @@ class TestGenerateDataset:
             generate_dataset(1, 16, 16, 1, 0.0, seed=0)
         with pytest.raises(ValueError, match="noise sigma"):
             generate_dataset(1, 16, 16, 2, -0.5, seed=0)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make generate_dataset see n usable CPUs: its helper thread renders
+    half of the fields only when n is at least 2."""
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def fields_replaced(monkeypatch, n_samples, size, replace):
+    """Patch synth.segment_distance_field so that the field of sample i of
+    n_samples is ``replace[i](segments, w, h)`` for each key i of
+    ``replace``.  The helper thread renders the last sample, the caller
+    the first."""
+    calls = []
+    monkeypatch.setattr(synth, "segment_distance_field",
+                        lambda segs, w, h: calls.append(segs) or segment_distance_field(segs, w, h))
+    usable_cpus(monkeypatch, 1)
+    generate_dataset(n_samples, size, size, 2, 0.02, seed=4)
+    replaced = [(calls[i], fn) for i, fn in replace.items()]
+
+    def patched(segs, w, h):
+        for known, fn in replaced:
+            if np.array_equal(segs, known):
+                return fn(segs, w, h)
+        return segment_distance_field(segs, w, h)
+
+    monkeypatch.setattr(synth, "segment_distance_field", patched)
+
+
+class TestGenerateDatasetThreads:
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 17])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_helper_thread_changes_no_bit(self, monkeypatch, n_samples, noise_sigma, size):
+        threads = []
+        monkeypatch.setattr(synth, "segment_distance_field", lambda *args: (
+            threads.append(threading.get_ident()) or segment_distance_field(*args)))
+        runs = {}
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            threads.clear()
+            runs[cpus] = generate_dataset(n_samples, size, size, 3, noise_sigma, seed=n_samples)
+            assert len(threads) == n_samples
+            assert len(set(threads)) == (1 if cpus == 1 or n_samples == 1 else 2)
+        for name in ("pixels", "points", "norm", "distance"):
+            a, b = getattr(runs[2], name), getattr(runs[1], name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        def fail(segs, w, h):
+            raise ZeroDivisionError("the last sample's field")
+
+        fields_replaced(monkeypatch, 5, 16, {-1: fail})
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="^the last sample's field$"):
+            generate_dataset(5, 16, 16, 2, 0.02, seed=4)
+        assert threading.active_count() == before
+
+    def test_helper_is_joined_when_the_caller_raises(self, monkeypatch):
+        def fail(segs, w, h):
+            raise ZeroDivisionError("the first sample's field")
+
+        def slow(segs, w, h):
+            time.sleep(0.1)
+            return segment_distance_field(segs, w, h)
+
+        fields_replaced(monkeypatch, 2, 16, {0: fail, 1: slow})
+        usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="^the first sample's field$"):
+            generate_dataset(2, 16, 16, 2, 0.02, seed=4)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_helper_keeps_the_callers_error_state(self, monkeypatch, cpus):
+        # A field of 1e3 everywhere underflows exp; the real 16x16 fields do not.
+        fields_replaced(monkeypatch, 4, 16, {-1: lambda segs, w, h: np.full((h, w), 1e3)})
+        usable_cpus(monkeypatch, cpus)
+        generate_dataset(4, 16, 16, 2, 0.02, seed=4)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            generate_dataset(4, 16, 16, 2, 0.02, seed=4)
 
 
 class TestLinearScorer:
