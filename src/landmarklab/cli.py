@@ -200,7 +200,6 @@ def cmd_synth(args) -> int:
                      objective_a=SYNTH_OBJECTIVES, objective_b=SYNTH_OBJECTIVES)
     root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
     synth_seed = derive_seed(root_seed, "synth")
-    cfg_a, cfg_b = synth.arm("a", synth_seed), synth.arm("b", synth_seed)
     try:
         dataset = generate_dataset(synth.samples, synth.width, synth.height, synth.landmarks,
                                    synth.noise_sigma, seed=synth_seed)
@@ -211,26 +210,28 @@ def cmd_synth(args) -> int:
     # SynthConfig rejects an MSE sigma whose target bumps would overflow.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            result, hist_a, hist_b = compare_convergence(dataset, cfg_a, cfg_b, synth.target_nme)
+            arms = compare_convergence(dataset, synth, synth_seed)
     except TrainingDiverged as err:
         raise CliError(str(err)) from err
     except (ValueError, FloatingPointError) as err:
         raise CliError(f"cannot fit smoothing labels: {err}") from err
     out = _ensure_outdir(args.out)
+    objectives = synth.objective_a, synth.objective_b
     # Arms sharing an objective tag their history files with the arm.
-    shared = cfg_a.objective == cfg_b.objective
-    for arm, objective, hist in (("a", cfg_a.objective, hist_a), ("b", cfg_b.objective, hist_b)):
+    shared = objectives[0] == objectives[1]
+    for arm, objective, (_, train_loss, eval_nme) in zip("ab", objectives, arms):
         name = f"history_{objective}_{arm}.csv" if shared else f"history_{objective}.csv"
         _write_csv(os.path.join(out, name), "epoch,objective,train_loss,eval_nme",
-                   ((st.epoch, objective, st.train_loss, st.eval_nme) for st in hist))
-    ea, eb = result.epochs_a, result.epochs_b
-    speedup = float("nan") if result.speedup is None else result.speedup
+                   zip(range(1, len(train_loss) + 1), itertools.repeat(objective),
+                       train_loss.tolist(), eval_nme.tolist()))
+    (ea, _, _), (eb, _, _) = arms
+    speedup = float("nan") if ea is None or eb is None else eb / ea
     _write_csv(os.path.join(out, "convergence.csv"),
                "objective_a,objective_b,target_nme,epochs_a,epochs_b,speedup",
-               [(cfg_a.objective, cfg_b.objective, synth.target_nme,
+               [(*objectives, synth.target_nme,
                  -1 if ea is None else ea, -1 if eb is None else eb, speedup)])
     print(
-        f"synth: epochs_a[{cfg_a.objective}]={ea} epochs_b[{cfg_b.objective}]={eb} "
+        f"synth: epochs_a[{objectives[0]}]={ea} epochs_b[{objectives[1]}]={eb} "
         f"speedup={speedup:.6g}"
     )
     return 0
@@ -380,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         return cmd
 
     command("toy", cmd_toy, "1-D gradient-descent dynamics").add_argument(
-        "--objective", choices=TOY_OBJECTIVES, default=None)
+        "--objective", choices=TOY_OBJECTIVES, default=None, help="overrides [toy] objective")
     command("synth", cmd_synth, "synthetic convergence comparison", seed_help=None).add_argument(
-        "--epochs", type=int, default=None)
+        "--epochs", type=int, default=None, help="overrides [synth] epochs_a and epochs_b")
     command("smooth", cmd_smooth, "fit edge-aware Gaussian labels",
             "annotations", "boundaries").add_argument("--dump-intermediates", action="store_true")
     command("eval", cmd_eval, "NME / FR / AUC report", "pred", "gt")

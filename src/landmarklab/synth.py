@@ -216,20 +216,6 @@ class SynthConfig:
         )
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    train_loss: float
-    eval_nme: float
-
-
-@dataclass
-class ConvergenceResult:
-    epochs_a: int | None
-    epochs_b: int | None
-    speedup: float | None  # epochs_b / epochs_a; None when either never converged
-
-
 # Parameter angles of the contour vertices; the last closes the loop.
 _CONTOUR_T = np.append(np.linspace(0.0, 2.0 * np.pi, CONTOUR_POINTS, endpoint=False), 0.0)
 
@@ -294,12 +280,7 @@ def _split_on_two_threads(work, n: int) -> None:
 
 
 def generate_dataset(
-    n_samples: int,
-    width: int = 32,
-    height: int = 32,
-    n_landmarks: int = 3,
-    noise_sigma: float = 0.02,
-    seed: int = 0,
+    n_samples: int, width: int, height: int, n_landmarks: int, noise_sigma: float, seed: int,
 ) -> SynthData:
     """Random ellipse-contour samples with exact landmark ground truth.
 
@@ -405,8 +386,10 @@ def split_dataset(dataset):
     return dataset[:-n_eval], dataset[-n_eval:]
 
 
-def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
-    """Mini-batch gradient descent from zero weights; returns the history.
+def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Mini-batch gradient descent from zero weights; returns the history:
+    the mean train loss and the held-out argmax-inference NME of each
+    epoch, two float64 arrays [cfg.epochs] whose row e - 1 holds epoch e.
 
     The scorer is linear and every update adds G^T X_b over rows of
     the fixed train features X [S, H*W + 1], so the weights of landmark n
@@ -437,7 +420,6 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     dual form does less work while the train split S is smaller than about
     the heatmap size H*W (S = 400 against H*W = 1024 on the default bench).
 
-    History records the held-out argmax-inference NME after each epoch.
     Raises TrainingDiverged on a non-finite loss, a floating-point overflow
     or invalid operation, or a train loss above LOSS_GROWTH_LIMIT times the
     epoch-1 loss.
@@ -455,7 +437,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
     block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-    history = []
+    train_loss, eval_nme = np.empty(cfg.epochs), np.empty(cfg.epochs)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(1, cfg.epochs + 1):
@@ -480,52 +462,44 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> list[EpochStats]:
                         grads *= step
                         coef[block] -= grads.reshape(len(block), -1)
                         del grads  # freed before the next block's kernel allocates
-                train_loss = epoch_loss / n
-                if not np.isfinite(train_loss):
+                epoch_loss /= n
+                if not np.isfinite(epoch_loss):
                     raise TrainingDiverged(cfg.objective, epoch)
-                if epoch == 1:
-                    first_loss = train_loss
-                elif train_loss > LOSS_GROWTH_LIMIT * first_loss:
+                if epoch > 1 and epoch_loss > LOSS_GROWTH_LIMIT * train_loss[0]:
                     raise TrainingDiverged(
                         cfg.objective, epoch,
-                        f"train loss {train_loss:.6g} above {LOSS_GROWTH_LIMIT:g}x "
-                        f"the epoch-1 loss {first_loss:.6g}",
+                        f"train loss {epoch_loss:.6g} above {LOSS_GROWTH_LIMIT:g}x "
+                        f"the epoch-1 loss {train_loss[0]:.6g}",
                     )
+                train_loss[epoch - 1] = epoch_loss
                 eval_scores = np.matmul(eval_gram, coef, out=eval_buf)
                 eval_scores = eval_scores.reshape(len(eval_dataset), n_landmarks, -1)
-                history.append(
-                    EpochStats(
-                        epoch=epoch,
-                        train_loss=float(train_loss),
-                        eval_nme=_argmax_nme(eval_scores, eval_dataset),
-                    )
-                )
+                eval_nme[epoch - 1] = _argmax_nme(eval_scores, eval_dataset)
     except FloatingPointError as err:
         raise TrainingDiverged(cfg.objective, epoch) from err
-    return history
-
-
-def first_epoch_at_target(history, target_nme: float):
-    for stats in history:
-        if stats.eval_nme <= target_nme:
-            return stats.epoch
-    return None
+    return train_loss, eval_nme
 
 
 def compare_convergence(
-    dataset, cfg_a: TrainConfig, cfg_b: TrainConfig, target_nme: float
-) -> tuple[ConvergenceResult, list[EpochStats], list[EpochStats]]:
-    """Epochs-to-target for two objectives on the same data, split, and seed.
+    dataset, synth: SynthConfig, seed: int
+) -> list[tuple[int | None, np.ndarray, np.ndarray]]:
+    """Train arms a and b of ``synth``, each shuffling from ``seed``, on
+    one split of ``dataset``.
 
-    speedup is epochs_b / epochs_a (how many times faster arm a converges);
-    None when either arm never reaches the target.
+    Returns one ``(epochs, train_loss, eval_nme)`` per arm, a then b:
+    its ``train`` history and its first epoch with an eval NME at or
+    below ``synth.target_nme``, None when it never gets there.  A
+    TrainingDiverged names the arm that diverged.
     """
-    if cfg_a.seed != cfg_b.seed:
-        raise ValueError("both arms must share the seed")
     train_set, eval_set = split_dataset(dataset)
-    hist_a = train(train_set, cfg_a, eval_dataset=eval_set)
-    hist_b = train(train_set, cfg_b, eval_dataset=eval_set)
-    ea = first_epoch_at_target(hist_a, target_nme)
-    eb = first_epoch_at_target(hist_b, target_nme)
-    speedup = (eb / ea) if (ea is not None and eb is not None) else None
-    return ConvergenceResult(epochs_a=ea, epochs_b=eb, speedup=speedup), hist_a, hist_b
+    arms = []
+    for name in "ab":
+        try:
+            train_loss, eval_nme = train(train_set, synth.arm(name, seed), eval_dataset=eval_set)
+        except TrainingDiverged as err:
+            err.args = (f"arm {name}: {err}",)
+            raise
+        at_target = eval_nme <= synth.target_nme
+        epochs = int(at_target.argmax()) + 1 if at_target.any() else None
+        arms.append((epochs, train_loss, eval_nme))
+    return arms

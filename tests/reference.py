@@ -55,7 +55,6 @@ from landmarklab.synth import (
     _batch_loss,
     _objective,
     features,
-    first_epoch_at_target,
     split_dataset,
     train,
 )
@@ -150,11 +149,11 @@ def tune_learning_rate(
     for lr in grid:
         cfg = replace(base_cfg, learning_rate=lr, epochs=probe_epochs)
         try:
-            hist = train(train_set, cfg, eval_dataset=eval_set)
+            _, eval_nme = train(train_set, cfg, eval_dataset=eval_set)
         except TrainingDiverged:
             continue
-        reached = first_epoch_at_target(hist, target_nme)
-        key = (np.inf if reached is None else reached, min(h.eval_nme for h in hist))
+        reached = np.flatnonzero(eval_nme <= target_nme)
+        key = (reached[0] + 1 if len(reached) else np.inf, eval_nme.min())
         if key < best_key:
             best_lr, best_key = lr, key
     if best_lr is None:

@@ -26,7 +26,7 @@ from landmarklab.smoothing import (
     label_cells,
     refine_edge_heatmap,
 )
-from landmarklab.synth import TrainConfig, compare_convergence, generate_dataset
+from landmarklab.synth import SynthConfig, TrainConfig, compare_convergence, generate_dataset
 from landmarklab.toy import ToyConfig, run_toy
 
 from reference import margin_table, tune_learning_rate
@@ -195,23 +195,20 @@ def test_criterion_5_synthetic_convergence_ordering():
         lr_softargmax = tune_learning_rate(
             tuning_set, base_softargmax, [0.1, 0.2, 0.4], target_nme, probe_epochs=10
         )
+        synth = SynthConfig(target_nme=target_nme, lr_a=lr_structured, lr_b=lr_softargmax)
+        assert synth.arm("a", 1) == replace(base_structured, learning_rate=lr_structured, seed=1)
+        assert synth.arm("b", 1) == replace(base_softargmax, learning_rate=lr_softargmax, seed=1)
         for seed in (0, 1, 2):
             dataset = (
                 tuning_set if seed == 0
                 else generate_dataset(500, 32, 32, 3, 0.02, seed=seed)
             )
-            cfg_a = replace(base_structured, learning_rate=lr_structured, seed=seed)
-            cfg_b = replace(base_softargmax, learning_rate=lr_softargmax, seed=seed)
-            result, _, _ = compare_convergence(
-                dataset, cfg_a, cfg_b, target_nme=target_nme
+            (epochs_a, _, _), (epochs_b, _, _) = compare_convergence(dataset, synth, seed)
+            assert epochs_a is not None, f"structured never converged (seed {seed})"
+            assert epochs_b is not None, f"soft-argmax never converged (seed {seed})"
+            assert epochs_a < epochs_b, (
+                f"seed {seed}: structured {epochs_a} vs soft-argmax {epochs_b} epochs"
             )
-            assert result.epochs_a is not None, f"structured never converged (seed {seed})"
-            assert result.epochs_b is not None, f"soft-argmax never converged (seed {seed})"
-            assert result.epochs_a < result.epochs_b, (
-                f"seed {seed}: structured {result.epochs_a} vs "
-                f"soft-argmax {result.epochs_b} epochs"
-            )
-            assert result.speedup > 1.0
 
 
 def test_criterion_6_label_smoothing():

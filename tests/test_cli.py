@@ -287,6 +287,11 @@ def test_subcommand_help_lists_its_arguments(capsys, command, own):
         assert arg in listed, arg
 
 
+def test_synth_epochs_help_names_both_keys(capsys):
+    page = " ".join(help_page(capsys, ["synth"]).split())
+    assert "--epochs EPOCHS overrides [synth] epochs_a and epochs_b" in page
+
+
 def test_root_help_names_every_config_key(capsys):
     page = help_page(capsys, [])
     for command in ("toy", "synth", "smooth", "eval"):
@@ -461,13 +466,14 @@ class TestSynthCommand:
         cfg.write_text(SMALL_SYNTH_CFG + lines)
         captured = []
 
-        def capture(dataset, cfg_a, cfg_b, target_nme):
-            captured.extend((cfg_a.structured, cfg_b.structured))
-            return compare_convergence(dataset, cfg_a, cfg_b, target_nme)
+        def capture(dataset, synth, seed):
+            captured.append((synth, seed))
+            return compare_convergence(dataset, synth, seed)
 
         monkeypatch.setattr(cli, "compare_convergence", capture)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert captured == [expected, expected]
+        ((synth, seed),) = captured
+        assert [synth.arm(name, seed).structured for name in "ab"] == [expected, expected]
 
     def test_every_key_reaches_both_arms_and_the_data(self, tmp_path, monkeypatch):
         lines, structured = loss_keys(normalize=False)
@@ -493,9 +499,9 @@ class TestSynthCommand:
             calls["data"] = args, kwargs
             return generate_dataset(*args, **kwargs)
 
-        def compare(dataset, cfg_a, cfg_b, target_nme):
-            calls["compare"] = cfg_a, cfg_b, target_nme
-            return compare_convergence(dataset, cfg_a, cfg_b, target_nme)
+        def compare(dataset, synth, seed):
+            calls["compare"] = synth, seed
+            return compare_convergence(dataset, synth, seed)
 
         monkeypatch.setattr(cli, "generate_dataset", data)
         monkeypatch.setattr(cli, "compare_convergence", compare)
@@ -505,11 +511,12 @@ class TestSynthCommand:
         arm = partial(TrainConfig, weight_decay=0.001, batch_size=7, seed=seed,
                       structured=structured, with_smoothing=True,
                       smoothing=SmoothingConfig(gamma=0.02), mse_sigma=2.0)
-        assert calls == {
-            "data": ((11, 13, 14, 4, 0.03), {"seed": seed}),
-            "compare": (arm(objective="heatmap_mse", learning_rate=0.05, epochs=2),
-                        arm(objective="structured", learning_rate=3.0, epochs=3), 0.4),
-        }
+        synth, compare_seed = calls["compare"]
+        assert calls["data"] == ((11, 13, 14, 4, 0.03), {"seed": seed})
+        assert compare_seed == seed
+        assert (synth.arm("a", seed), synth.arm("b", seed), synth.target_nme) == (
+            arm(objective="heatmap_mse", learning_rate=0.05, epochs=2),
+            arm(objective="structured", learning_rate=3.0, epochs=3), 0.4)
 
     def test_huge_noise_gives_clipped_images(self, tmp_path, monkeypatch):
         # Draws scaled past the largest float overflow to +-inf, which the
@@ -549,6 +556,18 @@ class TestSynthCommand:
         out = tmp_path / "out"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert "heatmap_mse diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_arm_is_named_when_objectives_are_shared(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("[synth]\nsamples = 20\nwidth = 16\nheight = 16\n"
+                       "objective_a = heatmap_mse\nlr_a = 0.01\nepochs_a = 3\n"
+                       "objective_b = heatmap_mse\nlr_b = 0.1\nepochs_b = 4\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: arm b: heatmap_mse diverged: train loss ")
+        assert err.rstrip().endswith("at epoch 3")
         assert not out.exists()
 
     def test_overflowing_label_fit_is_a_cli_error(self, tmp_path, capsys):

@@ -22,13 +22,13 @@ from landmarklab.synth import (
     MAJOR_RANGE,
     RENDER_SIGMA,
     ROTATION_RANGE,
+    SynthConfig,
     SynthData,
     TrainConfig,
     TrainingDiverged,
     _ellipse_contour,
     compare_convergence,
     features,
-    first_epoch_at_target,
     generate_dataset,
     split_dataset,
     train,
@@ -250,28 +250,27 @@ class TestTrain:
         ds = generate_dataset(8, 16, 16, 2, 0.02, seed=6)
         cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=3,
                           batch_size=8, seed=0)
-        hist = train(ds[:6], cfg, eval_dataset=ds[6:])
+        train_loss, eval_nme = train(ds[:6], cfg, eval_dataset=ds[6:])
         # Every epoch sees the zero scorer.
         zero = LinearScorer.zeros(2, 16, 16)
         loss, _ = dataset_objective(ds[:6], zero, cfg)
-        for stats in hist:
-            assert stats.train_loss == pytest.approx(loss, rel=1e-12)
-            assert stats.eval_nme == evaluate_nme(zero, ds[6:])
+        assert train_loss == pytest.approx([loss] * 3, rel=1e-12)
+        assert (eval_nme == evaluate_nme(zero, ds[6:])).all()
 
     def test_single_sample_structured_reaches_target_cell(self):
         s = single_sample()
         cfg = TrainConfig(objective="structured", learning_rate=2.0, epochs=60,
                           batch_size=1, seed=0, structured=STRUCT_CFG)
-        hist = train(s, cfg, eval_dataset=s)
-        assert hist[-1].eval_nme == 0.0
+        _, eval_nme = train(s, cfg, eval_dataset=s)
+        assert eval_nme[-1] == 0.0
 
     def test_single_sample_mse_reaches_target_cell(self):
         s = single_sample()
         phi_sq = float(np.concatenate([s.pixels[0].ravel(), [1.0]]) ** 2 @ np.ones(257))
         cfg = TrainConfig(objective="heatmap_mse", learning_rate=0.3 / phi_sq,
                           epochs=40, batch_size=1, seed=0, mse_sigma=1.5)
-        hist = train(s, cfg, eval_dataset=s)
-        assert hist[-1].eval_nme == 0.0
+        _, eval_nme = train(s, cfg, eval_dataset=s)
+        assert eval_nme[-1] == 0.0
 
     def test_deterministic_per_seed(self):
         ds = generate_dataset(12, 16, 16, 2, 0.02, seed=8)
@@ -279,9 +278,7 @@ class TestTrain:
                           batch_size=4, seed=5)
         hist1 = train(ds[:10], cfg, eval_dataset=ds[10:])
         hist2 = train(ds[:10], cfg, eval_dataset=ds[10:])
-        assert [(h.train_loss, h.eval_nme) for h in hist1] == [
-            (h.train_loss, h.eval_nme) for h in hist2
-        ]
+        np.testing.assert_array_equal(hist1, hist2)
 
     def test_divergence_is_reported(self):
         s = single_sample()
@@ -304,9 +301,8 @@ class TestTrain:
         )
         hist_plain = train(ds[:8], plain, eval_dataset=ds[8:])
         hist_smooth = train(ds[:8], smoothed, eval_dataset=ds[8:])
-        for a, b in zip(hist_plain, hist_smooth):
-            assert abs(a.train_loss - b.train_loss) < 1e-9
-            assert abs(a.eval_nme - b.eval_nme) < 1e-9
+        for a, b in zip(hist_plain, hist_smooth):  # train losses, then eval NMEs
+            assert (abs(a - b) < 1e-9).all()
 
     @pytest.mark.parametrize("objective, lr, smoothed", ARMS)
     def test_history_independent_of_block_size(self, monkeypatch, objective, lr, smoothed):
@@ -320,7 +316,7 @@ class TestTrain:
         for block_bytes in (1, 1 << 40):
             monkeypatch.setattr(synth, "BLOCK_BYTES", block_bytes)
             histories.append(train(ds[:10], cfg, eval_dataset=ds[10:]))
-        assert histories[0] == histories[1]
+        np.testing.assert_array_equal(histories[0], histories[1])
 
 
 class TestDualForm:
@@ -350,12 +346,12 @@ class TestDualForm:
                           smoothing=SmoothingConfig(gamma=4.0))
         hist = train(train_set, cfg, eval_dataset=eval_set)
         primal = LinearScorer.zeros(2, 16, 16)
-        for stats in hist:
+        for train_loss, eval_nme in zip(*hist):
             value, grad = dataset_objective(train_set, primal, cfg)
             penalty = 0.5 * self.C * float((primal.weights**2).sum())
-            assert stats.train_loss == pytest.approx(value - penalty, rel=1e-9)
+            assert train_loss == pytest.approx(value - penalty, rel=1e-9)
             primal.weights -= lr * grad
-            assert stats.eval_nme == evaluate_nme(primal, eval_set)
+            assert eval_nme == evaluate_nme(primal, eval_set)
 
     def test_mini_batches_match_primal_loop(self):
         train_set, eval_set = self.split()
@@ -368,7 +364,7 @@ class TestDualForm:
         cells = np.clip(np.rint(train_set.points), 0, 15).astype(int)
         primal = LinearScorer.zeros(2, 16, 16)
         rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-        for stats in hist:
+        for train_loss, eval_nme in zip(*hist):
             order = rng.permutation(len(train_set))
             epoch_loss = 0.0
             for start in range(0, len(train_set), batch):
@@ -379,8 +375,8 @@ class TestDualForm:
                 for n in range(2):
                     w = primal.weights[n]
                     w -= lr * (g[:, n].T @ xb / len(idx) + self.C * w)
-            assert stats.train_loss == pytest.approx(epoch_loss / len(train_set), rel=1e-9)
-            assert stats.eval_nme == evaluate_nme(primal, eval_set)
+            assert train_loss == pytest.approx(epoch_loss / len(train_set), rel=1e-9)
+            assert eval_nme == evaluate_nme(primal, eval_set)
 
 
 class TestWeightGradients:
@@ -409,45 +405,51 @@ class TestWeightGradients:
             assert diff <= 1e-8 or diff <= 1e-5 * max(abs(fd), abs(grad[n, k, j]))
 
 
+def compared(ds, synth):
+    """compare_convergence's arms at seed 0, after checking that each arm's
+    epochs are the first row of its eval NMEs at or below the target, and
+    that its history arrays are float64 [epochs]."""
+    arms = compare_convergence(ds, synth, 0)
+    for (epochs, train_loss, eval_nme), length in zip(arms, (synth.epochs_a, synth.epochs_b)):
+        for history in (train_loss, eval_nme):
+            assert history.dtype == np.float64 and history.shape == (length,)
+        reached = [e for e, v in enumerate(eval_nme.tolist(), 1) if v <= synth.target_nme]
+        assert epochs == (reached[0] if reached else None)
+    return arms
+
+
 class TestConvergenceComparison:
     def test_identical_arms_speedup_one(self):
         ds = generate_dataset(30, 16, 16, 2, 0.02, seed=12)
-        cfg = TrainConfig(objective="structured", learning_rate=2.0, epochs=6,
-                          batch_size=30, seed=0)
-        result, hist_a, hist_b = compare_convergence(ds, cfg, cfg, target_nme=0.5)
-        assert result.epochs_a == result.epochs_b
-        assert result.speedup == 1.0
-        assert [h.eval_nme for h in hist_a] == [h.eval_nme for h in hist_b]
+        synth = SynthConfig(target_nme=0.5, batch_size=30, objective_a="structured", lr_a=2.0,
+                            epochs_a=6, objective_b="structured", lr_b=2.0, epochs_b=6)
+        (epochs_a, *hist_a), (epochs_b, *hist_b) = compared(ds, synth)
+        assert epochs_a is not None and epochs_a == epochs_b
+        np.testing.assert_array_equal(hist_a, hist_b)
 
     def test_unreachable_target_flags_undefined(self):
         ds = generate_dataset(20, 16, 16, 2, 0.02, seed=13)
-        cfg = TrainConfig(objective="structured", learning_rate=0.5, epochs=2,
-                          batch_size=20, seed=0)
-        result, _, _ = compare_convergence(ds, cfg, cfg, target_nme=1e-12)
-        assert result.epochs_a is None and result.epochs_b is None
-        assert result.speedup is None
+        synth = SynthConfig(target_nme=1e-12, batch_size=20, objective_a="structured",
+                            lr_a=0.5, epochs_a=2, objective_b="structured", lr_b=0.5, epochs_b=2)
+        assert [epochs for epochs, _, _ in compared(ds, synth)] == [None, None]
 
     def test_structured_beats_softargmax_small_bench(self):
         ds = generate_dataset(60, 16, 16, 2, 0.02, seed=14)
-        cfg_a = TrainConfig(objective="structured", learning_rate=2.0, epochs=6,
-                            batch_size=60, seed=0)
-        cfg_b = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=25,
-                            batch_size=60, seed=0)
-        result, _, _ = compare_convergence(ds, cfg_a, cfg_b, target_nme=0.4)
-        assert result.epochs_a is not None and result.epochs_b is not None
-        assert result.epochs_a < result.epochs_b
-        assert result.speedup > 1.0
+        synth = SynthConfig(target_nme=0.4, batch_size=60, objective_a="structured", lr_a=2.0,
+                            epochs_a=6, objective_b="softargmax", lr_b=0.2, epochs_b=25)
+        (epochs_a, _, _), (epochs_b, _, _) = compared(ds, synth)
+        assert epochs_a is not None and epochs_b is not None
+        assert epochs_a < epochs_b
 
     def test_holds_no_weight_tensor(self):
         # The [N, H*W, H*W + 1] weights on this grid take 3 * 1024 * 1025
         # * 8 B (about 24 MB); training keeps [S, N*H*W] coefficients.
         ds = generate_dataset(20, 32, 32, 3, 0.02, seed=21)
-        cfg_a = TrainConfig(objective="structured", epochs=2, batch_size=20, seed=0)
-        cfg_b = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=2,
-                            batch_size=20, seed=0)
+        synth = SynthConfig(batch_size=20, objective_a="structured", lr_a=1.0, epochs_a=2,
+                            objective_b="softargmax", lr_b=0.2, epochs_b=2)
         tracemalloc.start()
         try:
-            compare_convergence(ds, cfg_a, cfg_b, target_nme=0.3)
+            compare_convergence(ds, synth, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -495,20 +497,6 @@ class TestConvergenceComparison:
         finally:
             tracemalloc.stop()
         assert peak - entry < 2 * coef_bytes + eval_bytes + 2**20
-
-    def test_mismatched_seeds_rejected(self):
-        ds = generate_dataset(10, 16, 16, 2, 0.02, seed=15)
-        a = TrainConfig(objective="structured", seed=0)
-        b = TrainConfig(objective="softargmax", seed=1)
-        with pytest.raises(ValueError):
-            compare_convergence(ds, a, b, target_nme=0.5)
-
-    def test_first_epoch_helper(self):
-        from landmarklab.synth import EpochStats
-
-        hist = [EpochStats(1, 1.0, 0.5), EpochStats(2, 0.5, 0.2), EpochStats(3, 0.4, 0.25)]
-        assert first_epoch_at_target(hist, 0.3) == 2
-        assert first_epoch_at_target(hist, 0.1) is None
 
 
 class TestLearningRateTuning:
@@ -558,7 +546,7 @@ class TestSmoothedLabels:
             cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=2,
                               batch_size=batch, seed=0, structured=STRUCT_CFG,
                               with_smoothing=True, smoothing=SmoothingConfig(gamma=4.0))
-            losses.append([h.train_loss for h in train(ds[:10], cfg, eval_dataset=ds[10:])])
+            losses.append(train(ds[:10], cfg, eval_dataset=ds[10:])[0].tolist())
         assert losses[0] == losses[1] == losses[2]
         # The targets do not change between epochs; only the summation order does.
         assert losses[0][1] == pytest.approx(losses[0][0], rel=1e-12)
@@ -574,7 +562,7 @@ class TestSmoothedLabels:
         monkeypatch.setattr(synth, "segment_distance_field", recompute)
         cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0,
                           with_smoothing=True)
-        assert len(train(ds[:8], cfg, eval_dataset=ds[8:])) == 1
+        assert len(train(ds[:8], cfg, eval_dataset=ds[8:])[0]) == 1
 
 
 class TestEvaluateNme:
