@@ -44,72 +44,92 @@ class SmoothingConfig:
             raise ValueError("patch_half must be positive")
 
 
-# Bytes of one block's [R, W, M] float64 arrays.  Rendering the 100
-# 32x32, 128-segment contours of synth-default (2 cores, medians of 9 in
-# three runs) took 144-170 ms at 64 KiB, 126-154 at 128 KiB, 125-148 at
-# 256 KiB, 120-147 at 512 KiB and 196-248 at 1 MiB, where the blocks fall
-# out of cache, against 160-214 ms one row at a time.
+# Bytes of one block's [R, W, M] float64 arrays.  Rendering 32x32,
+# 128-segment contours between training runs (2 cores, two render threads,
+# 10 alternating rounds, median of each round's renders, median and
+# quartiles over rounds): 100 samples took 124 (117-131) ms at 128 KiB,
+# 95 (87-103) at 256 KiB and 87 (76-89) at 512 KiB; 20 samples took 25.7
+# (24.1-27.9), 20.8 (19.3-23.1) and 20.7 (18.4-21.4) ms.  512 KiB beat
+# 256 in 9 and 6 of the 10 rounds, 128 KiB in none.  Earlier sweeps saw
+# 1 MiB blocks fall out of cache.
 FIELD_BLOCK_BYTES = 256 * 1024
 
 
-def segment_distance_field(segments, width: int, height: int) -> np.ndarray:
-    """Euclidean distance from every pixel center to the nearest segment.
+def segment_distance_field(segments, width: int, height: int, out=None) -> np.ndarray:
+    """Euclidean distance from every pixel center to the nearest segment of
+    each polyline: segments ``[..., M, 2, 2]`` -> fields ``[..., H, W]``.
 
-    ``segments`` is an array ``[M, 2, 2]`` of endpoint pairs
-    ``((u0, v0), (u1, v1))``.  The field is built in blocks of R whole
-    pixel rows, each an ``[R, W, M]`` array with the segments on the last,
-    contiguous axis; R keeps a block near ``FIELD_BLOCK_BYTES`` rather
-    than a whole ``[H, W, M]`` array.  Every (pixel, segment) value takes
-    the same float operations in the same order whatever the block, and
-    the minimum over segments is exact, so the block size cannot change
-    a bit of the output.  The minimum is taken over squared distances and
-    one ``sqrt`` ends the call; that is exact too, because a correctly
-    rounded ``sqrt`` is monotone.  A zero-length segment is its first
-    endpoint.
+    A segment is an endpoint pair ``((u0, v0), (u1, v1))``.  Each field is
+    built in blocks of R whole pixel rows, each an ``[R, W, M]`` array with
+    the segments on the last, contiguous axis; R keeps a block near
+    ``FIELD_BLOCK_BYTES`` rather than a whole ``[H, W, M]`` array.  The two
+    block buffers are allocated once per call and serve every block of
+    every field, so a stack of fields costs no more scratch memory than
+    one.  Every (pixel, segment) value takes the same float operations in
+    the same order whatever the block or the stack, and the minimum over
+    segments is exact, so neither can change a bit of the output.  The
+    minimum is taken over squared distances and one ``sqrt`` ends each
+    field; that is exact too, because a correctly rounded ``sqrt`` is
+    monotone.  A zero-length segment is its first endpoint.  The fields are
+    written into ``out`` when it is given, a float64 array of the result's
+    shape, and returned.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid sides must be positive, got {width}x{height}")
     segs = np.asarray(segments, dtype=np.float64)
     if segs.size == 0:
         raise ValueError("no segments given")
-    if segs.ndim != 3 or segs.shape[1:] != (2, 2):
-        raise ValueError(f"segments must have shape (M, 2, 2), got {segs.shape}")
+    if segs.ndim < 3 or segs.shape[-2:] != (2, 2):
+        raise ValueError(f"segments must have shape (..., M, 2, 2), got {segs.shape}")
     if not np.isfinite(segs).all():
         raise ValueError("segment endpoints must be finite")
-    au, av = segs[:, 0, 0], segs[:, 0, 1]  # [M]
-    abu, abv = segs[:, 1, 0] - au, segs[:, 1, 1] - av
-    denom = abu * abu + abv * abv
-    # ab = 0 on a zero-length segment, so dividing by 1 there gives t = 0.
-    denom[denom == 0.0] = 1.0
+    shape = segs.shape[:-3] + (height, width)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    n_segments = segs.shape[-3]
     u = np.arange(width, dtype=np.float64)[:, None]
     v = np.arange(height, dtype=np.float64)[:, None, None]
-    proj_u = (u - au) * abu  # [W, M], the same on every row
-    proj_v = (v - av) * abv  # [H, 1, M]
-    rows = max(1, FIELD_BLOCK_BYTES // proj_u.nbytes)
-    best = np.empty((height, width))
-    for lo in range(0, height, rows):
-        t = proj_u + proj_v[lo : lo + rows]
-        t /= denom
-        np.clip(t, 0.0, 1.0, out=t)
-        # Offset from the pixel to the nearest point of each segment; the
-        # v offset reuses t once the u offset is taken.
-        du = t * abu
-        du += au
-        du -= u
-        t *= abv
-        t += av
-        t -= v[lo : lo + rows]
-        du *= du
-        t *= t
-        du += t
-        du.min(axis=2, out=best[lo : lo + rows])
-    return np.sqrt(best, out=best)
+    rows = min(height, max(1, FIELD_BLOCK_BYTES // (width * n_segments * 8)))
+    t_block = np.empty((rows, width, n_segments))
+    du_block = np.empty((rows, width, n_segments))
+    for idx in np.ndindex(segs.shape[:-3]):
+        seg, best = segs[idx], out[idx]
+        au, av = seg[:, 0, 0], seg[:, 0, 1]  # [M]
+        abu, abv = seg[:, 1, 0] - au, seg[:, 1, 1] - av
+        denom = abu * abu + abv * abv
+        # ab = 0 on a zero-length segment, so dividing by 1 there gives t = 0.
+        denom[denom == 0.0] = 1.0
+        proj_u = (u - au) * abu  # [W, M], the same on every row
+        proj_v = (v - av) * abv  # [H, 1, M]
+        for lo in range(0, height, rows):
+            hi = min(lo + rows, height)
+            t, du = t_block[: hi - lo], du_block[: hi - lo]
+            np.add(proj_u, proj_v[lo:hi], out=t)
+            t /= denom
+            np.clip(t, 0.0, 1.0, out=t)
+            # Offset from the pixel to the nearest point of each segment;
+            # the v offset reuses t once the u offset is taken.
+            np.multiply(t, abu, out=du)
+            du += au
+            du -= u
+            t *= abv
+            t += av
+            t -= v[lo:hi]
+            du *= du
+            t *= t
+            du += t
+            du.min(axis=2, out=best[lo:hi])
+        np.sqrt(best, out=best)
+    return out
 
 
 def polyline_segments(vertices: np.ndarray) -> np.ndarray:
-    """Consecutive vertex pairs of an open polyline, vertices (M, 2) -> [M-1, 2, 2]."""
+    """Consecutive vertex pairs of open polylines, vertices [..., P, 2] -> [..., P-1, 2, 2]."""
     pts = np.asarray(vertices, dtype=np.float64)
-    return np.stack([pts[:-1], pts[1:]], 1)
+    return np.stack([pts[..., :-1, :], pts[..., 1:, :]], -2)
 
 
 def build_edge_heatmap(points: np.ndarray, curves, cfg: SmoothingConfig) -> np.ndarray:

@@ -237,12 +237,16 @@ def _contour_point(center, a, b, phi, t) -> np.ndarray:
 
 def _render(ellipses, pixels, distance, start: int, stop: int) -> None:
     """Write the distance fields of samples start..stop-1 into ``distance``
-    and add their contours' brightness to ``pixels``."""
+    in one kernel call and add their contours' brightness to ``pixels``.
+
+    The brightness is taken one sample at a time: over the whole range its
+    temporaries would be range-sized arrays."""
     height, width = pixels.shape[1:]
+    own = ellipses[start:stop]
+    contours = _ellipse_contour(own[:, :2], *own.T[2:])
+    segment_distance_field(polyline_segments(contours), width, height,
+                           out=distance[start:stop])
     for i in range(start, stop):
-        u, v, a, b, phi = ellipses[i].tolist()
-        contour = _ellipse_contour((u, v), a, b, phi)
-        distance[i] = segment_distance_field(polyline_segments(contour), width, height)
         pixels[i] += np.exp(-(distance[i] ** 2) / (2.0 * RENDER_SIGMA**2))
 
 

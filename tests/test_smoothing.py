@@ -110,15 +110,18 @@ def random_segment_cases():
 
 
 def check_every_field(monkeypatch, module):
-    """Make ``module``'s distance-field calls assert bit identity with the
-    row-by-row oracle; returns the list of (M, width, height) calls seen."""
+    """Make ``module``'s distance-field calls assert that each field of a
+    stack is bit identical to the row-by-row oracle; returns the list of
+    (M, width, height), one per field seen."""
     kernel = module.segment_distance_field
     calls = []
 
-    def checked(segments, width, height):
-        field = kernel(segments, width, height)
-        assert np.array_equal(field, row_distance_field(segments, width, height))
-        calls.append((len(segments), width, height))
+    def checked(segments, width, height, out=None):
+        field = kernel(segments, width, height, out=out)
+        segs = np.asarray(segments)
+        for idx in np.ndindex(segs.shape[:-3]):
+            assert np.array_equal(field[idx], row_distance_field(segs[idx], width, height))
+            calls.append((segs.shape[-3], width, height))
         return field
 
     monkeypatch.setattr(module, "segment_distance_field", checked)
@@ -219,6 +222,65 @@ class TestSegmentDistanceField:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 64 * 64 * 8
+
+
+class TestDistanceFieldStacks:
+    def test_stack_equals_each_field(self):
+        # Each case's grid renders every case with its segment count.
+        cases = [*random_segment_cases(), (ellipse_segments(16), 16, 16),
+                 (ellipse_segments(32), 32, 32), (ellipse_segments(48), 48, 22)]
+        by_m = {}
+        for segs, _, _ in cases:
+            by_m.setdefault(len(segs), []).append(segs)
+        assert max(map(len, by_m.values())) >= 3
+        for segs, width, height in cases:
+            group = by_m[len(segs)]
+            fields = segment_distance_field(np.stack(group), width, height)
+            assert fields.shape == (len(group), height, width)
+            for one, field in zip(group, fields):
+                assert np.array_equal(field, segment_distance_field(one, width, height))
+
+    def test_leading_shape_kept(self):
+        segs = np.random.default_rng(34).uniform(-5.0, 25.0, size=(2, 3, 7, 2, 2))
+        fields = segment_distance_field(segs, 9, 13)
+        assert fields.shape == (2, 3, 13, 9)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(fields[i, j], segment_distance_field(segs[i, j], 9, 13))
+
+    def test_out_filled_and_returned(self):
+        segs = np.stack([ellipse_segments(16), ellipse_segments(20)])
+        out = np.full((2, 12, 16), np.nan)
+        assert segment_distance_field(segs, 16, 12, out=out) is out
+        assert np.array_equal(out, segment_distance_field(segs, 16, 12))
+        for bad in (np.empty((2, 16, 12)), np.empty((12, 16)), np.empty((2, 12, 16), np.float32)):
+            with pytest.raises(ValueError, match="out must be a float64 array"):
+                segment_distance_field(segs, 16, 12, out=bad)
+
+    def test_polyline_segments_of_a_stack(self):
+        vertices = np.random.default_rng(35).normal(size=(2, 4, 6, 2))
+        segs = polyline_segments(vertices)
+        assert segs.shape == (2, 4, 5, 2, 2)
+        for i, j in np.ndindex(2, 4):
+            assert np.array_equal(segs[i, j], polyline_segments(vertices[i, j]))
+
+    def test_scratch_memory_independent_of_stack_size(self):
+        # 32x32 fields of 128 segments: one [8, 32, 128] block is exactly
+        # FIELD_BLOCK_BYTES.  The two block buffers serve every field and
+        # the fields go straight into out, so 50 fields need no more
+        # scratch than one; the 50 fields alone would be 400 KiB.
+        peaks = []
+        for n in (1, 50):
+            segs = np.stack([ellipse_segments(32)] * n)
+            out = np.empty((n, 32, 32))
+            tracemalloc.start()
+            try:
+                segment_distance_field(segs, 32, 32, out=out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < 2 * smoothing.FIELD_BLOCK_BYTES + 256 * 1024
+        assert abs(peaks[1] - peaks[0]) < 32 * 1024
 
 
 class TestRefineEdgeHeatmap:

@@ -148,20 +148,23 @@ def usable_cpus(monkeypatch, n):
 def fields_replaced(monkeypatch, n_samples, size, replace):
     """Patch synth.segment_distance_field so that the field of sample i of
     n_samples is ``replace[i](segments, w, h)`` for each key i of
-    ``replace``.  The helper thread renders the last sample, the caller
-    the first."""
+    ``replace``, swapped in after the real batched call.  The helper
+    thread renders the last sample, the caller the first."""
     calls = []
-    monkeypatch.setattr(synth, "segment_distance_field",
-                        lambda segs, w, h: calls.append(segs) or segment_distance_field(segs, w, h))
+    monkeypatch.setattr(synth, "segment_distance_field", lambda segs, w, h, out=None: (
+        calls.extend(segs) or segment_distance_field(segs, w, h, out=out)))
     usable_cpus(monkeypatch, 1)
     generate_dataset(n_samples, size, size, 2, 0.02, seed=4)
+    assert len(calls) == n_samples
     replaced = [(calls[i], fn) for i, fn in replace.items()]
 
-    def patched(segs, w, h):
-        for known, fn in replaced:
-            if np.array_equal(segs, known):
-                return fn(segs, w, h)
-        return segment_distance_field(segs, w, h)
+    def patched(segs, w, h, out=None):
+        fields = segment_distance_field(segs, w, h, out=out)
+        for i, one in enumerate(segs):
+            for known, fn in replaced:
+                if np.array_equal(one, known):
+                    fields[i] = fn(one, w, h)
+        return fields
 
     monkeypatch.setattr(synth, "segment_distance_field", patched)
 
@@ -171,9 +174,10 @@ class TestGenerateDatasetThreads:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
     @pytest.mark.parametrize("size", [16, 32])
     def test_helper_thread_changes_no_bit(self, monkeypatch, n_samples, noise_sigma, size):
-        threads = []
-        monkeypatch.setattr(synth, "segment_distance_field", lambda *args: (
-            threads.append(threading.get_ident()) or segment_distance_field(*args)))
+        threads = []  # one thread id per field rendered
+        monkeypatch.setattr(synth, "segment_distance_field", lambda segs, w, h, out=None: (
+            threads.extend([threading.get_ident()] * len(segs))
+            or segment_distance_field(segs, w, h, out=out)))
         runs = {}
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
