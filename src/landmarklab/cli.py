@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from landmarklab.heatmap import save_heatmap_pgm
+from landmarklab.heatmap import argmax, save_heatmap_pgm, soft_argmax
 from landmarklab.losses import MARGINS, StructuredLossConfig
 from landmarklab.metrics import EvalConfig, auc_ced, failure_rate, nme
 from landmarklab.seeding import derive_seed
@@ -168,26 +168,23 @@ def cmd_toy(args) -> int:
         cfg["toy"]["objective"] = args.objective
     toy_cfg = _section(cfg, "toy", ToyConfig, objective=TOY_OBJECTIVES)
     try:
-        snapshots = run_toy(toy_cfg)
+        steps, theta, grad, loss = run_toy(toy_cfg)
     except ToyDiverged as err:
         raise CliError(str(err)) from err
     out = _ensure_outdir(args.out)
     _write_csv(os.path.join(out, "toy_trace.csv"), "step,k,theta_k,grad_k", (
-        (snap.step, k, t, g)
-        for snap in snapshots
-        for k, (t, g) in enumerate(zip(snap.theta, snap.grad))
+        (step, k, t, g)
+        for step, theta_row, grad_row in zip(steps, theta, grad)
+        for k, (t, g) in enumerate(zip(theta_row, grad_row))
     ))
-    summary = [
-        (snap.step, snap.loss, snap.argmax_index, snap.soft_argmax_value,
-         int(snap.argmax_index != toy_cfg.target))
-        for snap in snapshots
-    ]
+    grid = (toy_cfg.length, 1)
+    cells = argmax(theta, grid)[:, 0]
+    mismatch = (cells != toy_cfg.target).astype(int)
     _write_csv(os.path.join(out, "toy_summary.csv"), "step,loss,argmax,soft_argmax,mismatch",
-               summary)
-    _, loss, final_argmax, _, mismatch = summary[-1]
+               zip(steps, loss, cells, soft_argmax(theta, grid)[:, 0], mismatch))
     print(
-        f"toy[{toy_cfg.objective}]: final_argmax={final_argmax} "
-        f"final_loss={loss:.6g} mismatch={mismatch}"
+        f"toy[{toy_cfg.objective}]: final_argmax={cells[-1]} "
+        f"final_loss={loss[-1]:.6g} mismatch={mismatch[-1]}"
     )
     return 0
 

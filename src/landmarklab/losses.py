@@ -85,12 +85,20 @@ def _margin_windows(cfg: StructuredLossConfig, width: int, height: int) -> np.nd
     """H x W windows of the margin table over all (2H-1) x (2W-1) offsets.
 
     Built once per (config, grid) and shared by every call, so the table is
-    read-only: no caller can write through the cache.
+    read-only: no caller can write through the cache.  Raises ValueError
+    when the table is not finite, so a config can be checked against its
+    grid before any training.
     """
     scale = float(max(width, height)) if cfg.margin_normalize else 1.0
     du = np.arange(1 - width, width) / scale
     dv = np.arange(1 - height, height)[:, None] / scale
-    table = _margin_from_diffs(cfg, du, dv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _margin_from_diffs(cfg, du, dv)
+    if not np.isfinite(table).all():
+        keys = f"margin_alpha {cfg.margin_alpha:g}"
+        if cfg.margin == "smooth_l1":
+            keys += f" and margin_s {cfg.margin_s:g}"
+        raise ValueError(f"{cfg.margin} margin with {keys} overflows on a {width}x{height} grid")
     table.flags.writeable = False
     return sliding_window_view(table, (height, width))
 

@@ -22,6 +22,7 @@ import numpy as np
 from landmarklab.heatmap import argmax, gaussian_bumps
 from landmarklab.losses import (
     StructuredLossConfig,
+    _margin_windows,
     heatmap_mse_batch,
     smoothed_structured_batch,
     soft_argmax_l2_batch,
@@ -185,6 +186,8 @@ class SynthConfig:
         for name in "ab":  # raises on a setting that the arm's TrainConfig rejects
             self.arm(name, 0)
         objectives = self.objective_a, self.objective_b
+        if "structured" in objectives:  # raises on a table that overflows
+            _margin_windows(self.structured, self.width, self.height)
         if self.with_smoothing and "structured" not in objectives:
             raise ValueError(
                 f"synth.with_smoothing applies to the structured objective only, "

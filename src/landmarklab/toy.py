@@ -11,12 +11,13 @@ the expectation and can converge with the argmax still on a wrong mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from landmarklab.heatmap import argmax, soft_argmax
 from landmarklab.losses import (
     StructuredLossConfig,
+    _margin_windows,
     soft_argmax_l2_batch,
     structured_batch,
 )
@@ -82,61 +83,45 @@ class ToyConfig:
                 raise ValueError(f"record_at step {step} outside [0, {self.steps}]")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
+        if self.objective == "structured":  # raises on a table that overflows
+            _margin_windows(self.structured, self.length, 1)
         object.__setattr__(self, "init_values", tuple(float(x) for x in init))
 
 
-@dataclass
-class ToySnapshot:
-    step: int
-    theta: np.ndarray
-    loss: float
-    argmax_index: int
-    soft_argmax_value: float
-    grad: np.ndarray
+def run_toy(cfg: ToyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient-descend theta under the chosen objective; returns its record.
 
-
-def _evaluate(theta: np.ndarray, cfg: ToyConfig):
+    The record is ``(steps, theta, grad, loss)``: the recorded steps [R] in
+    increasing order -- step 0, every step listed in record_at and the
+    final step -- and at each the iterate [R, length], its gradient
+    [R, length] and its loss [R], taken before its update is applied.
+    Raises ToyDiverged once an update leaves theta non-finite or
+    evaluating it overflows.
+    """
     grid = (cfg.length, 1)
     if cfg.objective == "structured":
-        value, grad = structured_batch(theta, (cfg.target, 0), grid, cfg.structured)
+        kernel = partial(structured_batch, cells=(cfg.target, 0), grid=grid, cfg=cfg.structured)
     else:
-        value, grad = soft_argmax_l2_batch(theta, (float(cfg.target), 0.0), grid)
-    return float(value), grad, int(argmax(theta, grid)[0]), float(soft_argmax(theta, grid)[0])
-
-
-def run_toy(cfg: ToyConfig) -> list[ToySnapshot]:
-    """Gradient-descend theta under the chosen objective; returns the snapshots.
-
-    Snapshots are taken at step 0, every step listed in record_at, and the
-    final step; loss and gradient in a snapshot describe the recorded
-    iterate, before its update is applied.  Raises ToyDiverged once an
-    update leaves theta non-finite or evaluating it overflows.
-    """
+        kernel = partial(soft_argmax_l2_batch, targets=(float(cfg.target), 0.0), grid=grid)
+    steps = sorted({0, cfg.steps, *cfg.record_at})
+    thetas, grads = np.empty((2, len(steps), cfg.length))
+    losses = np.empty(len(steps))
     theta = np.array(cfg.init_values, dtype=np.float64)
-    record = {0, cfg.steps, *cfg.record_at}
-    snapshots = []
+    row = 0
     for step in range(cfg.steps + 1):
         if not np.isfinite(theta).all():
             raise ToyDiverged(f"toy {cfg.objective} diverged: non-finite theta at step {step}")
         try:
             with np.errstate(over="raise", invalid="raise"):
-                loss, grad, arg, soft = _evaluate(theta, cfg)
+                loss, grad = kernel(theta)
         except FloatingPointError as err:
             raise ToyDiverged(f"toy {cfg.objective} diverged: {err} at step {step}") from err
-        if step in record:
-            snapshots.append(
-                ToySnapshot(
-                    step=step,
-                    theta=theta.copy(),
-                    loss=loss,
-                    argmax_index=arg,
-                    soft_argmax_value=soft,
-                    grad=grad.copy(),
-                )
-            )
+        if step == steps[row]:
+            thetas[row], grads[row], losses[row] = theta, grad, loss
+            row += 1
         if step < cfg.steps:
             # An update that overflows leaves theta non-finite, which the
             # next step reports.
             with np.errstate(over="ignore"):
                 theta = theta - cfg.learning_rate * grad
-    return snapshots
+    return np.array(steps), thetas, grads, losses

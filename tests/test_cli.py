@@ -357,6 +357,25 @@ class TestToyCommand:
         assert "toy structured diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_margin_table_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for setting, message in [
+            ("margin_alpha = 1e308",
+             "invalid toy config: l2 margin with margin_alpha 1e+308 overflows on a 11x1 grid"),
+            ("margin = smooth_l1\nmargin_s = 1e-310",
+             "invalid toy config: smooth_l1 margin with margin_alpha 1 and margin_s 1e-310 "
+             "overflows on a 11x1 grid"),
+        ]:
+            cfg = tmp_path / "toy.cfg"
+            cfg.write_text(f"[toy]\n{setting}\n")
+            assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        # The soft-argmax objective builds no margin table, so it still runs.
+        cfg.write_text("[toy]\nobjective = softargmax\nmargin_alpha = 1e308\n")
+        assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "final_loss=" in capsys.readouterr().out
+
     def test_defaults_equal_toy_config_defaults(self, tmp_path, monkeypatch):
         captured = []
 
@@ -412,6 +431,7 @@ class TestToyCommand:
         ("10,20,", (10, 20)),
         (",10,,20", (10, 20)),
         ("", ()),
+        ("20,10,10", (20, 10, 10)),
     ])
     def test_record_at_forms(self, tmp_path, raw, steps):
         cfg = tmp_path / "toy.cfg"
@@ -612,6 +632,12 @@ class TestSynthCommand:
         ("samples = 40\nobjective_b = heatmap_mse\nmse_sigma = 1e-160",
          "invalid synth config: MSE target sigma 1e-160 is too small for a 16x16 grid: "
          "distance^2 / (2 sigma^2) overflows"),
+        ("samples = 20\nmargin_alpha = 1e308",
+         "invalid synth config: smooth_l1 margin with margin_alpha 1e+308 and margin_s 0.01 "
+         "overflows on a 16x16 grid"),
+        ("samples = 20\nmargin_s = 1e-310",
+         "invalid synth config: smooth_l1 margin with margin_alpha 1 and margin_s 1e-310 "
+         "overflows on a 16x16 grid"),
         ("samples = 40\nnoise_sigma = -0.5", "noise sigma must be nonnegative"),
         ("samples = 40\nobjective_a = foo",
          f"synth.objective_a must be one of {SYNTH_OBJECTIVES}, got 'foo'"),

@@ -19,19 +19,19 @@ def referenced_names(tree):
             yield node.name
 
 
-def test_every_public_definition_is_referenced_in_src():
-    """A public module-level function or class must be named by code in
-    ``src/`` outside ``__init__.py``.
+def test_every_module_level_definition_is_referenced_in_src():
+    """A module-level function or class, public or private, must be named
+    by code in ``src/`` outside ``__init__.py``.
 
     This is a proxy for "reached by a command": the package exports and
     the tests do not count, and neither do mentions in docstrings.  A
-    definition that nothing names should be deleted, not maintained.
+    definition that nothing names, such as a helper left behind by a
+    refactor, should be deleted, not maintained.
     """
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     used = {name for tree in trees.values() for name in referenced_names(tree)}
     unused = [f"{module}:{node.name}"
               for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used]
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
     assert not unused, f"defined in src/ but named by no code there: {unused}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from landmarklab.cli import main
+from landmarklab.heatmap import argmax, soft_argmax
 from landmarklab.toy import (
     ToyConfig,
     default_init,
@@ -9,6 +10,7 @@ from landmarklab.toy import (
 )
 
 ALL_STEPS = tuple(range(51))
+GRID = (11, 1)
 
 
 class TestToyConfig:
@@ -37,44 +39,43 @@ class TestToyConfig:
 
 class TestStructuredDynamics:
     def test_sign_pattern_every_step(self):
-        snapshots = run_toy(ToyConfig(objective="structured", record_at=ALL_STEPS))
-        for snap in snapshots:
-            assert snap.grad[5] < 0.0
-            others = np.delete(snap.grad, 5)
+        _, _, grad, _ = run_toy(ToyConfig(objective="structured", record_at=ALL_STEPS))
+        for row in grad:
+            assert row[5] < 0.0
+            others = np.delete(row, 5)
             assert (others > 0.0).all()
-            assert abs(snap.grad.sum()) < 1e-10
+            assert abs(row.sum()) < 1e-10
 
     def test_recovers_target_with_gap(self):
-        snapshots = run_toy(ToyConfig(objective="structured"))
-        final = snapshots[-1]
-        assert final.step == 50
-        assert final.argmax_index == 5
-        gap = final.theta[5] - np.delete(final.theta, 5).max()
+        steps, theta, _, _ = run_toy(ToyConfig(objective="structured"))
+        assert steps[-1] == 50
+        assert argmax(theta, GRID)[-1, 0] == 5
+        gap = theta[-1, 5] - np.delete(theta[-1], 5).max()
         assert gap > 0.0
 
     def test_loss_monotone_for_small_steps(self):
         for lr in (0.05, 0.1, 0.3, 0.5):
-            snapshots = run_toy(
+            _, _, _, losses = run_toy(
                 ToyConfig(objective="structured", learning_rate=lr, record_at=ALL_STEPS)
             )
-            losses = [s.loss for s in snapshots]
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_snapshot_selection(self):
-        snapshots = run_toy(ToyConfig(objective="structured"))
-        assert [s.step for s in snapshots] == [0, 10, 20, 50]
+        steps, theta, grad, loss = run_toy(ToyConfig(objective="structured"))
+        assert steps.dtype.kind == "i"
+        assert steps.tolist() == [0, 10, 20, 50]
+        assert len(theta) == len(grad) == len(loss) == len(steps)
 
 
 class TestSoftArgmaxDynamics:
     def test_converged_loss_wrong_argmax(self):
-        snapshots = run_toy(ToyConfig(objective="softargmax"))
-        final = snapshots[-1]
-        assert final.loss < 1e-2
-        assert final.argmax_index != 5
+        _, theta, _, loss = run_toy(ToyConfig(objective="softargmax"))
+        assert loss[-1] < 1e-2
+        assert argmax(theta, GRID)[-1, 0] != 5
 
     def test_soft_estimate_approaches_target(self):
-        snapshots = run_toy(ToyConfig(objective="softargmax", record_at=ALL_STEPS))
-        dist = [abs(s.soft_argmax_value - 5.0) for s in snapshots]
+        _, theta, _, _ = run_toy(ToyConfig(objective="softargmax", record_at=ALL_STEPS))
+        dist = np.abs(soft_argmax(theta, GRID)[..., 0] - 5.0).tolist()
         assert all(b <= a + 1e-12 for a, b in zip(dist[1:], dist[2:]))
         assert dist[-1] < dist[1]
 
@@ -82,26 +83,22 @@ class TestSoftArgmaxDynamics:
 class TestDeterminism:
     def test_bit_identical_traces(self):
         cfg = ToyConfig(objective="structured", record_at=ALL_STEPS)
-        t1 = run_toy(cfg)
-        t2 = run_toy(cfg)
-        for a, b in zip(t1, t2):
-            assert a.theta.tobytes() == b.theta.tobytes()
-            assert a.grad.tobytes() == b.grad.tobytes()
-            assert a.loss == b.loss
+        for a, b in zip(run_toy(cfg), run_toy(cfg)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTraceExport:
     """The trace and summary CSVs that the toy command writes."""
 
     def test_trace_csv(self, tmp_path):
-        snapshots = run_toy(ToyConfig(objective="structured"))
+        steps, _, _, _ = run_toy(ToyConfig(objective="structured"))
         assert main(["toy", "--objective", "structured", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "toy_trace.csv").read_text().splitlines()
         assert lines[0] == "step,k,theta_k,grad_k"
-        assert len(lines) == 1 + len(snapshots) * 11
-        # One row per (snapshot, cell), snapshots in step order.
+        assert len(lines) == 1 + len(steps) * 11
+        # One row per (recorded step, cell), steps in increasing order.
         keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
-        assert keys == [(str(snap.step), str(k)) for snap in snapshots for k in range(11)]
+        assert keys == [(str(step), str(k)) for step in steps for k in range(11)]
 
     def test_summary_csv_mismatch_flag(self, tmp_path):
         assert main(["toy", "--objective", "softargmax", "--out", str(tmp_path)]) == 0
