@@ -198,20 +198,13 @@ def cmd_synth(args) -> int:
     root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
     synth_seed = derive_seed(root_seed, "synth")
     try:
-        dataset = generate_dataset(synth.samples, synth.width, synth.height, synth.landmarks,
-                                   synth.noise_sigma, seed=synth_seed)
-    except ValueError as err:
-        raise CliError(f"invalid synth config: {err}") from err
-    # Of the steps below only label fitting raises ValueError or, as an
-    # overflowing covariance does here rather than warn, FloatingPointError:
-    # SynthConfig rejects an MSE sigma whose target bumps would overflow.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            arms = compare_convergence(dataset, synth, synth_seed)
-    except TrainingDiverged as err:
-        raise CliError(str(err)) from err
+        dataset = generate_dataset(synth, seed=synth_seed)
     except (ValueError, FloatingPointError) as err:
         raise CliError(f"cannot fit smoothing labels: {err}") from err
+    try:
+        arms = compare_convergence(dataset, synth, synth_seed)
+    except TrainingDiverged as err:
+        raise CliError(str(err)) from err
     out = _ensure_outdir(args.out)
     objectives = synth.objective_a, synth.objective_b
     # Arms sharing an objective tag their history files with the arm.
@@ -271,7 +264,7 @@ def cmd_smooth(args) -> int:
     except ValueError as err:
         raise CliError(str(err)) from err
     # Every label is fitted before the first file is written, so a sample
-    # that fails leaves no output behind.  A sigma whose square underflows
+    # that fails leaves no output behind.  A covariance that overflows
     # fails here as a floating-point error, not as a warning.
     fits = []
     for s, sample_id in enumerate(ids):

@@ -11,6 +11,7 @@ Boundaries are tuples of landmark indices, one per polyline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ class SmoothingConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.patch_half < 1:
             raise ValueError("patch_half must be positive")
+        # Each Gaussian divides squared offsets, none above far on its grid,
+        # by 2 sigma^2 as its kernel computes it; far / 0.0 would raise.
+        for name, two_var, far in (
+            ("sigma_b", 2.0 * self.sigma_b**2, 2 * (self.edge_map_size - 1) ** 2),
+            ("blur_sigma", 2.0 * self.blur_sigma * self.blur_sigma, (self.blur_kernel // 2) ** 2),
+            ("center_sigma", 2.0 * self.center_sigma**2, 2 * (self.patch_half + 0.5) ** 2),
+        ):
+            if two_var == 0 or math.isinf(far / two_var):
+                raise ValueError(f"{name} {getattr(self, name):g} is too small for its grid: "
+                                 f"distance^2 / (2 sigma^2) overflows")
 
 
 # Bytes of one block's [R, W, M] float64 arrays.  Rendering 32x32,

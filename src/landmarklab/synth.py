@@ -92,8 +92,8 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class SynthData:
     """S samples as arrays: grayscale pixels [S, H, W] in [0, 1], landmark
-    points [S, N, 2], normalizing distances [S], and each pixel's distance
-    to its sample's contour [S, H, W].
+    points [S, N, 2], normalizing distances [S], and the covariances
+    [S, N, 2, 2] of the landmarks' smoothed labels, None without smoothing.
 
     Slices and index arrays select sub-datasets.
     """
@@ -101,13 +101,14 @@ class SynthData:
     pixels: np.ndarray
     points: np.ndarray
     norm: np.ndarray
-    distance: np.ndarray
+    covs: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.pixels)
 
     def __getitem__(self, idx) -> "SynthData":
-        return SynthData(self.pixels[idx], self.points[idx], self.norm[idx], self.distance[idx])
+        return SynthData(self.pixels[idx], self.points[idx], self.norm[idx],
+                         None if self.covs is None else self.covs[idx])
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -131,8 +132,6 @@ class TrainConfig:
     batch_size: int = 500
     seed: int = 0
     structured: StructuredLossConfig = StructuredLossConfig(margin="smooth_l1")
-    with_smoothing: bool = False
-    smoothing: SmoothingConfig = SmoothingConfig()
     mse_sigma: float = 1.5
 
     def __post_init__(self):
@@ -174,7 +173,7 @@ class SynthConfig:
     lr_b: float = 0.2
     epochs_b: int = 25
     structured: StructuredLossConfig = TrainConfig.structured
-    with_smoothing: bool = TrainConfig.with_smoothing
+    with_smoothing: bool = False
     gamma: float = SmoothingConfig.gamma
     mse_sigma: float = TrainConfig.mse_sigma
 
@@ -202,6 +201,12 @@ class SynthConfig:
                 f"MSE target sigma {self.mse_sigma:g} is too small for a "
                 f"{self.width}x{self.height} grid: distance^2 / (2 sigma^2) overflows"
             )
+        if min(self.width, self.height) < 12:
+            raise ValueError("image sides must be at least 12 pixels")
+        if self.landmarks < 2:
+            raise ValueError("need at least two landmarks (for the normalizing pair)")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise sigma must be nonnegative")
 
     def arm(self, name: str, seed: int) -> TrainConfig:
         """The TrainConfig of arm ``a`` or ``b``, shuffling from ``seed``."""
@@ -213,8 +218,6 @@ class SynthConfig:
             batch_size=self.batch_size,
             seed=seed,
             structured=self.structured,
-            with_smoothing=self.with_smoothing,
-            smoothing=SmoothingConfig(gamma=self.gamma),
             mse_sigma=self.mse_sigma,
         )
 
@@ -286,35 +289,23 @@ def _split_on_two_threads(work, n: int) -> None:
         raise errors[0]
 
 
-def generate_dataset(
-    n_samples: int, width: int, height: int, n_landmarks: int, noise_sigma: float, seed: int,
-) -> SynthData:
-    """Random ellipse-contour samples with exact landmark ground truth.
+def generate_dataset(synth: SynthConfig, seed: int) -> SynthData:
+    """Random ellipse-contour samples of ``synth`` with exact landmark ground truth.
 
     Each image is exp(-D^2 / (2 RENDER_SIGMA^2)) of the contour's distance
-    field D, which is kept for label fitting, plus Gaussian noise, clipped
-    to [0, 1].  Landmarks sit at evenly spaced parameter angles on the
-    contour; the normalizing distance of a sample is the gap between its
-    first two landmarks.  Deterministic per seed.
+    field D plus Gaussian noise, clipped to [0, 1].  Landmarks sit at evenly
+    spaced parameter angles on the contour; the normalizing distance of a
+    sample is the gap between its first two landmarks.  With smoothing, the
+    labels are fitted from the fields, which are then dropped; a covariance
+    that overflows raises FloatingPointError.  Deterministic per seed.
 
-    The calling thread makes every random draw, one sample at a time in
-    the generator's stream order: its ellipse (center, axes, tilt), then
-    its noise, straight into its pixel rows.  Only then are the distance
-    fields rendered, the first half of the samples by the caller and the
-    rest by one helper thread when the process has at least two usable
-    CPUs.  Each sample's field and brightness depend on its own ellipse
-    alone and take the same float operations on either thread, so the
-    split cannot change a bit of the output.  The landmarks and their
-    normalizing distances are computed for all samples at once.
+    The caller makes every random draw in stream order, one sample at a
+    time: its ellipse, then its noise, straight into its pixel rows.  Only
+    then are the fields rendered, by ``_split_on_two_threads`` and bit for
+    bit as on one thread.  Landmarks, norms and labels are computed for
+    all samples at once.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if min(width, height) < 12:
-        raise ValueError("image sides must be at least 12 pixels")
-    if n_landmarks < 2:
-        raise ValueError("need at least two landmarks (for the normalizing pair)")
-    if not noise_sigma >= 0:
-        raise ValueError("noise sigma must be nonnegative")
+    n_samples, width, height = synth.samples, synth.width, synth.height
     rng = np.random.default_rng(derive_seed(seed, "synth-data"))
     size = min(width, height)
     pixels = np.zeros((n_samples, height, width))
@@ -329,19 +320,25 @@ def generate_dataset(
         b = rng.uniform(MINOR_RANGE[0] * a, MINOR_RANGE[1] * a)
         phi = rng.uniform(ROTATION_RANGE[0], ROTATION_RANGE[1])
         ellipses[i] = *center, a, b, phi
-        if noise_sigma > 0:
+        if synth.noise_sigma > 0:
             # rng.normal(0, sigma) scales these same standard normal draws.
             # A huge sigma overflows draws to +-inf, which the clip takes to 0 or 1.
             rng.standard_normal(out=pixels[i])
             with np.errstate(over="ignore"):
-                pixels[i] *= noise_sigma
+                pixels[i] *= synth.noise_sigma
     _split_on_two_threads(partial(_render, ellipses, pixels, distance), n_samples)
     np.clip(pixels, 0.0, 1.0, out=pixels)
-    angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
+    angles = 2.0 * np.pi * np.arange(synth.landmarks) / synth.landmarks
     points = _contour_point(ellipses[:, :2], *ellipses.T[2:], angles)
     # One norm per sample: norm(..., axis=-1) over all of them rounds differently.
     norm = np.array([np.linalg.norm(p[0] - p[1]) for p in points])
-    return SynthData(pixels=pixels, points=points, norm=norm, distance=distance)
+    covs = None
+    if synth.with_smoothing:
+        scfg = SmoothingConfig(gamma=synth.gamma)
+        with np.errstate(over="raise", invalid="raise"):
+            covs = fit_gaussian_label(
+                refine_edge_heatmap(edge_heatmap(distance, scfg.sigma_b), scfg), points, scfg)
+    return SynthData(pixels, points, norm, covs)
 
 
 def _objective(data: SynthData, cfg: TrainConfig):
@@ -354,12 +351,9 @@ def _objective(data: SynthData, cfg: TrainConfig):
     [S, N, K] of ``label_cells`` (smoothed structured).
     """
     grid = w, h = data.grid
-    if cfg.objective == "structured" and cfg.with_smoothing:
-        scfg = cfg.smoothing
-        refined = refine_edge_heatmap(edge_heatmap(data.distance, scfg.sigma_b), scfg)
-        covs = fit_gaussian_label(refined, data.points, scfg)
+    if cfg.objective == "structured" and data.covs is not None:
         return (partial(smoothed_structured_batch, grid=grid, cfg=cfg.structured),
-                label_cells(data.points, covs, grid))
+                label_cells(data.points, data.covs, grid))
     if cfg.objective == "structured":
         return (partial(structured_batch, grid=grid, cfg=cfg.structured),
                 (np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int),))

@@ -18,7 +18,7 @@ the refined one; the array functions of ``smoothing`` and the PGMs of
 differences; ``losses.soft_argmax_l2_batch`` must reproduce its values
 and gradients bit for bit.
 ``generate_dataset`` renders one sample at a time from scalar ellipse
-parameters, ``argmax`` stacks the column and row of each maximum,
+parameters and returns its distance fields beside the data, ``argmax`` stacks the column and row of each maximum,
 ``structured_batch`` reads and writes its target entries with
 ``take_along_axis`` and ``put_along_axis``, ``nme_mean`` averages
 with ``mean`` and ``argmax_nme`` is the held-out readout built from
@@ -347,10 +347,11 @@ def _contour_point(center, a, b, phi, t):
 
 
 def generate_dataset(n_samples: int, width: int = 32, height: int = 32, n_landmarks: int = 3,
-                     noise_sigma: float = 0.02, seed: int = 0) -> SynthData:
-    """``synth.generate_dataset`` for valid arguments, one sample at a time:
-    scalar ellipse parameters, the sample's own contour, segments, noise
-    array and landmark stack."""
+                     noise_sigma: float = 0.02, seed: int = 0) -> tuple[SynthData, np.ndarray]:
+    """``synth.generate_dataset`` of a valid config without smoothing, one
+    sample at a time: scalar ellipse parameters, the sample's own contour,
+    segments, noise array and landmark stack.  Returns the data and the
+    contours' distance fields [S, H, W]."""
     rng = np.random.default_rng(derive_seed(seed, "synth-data"))
     size = min(width, height)
     angles = 2.0 * np.pi * np.arange(n_landmarks) / n_landmarks
@@ -359,8 +360,9 @@ def generate_dataset(n_samples: int, width: int = 32, height: int = 32, n_landma
         pixels=np.empty((n_samples, height, width)),
         points=np.empty((n_samples, n_landmarks, 2)),
         norm=np.empty(n_samples),
-        distance=np.empty((n_samples, height, width)),
+        covs=None,
     )
+    distance = np.empty((n_samples, height, width))
     for i in range(n_samples):
         center = (
             rng.uniform(CENTER_RANGE[0] * width, CENTER_RANGE[1] * width),
@@ -378,8 +380,8 @@ def generate_dataset(n_samples: int, width: int = 32, height: int = 32, n_landma
         data.pixels[i] = np.clip(pixels, 0.0, 1.0)
         data.points[i] = pts
         data.norm[i] = np.linalg.norm(pts[0] - pts[1])
-        data.distance[i] = dist
-    return data
+        distance[i] = dist
+    return data, distance
 
 
 def argmax(scores: np.ndarray, grid: tuple[int, int]) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_5_synthetic_convergence_ordering():
         target_nme = 0.30
         base_structured = TrainConfig(objective="structured", epochs=12)
         base_softargmax = TrainConfig(objective="softargmax", epochs=25)
-        tuning_set = generate_dataset(500, 32, 32, 3, 0.02, seed=0)
+        tuning_set = generate_dataset(SynthConfig(), seed=0)
         lr_structured = tune_learning_rate(
             tuning_set, base_structured, [2.0, 4.0, 8.0], target_nme, probe_epochs=5
         )
@@ -199,7 +199,7 @@ def test_criterion_5_synthetic_convergence_ordering():
         for seed in (0, 1, 2):
             dataset = (
                 tuning_set if seed == 0
-                else generate_dataset(500, 32, 32, 3, 0.02, seed=seed)
+                else generate_dataset(SynthConfig(), seed=seed)
             )
             (epochs_a, _, _), (epochs_b, _, _) = compare_convergence(dataset, synth, seed)
             assert epochs_a is not None, f"structured never converged (seed {seed})"

@@ -16,6 +16,7 @@ from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
     SmoothingConfig,
     build_edge_heatmap,
+    fit_gaussian_label,
     read_boundaries,
     refine_edge_heatmap,
 )
@@ -507,17 +508,19 @@ class TestSynthCommand:
         loaded = cli.load_config(str(cfg))
         assert {line.split(" = ")[0] for line in text.splitlines()} == loaded["synth"].keys()
         assert all(loaded["synth"][key] != value for key, value in cli.DEFAULTS["synth"].items())
-        assert cli._section(loaded, "synth", SynthConfig) == SynthConfig(
+        expected = SynthConfig(
             samples=11, width=13, height=14, landmarks=4, noise_sigma=0.03, target_nme=0.4,
             batch_size=7, weight_decay=0.001,
             objective_a="heatmap_mse", lr_a=0.05, epochs_a=2,
             objective_b="structured", lr_b=3.0, epochs_b=3,
             structured=structured, with_smoothing=True, gamma=0.02, mse_sigma=2.0)
+        assert cli._section(loaded, "synth", SynthConfig) == expected
         calls = {}
 
         def data(*args, **kwargs):
             calls["data"] = args, kwargs
-            return generate_dataset(*args, **kwargs)
+            calls["dataset"] = generate_dataset(*args, **kwargs)
+            return calls["dataset"]
 
         def compare(dataset, synth, seed):
             calls["compare"] = synth, seed
@@ -529,10 +532,10 @@ class TestSynthCommand:
         assert main(argv) == 0
         seed = derive_seed(5, "synth")
         arm = partial(TrainConfig, weight_decay=0.001, batch_size=7, seed=seed,
-                      structured=structured, with_smoothing=True,
-                      smoothing=SmoothingConfig(gamma=0.02), mse_sigma=2.0)
+                      structured=structured, mse_sigma=2.0)
         synth, compare_seed = calls["compare"]
-        assert calls["data"] == ((11, 13, 14, 4, 0.03), {"seed": seed})
+        assert calls["data"] == ((expected,), {"seed": seed})
+        assert calls["dataset"].covs.shape == (11, 4, 2, 2)
         assert compare_seed == seed
         assert (synth.arm("a", seed), synth.arm("b", seed), synth.target_nme) == (
             arm(objective="heatmap_mse", learning_rate=0.05, epochs=2),
@@ -601,6 +604,33 @@ class TestSynthCommand:
         assert err.startswith("error: cannot fit smoothing labels: overflow")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_smallest_gamma_fits_labels(self, tmp_path, capsys):
+        # The labels of the smallest subnormal gamma are still positive definite.
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("[synth]\nsamples = 20\nwidth = 16\nheight = 16\nlandmarks = 2\n"
+                       "epochs_a = 1\nepochs_b = 1\nwith_smoothing = true\ngamma = 5e-324\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("synth: epochs_a[structured]=")
+        assert sorted(os.listdir(out)) == [
+            "convergence.csv", "history_softargmax.csv", "history_structured.csv"]
+
+    def test_smoothed_labels_are_fitted_once(self, tmp_path, monkeypatch):
+        # Both structured arms train on the labels the dataset carries,
+        # fitted over every rendered sample.
+        fitted = []
+
+        def fit(refined, points, scfg):
+            fitted.append(len(points))
+            return fit_gaussian_label(refined, points, scfg)
+
+        monkeypatch.setattr(landmarklab.synth, "fit_gaussian_label", fit)
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("[synth]\nsamples = 24\nwidth = 16\nheight = 16\nwith_smoothing = true\n"
+                       "objective_b = structured\nlr_b = 0.5\nepochs_a = 2\nepochs_b = 2\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert fitted == [24]
 
     @pytest.mark.parametrize("message", ["Unable to allocate 1.49 PiB for an array", ""])
     def test_allocation_failure_is_a_cli_error(self, tmp_path, capsys, monkeypatch, message):
@@ -743,17 +773,30 @@ class TestSmoothCommand:
 
     @pytest.mark.parametrize("key", ["center_sigma", "blur_sigma", "sigma_b"])
     def test_underflowing_sigma_is_an_error(self, tmp_path, capsys, key):
-        # The sigma's square underflows to zero, so a Gaussian divides by it.
+        # The sigma's square underflows to zero (1e-300, 1e-200), or the
+        # largest squared offset on its grid over 2 sigma^2 overflows
+        # (1e-160): the config's fault, where a sample used to be blamed.
         ann, bnd = self.setup_inputs(tmp_path)
+        for value in ("1e-300", "1e-200", "1e-160"):
+            cfg = tmp_path / "smooth.cfg"
+            cfg.write_text(f"[smooth]\n{key} = {value}\n")
+            out = tmp_path / "out"
+            assert main(["smooth", str(ann), str(bnd), "--config", str(cfg),
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: invalid smooth config: {key} {value} is too small for its grid: "
+                f"distance^2 / (2 sigma^2) overflows\n")
+            assert not out.exists()
+
+    def test_tiny_edge_sigma_runs(self, tmp_path):
+        # The largest squared distance on the 64x64 map over 2 sigma^2 is finite.
         cfg = tmp_path / "smooth.cfg"
-        cfg.write_text(f"[smooth]\n{key} = 1e-300\n")
+        cfg.write_text("[smooth]\nsigma_b = 1e-150\n")
         out = tmp_path / "out"
-        assert main(["smooth", str(ann), str(bnd), "--config", str(cfg),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: sample s0: ") and err.count("\n") == 1
-        assert "RuntimeWarning" not in err
-        assert not out.exists()
+        assert main(["smooth", os.path.join(SAMPLE_DATA, "annotations.txt"),
+                     os.path.join(SAMPLE_DATA, "boundaries.txt"),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "labels.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("blend", "-0.5"), ("sharpness_factor", "-1e300")])
     def test_negative_weight_is_rejected(self, tmp_path, capsys, key, value):

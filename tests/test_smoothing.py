@@ -148,7 +148,8 @@ class TestSegmentDistanceField:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_rendered_contours_bit_identical_to_row_kernel(self, monkeypatch, size, seed):
         calls = check_every_field(monkeypatch, synth)
-        synth.generate_dataset(100, size, size, 3, 0.02, seed=seed)
+        synth.generate_dataset(synth.SynthConfig(samples=100, width=size, height=size),
+                               seed=seed)
         assert calls == [(128, size, size)] * 100
 
     def test_face_edge_maps_bit_identical_to_row_kernel(self, monkeypatch):
@@ -563,11 +564,9 @@ class TestLabelCells:
         assert k == max(widths)
 
     def test_near_zero_gamma_gives_one_cell(self):
-        ds = synth.generate_dataset(6, 16, 16, 3, 0.02, seed=5)
-        scfg = SmoothingConfig(gamma=1e-15)
-        refined = refine_edge_heatmap(edge_heatmap(ds.distance, scfg.sigma_b), scfg)
-        covs = fit_gaussian_label(refined, ds.points, scfg)
-        cells, weights = smoothing.label_cells(ds.points, covs, ds.grid)
+        ds = synth.generate_dataset(synth.SynthConfig(samples=6, width=16, height=16,
+                                                      with_smoothing=True, gamma=1e-15), seed=5)
+        cells, weights = smoothing.label_cells(ds.points, ds.covs, ds.grid)
         assert cells.shape == (6, 3, 1, 2)
         np.testing.assert_array_equal(cells[..., 0, :],
                                       np.clip(np.rint(ds.points), 0, 15).astype(int))

@@ -35,3 +35,27 @@ def test_every_module_level_definition_is_referenced_in_src():
               for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
     assert not unused, f"defined in src/ but named by no code there: {unused}"
+
+
+def test_every_module_level_import_is_used():
+    """A module-level import in ``src/``, outside ``__init__.py`` and
+    ``from __future__``, must be named by code in its own module.
+
+    A refactor that moves a call to another module can leave its import
+    behind; an import that nothing names should be deleted.
+    """
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{bound}")
+    assert not unused, f"imported in src/ but named by no code in its module: {unused}"

@@ -1,6 +1,7 @@
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,13 +41,27 @@ from reference import LinearScorer, dataset_objective, evaluate_nme, tune_learni
 STRUCT_CFG = StructuredLossConfig(
     epsilon=1.0, margin="smooth_l1", margin_s=0.01, margin_alpha=1.0
 )
-# (objective, learning rate, with_smoothing): every training path.
+# (objective, learning rate, with_smoothing): every training path.  A
+# smoothed arm trains on data that carries its labels' covariances.
 ARMS = [
     ("structured", 0.5, False),
     ("softargmax", 0.1, False),
     ("heatmap_mse", 0.002, False),
     ("structured", 0.5, True),
 ]
+
+
+def dataset(samples, width, height, landmarks, noise_sigma, seed, **keys):
+    """``generate_dataset`` of the ``[synth]`` config with these keys.
+
+    SynthConfig rejects a single sample, which cannot be split into train
+    and eval rows; generate_dataset renders one all the same, so a
+    one-sample config is made from a two-sample one.
+    """
+    synth = SynthConfig(samples=max(samples, 2), width=width, height=height,
+                        landmarks=landmarks, noise_sigma=noise_sigma, **keys)
+    object.__setattr__(synth, "samples", samples)
+    return generate_dataset(synth, seed)
 
 
 def single_sample(width=16, height=16):
@@ -57,27 +72,35 @@ def single_sample(width=16, height=16):
         pixels=np.exp(-(dist**2) / (2.0 * RENDER_SIGMA**2))[None],
         points=np.array([[[4.0, 8.0], [12.0, 8.0]]]),
         norm=np.array([8.0]),
-        distance=dist[None],
+        covs=None,
     )
+
+
+def reference_covs(distance, points, gamma=SmoothingConfig.gamma):
+    """The label covariances fitted from distance fields [S, H, W] at gamma."""
+    scfg = SmoothingConfig(gamma=gamma)
+    return fit_gaussian_label(refine_edge_heatmap(edge_heatmap(distance, scfg.sigma_b), scfg),
+                              points, scfg)
 
 
 class TestGenerateDataset:
     def test_determinism(self):
-        a = generate_dataset(5, 16, 16, 2, 0.05, seed=3)
-        b = generate_dataset(5, 16, 16, 2, 0.05, seed=3)
-        for name in ("pixels", "points", "norm", "distance"):
+        a = dataset(5, 16, 16, 2, 0.05, seed=3, with_smoothing=True)
+        b = dataset(5, 16, 16, 2, 0.05, seed=3, with_smoothing=True)
+        for name in ("pixels", "points", "norm", "covs"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        c = generate_dataset(5, 16, 16, 2, 0.05, seed=4)
+        c = dataset(5, 16, 16, 2, 0.05, seed=4)
         assert a.pixels[0].tobytes() != c.pixels[0].tobytes()
 
     def test_landmarks_sit_on_bright_contour(self):
-        ds = generate_dataset(10, 24, 24, 3, 0.0, seed=1)
+        ds = dataset(10, 24, 24, 3, 0.0, seed=1)
+        _, distance = reference.generate_dataset(10, 24, 24, 3, 0.0, seed=1)
         for pixels, points in zip(ds.pixels, ds.points):
             for u, v in points:
                 assert pixels[int(round(v)), int(round(u))] >= 0.9
-        # Without noise each image is the rendering of its stored distance field.
+        # Without noise each image is the rendering of its contour's distance field.
         np.testing.assert_array_equal(
-            ds.pixels, np.exp(-(ds.distance**2) / (2.0 * RENDER_SIGMA**2))
+            ds.pixels, np.exp(-(distance**2) / (2.0 * RENDER_SIGMA**2))
         )
 
     @pytest.mark.parametrize("args", [
@@ -85,28 +108,33 @@ class TestGenerateDataset:
         (4, 12, 17, 5, 0.5, 11),
     ])
     def test_matches_per_sample_reference_bit_for_bit(self, args):
-        # Array-level contours and landmarks, noise drawn into the pixels.
-        found, expected = generate_dataset(*args), reference.generate_dataset(*args)
-        for name in ("pixels", "points", "norm", "distance"):
+        # Array-level contours and landmarks, noise drawn into the pixels,
+        # and labels fitted from the reference's distance fields.
+        found = dataset(*args, with_smoothing=True)
+        expected, distance = reference.generate_dataset(*args)
+        expected = replace(expected, covs=reference_covs(distance, expected.points))
+        for name in ("pixels", "points", "norm", "covs"):
             a, b = getattr(found, name), getattr(expected, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_pixels_clipped_to_unit_range(self):
-        ds = generate_dataset(5, 16, 16, 2, 0.5, seed=2)
+        ds = dataset(5, 16, 16, 2, 0.5, seed=2)
         assert ds.pixels.min() >= 0.0 and ds.pixels.max() <= 1.0
 
     def test_indexing_selects_samples(self):
-        ds = generate_dataset(5, 16, 16, 2, 0.05, seed=3)
+        ds = dataset(5, 16, 16, 2, 0.05, seed=3, with_smoothing=True)
         picked = ds[np.array([3, 0, 3])]
         assert len(picked) == 3 and len(ds[1:4]) == 3
-        for name in ("pixels", "points", "norm", "distance"):
+        for name in ("pixels", "points", "norm", "covs"):
             np.testing.assert_array_equal(getattr(picked, name), getattr(ds, name)[[3, 0, 3]])
+        # Without smoothing there are no labels to select.
+        assert dataset(5, 16, 16, 2, 0.05, seed=3)[np.array([3, 0, 3])].covs is None
 
     def test_randomization_spread(self):
         # With two landmarks the pair is diametral: |p0 - p1| = 2a and the
         # midpoint is the ellipse center, so the draw ranges are observable.
         size = 24
-        ds = generate_dataset(500, size, size, 2, 0.0, seed=5)
+        ds = dataset(500, size, size, 2, 0.0, seed=5)
         pts = ds.points
         assert np.all((pts >= 0) & (pts <= size - 1))  # landmarks in bounds
         assert np.all(ds.norm > 0)
@@ -128,14 +156,17 @@ class TestGenerateDataset:
         covers(angles, ROTATION_RANGE[0], ROTATION_RANGE[1])
 
     def test_rejects_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            generate_dataset(0, 16, 16, 2, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            generate_dataset(1, 8, 16, 2, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            generate_dataset(1, 16, 16, 1, 0.0, seed=0)
-        with pytest.raises(ValueError, match="noise sigma"):
-            generate_dataset(1, 16, 16, 2, -0.5, seed=0)
+        # SynthConfig checks the keys in this order, so of several bad keys
+        # the first row's is named.
+        for keys, message in [
+            ({"samples": 0}, "samples must be at least 2"),
+            ({"width": 8, "landmarks": 1}, "image sides must be at least 12 pixels"),
+            ({"height": 11}, "image sides must be at least 12 pixels"),
+            ({"landmarks": 1, "noise_sigma": -0.5}, "need at least two landmarks"),
+            ({"noise_sigma": -0.5}, "noise sigma must be nonnegative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SynthConfig(**{"samples": 2, "width": 16, "height": 16, **keys})
 
 
 def usable_cpus(monkeypatch, n):
@@ -154,7 +185,7 @@ def fields_replaced(monkeypatch, n_samples, size, replace):
     monkeypatch.setattr(synth, "segment_distance_field", lambda segs, w, h, out=None: (
         calls.extend(segs) or segment_distance_field(segs, w, h, out=out)))
     usable_cpus(monkeypatch, 1)
-    generate_dataset(n_samples, size, size, 2, 0.02, seed=4)
+    dataset(n_samples, size, size, 2, 0.02, seed=4)
     assert len(calls) == n_samples
     replaced = [(calls[i], fn) for i, fn in replace.items()]
 
@@ -182,10 +213,11 @@ class TestGenerateDatasetThreads:
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             threads.clear()
-            runs[cpus] = generate_dataset(n_samples, size, size, 3, noise_sigma, seed=n_samples)
+            runs[cpus] = dataset(n_samples, size, size, 3, noise_sigma, seed=n_samples,
+                                 with_smoothing=True)
             assert len(threads) == n_samples
             assert len(set(threads)) == (1 if cpus == 1 or n_samples == 1 else 2)
-        for name in ("pixels", "points", "norm", "distance"):
+        for name in ("pixels", "points", "norm", "covs"):
             a, b = getattr(runs[2], name), getattr(runs[1], name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -197,7 +229,7 @@ class TestGenerateDatasetThreads:
         usable_cpus(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="^the last sample's field$"):
-            generate_dataset(5, 16, 16, 2, 0.02, seed=4)
+            dataset(5, 16, 16, 2, 0.02, seed=4)
         assert threading.active_count() == before
 
     def test_helper_is_joined_when_the_caller_raises(self, monkeypatch):
@@ -212,7 +244,7 @@ class TestGenerateDatasetThreads:
         usable_cpus(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="^the first sample's field$"):
-            generate_dataset(2, 16, 16, 2, 0.02, seed=4)
+            dataset(2, 16, 16, 2, 0.02, seed=4)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -220,9 +252,9 @@ class TestGenerateDatasetThreads:
         # A field of 1e3 everywhere underflows exp; the real 16x16 fields do not.
         fields_replaced(monkeypatch, 4, 16, {-1: lambda segs, w, h: np.full((h, w), 1e3)})
         usable_cpus(monkeypatch, cpus)
-        generate_dataset(4, 16, 16, 2, 0.02, seed=4)
+        dataset(4, 16, 16, 2, 0.02, seed=4)
         with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
-            generate_dataset(4, 16, 16, 2, 0.02, seed=4)
+            dataset(4, 16, 16, 2, 0.02, seed=4)
 
 
 class TestLinearScorer:
@@ -251,7 +283,7 @@ class TestTrainConfig:
 
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
-        ds = generate_dataset(8, 16, 16, 2, 0.02, seed=6)
+        ds = dataset(8, 16, 16, 2, 0.02, seed=6)
         cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=3,
                           batch_size=8, seed=0)
         train_loss, eval_nme = train(ds[:6], cfg, eval_dataset=ds[6:])
@@ -277,7 +309,7 @@ class TestTrain:
         assert eval_nme[-1] == 0.0
 
     def test_deterministic_per_seed(self):
-        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=8)
+        ds = dataset(12, 16, 16, 2, 0.02, seed=8)
         cfg = TrainConfig(objective="softargmax", learning_rate=0.1, epochs=3,
                           batch_size=4, seed=5)
         hist1 = train(ds[:10], cfg, eval_dataset=ds[10:])
@@ -293,18 +325,12 @@ class TestTrain:
         assert exc.value.epoch >= 1
 
     def test_smoothing_gamma_to_zero_matches_unsmoothed(self):
-        ds = generate_dataset(10, 16, 16, 2, 0.02, seed=9)
-        plain = TrainConfig(objective="structured", learning_rate=1.0, epochs=3,
-                            batch_size=10, seed=0, structured=STRUCT_CFG)
-        from dataclasses import replace
-
-        smoothed = replace(
-            plain,
-            with_smoothing=True,
-            smoothing=SmoothingConfig(gamma=1e-15),
-        )
-        hist_plain = train(ds[:8], plain, eval_dataset=ds[8:])
-        hist_smooth = train(ds[:8], smoothed, eval_dataset=ds[8:])
+        ds = dataset(10, 16, 16, 2, 0.02, seed=9)
+        smoothed = dataset(10, 16, 16, 2, 0.02, seed=9, with_smoothing=True, gamma=1e-15)
+        cfg = TrainConfig(objective="structured", learning_rate=1.0, epochs=3,
+                          batch_size=10, seed=0, structured=STRUCT_CFG)
+        hist_plain = train(ds[:8], cfg, eval_dataset=ds[8:])
+        hist_smooth = train(smoothed[:8], cfg, eval_dataset=smoothed[8:])
         for a, b in zip(hist_plain, hist_smooth):  # train losses, then eval NMEs
             assert (abs(a - b) < 1e-9).all()
 
@@ -312,10 +338,9 @@ class TestTrain:
     def test_history_independent_of_block_size(self, monkeypatch, objective, lr, smoothed):
         # Batches of 4, 4 and 2 rows, walked one row per block and in one
         # block; weight decay must shrink coef once per batch either way.
-        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
+        ds = dataset(12, 16, 16, 2, 0.02, seed=19, with_smoothing=smoothed)
         cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=0.05,
-                          epochs=3, batch_size=4, seed=0, structured=STRUCT_CFG,
-                          with_smoothing=smoothed)
+                          epochs=3, batch_size=4, seed=0, structured=STRUCT_CFG)
         histories = []
         for block_bytes in (1, 1 << 40):
             monkeypatch.setattr(synth, "BLOCK_BYTES", block_bytes)
@@ -328,8 +353,8 @@ class TestDualForm:
 
     C = 0.05
 
-    def split(self):
-        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
+    def split(self, **keys):
+        ds = dataset(12, 16, 16, 2, 0.02, seed=19, **keys)
         return ds[:10], ds[10:]
 
     @pytest.mark.parametrize(
@@ -343,11 +368,9 @@ class TestDualForm:
         self.check_primal_descent("structured", 0.5, with_smoothing=True)
 
     def check_primal_descent(self, objective, lr, with_smoothing):
-        train_set, eval_set = self.split()
+        train_set, eval_set = self.split(with_smoothing=with_smoothing, gamma=4.0)
         cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=self.C,
-                          epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG,
-                          with_smoothing=with_smoothing,
-                          smoothing=SmoothingConfig(gamma=4.0))
+                          epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG)
         hist = train(train_set, cfg, eval_dataset=eval_set)
         primal = LinearScorer.zeros(2, 16, 16)
         for train_loss, eval_nme in zip(*hist):
@@ -387,7 +410,7 @@ class TestWeightGradients:
     @pytest.mark.parametrize("objective", ["structured", "softargmax", "heatmap_mse"])
     def test_matches_finite_differences(self, objective):
         rng = np.random.default_rng(10)
-        ds = generate_dataset(3, 16, 16, 2, 0.02, seed=11)
+        ds = dataset(3, 16, 16, 2, 0.02, seed=11)
         scorer = LinearScorer(rng.normal(scale=0.01, size=(2, 256, 257)), 16, 16)
         cfg = TrainConfig(objective=objective, learning_rate=1.0, epochs=1,
                           batch_size=3, seed=0, weight_decay=0.01,
@@ -424,7 +447,7 @@ def compared(ds, synth):
 
 class TestConvergenceComparison:
     def test_identical_arms_speedup_one(self):
-        ds = generate_dataset(30, 16, 16, 2, 0.02, seed=12)
+        ds = dataset(30, 16, 16, 2, 0.02, seed=12)
         synth = SynthConfig(target_nme=0.5, batch_size=30, objective_a="structured", lr_a=2.0,
                             epochs_a=6, objective_b="structured", lr_b=2.0, epochs_b=6)
         (epochs_a, *hist_a), (epochs_b, *hist_b) = compared(ds, synth)
@@ -432,13 +455,13 @@ class TestConvergenceComparison:
         np.testing.assert_array_equal(hist_a, hist_b)
 
     def test_unreachable_target_flags_undefined(self):
-        ds = generate_dataset(20, 16, 16, 2, 0.02, seed=13)
+        ds = dataset(20, 16, 16, 2, 0.02, seed=13)
         synth = SynthConfig(target_nme=1e-12, batch_size=20, objective_a="structured",
                             lr_a=0.5, epochs_a=2, objective_b="structured", lr_b=0.5, epochs_b=2)
         assert [epochs for epochs, _, _ in compared(ds, synth)] == [None, None]
 
     def test_structured_beats_softargmax_small_bench(self):
-        ds = generate_dataset(60, 16, 16, 2, 0.02, seed=14)
+        ds = dataset(60, 16, 16, 2, 0.02, seed=14)
         synth = SynthConfig(target_nme=0.4, batch_size=60, objective_a="structured", lr_a=2.0,
                             epochs_a=6, objective_b="softargmax", lr_b=0.2, epochs_b=25)
         (epochs_a, _, _), (epochs_b, _, _) = compared(ds, synth)
@@ -448,7 +471,7 @@ class TestConvergenceComparison:
     def test_holds_no_weight_tensor(self):
         # The [N, H*W, H*W + 1] weights on this grid take 3 * 1024 * 1025
         # * 8 B (about 24 MB); training keeps [S, N*H*W] coefficients.
-        ds = generate_dataset(20, 32, 32, 3, 0.02, seed=21)
+        ds = dataset(20, 32, 32, 3, 0.02, seed=21)
         synth = SynthConfig(batch_size=20, objective_a="structured", lr_a=1.0, epochs_a=2,
                             objective_b="softargmax", lr_b=0.2, epochs_b=2)
         tracemalloc.start()
@@ -467,12 +490,11 @@ class TestConvergenceComparison:
         # epoch peaked at 3.9-4.0 (4.9 for MSE), and batch-sized
         # temporaries in the loss and update at 5.7 (structured), 6.8
         # (soft-argmax and smoothed) and 7.7 (MSE).
-        ds = generate_dataset(130, 32, 32, 3, 0.02, seed=22)
+        ds = dataset(130, 32, 32, 3, 0.02, seed=22, with_smoothing=smoothed)
         train_set, eval_set = split_dataset(ds)
         assert len(train_set) > 100
         cfg = TrainConfig(objective=objective, learning_rate=lr, epochs=2,
-                          batch_size=len(train_set), seed=0,
-                          with_smoothing=smoothed)
+                          batch_size=len(train_set), seed=0)
         tracemalloc.start()
         try:
             train(train_set, cfg, eval_dataset=eval_set)
@@ -488,7 +510,7 @@ class TestConvergenceComparison:
         # and block temporaries come and go: 5.2 MB in all, where a fresh
         # score array per epoch and five temporaries per block peaked at
         # 7.75 MB.
-        ds = generate_dataset(100, 32, 32, 3, 0.02, seed=1)
+        ds = dataset(100, 32, 32, 3, 0.02, seed=1)
         train_set, eval_set = split_dataset(ds)
         cfg = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=3, seed=0)
         coef_bytes = len(train_set) * 3 * 32 * 32 * 8
@@ -505,7 +527,7 @@ class TestConvergenceComparison:
 
 class TestLearningRateTuning:
     def test_picks_reasonable_rate(self):
-        ds = generate_dataset(40, 16, 16, 2, 0.02, seed=16)
+        ds = dataset(40, 16, 16, 2, 0.02, seed=16)
         cfg = TrainConfig(objective="structured", epochs=3, batch_size=40, seed=0)
         lr = tune_learning_rate(ds, cfg, [1e-6, 2.0], 0.30, probe_epochs=3, probe_samples=30)
         assert lr == 2.0
@@ -537,7 +559,7 @@ class TestSmoothedLabels:
         # depends on the target cells alone.  At gamma = 4 a label's
         # standard deviation is a few pixels, so its cells leave the
         # landmark's cell.
-        ds = generate_dataset(12, 16, 16, 2, 0.02, seed=19)
+        ds = dataset(12, 16, 16, 2, 0.02, seed=19, with_smoothing=True, gamma=4.0)
         names = []
 
         def recorded(seed, name):
@@ -548,8 +570,7 @@ class TestSmoothedLabels:
         losses = []
         for batch in (1, 3, 10):
             cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=2,
-                              batch_size=batch, seed=0, structured=STRUCT_CFG,
-                              with_smoothing=True, smoothing=SmoothingConfig(gamma=4.0))
+                              batch_size=batch, seed=0, structured=STRUCT_CFG)
             losses.append(train(ds[:10], cfg, eval_dataset=ds[10:])[0].tolist())
         assert losses[0] == losses[1] == losses[2]
         # The targets do not change between epochs; only the summation order does.
@@ -557,15 +578,28 @@ class TestSmoothedLabels:
         # The shuffle is the only random stream train draws from.
         assert names == ["shuffle"] * 3
 
+    # The smoothed golden shapes: synth-smoothed-mse at seed 1 and
+    # smoothed-minibatch at seed 3.
+    @pytest.mark.parametrize("samples, size, seed", [(20, 32, 1), (24, 16, 3)])
+    @pytest.mark.parametrize("gamma", [0.01, 4.0])
+    def test_stack_fit_equals_train_split_fit(self, samples, size, seed, gamma):
+        # Each sample's label depends on its own edge map alone, so fitting
+        # every rendered sample at once changes no bit of the train rows'.
+        seed = derive_seed(seed, "synth")
+        train_set, _ = split_dataset(dataset(samples, size, size, 3, 0.02, seed,
+                                             with_smoothing=True, gamma=gamma))
+        _, distance = reference.generate_dataset(samples, size, size, 3, 0.02, seed)
+        expected = reference_covs(distance[: len(train_set)], train_set.points, gamma)
+        assert train_set.covs.tobytes() == expected.tobytes()
+
     def test_training_reuses_stored_distance_fields(self, monkeypatch):
-        ds = generate_dataset(10, 16, 16, 2, 0.02, seed=9)
+        ds = dataset(10, 16, 16, 2, 0.02, seed=9, with_smoothing=True)
 
         def recompute(*args, **kwargs):
             raise AssertionError("contour distance field computed again")
 
         monkeypatch.setattr(synth, "segment_distance_field", recompute)
-        cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0,
-                          with_smoothing=True)
+        cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0)
         assert len(train(ds[:8], cfg, eval_dataset=ds[8:])[0]) == 1
 
 
@@ -579,7 +613,7 @@ class TestEvaluateNme:
         assert evaluate_nme(scorer, s) == 0.0
 
     def test_matches_per_sample_metric(self):
-        ds = generate_dataset(12, 16, 16, 3, 0.02, seed=20)
+        ds = dataset(12, 16, 16, 3, 0.02, seed=20)
         scorer = LinearScorer(np.random.default_rng(1).normal(size=(3, 256, 257)), 16, 16)
         cells = scorer.scores(features(ds)).argmax(axis=-1)
         per_sample = [
@@ -591,13 +625,13 @@ class TestEvaluateNme:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_readout_matches_reference_bit_for_bit(self, seed):
         # Rounded scores tie often; both go through divmod cells and sum / N.
-        ds = generate_dataset(9, 16, 12, 3, 0.02, seed=seed)
+        ds = dataset(9, 16, 12, 3, 0.02, seed=seed)
         scores = np.random.default_rng(seed).normal(0.0, 2.0, (9, 3, 16 * 12))
         for s in (scores, np.rint(scores)):
             assert synth._argmax_nme(s, ds) == reference.argmax_nme(s, ds)
 
     def test_split_dataset_shapes(self):
-        ds = generate_dataset(10, 16, 16, 2, 0.0, seed=18)
+        ds = dataset(10, 16, 16, 2, 0.0, seed=18)
         tr, ev = split_dataset(ds)
         assert len(tr) == 8 and len(ev) == 2
         with pytest.raises(ValueError):
