@@ -191,8 +191,6 @@ def cmd_toy(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    if args.epochs is not None:
-        cfg["synth"]["epochs_a"] = cfg["synth"]["epochs_b"] = args.epochs
     synth = _section(cfg, "synth", SynthConfig,
                      objective_a=SYNTH_OBJECTIVES, objective_b=SYNTH_OBJECTIVES)
     root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
@@ -372,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("toy", cmd_toy, "1-D gradient-descent dynamics").add_argument(
         "--objective", choices=TOY_OBJECTIVES, default=None, help="overrides [toy] objective")
-    command("synth", cmd_synth, "synthetic convergence comparison", seed_help=None).add_argument(
-        "--epochs", type=int, default=None, help="overrides [synth] epochs_a and epochs_b")
+    command("synth", cmd_synth, "synthetic convergence comparison", seed_help=None)
     command("smooth", cmd_smooth, "fit edge-aware Gaussian labels",
             "annotations", "boundaries").add_argument("--dump-intermediates", action="store_true")
     command("eval", cmd_eval, "NME / FR / AUC report", "pred", "gt")

@@ -207,6 +207,17 @@ class SynthConfig:
             raise ValueError("need at least two landmarks (for the normalizing pair)")
         if not self.noise_sigma >= 0:
             raise ValueError("noise sigma must be nonnegative")
+        if "structured" in objectives:
+            # At zero weights an epoch's loss is at most N S (largest margin +
+            # eps ln(W H)).  The margin is even in both offsets, so the first
+            # window, all offsets of one sign, holds the largest.
+            largest = float(_margin_windows(self.structured, self.width, self.height)[0, 0].max())
+            eps, cells = self.structured.epsilon, self.width * self.height
+            if not math.isfinite(self.landmarks * self.samples * (largest + eps * math.log(cells))):
+                raise ValueError(
+                    f"structured loss with margin_alpha {self.structured.margin_alpha:g} and "
+                    f"epsilon {eps:g} overflows when summed over {self.landmarks} landmarks "
+                    f"and {self.samples} samples on a {self.width}x{self.height} grid")
 
     def arm(self, name: str, seed: int) -> TrainConfig:
         """The TrainConfig of arm ``a`` or ``b``, shuffling from ``seed``."""
@@ -257,9 +268,9 @@ def _render(ellipses, pixels, distance, start: int, stop: int) -> None:
 
 
 def _split_on_two_threads(work, n: int) -> None:
-    """Run ``work(start, stop)`` over 0..n-1: the caller takes the first
-    half and one helper thread the rest when the process may use at least
-    two CPUs, else the caller takes all of it.
+    """Run ``work(start, stop)`` over 0..n-1, n at least 2: the caller
+    takes the first half and one helper thread the rest when the process
+    may use at least two CPUs, else the caller takes all of it.
 
     The helper runs in a copy of the caller's context, so it sees the
     caller's ``np.errstate``.  It is joined before this returns or raises,
@@ -267,7 +278,7 @@ def _split_on_two_threads(work, n: int) -> None:
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus < 2 or n < 2:
+    if cpus < 2:
         work(0, n)
         return
     half = (n + 1) // 2
@@ -404,11 +415,12 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
 
     The working set is fixed for the call and does not grow with the
     epochs.  The features are dropped once the two Gram matrices are
-    formed.  Every batch is scored into one buffer [min(batch_size, S),
-    N*H*W] and every evaluation into one buffer [S_eval, N*H*W], both
-    allocated once.  After the batch's one GEMM, its rows are taken
+    formed.  Every batch and every evaluation is scored into one buffer
+    [max(min(batch_size, S), S_eval), N*H*W], allocated once: the held-out
+    split is scored after the epoch's last update, when no batch's score
+    rows are still read.  After the batch's one GEMM, its rows are taken
     BLOCK_BYTES at a time: each block's losses, gradients and coef update
-    are done before the next block's, so besides coef and the two buffers
+    are done before the next block's, so besides coef and the buffer
     only block-sized temporaries come and go, and they reuse the same
     memory where batch-sized ones would cost the allocator fresh,
     zero-filled pages.  The block size cannot change any output bit, since
@@ -433,8 +445,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
     grid = dataset.grid
     n = len(dataset)
     coef = np.zeros((n, n_landmarks * grid[0] * grid[1]))
-    score_buf = np.empty((min(cfg.batch_size, n), coef.shape[1]))
-    eval_buf = np.empty((len(eval_dataset), coef.shape[1]))
+    n_eval = len(eval_dataset)
+    score_buf = np.empty((max(min(cfg.batch_size, n), n_eval), coef.shape[1]))
     block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
@@ -473,8 +485,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
                         f"the epoch-1 loss {train_loss[0]:.6g}",
                     )
                 train_loss[epoch - 1] = epoch_loss
-                eval_scores = np.matmul(eval_gram, coef, out=eval_buf)
-                eval_scores = eval_scores.reshape(len(eval_dataset), n_landmarks, -1)
+                eval_scores = np.matmul(eval_gram, coef, out=score_buf[:n_eval])
+                eval_scores = eval_scores.reshape(n_eval, n_landmarks, -1)
                 eval_nme[epoch - 1] = _argmax_nme(eval_scores, eval_dataset)
     except FloatingPointError as err:
         raise TrainingDiverged(cfg.objective, epoch) from err

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -276,21 +277,20 @@ def help_page(capsys, argv):
 
 @pytest.mark.parametrize("command, own", [
     ("toy", ["--objective"]),
-    ("synth", ["--epochs"]),
+    ("synth", []),
     ("smooth", ["annotations", "boundaries", "--dump-intermediates"]),
     ("eval", ["pred", "gt"]),
 ])
 def test_subcommand_help_lists_its_arguments(capsys, command, own):
+    """The usage line names exactly the command's ``--`` options, so a
+    removed flag cannot come back unnoticed."""
     page = help_page(capsys, [command])
     assert page.startswith(f"usage: landmarklab {command} ")
-    listed = page.split()
-    for arg in ("--config", "--out", "--seed", *own):
-        assert arg in listed, arg
-
-
-def test_synth_epochs_help_names_both_keys(capsys):
-    page = " ".join(help_page(capsys, ["synth"]).split())
-    assert "--epochs EPOCHS overrides [synth] epochs_a and epochs_b" in page
+    usage = page.split("\n\n", 1)[0]
+    options = [arg for arg in own if arg.startswith("--")]
+    assert sorted(re.findall(r"--[\w-]+", usage)) == sorted(["--config", "--out", "--seed", *options])
+    for arg in own:
+        assert arg in options or arg in usage.split(), arg
 
 
 def test_root_help_names_every_config_key(capsys):
@@ -568,10 +568,11 @@ class TestSynthCommand:
 
     def test_zero_epochs_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
-        cfg.write_text(SMALL_SYNTH_CFG)
-        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path), "--epochs", "0"])
-        assert rc != 0
-        assert "epochs" in capsys.readouterr().err
+        cfg.write_text(SMALL_SYNTH_CFG.replace("epochs_a = 4", "epochs_a = 0"))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "invalid synth config: epochs must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverging_arm_names_objective(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
@@ -665,6 +666,9 @@ class TestSynthCommand:
         ("samples = 20\nmargin_alpha = 1e308",
          "invalid synth config: smooth_l1 margin with margin_alpha 1e+308 and margin_s 0.01 "
          "overflows on a 16x16 grid"),
+        ("samples = 20\nmargin = l2\nmargin_alpha = 1e308",
+         "invalid synth config: structured loss with margin_alpha 1e+308 and epsilon 1 "
+         "overflows when summed over 2 landmarks and 20 samples on a 16x16 grid"),
         ("samples = 20\nmargin_s = 1e-310",
          "invalid synth config: smooth_l1 margin with margin_alpha 1 and margin_s 1e-310 "
          "overflows on a 16x16 grid"),

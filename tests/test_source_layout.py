@@ -9,9 +9,10 @@ SRC = Path(landmarklab.__file__).parent
 
 
 def referenced_names(tree):
-    """Every name a module reads: bare names, attributes and import aliases."""
+    """Every name a module reads: bare names, attributes and import aliases.
+    A name that is only assigned or deleted is not read."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -19,9 +20,20 @@ def referenced_names(tree):
             yield node.name
 
 
+def defined_names(node):
+    """The names a module-level statement defines: a function or class, or
+    the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def test_every_module_level_definition_is_referenced_in_src():
-    """A module-level function or class, public or private, must be named
-    by code in ``src/`` outside ``__init__.py``.
+    """A module-level function, class or constant, public or private, must
+    be named by code in ``src/`` outside ``__init__.py``.
 
     This is a proxy for "reached by a command": the package exports and
     the tests do not count, and neither do mentions in docstrings.  A
@@ -31,9 +43,9 @@ def test_every_module_level_definition_is_referenced_in_src():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     used = {name for tree in trees.values() for name in referenced_names(tree)}
-    unused = [f"{module}:{node.name}"
+    unused = [f"{module}:{name}"
               for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+              for name in defined_names(node) if name not in used]
     assert not unused, f"defined in src/ but named by no code there: {unused}"
 
 

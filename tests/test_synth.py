@@ -52,15 +52,9 @@ ARMS = [
 
 
 def dataset(samples, width, height, landmarks, noise_sigma, seed, **keys):
-    """``generate_dataset`` of the ``[synth]`` config with these keys.
-
-    SynthConfig rejects a single sample, which cannot be split into train
-    and eval rows; generate_dataset renders one all the same, so a
-    one-sample config is made from a two-sample one.
-    """
-    synth = SynthConfig(samples=max(samples, 2), width=width, height=height,
+    """``generate_dataset`` of the ``[synth]`` config with these keys."""
+    synth = SynthConfig(samples=samples, width=width, height=height,
                         landmarks=landmarks, noise_sigma=noise_sigma, **keys)
-    object.__setattr__(synth, "samples", samples)
     return generate_dataset(synth, seed)
 
 
@@ -201,7 +195,7 @@ def fields_replaced(monkeypatch, n_samples, size, replace):
 
 
 class TestGenerateDatasetThreads:
-    @pytest.mark.parametrize("n_samples", [1, 2, 3, 17])
+    @pytest.mark.parametrize("n_samples", [2, 3, 17])
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
     @pytest.mark.parametrize("size", [16, 32])
     def test_helper_thread_changes_no_bit(self, monkeypatch, n_samples, noise_sigma, size):
@@ -216,7 +210,7 @@ class TestGenerateDatasetThreads:
             runs[cpus] = dataset(n_samples, size, size, 3, noise_sigma, seed=n_samples,
                                  with_smoothing=True)
             assert len(threads) == n_samples
-            assert len(set(threads)) == (1 if cpus == 1 or n_samples == 1 else 2)
+            assert len(set(threads)) == cpus
         for name in ("pixels", "points", "norm", "covs"):
             a, b = getattr(runs[2], name), getattr(runs[1], name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -381,8 +375,16 @@ class TestDualForm:
             assert eval_nme == evaluate_nme(primal, eval_set)
 
     def test_mini_batches_match_primal_loop(self):
+        self.check_mini_batches(4)
+
+    def test_batch_smaller_than_eval_split_matches_primal_loop(self):
+        # One train row per batch against two held-out rows: the shared
+        # score buffer must be sized for the evaluation.
+        self.check_mini_batches(1)
+
+    def check_mini_batches(self, batch):
         train_set, eval_set = self.split()
-        lr, batch = 0.5, 4
+        lr = 0.5
         cfg = TrainConfig(objective="structured", learning_rate=lr, weight_decay=self.C,
                           epochs=3, batch_size=batch, seed=0, structured=STRUCT_CFG)
         hist = train(train_set, cfg, eval_dataset=eval_set)
@@ -505,16 +507,14 @@ class TestConvergenceComparison:
 
     def test_working_set_does_not_grow_with_epochs(self):
         # The synth-default shape on the soft-argmax arm: 80 train rows in
-        # one batch, so coef and the batch's score buffer take 1.97 MB
-        # each.  Beyond those and the eval scores, only the Gram matrices
-        # and block temporaries come and go: 5.2 MB in all, where a fresh
-        # score array per epoch and five temporaries per block peaked at
-        # 7.75 MB.
+        # one batch, so coef and the score buffer, which the eval scores
+        # share, take 1.97 MB each.  Beyond those only the Gram matrices
+        # and block temporaries come and go, where a fresh score array per
+        # epoch and five temporaries per block peaked at 7.75 MB.
         ds = dataset(100, 32, 32, 3, 0.02, seed=1)
         train_set, eval_set = split_dataset(ds)
         cfg = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=3, seed=0)
         coef_bytes = len(train_set) * 3 * 32 * 32 * 8
-        eval_bytes = len(eval_set) * 3 * 32 * 32 * 8
         tracemalloc.start()
         try:
             entry, _ = tracemalloc.get_traced_memory()
@@ -522,7 +522,7 @@ class TestConvergenceComparison:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - entry < 2 * coef_bytes + eval_bytes + 2**20
+        assert peak - entry < 2 * coef_bytes + 2**20
 
 
 class TestLearningRateTuning:
