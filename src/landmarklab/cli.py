@@ -228,11 +228,10 @@ def cmd_synth(args) -> int:
 def _dump_label_pgms(out, sample_id, raw, refined, points, covs, scfg) -> None:
     """PGMs of a sample's edge maps and of every smoothing stage for each
     landmark of points [N, 2] with covariances [N, 2, 2], cropped around it."""
-    save_heatmap_pgm(raw, os.path.join(out, f"{sample_id}_edge_raw.pgm"))
-    save_heatmap_pgm(refined, os.path.join(out, f"{sample_id}_edge_refined.pgm"))
+    save_heatmap_pgm(np.stack([raw, refined]),
+                     [os.path.join(out, f"{sample_id}_edge_{m}.pgm") for m in ("raw", "refined")])
     k = scfg.patch_half
     centers = np.rint(points).astype(int)
-    edge_patch, bump, blended = joint_patch(refined, points, scfg)
     # Density of each fitted Gaussian on its landmark's patch, peak-normalized.
     d = np.arange(2 * k + 1, dtype=np.float64) + centers[..., None] - k - points[..., None]
     uu, vv = d[:, 0, None, :], d[:, 1, :, None]
@@ -240,16 +239,11 @@ def _dump_label_pgms(out, sample_id, raw, refined, points, covs, scfg) -> None:
     quad = inv[:, 0, 0] * uu**2 + 2.0 * inv[:, 0, 1] * uu * vv + inv[:, 1, 1] * vv**2
     fitted = np.exp(-0.5 * quad)
     fitted /= fitted.max(axis=(-2, -1), keepdims=True)
-    panels = {
-        "edge_raw_patch": extract_patch(raw, centers, k),
-        "edge_refined_patch": edge_patch,
-        "center": bump,
-        "joint": blended,
-        "fitted": fitted,
-    }
-    for n in range(len(points)):
-        for name, arr in panels.items():
-            save_heatmap_pgm(arr[n], os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm"))
+    panels = np.stack([extract_patch(raw, centers, k), *joint_patch(refined, points, scfg), fitted],
+                      axis=1)
+    names = ("edge_raw_patch", "edge_refined_patch", "center", "joint", "fitted")
+    save_heatmap_pgm(panels, [os.path.join(out, f"{sample_id}_lm{n}_{name}.pgm")
+                              for n in range(len(points)) for name in names])
 
 
 def cmd_smooth(args) -> int:

@@ -73,17 +73,18 @@ def gaussian_bumps(centers, width: int, height: int, sigma: float) -> np.ndarray
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
-def save_heatmap_pgm(h: np.ndarray, path) -> None:
-    """Dump a heatmap [H, W] as binary P5 graymap, linearly rescaled to 0-255.
+def save_heatmap_pgm(maps: np.ndarray, paths) -> None:
+    """Dump each map of a stack [..., H, W] as binary P5 graymap to its path,
+    one path per map in C order, each linearly rescaled to 0-255 by its own
+    min and max; a flat map writes zeros.
 
     Visualization only: the rescaling is lossy and never round-tripped.
     """
-    lo, hi = h.min(), h.max()
-    if hi > lo:
-        gray = np.round((h - lo) / (hi - lo) * 255.0)
-    else:
-        gray = np.zeros_like(h)
-    data = gray.astype(np.uint8).tobytes()
-    with open(path, "wb") as f:
-        f.write(f"P5\n{h.shape[1]} {h.shape[0]}\n255\n".encode("ascii"))
-        f.write(data)
+    lo = maps.min(axis=(-2, -1), keepdims=True)
+    hi = maps.max(axis=(-2, -1), keepdims=True)
+    gray = np.divide(maps - lo, hi - lo, out=np.zeros_like(maps), where=hi > lo)
+    gray = np.round(gray * 255.0).astype(np.uint8)
+    header = f"P5\n{maps.shape[-1]} {maps.shape[-2]}\n255\n".encode("ascii")
+    for path, m in zip(paths, gray.reshape(-1, *maps.shape[-2:]), strict=True):
+        with open(path, "wb") as f:
+            f.write(header + m.tobytes())

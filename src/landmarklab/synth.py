@@ -182,6 +182,12 @@ class SynthConfig:
             raise ValueError("samples must be at least 2 (one to train on, one held out)")
         if self.target_nme <= 0:
             raise ValueError(f"target_nme must be positive, got {self.target_nme}")
+        if min(self.width, self.height) < 12:
+            raise ValueError("image sides must be at least 12 pixels")
+        if self.landmarks < 2:
+            raise ValueError("need at least two landmarks (for the normalizing pair)")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise sigma must be nonnegative")
         for name in "ab":  # raises on a setting that the arm's TrainConfig rejects
             self.arm(name, 0)
         objectives = self.objective_a, self.objective_b
@@ -201,12 +207,6 @@ class SynthConfig:
                 f"MSE target sigma {self.mse_sigma:g} is too small for a "
                 f"{self.width}x{self.height} grid: distance^2 / (2 sigma^2) overflows"
             )
-        if min(self.width, self.height) < 12:
-            raise ValueError("image sides must be at least 12 pixels")
-        if self.landmarks < 2:
-            raise ValueError("need at least two landmarks (for the normalizing pair)")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise sigma must be nonnegative")
         if "structured" in objectives:
             # At zero weights an epoch's loss is at most N S (largest margin +
             # eps ln(W H)).  The margin is even in both offsets, so the first

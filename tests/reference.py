@@ -14,6 +14,8 @@ landmark at a time, and ``label_panels`` builds one landmark's PGM panels
 from them, its raw-map panel cut from the raw edge map and the rest from
 the refined one; the array functions of ``smoothing`` and the PGMs of
 ``smooth --dump-intermediates`` must reproduce them bit for bit.
+``save_heatmap_pgm`` encodes one map; ``heatmap.save_heatmap_pgm`` must
+write its bytes for every map of a stack.
 ``soft_argmax_l2_batch`` builds the gradient from full-size coordinate
 differences; ``losses.soft_argmax_l2_batch`` must reproduce its values
 and gradients bit for bit.
@@ -317,6 +319,19 @@ def label_panels(
         "joint": blended,
         "fitted": fitted,
     }
+
+
+def save_heatmap_pgm(h: np.ndarray, path) -> None:
+    """Dump a heatmap [H, W] as binary P5 graymap, linearly rescaled to 0-255."""
+    lo, hi = h.min(), h.max()
+    if hi > lo:
+        gray = np.round((h - lo) / (hi - lo) * 255.0)
+    else:
+        gray = np.zeros_like(h)
+    data = gray.astype(np.uint8).tobytes()
+    with open(path, "wb") as f:
+        f.write(f"P5\n{h.shape[1]} {h.shape[0]}\n255\n".encode("ascii"))
+        f.write(data)
 
 
 def soft_argmax_l2_batch(scores, targets, grid):

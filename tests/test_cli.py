@@ -26,6 +26,7 @@ from landmarklab.toy import ToyConfig, run_toy
 
 from reference import annotation_samples, dense_auc_ced, label_panels, per_id_nmes
 from reference import fit_gaussian_label as fit_one_label
+from reference import save_heatmap_pgm as save_one_pgm
 from test_golden_digests import DEFAULT_SYNTH, check, digests
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -678,10 +679,14 @@ class TestSynthCommand:
         ("samples = 40\nobjective_b = foo",
          f"synth.objective_b must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
         ("samples = 40\nmargin = foo", f"synth.margin must be one of {MARGINS}, got 'foo'"),
+        ("width = -3", "invalid synth config: image sides must be at least 12 pixels"),
     ])
     def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
+        # The setting's keys take the place of the small config's.
+        keys = {line.split(" = ")[0] for line in setting.splitlines()}
+        lines = [line for line in SMALL_SYNTH_CFG.splitlines() if line.split(" = ")[0] not in keys]
         cfg = tmp_path / "synth.cfg"
-        cfg.write_text(SMALL_SYNTH_CFG.replace("samples = 40", setting))
+        cfg.write_text("\n".join([*lines, *setting.splitlines()]) + "\n")
         out = tmp_path / "out"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -827,34 +832,58 @@ class TestSmoothCommand:
         assert "s0_lm0_fitted.pgm" in pgms
         assert "s0_edge_raw.pgm" in pgms
 
+    @staticmethod
+    def check_dumps_match_reference(out, ref, ann, bnd, cfg):
+        """Every PGM in out, byte for byte, against panels built and
+        encoded one landmark and one map at a time into ref."""
+        ref.mkdir()
+        for sid, points in annotation_samples(ann):
+            raw = build_edge_heatmap(points, read_boundaries(bnd), cfg)
+            refined = refine_edge_heatmap(raw, cfg)
+            save_one_pgm(raw, ref / f"{sid}_edge_raw.pgm")
+            save_one_pgm(refined, ref / f"{sid}_edge_refined.pgm")
+            for n, y in enumerate(points):
+                cov = fit_one_label(refined, tuple(y), cfg)
+                for name, panel in label_panels(raw, refined, tuple(y), cov, cfg).items():
+                    save_one_pgm(panel, ref / f"{sid}_lm{n}_{name}.pgm")
+        names = sorted(p.name for p in out.glob("*.pgm"))
+        assert names == sorted(p.name for p in ref.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
     @pytest.mark.parametrize("gamma", [SmoothingConfig().gamma, 4.0])
     def test_dumped_pgms_match_per_landmark_reference(self, tmp_path, gamma):
-        # Every PGM of the shipped sample data, byte for byte, against
-        # panels built one landmark at a time.  At the default gamma a
+        # Every PGM of the shipped sample data.  At the default gamma a
         # fitted panel lights only the landmark's own pixel; at 4 it shows
         # the Gaussian's shape.
         ann = os.path.join(SAMPLE_DATA, "annotations.txt")
         bnd = os.path.join(SAMPLE_DATA, "boundaries.txt")
         config = tmp_path / "smooth.cfg"
         config.write_text(f"[smooth]\ngamma = {gamma!r}\n")
-        out, ref = tmp_path / "out", tmp_path / "ref"
+        out = tmp_path / "out"
         assert main(["smooth", ann, bnd, "--config", str(config), "--out", str(out),
                      "--dump-intermediates"]) == 0
-        ref.mkdir()
-        cfg = SmoothingConfig(gamma=gamma)
-        for sid, points in annotation_samples(ann):
-            raw = build_edge_heatmap(points, read_boundaries(bnd), cfg)
-            refined = refine_edge_heatmap(raw, cfg)
-            save_heatmap_pgm(raw, ref / f"{sid}_edge_raw.pgm")
-            save_heatmap_pgm(refined, ref / f"{sid}_edge_refined.pgm")
-            for n, y in enumerate(points):
-                cov = fit_one_label(refined, tuple(y), cfg)
-                for name, panel in label_panels(raw, refined, tuple(y), cov, cfg).items():
-                    save_heatmap_pgm(panel, ref / f"{sid}_lm{n}_{name}.pgm")
-        names = sorted(p.name for p in out.glob("*.pgm"))
-        assert names == sorted(p.name for p in ref.iterdir())
-        for name in names:
-            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        self.check_dumps_match_reference(out, tmp_path / "ref", ann, bnd, SmoothingConfig(gamma=gamma))
+
+    def test_dumps_of_mixed_landmark_counts(self, tmp_path, monkeypatch):
+        # Samples of 3 and 4 landmarks in one file: each writes 2 + 5 N
+        # PGMs in two writer calls, its edge maps and its panel stack.
+        ann, bnd = self.setup_inputs(tmp_path)
+        write_annotations(ann, [("s0", "20 32 32 32 44 32"), ("s1", "16 16 32 24 48 16 40 44")])
+        calls = []
+
+        def save(maps, paths):
+            calls.append(maps.shape)
+            save_heatmap_pgm(maps, paths)
+
+        monkeypatch.setattr(cli, "save_heatmap_pgm", save)
+        out = tmp_path / "out"
+        assert main(["smooth", str(ann), str(bnd), "--out", str(out), "--dump-intermediates"]) == 0
+        p = 2 * SmoothingConfig().patch_half + 1
+        assert calls == [(2, 64, 64), (3, 5, p, p), (2, 64, 64), (4, 5, p, p)]
+        assert len(list(out.glob("s0_*.pgm"))) == 2 + 5 * 3
+        assert len(list(out.glob("s1_*.pgm"))) == 2 + 5 * 4
+        self.check_dumps_match_reference(out, tmp_path / "ref", ann, bnd, SmoothingConfig())
 
     def test_raw_patches_are_cut_from_the_raw_map(self, tmp_path):
         out = tmp_path / "out"

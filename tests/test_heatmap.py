@@ -11,6 +11,8 @@ from landmarklab.heatmap import (
     softmax,
 )
 
+from reference import save_heatmap_pgm as save_one_pgm
+
 # Score rows whose softmax reproduces the unimodal / bimodal probability
 # tables: log of the target probabilities (tiny floor instead of -inf).
 UNIMODAL_P = [0.0, 0.0, 1.0, 0.0, 0.0]
@@ -168,12 +170,30 @@ class TestSerialization:
     def test_pgm_bytes(self, tmp_path):
         h = np.array([[0.0, 1.0], [0.5, 0.25]])
         path = tmp_path / "map.pgm"
-        save_heatmap_pgm(h, path)
+        save_heatmap_pgm(h, [path])
         data = path.read_bytes()
         assert data.startswith(b"P5\n2 2\n255\n")
         assert data[-4:] == bytes([0, 255, 128, 64])
 
     def test_pgm_constant_map(self, tmp_path):
         path = tmp_path / "flat.pgm"
-        save_heatmap_pgm(np.full((2, 3), 4.2), path)
+        save_heatmap_pgm(np.full((1, 2, 3), 4.2), [path])
         assert path.read_bytes()[-6:] == bytes(6)
+
+    def test_pgm_stack_matches_one_map_encoder(self, tmp_path):
+        # Each map of a non-square stack is rescaled by its own range,
+        # flat and all-negative maps included, and written in C order.
+        maps = np.random.default_rng(0).normal(size=(3, 2, 5, 7))
+        maps[0, 1] = 4.2
+        maps[2, 0] = -1.0 - np.abs(maps[2, 0])
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        out.mkdir()
+        ref.mkdir()
+        names = [f"m{i}_{j}.pgm" for i in range(3) for j in range(2)]
+        save_heatmap_pgm(maps, [out / name for name in names])
+        for name, h in zip(names, maps.reshape(-1, 5, 7)):
+            save_one_pgm(h, ref / name)
+            data = (out / name).read_bytes()
+            assert data == (ref / name).read_bytes(), name
+            assert data.startswith(b"P5\n7 5\n255\n") and len(data) == 11 + 35
+        assert (out / "m0_1.pgm").read_bytes()[11:] == bytes(35)
