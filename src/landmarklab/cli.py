@@ -25,7 +25,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from landmarklab.heatmap import argmax, save_heatmap_pgm, soft_argmax
-from landmarklab.losses import MARGINS, StructuredLossConfig
+from landmarklab.losses import StructuredLossConfig
 from landmarklab.metrics import EvalConfig, auc_ced, failure_rate, nme
 from landmarklab.seeding import derive_seed
 from landmarklab.smoothing import (
@@ -38,7 +38,6 @@ from landmarklab.smoothing import (
     read_boundaries,
     refine_edge_heatmap,
 )
-from landmarklab.synth import OBJECTIVES as SYNTH_OBJECTIVES
 from landmarklab.synth import SynthConfig, TrainingDiverged, compare_convergence, generate_dataset
 from landmarklab.toy import OBJECTIVES as TOY_OBJECTIVES
 from landmarklab.toy import ToyConfig, ToyDiverged, run_toy
@@ -123,17 +122,12 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str, cls, **choices):
+def _section(cfg: dict, name: str, cls):
     """``[name]`` of ``cfg`` as a ``cls``: its keys fill the fields of that
-    name and its loss keys a ``structured`` field.  Each key in ``choices``,
-    and ``margin``, must hold one of its listed values."""
+    name and its loss keys a ``structured`` field.  The dataclasses check
+    the values."""
     section = cfg[name]
     values = {f.name: section[f.name] for f in fields(cls) if f.name in section}
-    if "margin" in section:
-        choices["margin"] = MARGINS
-    for key, allowed in choices.items():
-        if section[key] not in allowed:
-            raise CliError(f"{name}.{key} must be one of {allowed}, got {section[key]!r}")
     try:
         if "margin" in section:
             values["structured"] = StructuredLossConfig(
@@ -166,7 +160,7 @@ def cmd_toy(args) -> int:
     cfg = load_config(args.config)
     if args.objective is not None:
         cfg["toy"]["objective"] = args.objective
-    toy_cfg = _section(cfg, "toy", ToyConfig, objective=TOY_OBJECTIVES)
+    toy_cfg = _section(cfg, "toy", ToyConfig)
     try:
         steps, theta, grad, loss = run_toy(toy_cfg)
     except ToyDiverged as err:
@@ -191,8 +185,7 @@ def cmd_toy(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    synth = _section(cfg, "synth", SynthConfig,
-                     objective_a=SYNTH_OBJECTIVES, objective_b=SYNTH_OBJECTIVES)
+    synth = _section(cfg, "synth", SynthConfig)
     root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
     synth_seed = derive_seed(root_seed, "synth")
     try:

@@ -57,7 +57,7 @@ class StructuredLossConfig:
         if self.epsilon <= 0:
             raise ValueError(f"temperature must be positive, got {self.epsilon}")
         if self.margin not in MARGINS:
-            raise ValueError(f"unknown margin kind {self.margin!r}")
+            raise ValueError(f"margin must be one of {MARGINS}, got {self.margin!r}")
         if self.margin == "smooth_l1" and self.margin_s <= 0:
             raise ValueError(f"smooth-l1 threshold must be positive, got {self.margin_s}")
         if self.margin_alpha < 0:

@@ -122,41 +122,12 @@ def features(data: SynthData) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    objective: str = "structured"
-    learning_rate: float = 1.0
-    weight_decay: float = 0.0
-    epochs: int = 40
-    # Batches at least as large as the train split give full-batch descent,
-    # which keeps the non-convex soft-argmax arm off mini-batch noise.
-    batch_size: int = 500
-    seed: int = 0
-    structured: StructuredLossConfig = StructuredLossConfig(margin="smooth_l1")
-    mse_sigma: float = 1.5
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
-        if self.mse_sigma <= 0:
-            raise ValueError("MSE target sigma must be positive")
-        if 2.0 * self.mse_sigma * self.mse_sigma == 0:  # gaussian_bumps divides by it
-            raise ValueError(f"MSE target sigma {self.mse_sigma:g} is too small: "
-                             f"2 sigma^2 underflows to 0")
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     """The ``[synth]`` config section: its keys are the fields, in order,
-    with the loss keys held in ``structured``.  Defaults shared with
-    TrainConfig are TrainConfig's."""
+    with the loss keys held in ``structured``.  Arm a trains
+    ``objective_a`` at ``lr_a`` for ``epochs_a``, arm b likewise; the other
+    training keys are shared by both arms.  Every key is checked here, and
+    each error names its key."""
 
     samples: int = 500
     width: int = 32
@@ -164,33 +135,43 @@ class SynthConfig:
     landmarks: int = 3
     noise_sigma: float = 0.02
     target_nme: float = 0.30
-    batch_size: int = TrainConfig.batch_size
-    weight_decay: float = TrainConfig.weight_decay
+    # Batches at least as large as the train split give full-batch descent,
+    # which keeps the non-convex soft-argmax arm off mini-batch noise.
+    batch_size: int = 500
+    weight_decay: float = 0.0
     objective_a: str = "structured"
     lr_a: float = 4.0
     epochs_a: int = 12
     objective_b: str = "softargmax"
     lr_b: float = 0.2
     epochs_b: int = 25
-    structured: StructuredLossConfig = TrainConfig.structured
+    structured: StructuredLossConfig = StructuredLossConfig(margin="smooth_l1")
     with_smoothing: bool = False
     gamma: float = SmoothingConfig.gamma
-    mse_sigma: float = TrainConfig.mse_sigma
+    mse_sigma: float = 1.5
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2 (one to train on, one held out)")
-        if self.target_nme <= 0:
-            raise ValueError(f"target_nme must be positive, got {self.target_nme}")
-        if min(self.width, self.height) < 12:
-            raise ValueError("image sides must be at least 12 pixels")
-        if self.landmarks < 2:
-            raise ValueError("need at least two landmarks (for the normalizing pair)")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise sigma must be nonnegative")
-        for name in "ab":  # raises on a setting that the arm's TrainConfig rejects
-            self.arm(name, 0)
+        # samples: one to train on, one held out; landmarks: the normalizing pair.
+        for key, least in (("samples", 2), ("width", 12), ("height", 12), ("landmarks", 2),
+                           ("batch_size", 1), ("epochs_a", 1), ("epochs_b", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        for key in ("noise_sigma", "weight_decay", "lr_a", "lr_b"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
+        for key in ("target_nme", "gamma", "mse_sigma"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         objectives = self.objective_a, self.objective_b
+        for key, objective in zip(("objective_a", "objective_b"), objectives):
+            if objective not in OBJECTIVES:
+                raise ValueError(f"{key} must be one of {OBJECTIVES}, got {objective!r}")
+        # gaussian_bumps divides the squared distances from each landmark,
+        # inside the grid, to its cells, none above far, by 2 sigma^2.
+        two_var = 2.0 * self.mse_sigma * self.mse_sigma
+        if two_var == 0:
+            raise ValueError(f"mse_sigma {self.mse_sigma:g} is too small: "
+                             f"2 sigma^2 underflows to 0")
         if "structured" in objectives:  # raises on a table that overflows
             _margin_windows(self.structured, self.width, self.height)
         if self.with_smoothing and "structured" not in objectives:
@@ -198,13 +179,10 @@ class SynthConfig:
                 f"synth.with_smoothing applies to the structured objective only, "
                 f"but the arms are {self.objective_a} and {self.objective_b}"
             )
-        # gaussian_bumps divides the squared distances from each landmark,
-        # inside the grid, to its cells, none above far, by 2 sigma^2.
         far = (self.width - 1) ** 2 + (self.height - 1) ** 2
-        two_var = 2.0 * self.mse_sigma * self.mse_sigma
         if "heatmap_mse" in objectives and math.isinf(far / two_var):
             raise ValueError(
-                f"MSE target sigma {self.mse_sigma:g} is too small for a "
+                f"mse_sigma {self.mse_sigma:g} is too small for a "
                 f"{self.width}x{self.height} grid: distance^2 / (2 sigma^2) overflows"
             )
         if "structured" in objectives:
@@ -218,19 +196,6 @@ class SynthConfig:
                     f"structured loss with margin_alpha {self.structured.margin_alpha:g} and "
                     f"epsilon {eps:g} overflows when summed over {self.landmarks} landmarks "
                     f"and {self.samples} samples on a {self.width}x{self.height} grid")
-
-    def arm(self, name: str, seed: int) -> TrainConfig:
-        """The TrainConfig of arm ``a`` or ``b``, shuffling from ``seed``."""
-        return TrainConfig(
-            objective=getattr(self, f"objective_{name}"),
-            learning_rate=getattr(self, f"lr_{name}"),
-            weight_decay=self.weight_decay,
-            epochs=getattr(self, f"epochs_{name}"),
-            batch_size=self.batch_size,
-            seed=seed,
-            structured=self.structured,
-            mse_sigma=self.mse_sigma,
-        )
 
 
 # Parameter angles of the contour vertices; the last closes the loop.
@@ -352,9 +317,9 @@ def generate_dataset(synth: SynthConfig, seed: int) -> SynthData:
     return SynthData(pixels, points, norm, covs)
 
 
-def _objective(data: SynthData, cfg: TrainConfig):
-    """The objective's batch kernel, its grid and loss config bound, and
-    its targets: a tuple of arrays with one row per sample.
+def _objective(data: SynthData, objective: str, synth: SynthConfig):
+    """The batch kernel of ``objective``, its grid and ``synth``'s loss
+    config bound, and its targets: a tuple of arrays with one row per sample.
 
     These are the clipped true cells [S, N, 2] (structured), the landmark
     points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
@@ -362,16 +327,16 @@ def _objective(data: SynthData, cfg: TrainConfig):
     [S, N, K] of ``label_cells`` (smoothed structured).
     """
     grid = w, h = data.grid
-    if cfg.objective == "structured" and data.covs is not None:
-        return (partial(smoothed_structured_batch, grid=grid, cfg=cfg.structured),
+    if objective == "structured" and data.covs is not None:
+        return (partial(smoothed_structured_batch, grid=grid, cfg=synth.structured),
                 label_cells(data.points, data.covs, grid))
-    if cfg.objective == "structured":
-        return (partial(structured_batch, grid=grid, cfg=cfg.structured),
+    if objective == "structured":
+        return (partial(structured_batch, grid=grid, cfg=synth.structured),
                 (np.clip(np.rint(data.points), 0, [w - 1, h - 1]).astype(int),))
-    if cfg.objective == "softargmax":
+    if objective == "softargmax":
         return partial(soft_argmax_l2_batch, grid=grid), (data.points,)
     return heatmap_mse_batch, (
-        gaussian_bumps(data.points, w, h, cfg.mse_sigma).reshape(len(data), -1, w * h),)
+        gaussian_bumps(data.points, w, h, synth.mse_sigma).reshape(len(data), -1, w * h),)
 
 
 def _batch_loss(kernel, scores, targets):
@@ -398,10 +363,14 @@ def split_dataset(dataset):
     return dataset[:-n_eval], dataset[-n_eval:]
 
 
-def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Mini-batch gradient descent from zero weights; returns the history:
-    the mean train loss and the held-out argmax-inference NME of each
-    epoch, two float64 arrays [cfg.epochs] whose row e - 1 holds epoch e.
+def train(dataset, synth: SynthConfig, arm: str, seed: int,
+          eval_dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Mini-batch gradient descent of arm ``arm`` (``"a"`` or ``"b"``) of
+    ``synth`` from zero weights, shuffling from ``seed``; returns the
+    history: the mean train loss and the held-out argmax-inference NME of
+    each epoch, two float64 arrays [epochs] whose row e - 1 holds epoch e.
+    The arm's ``objective_*``, ``lr_*`` and ``epochs_*`` and the shared
+    training keys are read from ``synth``.
 
     The scorer is linear and every update adds G^T X_b over rows of
     the fixed train features X [S, H*W + 1], so the weights of landmark n
@@ -437,7 +406,10 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
     or invalid operation, or a train loss above LOSS_GROWTH_LIMIT times the
     epoch-1 loss.
     """
-    feats, (kernel, targets) = features(dataset), _objective(dataset, cfg)
+    objective = getattr(synth, f"objective_{arm}")
+    lr, epochs = getattr(synth, f"lr_{arm}"), getattr(synth, f"epochs_{arm}")
+    batch_size, weight_decay = synth.batch_size, synth.weight_decay
+    feats, (kernel, targets) = features(dataset), _objective(dataset, objective, synth)
     gram = feats @ feats.T
     eval_gram = features(eval_dataset) @ feats.T
     del feats
@@ -446,28 +418,28 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
     n = len(dataset)
     coef = np.zeros((n, n_landmarks * grid[0] * grid[1]))
     n_eval = len(eval_dataset)
-    score_buf = np.empty((max(min(cfg.batch_size, n), n_eval), coef.shape[1]))
+    score_buf = np.empty((max(min(batch_size, n), n_eval), coef.shape[1]))
     block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
-    shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
-    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-    train_loss, eval_nme = np.empty(cfg.epochs), np.empty(cfg.epochs)
+    shrink = 1.0 - lr * weight_decay
+    rng = np.random.default_rng(derive_seed(seed, "shuffle"))
+    train_loss, eval_nme = np.empty(epochs), np.empty(epochs)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for epoch in range(1, cfg.epochs + 1):
+            for epoch in range(1, epochs + 1):
                 order = rng.permutation(n)
                 epoch_loss = 0.0
-                for start in range(0, n, cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
+                for start in range(0, n, batch_size):
+                    idx = order[start : start + batch_size]
                     scores = np.matmul(gram[idx], coef, out=score_buf[: len(idx)])
                     scores = scores.reshape(len(idx), n_landmarks, -1)
-                    if cfg.weight_decay > 0:
+                    if weight_decay > 0:
                         coef *= shrink
-                    step = cfg.learning_rate / len(idx)
+                    step = lr / len(idx)
                     for lo in range(0, len(idx), block_rows):
                         block = idx[lo : lo + block_rows]
                         block_scores = scores[lo : lo + block_rows]
                         if not np.isfinite(block_scores).all():
-                            raise TrainingDiverged(cfg.objective, epoch)
+                            raise TrainingDiverged(objective, epoch)
                         block_targets = [t[block] for t in targets]
                         losses, grads = _batch_loss(kernel, block_scores, block_targets)
                         for loss in losses:  # sample by sample: this order fixes the output bits
@@ -477,10 +449,10 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
                         del grads  # freed before the next block's kernel allocates
                 epoch_loss /= n
                 if not np.isfinite(epoch_loss):
-                    raise TrainingDiverged(cfg.objective, epoch)
+                    raise TrainingDiverged(objective, epoch)
                 if epoch > 1 and epoch_loss > LOSS_GROWTH_LIMIT * train_loss[0]:
                     raise TrainingDiverged(
-                        cfg.objective, epoch,
+                        objective, epoch,
                         f"train loss {epoch_loss:.6g} above {LOSS_GROWTH_LIMIT:g}x "
                         f"the epoch-1 loss {train_loss[0]:.6g}",
                     )
@@ -489,7 +461,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset) -> tuple[np.ndarray, np.ndarr
                 eval_scores = eval_scores.reshape(n_eval, n_landmarks, -1)
                 eval_nme[epoch - 1] = _argmax_nme(eval_scores, eval_dataset)
     except FloatingPointError as err:
-        raise TrainingDiverged(cfg.objective, epoch) from err
+        raise TrainingDiverged(objective, epoch) from err
     return train_loss, eval_nme
 
 
@@ -508,7 +480,7 @@ def compare_convergence(
     arms = []
     for name in "ab":
         try:
-            train_loss, eval_nme = train(train_set, synth.arm(name, seed), eval_dataset=eval_set)
+            train_loss, eval_nme = train(train_set, synth, name, seed, eval_dataset=eval_set)
         except TrainingDiverged as err:
             err.args = (f"arm {name}: {err}",)
             raise

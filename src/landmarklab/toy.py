@@ -82,7 +82,7 @@ class ToyConfig:
             if not 0 <= step <= self.steps:
                 raise ValueError(f"record_at step {step} outside [0, {self.steps}]")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
+            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.objective == "structured":  # raises on a table that overflows
             _margin_windows(self.structured, self.length, 1)
         object.__setattr__(self, "init_values", tuple(float(x) for x in init))

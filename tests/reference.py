@@ -50,8 +50,8 @@ from landmarklab.synth import (
     MINOR_RANGE,
     RENDER_SIGMA,
     ROTATION_RANGE,
+    SynthConfig,
     SynthData,
-    TrainConfig,
     TrainingDiverged,
     _argmax_nme,
     _batch_loss,
@@ -109,36 +109,39 @@ def evaluate_nme(scorer: LinearScorer, data: SynthData) -> float:
     return _argmax_nme(scorer.scores(features(data)), data)
 
 
-def dataset_objective(dataset, scorer: LinearScorer, cfg: TrainConfig):
-    """Full-dataset objective value and weight gradient, in primal form.
+def dataset_objective(dataset, scorer: LinearScorer, synth: SynthConfig, arm: str):
+    """Full-dataset objective value and weight gradient of arm ``arm`` of
+    ``synth``, in primal form.
 
     objective = mean over samples of the summed per-landmark loss, plus
     C/2 * |theta|^2.  The reference for gradient checks and for the dual
     form ``train`` keeps.
     """
     feats = features(dataset)
-    kernel, targets = _objective(dataset, cfg)
+    kernel, targets = _objective(dataset, getattr(synth, f"objective_{arm}"), synth)
     losses, grads = _batch_loss(kernel, scorer.scores(feats), targets)
     total = 0.0
     for loss in losses:  # sample by sample, in the order train sums them
         total += loss
     total /= len(dataset)
     grad = grads.transpose(1, 2, 0) @ feats / len(dataset)
-    if cfg.weight_decay > 0:
-        total += 0.5 * cfg.weight_decay * float((scorer.weights**2).sum())
-        grad += cfg.weight_decay * scorer.weights
+    if synth.weight_decay > 0:
+        total += 0.5 * synth.weight_decay * float((scorer.weights**2).sum())
+        grad += synth.weight_decay * scorer.weights
     return total, grad
 
 
 def tune_learning_rate(
     dataset,
-    base_cfg: TrainConfig,
+    synth: SynthConfig,
+    arm: str,
     grid,
     target_nme: float,
     probe_epochs: int = 8,
     probe_samples: int | None = 200,
 ) -> float:
-    """Pick the grid learning rate that converges fastest on a short probe.
+    """Pick the grid learning rate for arm ``arm`` of ``synth`` that
+    converges fastest on a short probe, shuffling from seed 0.
 
     Rates are ranked by first probe epoch reaching ``target_nme``
     (never-reaching ranks last), then by the best NME seen anywhere in
@@ -149,9 +152,9 @@ def tune_learning_rate(
     train_set, eval_set = split_dataset(subset)
     best_lr, best_key = None, (np.inf, np.inf)
     for lr in grid:
-        cfg = replace(base_cfg, learning_rate=lr, epochs=probe_epochs)
+        probe = replace(synth, **{f"lr_{arm}": lr, f"epochs_{arm}": probe_epochs})
         try:
-            _, eval_nme = train(train_set, cfg, eval_dataset=eval_set)
+            _, eval_nme = train(train_set, probe, arm, 0, eval_dataset=eval_set)
         except TrainingDiverged:
             continue
         reached = np.flatnonzero(eval_nme <= target_nme)
@@ -159,7 +162,7 @@ def tune_learning_rate(
         if key < best_key:
             best_lr, best_key = lr, key
     if best_lr is None:
-        raise TrainingDiverged(base_cfg.objective, 0)
+        raise TrainingDiverged(getattr(synth, f"objective_{arm}"), 0)
     return best_lr
 
 

@@ -26,7 +26,7 @@ from landmarklab.smoothing import (
     label_cells,
     refine_edge_heatmap,
 )
-from landmarklab.synth import SynthConfig, TrainConfig, compare_convergence, generate_dataset
+from landmarklab.synth import SynthConfig, compare_convergence, generate_dataset
 from landmarklab.toy import ToyConfig, run_toy
 
 from reference import margin_table, tune_learning_rate
@@ -184,18 +184,16 @@ def test_criterion_5_synthetic_convergence_ordering():
     with criterion(5, "convergence ordering on the synthetic bench",
                    budget_seconds=300.0):
         target_nme = 0.30
-        base_structured = TrainConfig(objective="structured", epochs=12)
-        base_softargmax = TrainConfig(objective="softargmax", epochs=25)
-        tuning_set = generate_dataset(SynthConfig(), seed=0)
+        base = SynthConfig(target_nme=target_nme)
+        assert (base.objective_a, base.objective_b) == ("structured", "softargmax")
+        tuning_set = generate_dataset(base, seed=0)
         lr_structured = tune_learning_rate(
-            tuning_set, base_structured, [2.0, 4.0, 8.0], target_nme, probe_epochs=5
+            tuning_set, base, "a", [2.0, 4.0, 8.0], target_nme, probe_epochs=5
         )
         lr_softargmax = tune_learning_rate(
-            tuning_set, base_softargmax, [0.1, 0.2, 0.4], target_nme, probe_epochs=10
+            tuning_set, base, "b", [0.1, 0.2, 0.4], target_nme, probe_epochs=10
         )
-        synth = SynthConfig(target_nme=target_nme, lr_a=lr_structured, lr_b=lr_softargmax)
-        assert synth.arm("a", 1) == replace(base_structured, learning_rate=lr_structured, seed=1)
-        assert synth.arm("b", 1) == replace(base_softargmax, learning_rate=lr_softargmax, seed=1)
+        synth = replace(base, lr_a=lr_structured, lr_b=lr_softargmax)
         for seed in (0, 1, 2):
             dataset = (
                 tuning_set if seed == 0

@@ -3,7 +3,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from landmarklab.smoothing import (
     read_boundaries,
     refine_edge_heatmap,
 )
-from landmarklab.synth import SynthConfig, TrainConfig, compare_convergence, generate_dataset
+from landmarklab.synth import SynthConfig, generate_dataset, train
 from landmarklab.toy import ToyConfig, run_toy
 
 from reference import annotation_samples, dense_auc_ced, label_panels, per_id_nmes
@@ -322,8 +321,8 @@ class TestToyCommand:
 
     @pytest.mark.parametrize("setting, message", [
         ("objective = foo",
-         "toy.objective must be one of ('structured', 'softargmax'), got 'foo'"),
-        ("margin = foo", f"toy.margin must be one of {MARGINS}, got 'foo'"),
+         "invalid toy config: objective must be one of ('structured', 'softargmax'), got 'foo'"),
+        ("margin = foo", f"invalid toy config: margin must be one of {MARGINS}, got 'foo'"),
         ("length = 5\ntarget = 2",
          "invalid toy config: the default bimodal start needs length >= 10, got 5"),
         ("record_at = 60", "invalid toy config: record_at step 60 outside [0, 50]"),
@@ -486,16 +485,15 @@ class TestSynthCommand:
         lines, expected = loss_keys(normalize=False)
         cfg = tmp_path / "synth.cfg"
         cfg.write_text(SMALL_SYNTH_CFG + lines)
-        captured = []
+        arms = []
 
-        def capture(dataset, synth, seed):
-            captured.append((synth, seed))
-            return compare_convergence(dataset, synth, seed)
+        def capture(dataset, synth, arm, seed, eval_dataset):
+            arms.append((arm, synth.structured))
+            return train(dataset, synth, arm, seed, eval_dataset)
 
-        monkeypatch.setattr(cli, "compare_convergence", capture)
+        monkeypatch.setattr(landmarklab.synth, "train", capture)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        ((synth, seed),) = captured
-        assert [synth.arm(name, seed).structured for name in "ab"] == [expected, expected]
+        assert arms == [("a", expected), ("b", expected)]
 
     def test_every_key_reaches_both_arms_and_the_data(self, tmp_path, monkeypatch):
         lines, structured = loss_keys(normalize=False)
@@ -516,31 +514,26 @@ class TestSynthCommand:
             objective_b="structured", lr_b=3.0, epochs_b=3,
             structured=structured, with_smoothing=True, gamma=0.02, mse_sigma=2.0)
         assert cli._section(loaded, "synth", SynthConfig) == expected
-        calls = {}
+        calls = {"train": []}
 
         def data(*args, **kwargs):
             calls["data"] = args, kwargs
             calls["dataset"] = generate_dataset(*args, **kwargs)
             return calls["dataset"]
 
-        def compare(dataset, synth, seed):
-            calls["compare"] = synth, seed
-            return compare_convergence(dataset, synth, seed)
+        def arm(dataset, synth, name, seed, eval_dataset):
+            calls["train"].append((synth, name, seed))
+            return train(dataset, synth, name, seed, eval_dataset)
 
         monkeypatch.setattr(cli, "generate_dataset", data)
-        monkeypatch.setattr(cli, "compare_convergence", compare)
+        monkeypatch.setattr(landmarklab.synth, "train", arm)
         argv = ["synth", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path)]
         assert main(argv) == 0
         seed = derive_seed(5, "synth")
-        arm = partial(TrainConfig, weight_decay=0.001, batch_size=7, seed=seed,
-                      structured=structured, mse_sigma=2.0)
-        synth, compare_seed = calls["compare"]
         assert calls["data"] == ((expected,), {"seed": seed})
         assert calls["dataset"].covs.shape == (11, 4, 2, 2)
-        assert compare_seed == seed
-        assert (synth.arm("a", seed), synth.arm("b", seed), synth.target_nme) == (
-            arm(objective="heatmap_mse", learning_rate=0.05, epochs=2),
-            arm(objective="structured", learning_rate=3.0, epochs=3), 0.4)
+        # Each arm trains from the loaded config, by its letter, at the sub-seed.
+        assert calls["train"] == [(expected, "a", seed), (expected, "b", seed)]
 
     def test_huge_noise_gives_clipped_images(self, tmp_path, monkeypatch):
         # Draws scaled past the largest float overflow to +-inf, which the
@@ -572,7 +565,8 @@ class TestSynthCommand:
         cfg.write_text(SMALL_SYNTH_CFG.replace("epochs_a = 4", "epochs_a = 0"))
         out = tmp_path / "out"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "invalid synth config: epochs must be at least 1, got 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid synth config: epochs_a must be at least 1, got 0" in err
         assert not out.exists()
 
     def test_diverging_arm_names_objective(self, tmp_path, capsys):
@@ -657,12 +651,14 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("setting, message", [
         ("samples = 1", "samples must be at least 2"),
-        ("samples = 40\nmse_sigma = 0", "MSE target sigma must be positive"),
-        ("samples = 40\nmse_sigma = -1.5", "MSE target sigma must be positive"),
+        ("samples = 40\nmse_sigma = 0",
+         "invalid synth config: mse_sigma must be positive, got 0.0"),
+        ("samples = 40\nmse_sigma = -1.5",
+         "invalid synth config: mse_sigma must be positive, got -1.5"),
         ("samples = 40\nobjective_b = heatmap_mse\nmse_sigma = 1e-170",
-         "MSE target sigma 1e-170 is too small: 2 sigma^2 underflows to 0"),
+         "invalid synth config: mse_sigma 1e-170 is too small: 2 sigma^2 underflows to 0"),
         ("samples = 40\nobjective_b = heatmap_mse\nmse_sigma = 1e-160",
-         "invalid synth config: MSE target sigma 1e-160 is too small for a 16x16 grid: "
+         "invalid synth config: mse_sigma 1e-160 is too small for a 16x16 grid: "
          "distance^2 / (2 sigma^2) overflows"),
         ("samples = 20\nmargin_alpha = 1e308",
          "invalid synth config: smooth_l1 margin with margin_alpha 1e+308 and margin_s 0.01 "
@@ -673,15 +669,30 @@ class TestSynthCommand:
         ("samples = 20\nmargin_s = 1e-310",
          "invalid synth config: smooth_l1 margin with margin_alpha 1 and margin_s 1e-310 "
          "overflows on a 16x16 grid"),
-        ("samples = 40\nnoise_sigma = -0.5", "noise sigma must be nonnegative"),
+        ("samples = 40\nnoise_sigma = -0.5", "noise_sigma must be nonnegative, got -0.5"),
         ("samples = 40\nobjective_a = foo",
-         f"synth.objective_a must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
+         f"invalid synth config: objective_a must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
         ("samples = 40\nobjective_b = foo",
-         f"synth.objective_b must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
-        ("samples = 40\nmargin = foo", f"synth.margin must be one of {MARGINS}, got 'foo'"),
-        ("width = -3", "invalid synth config: image sides must be at least 12 pixels"),
+         f"invalid synth config: objective_b must be one of {SYNTH_OBJECTIVES}, got 'foo'"),
+        ("samples = 40\nmargin = foo",
+         f"invalid synth config: margin must be one of {MARGINS}, got 'foo'"),
+        ("width = -3", "invalid synth config: width must be at least 12, got -3"),
+        ("lr_a = -1", "invalid synth config: lr_a must be nonnegative, got -1.0"),
+        ("lr_b = -1", "invalid synth config: lr_b must be nonnegative, got -1.0"),
+        ("epochs_b = 0", "invalid synth config: epochs_b must be at least 1, got 0"),
+        ("batch_size = 0", "invalid synth config: batch_size must be at least 1, got 0"),
+        ("weight_decay = -0.1",
+         "invalid synth config: weight_decay must be nonnegative, got -0.1"),
+        ("gamma = 0", "invalid synth config: gamma must be positive, got 0.0"),
+        ("with_smoothing = true\ngamma = 0",
+         "invalid synth config: gamma must be positive, got 0.0"),
     ])
-    def test_invalid_setting_rejected(self, tmp_path, capsys, setting, message):
+    def test_invalid_setting_rejected(self, tmp_path, capsys, monkeypatch, setting, message):
+        # Every [synth] key is checked before anything is rendered.
+        def render(*args, **kwargs):
+            raise AssertionError("a bad setting reached the render")
+
+        monkeypatch.setattr(cli, "generate_dataset", render)
         # The setting's keys take the place of the small config's.
         keys = {line.split(" = ")[0] for line in setting.splitlines()}
         lines = [line for line in SMALL_SYNTH_CFG.splitlines() if line.split(" = ")[0] not in keys]

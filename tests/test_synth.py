@@ -25,7 +25,6 @@ from landmarklab.synth import (
     ROTATION_RANGE,
     SynthConfig,
     SynthData,
-    TrainConfig,
     TrainingDiverged,
     _ellipse_contour,
     compare_convergence,
@@ -49,6 +48,12 @@ ARMS = [
     ("heatmap_mse", 0.002, False),
     ("structured", 0.5, True),
 ]
+
+
+def arm_a(objective, lr, epochs, **keys):
+    """A ``[synth]`` config whose arm a trains ``objective`` at rate ``lr``
+    for ``epochs``, with the other keys at their defaults or in ``keys``."""
+    return SynthConfig(objective_a=objective, lr_a=lr, epochs_a=epochs, **keys)
 
 
 def dataset(samples, width, height, landmarks, noise_sigma, seed, **keys):
@@ -154,10 +159,10 @@ class TestGenerateDataset:
         # the first row's is named.
         for keys, message in [
             ({"samples": 0}, "samples must be at least 2"),
-            ({"width": 8, "landmarks": 1}, "image sides must be at least 12 pixels"),
-            ({"height": 11}, "image sides must be at least 12 pixels"),
-            ({"landmarks": 1, "noise_sigma": -0.5}, "need at least two landmarks"),
-            ({"noise_sigma": -0.5}, "noise sigma must be nonnegative"),
+            ({"width": 8, "landmarks": 1}, "width must be at least 12, got 8"),
+            ({"height": 11}, "height must be at least 12, got 11"),
+            ({"landmarks": 1, "noise_sigma": -0.5}, "landmarks must be at least 2, got 1"),
+            ({"noise_sigma": -0.5}, "noise_sigma must be nonnegative, got -0.5"),
         ]:
             with pytest.raises(ValueError, match=message):
                 SynthConfig(**{"samples": 2, "width": 16, "height": 16, **keys})
@@ -268,63 +273,66 @@ class TestLinearScorer:
         np.testing.assert_allclose(scores[0, 1], scorer.weights[1] @ phi, rtol=1e-12)
 
 
-class TestTrainConfig:
+class TestSynthConfig:
     @pytest.mark.parametrize("sigma", [0.0, -1.5])
     def test_rejects_nonpositive_mse_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            TrainConfig(objective="heatmap_mse", mse_sigma=sigma)
+        # Checked whichever objective the arms train.
+        with pytest.raises(ValueError, match=rf"^mse_sigma must be positive, got {sigma}$"):
+            SynthConfig(objective_b="heatmap_mse", mse_sigma=sigma)
+        with pytest.raises(ValueError, match=rf"^mse_sigma must be positive, got {sigma}$"):
+            SynthConfig(mse_sigma=sigma)
+
+    def test_replaced_config_is_checked_like_a_section(self):
+        # A sweep row varies a config with replace, which runs the same
+        # checks as a [synth] section.
+        with pytest.raises(ValueError, match=r"^lr_a must be nonnegative, got -1\.0$"):
+            replace(SynthConfig(), lr_a=-1.0)
 
 
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         ds = dataset(8, 16, 16, 2, 0.02, seed=6)
-        cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=3,
-                          batch_size=8, seed=0)
-        train_loss, eval_nme = train(ds[:6], cfg, eval_dataset=ds[6:])
+        cfg = arm_a("structured", 0.0, 3, batch_size=8)
+        train_loss, eval_nme = train(ds[:6], cfg, "a", 0, eval_dataset=ds[6:])
         # Every epoch sees the zero scorer.
         zero = LinearScorer.zeros(2, 16, 16)
-        loss, _ = dataset_objective(ds[:6], zero, cfg)
+        loss, _ = dataset_objective(ds[:6], zero, cfg, "a")
         assert train_loss == pytest.approx([loss] * 3, rel=1e-12)
         assert (eval_nme == evaluate_nme(zero, ds[6:])).all()
 
     def test_single_sample_structured_reaches_target_cell(self):
         s = single_sample()
-        cfg = TrainConfig(objective="structured", learning_rate=2.0, epochs=60,
-                          batch_size=1, seed=0, structured=STRUCT_CFG)
-        _, eval_nme = train(s, cfg, eval_dataset=s)
+        cfg = arm_a("structured", 2.0, 60, batch_size=1, structured=STRUCT_CFG)
+        _, eval_nme = train(s, cfg, "a", 0, eval_dataset=s)
         assert eval_nme[-1] == 0.0
 
     def test_single_sample_mse_reaches_target_cell(self):
         s = single_sample()
         phi_sq = float(np.concatenate([s.pixels[0].ravel(), [1.0]]) ** 2 @ np.ones(257))
-        cfg = TrainConfig(objective="heatmap_mse", learning_rate=0.3 / phi_sq,
-                          epochs=40, batch_size=1, seed=0, mse_sigma=1.5)
-        _, eval_nme = train(s, cfg, eval_dataset=s)
+        cfg = arm_a("heatmap_mse", 0.3 / phi_sq, 40, batch_size=1, mse_sigma=1.5)
+        _, eval_nme = train(s, cfg, "a", 0, eval_dataset=s)
         assert eval_nme[-1] == 0.0
 
     def test_deterministic_per_seed(self):
         ds = dataset(12, 16, 16, 2, 0.02, seed=8)
-        cfg = TrainConfig(objective="softargmax", learning_rate=0.1, epochs=3,
-                          batch_size=4, seed=5)
-        hist1 = train(ds[:10], cfg, eval_dataset=ds[10:])
-        hist2 = train(ds[:10], cfg, eval_dataset=ds[10:])
+        cfg = arm_a("softargmax", 0.1, 3, batch_size=4)
+        hist1 = train(ds[:10], cfg, "a", 5, eval_dataset=ds[10:])
+        hist2 = train(ds[:10], cfg, "a", 5, eval_dataset=ds[10:])
         np.testing.assert_array_equal(hist1, hist2)
 
     def test_divergence_is_reported(self):
         s = single_sample()
-        cfg = TrainConfig(objective="heatmap_mse", learning_rate=1e12, epochs=40,
-                          batch_size=1, seed=0)
+        cfg = arm_a("heatmap_mse", 1e12, 40, batch_size=1)
         with pytest.raises(TrainingDiverged) as exc:
-            train(s, cfg, eval_dataset=s)
+            train(s, cfg, "a", 0, eval_dataset=s)
         assert exc.value.epoch >= 1
 
     def test_smoothing_gamma_to_zero_matches_unsmoothed(self):
         ds = dataset(10, 16, 16, 2, 0.02, seed=9)
         smoothed = dataset(10, 16, 16, 2, 0.02, seed=9, with_smoothing=True, gamma=1e-15)
-        cfg = TrainConfig(objective="structured", learning_rate=1.0, epochs=3,
-                          batch_size=10, seed=0, structured=STRUCT_CFG)
-        hist_plain = train(ds[:8], cfg, eval_dataset=ds[8:])
-        hist_smooth = train(smoothed[:8], cfg, eval_dataset=smoothed[8:])
+        cfg = arm_a("structured", 1.0, 3, batch_size=10, structured=STRUCT_CFG)
+        hist_plain = train(ds[:8], cfg, "a", 0, eval_dataset=ds[8:])
+        hist_smooth = train(smoothed[:8], cfg, "a", 0, eval_dataset=smoothed[8:])
         for a, b in zip(hist_plain, hist_smooth):  # train losses, then eval NMEs
             assert (abs(a - b) < 1e-9).all()
 
@@ -333,12 +341,11 @@ class TestTrain:
         # Batches of 4, 4 and 2 rows, walked one row per block and in one
         # block; weight decay must shrink coef once per batch either way.
         ds = dataset(12, 16, 16, 2, 0.02, seed=19, with_smoothing=smoothed)
-        cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=0.05,
-                          epochs=3, batch_size=4, seed=0, structured=STRUCT_CFG)
+        cfg = arm_a(objective, lr, 3, weight_decay=0.05, batch_size=4, structured=STRUCT_CFG)
         histories = []
         for block_bytes in (1, 1 << 40):
             monkeypatch.setattr(synth, "BLOCK_BYTES", block_bytes)
-            histories.append(train(ds[:10], cfg, eval_dataset=ds[10:]))
+            histories.append(train(ds[:10], cfg, "a", 0, eval_dataset=ds[10:]))
         np.testing.assert_array_equal(histories[0], histories[1])
 
 
@@ -363,12 +370,11 @@ class TestDualForm:
 
     def check_primal_descent(self, objective, lr, with_smoothing):
         train_set, eval_set = self.split(with_smoothing=with_smoothing, gamma=4.0)
-        cfg = TrainConfig(objective=objective, learning_rate=lr, weight_decay=self.C,
-                          epochs=3, batch_size=10, seed=0, structured=STRUCT_CFG)
-        hist = train(train_set, cfg, eval_dataset=eval_set)
+        cfg = arm_a(objective, lr, 3, weight_decay=self.C, batch_size=10, structured=STRUCT_CFG)
+        hist = train(train_set, cfg, "a", 0, eval_dataset=eval_set)
         primal = LinearScorer.zeros(2, 16, 16)
         for train_loss, eval_nme in zip(*hist):
-            value, grad = dataset_objective(train_set, primal, cfg)
+            value, grad = dataset_objective(train_set, primal, cfg, "a")
             penalty = 0.5 * self.C * float((primal.weights**2).sum())
             assert train_loss == pytest.approx(value - penalty, rel=1e-9)
             primal.weights -= lr * grad
@@ -385,14 +391,14 @@ class TestDualForm:
     def check_mini_batches(self, batch):
         train_set, eval_set = self.split()
         lr = 0.5
-        cfg = TrainConfig(objective="structured", learning_rate=lr, weight_decay=self.C,
-                          epochs=3, batch_size=batch, seed=0, structured=STRUCT_CFG)
-        hist = train(train_set, cfg, eval_dataset=eval_set)
+        cfg = arm_a("structured", lr, 3, weight_decay=self.C, batch_size=batch,
+                    structured=STRUCT_CFG)
+        hist = train(train_set, cfg, "a", 0, eval_dataset=eval_set)
 
         feats = features(train_set)
         cells = np.clip(np.rint(train_set.points), 0, 15).astype(int)
         primal = LinearScorer.zeros(2, 16, 16)
-        rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
+        rng = np.random.default_rng(derive_seed(0, "shuffle"))
         for train_loss, eval_nme in zip(*hist):
             order = rng.permutation(len(train_set))
             epoch_loss = 0.0
@@ -414,10 +420,8 @@ class TestWeightGradients:
         rng = np.random.default_rng(10)
         ds = dataset(3, 16, 16, 2, 0.02, seed=11)
         scorer = LinearScorer(rng.normal(scale=0.01, size=(2, 256, 257)), 16, 16)
-        cfg = TrainConfig(objective=objective, learning_rate=1.0, epochs=1,
-                          batch_size=3, seed=0, weight_decay=0.01,
-                          structured=STRUCT_CFG)
-        value, grad = dataset_objective(ds, scorer, cfg)
+        cfg = arm_a(objective, 1.0, 1, weight_decay=0.01, batch_size=3, structured=STRUCT_CFG)
+        value, grad = dataset_objective(ds, scorer, cfg, "a")
         assert np.isfinite(value)
         step = 1e-5
         for _ in range(20):
@@ -426,9 +430,9 @@ class TestWeightGradients:
             j = rng.integers(0, 257)
             bumped = LinearScorer(scorer.weights.copy(), 16, 16)
             bumped.weights[n, k, j] += step
-            hi, _ = dataset_objective(ds, bumped, cfg)
+            hi, _ = dataset_objective(ds, bumped, cfg, "a")
             bumped.weights[n, k, j] -= 2 * step
-            lo, _ = dataset_objective(ds, bumped, cfg)
+            lo, _ = dataset_objective(ds, bumped, cfg, "a")
             fd = (hi - lo) / (2 * step)
             diff = abs(grad[n, k, j] - fd)
             assert diff <= 1e-8 or diff <= 1e-5 * max(abs(fd), abs(grad[n, k, j]))
@@ -495,11 +499,10 @@ class TestConvergenceComparison:
         ds = dataset(130, 32, 32, 3, 0.02, seed=22, with_smoothing=smoothed)
         train_set, eval_set = split_dataset(ds)
         assert len(train_set) > 100
-        cfg = TrainConfig(objective=objective, learning_rate=lr, epochs=2,
-                          batch_size=len(train_set), seed=0)
+        cfg = arm_a(objective, lr, 2, batch_size=len(train_set))
         tracemalloc.start()
         try:
-            train(train_set, cfg, eval_dataset=eval_set)
+            train(train_set, cfg, "a", 0, eval_dataset=eval_set)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -513,12 +516,12 @@ class TestConvergenceComparison:
         # epoch and five temporaries per block peaked at 7.75 MB.
         ds = dataset(100, 32, 32, 3, 0.02, seed=1)
         train_set, eval_set = split_dataset(ds)
-        cfg = TrainConfig(objective="softargmax", learning_rate=0.2, epochs=3, seed=0)
+        cfg = arm_a("softargmax", 0.2, 3)
         coef_bytes = len(train_set) * 3 * 32 * 32 * 8
         tracemalloc.start()
         try:
             entry, _ = tracemalloc.get_traced_memory()
-            train(train_set, cfg, eval_dataset=eval_set)
+            train(train_set, cfg, "a", 0, eval_dataset=eval_set)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -528,15 +531,15 @@ class TestConvergenceComparison:
 class TestLearningRateTuning:
     def test_picks_reasonable_rate(self):
         ds = dataset(40, 16, 16, 2, 0.02, seed=16)
-        cfg = TrainConfig(objective="structured", epochs=3, batch_size=40, seed=0)
-        lr = tune_learning_rate(ds, cfg, [1e-6, 2.0], 0.30, probe_epochs=3, probe_samples=30)
+        lr = tune_learning_rate(ds, SynthConfig(batch_size=40), "a", [1e-6, 2.0], 0.30,
+                                probe_epochs=3, probe_samples=30)
         assert lr == 2.0
 
     def test_all_rates_diverging_raises(self):
         ds = single_sample()[np.zeros(6, dtype=int)]
-        cfg = TrainConfig(objective="heatmap_mse", epochs=2, batch_size=6, seed=0)
+        cfg = SynthConfig(objective_a="heatmap_mse", batch_size=6)
         with pytest.raises(TrainingDiverged):
-            tune_learning_rate(ds, cfg, [1e14], 0.30, probe_epochs=30, probe_samples=None)
+            tune_learning_rate(ds, cfg, "a", [1e14], 0.30, probe_epochs=30, probe_samples=None)
 
 
 class TestSmoothedLabels:
@@ -569,9 +572,8 @@ class TestSmoothedLabels:
         monkeypatch.setattr(synth, "derive_seed", recorded)
         losses = []
         for batch in (1, 3, 10):
-            cfg = TrainConfig(objective="structured", learning_rate=0.0, epochs=2,
-                              batch_size=batch, seed=0, structured=STRUCT_CFG)
-            losses.append(train(ds[:10], cfg, eval_dataset=ds[10:])[0].tolist())
+            cfg = arm_a("structured", 0.0, 2, batch_size=batch, structured=STRUCT_CFG)
+            losses.append(train(ds[:10], cfg, "a", 0, eval_dataset=ds[10:])[0].tolist())
         assert losses[0] == losses[1] == losses[2]
         # The targets do not change between epochs; only the summation order does.
         assert losses[0][1] == pytest.approx(losses[0][0], rel=1e-12)
@@ -599,8 +601,8 @@ class TestSmoothedLabels:
             raise AssertionError("contour distance field computed again")
 
         monkeypatch.setattr(synth, "segment_distance_field", recompute)
-        cfg = TrainConfig(objective="structured", epochs=1, batch_size=10, seed=0)
-        assert len(train(ds[:8], cfg, eval_dataset=ds[8:])[0]) == 1
+        cfg = arm_a("structured", 1.0, 1, batch_size=10)
+        assert len(train(ds[:8], cfg, "a", 0, eval_dataset=ds[8:])[0]) == 1
 
 
 class TestEvaluateNme:
