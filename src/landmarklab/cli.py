@@ -38,7 +38,14 @@ from landmarklab.smoothing import (
     read_boundaries,
     refine_edge_heatmap,
 )
-from landmarklab.synth import SynthConfig, TrainingDiverged, compare_convergence, generate_dataset
+from landmarklab.synth import (
+    SynthConfig,
+    TrainingDiverged,
+    compare_convergence,
+    generate_dataset,
+    prepare,
+    split_dataset,
+)
 from landmarklab.toy import OBJECTIVES as TOY_OBJECTIVES
 from landmarklab.toy import ToyConfig, ToyDiverged, run_toy
 
@@ -189,11 +196,13 @@ def cmd_synth(args) -> int:
     root_seed = cfg["run"]["seed"] if args.seed is None else args.seed
     synth_seed = derive_seed(root_seed, "synth")
     try:
-        dataset = generate_dataset(synth, seed=synth_seed)
+        # No name holds the dataset or its splits, so the pixels are freed
+        # once the Gram matrices exist, before either arm allocates.
+        problem = prepare(*split_dataset(generate_dataset(synth, seed=synth_seed)))
     except (ValueError, FloatingPointError) as err:
         raise CliError(f"cannot fit smoothing labels: {err}") from err
     try:
-        arms = compare_convergence(dataset, synth, synth_seed)
+        arms = compare_convergence(problem, synth, synth_seed)
     except TrainingDiverged as err:
         raise CliError(str(err)) from err
     out = _ensure_outdir(args.out)

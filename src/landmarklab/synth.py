@@ -122,6 +122,34 @@ def features(data: SynthData) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Problem:
+    """What ``train`` reads of a train and a held-out split, built once by
+    ``prepare`` and shared by every arm: the Gram matrices X X^T [S, S]
+    and X_eval X^T [S_eval, S] of the feature rows, the train split's
+    landmark points [S, N, 2], label covariances [S, N, 2, 2] (None
+    without smoothing) and grid (width, height), and the held-out points
+    [S_eval, N, 2] and normalizing distances [S_eval].  It holds no
+    pixels: the dual form scores from the Gram matrices alone."""
+
+    gram: np.ndarray
+    eval_gram: np.ndarray
+    points: np.ndarray
+    covs: np.ndarray | None
+    grid: tuple[int, int]
+    eval_points: np.ndarray
+    eval_norm: np.ndarray
+
+
+def prepare(train_set: SynthData, eval_set: SynthData) -> Problem:
+    """The ``Problem`` of ``train_set`` held out on ``eval_set``.  The
+    features are formed here and dropped once both Gram matrices exist, so
+    the splits' pixels can go with them."""
+    feats = features(train_set)
+    return Problem(feats @ feats.T, features(eval_set) @ feats.T, train_set.points,
+                   train_set.covs, train_set.grid, eval_set.points, eval_set.norm)
+
+
+@dataclass(frozen=True)
 class SynthConfig:
     """The ``[synth]`` config section: its keys are the fields, in order,
     with the loss keys held in ``structured``.  Arm a trains
@@ -317,9 +345,10 @@ def generate_dataset(synth: SynthConfig, seed: int) -> SynthData:
     return SynthData(pixels, points, norm, covs)
 
 
-def _objective(data: SynthData, objective: str, synth: SynthConfig):
+def _objective(data: Problem | SynthData, objective: str, synth: SynthConfig):
     """The batch kernel of ``objective``, its grid and ``synth``'s loss
-    config bound, and its targets: a tuple of arrays with one row per sample.
+    config bound, and its targets: a tuple of arrays with one row per
+    sample of ``data``, read from its points, covariances and grid.
 
     These are the clipped true cells [S, N, 2] (structured), the landmark
     points [S, N, 2] (soft-argmax), the Gaussian target rows [S, N, H*W]
@@ -336,7 +365,7 @@ def _objective(data: SynthData, objective: str, synth: SynthConfig):
     if objective == "softargmax":
         return partial(soft_argmax_l2_batch, grid=grid), (data.points,)
     return heatmap_mse_batch, (
-        gaussian_bumps(data.points, w, h, synth.mse_sigma).reshape(len(data), -1, w * h),)
+        gaussian_bumps(data.points, w, h, synth.mse_sigma).reshape(len(data.points), -1, w * h),)
 
 
 def _batch_loss(kernel, scores, targets):
@@ -350,9 +379,10 @@ def _batch_loss(kernel, scores, targets):
     return losses, grads
 
 
-def _argmax_nme(scores: np.ndarray, data: SynthData) -> float:
-    """Mean per-sample NME of argmax inference from scores [B, N, H*W]."""
-    return float(nme(argmax(scores, data.grid), data.points, data.norm).sum() / len(data))
+def _argmax_nme(scores: np.ndarray, grid, points: np.ndarray, norm: np.ndarray) -> float:
+    """Mean per-sample NME of argmax inference from scores [B, N, H*W] on
+    ``grid`` against points [B, N, 2] with normalizing distances [B]."""
+    return float(nme(argmax(scores, grid), points, norm).sum() / len(points))
 
 
 def split_dataset(dataset):
@@ -363,8 +393,8 @@ def split_dataset(dataset):
     return dataset[:-n_eval], dataset[-n_eval:]
 
 
-def train(dataset, synth: SynthConfig, arm: str, seed: int,
-          eval_dataset) -> tuple[np.ndarray, np.ndarray]:
+def train(problem: Problem, synth: SynthConfig, arm: str,
+          seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Mini-batch gradient descent of arm ``arm`` (``"a"`` or ``"b"``) of
     ``synth`` from zero weights, shuffling from ``seed``; returns the
     history: the mean train loss and the held-out argmax-inference NME of
@@ -383,8 +413,8 @@ def train(dataset, synth: SynthConfig, arm: str, seed: int,
     which equals adding C * theta.  The weights are never built.
 
     The working set is fixed for the call and does not grow with the
-    epochs.  The features are dropped once the two Gram matrices are
-    formed.  Every batch and every evaluation is scored into one buffer
+    epochs.  It starts from the problem's Gram matrices, with no features
+    and no pixels.  Every batch and every evaluation is scored into one buffer
     [max(min(batch_size, S), S_eval), N*H*W], allocated once: the held-out
     split is scored after the epoch's last update, when no batch's score
     rows are still read.  After the batch's one GEMM, its rows are taken
@@ -397,6 +427,8 @@ def train(dataset, synth: SynthConfig, arm: str, seed: int,
     gradient and coef row depend on its own score row alone.  Every
     objective's targets are fixed arrays, computed once per call, so
     neither the epoch, the batch size nor the shuffle order changes them.
+    They are not kept on the problem: the heatmap MSE targets [S, N, H*W]
+    would then outlive their arm.
 
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
@@ -409,15 +441,11 @@ def train(dataset, synth: SynthConfig, arm: str, seed: int,
     objective = getattr(synth, f"objective_{arm}")
     lr, epochs = getattr(synth, f"lr_{arm}"), getattr(synth, f"epochs_{arm}")
     batch_size, weight_decay = synth.batch_size, synth.weight_decay
-    feats, (kernel, targets) = features(dataset), _objective(dataset, objective, synth)
-    gram = feats @ feats.T
-    eval_gram = features(eval_dataset) @ feats.T
-    del feats
-    n_landmarks = dataset.points.shape[1]
-    grid = dataset.grid
-    n = len(dataset)
+    kernel, targets = _objective(problem, objective, synth)
+    gram, eval_gram, grid = problem.gram, problem.eval_gram, problem.grid
+    n, n_landmarks = problem.points.shape[:2]
     coef = np.zeros((n, n_landmarks * grid[0] * grid[1]))
-    n_eval = len(eval_dataset)
+    n_eval = len(eval_gram)
     score_buf = np.empty((max(min(batch_size, n), n_eval), coef.shape[1]))
     block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
     shrink = 1.0 - lr * weight_decay
@@ -459,28 +487,28 @@ def train(dataset, synth: SynthConfig, arm: str, seed: int,
                 train_loss[epoch - 1] = epoch_loss
                 eval_scores = np.matmul(eval_gram, coef, out=score_buf[:n_eval])
                 eval_scores = eval_scores.reshape(n_eval, n_landmarks, -1)
-                eval_nme[epoch - 1] = _argmax_nme(eval_scores, eval_dataset)
+                eval_nme[epoch - 1] = _argmax_nme(eval_scores, grid, problem.eval_points,
+                                                  problem.eval_norm)
     except FloatingPointError as err:
         raise TrainingDiverged(objective, epoch) from err
     return train_loss, eval_nme
 
 
 def compare_convergence(
-    dataset, synth: SynthConfig, seed: int
+    problem: Problem, synth: SynthConfig, seed: int
 ) -> list[tuple[int | None, np.ndarray, np.ndarray]]:
     """Train arms a and b of ``synth``, each shuffling from ``seed``, on
-    one split of ``dataset``.
+    ``problem``: both arms share its split and its Gram matrices.
 
     Returns one ``(epochs, train_loss, eval_nme)`` per arm, a then b:
     its ``train`` history and its first epoch with an eval NME at or
     below ``synth.target_nme``, None when it never gets there.  A
     TrainingDiverged names the arm that diverged.
     """
-    train_set, eval_set = split_dataset(dataset)
     arms = []
     for name in "ab":
         try:
-            train_loss, eval_nme = train(train_set, synth, name, seed, eval_dataset=eval_set)
+            train_loss, eval_nme = train(problem, synth, name, seed)
         except TrainingDiverged as err:
             err.args = (f"arm {name}: {err}",)
             raise

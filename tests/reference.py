@@ -57,6 +57,7 @@ from landmarklab.synth import (
     _batch_loss,
     _objective,
     features,
+    prepare,
     split_dataset,
     train,
 )
@@ -106,7 +107,7 @@ class LinearScorer:
 
 def evaluate_nme(scorer: LinearScorer, data: SynthData) -> float:
     """Mean per-sample NME of argmax inference over a dataset."""
-    return _argmax_nme(scorer.scores(features(data)), data)
+    return _argmax_nme(scorer.scores(features(data)), data.grid, data.points, data.norm)
 
 
 def dataset_objective(dataset, scorer: LinearScorer, synth: SynthConfig, arm: str):
@@ -146,15 +147,15 @@ def tune_learning_rate(
     Rates are ranked by first probe epoch reaching ``target_nme``
     (never-reaching ranks last), then by the best NME seen anywhere in
     the probe; ties keep the earlier grid entry.  Diverging rates are
-    skipped.  Probes run on a head subset of the dataset.
+    skipped.  Probes run on a head subset of the dataset, all on the one
+    problem ``prepare`` builds of its split.
     """
-    subset = dataset[:probe_samples] if probe_samples else dataset
-    train_set, eval_set = split_dataset(subset)
+    problem = prepare(*split_dataset(dataset[:probe_samples] if probe_samples else dataset))
     best_lr, best_key = None, (np.inf, np.inf)
     for lr in grid:
         probe = replace(synth, **{f"lr_{arm}": lr, f"epochs_{arm}": probe_epochs})
         try:
-            _, eval_nme = train(train_set, probe, arm, 0, eval_dataset=eval_set)
+            _, eval_nme = train(problem, probe, arm, 0)
         except TrainingDiverged:
             continue
         reached = np.flatnonzero(eval_nme <= target_nme)

@@ -26,7 +26,13 @@ from landmarklab.smoothing import (
     label_cells,
     refine_edge_heatmap,
 )
-from landmarklab.synth import SynthConfig, compare_convergence, generate_dataset
+from landmarklab.synth import (
+    SynthConfig,
+    compare_convergence,
+    generate_dataset,
+    prepare,
+    split_dataset,
+)
 from landmarklab.toy import ToyConfig, run_toy
 
 from reference import margin_table, tune_learning_rate
@@ -199,7 +205,8 @@ def test_criterion_5_synthetic_convergence_ordering():
                 tuning_set if seed == 0
                 else generate_dataset(SynthConfig(), seed=seed)
             )
-            (epochs_a, _, _), (epochs_b, _, _) = compare_convergence(dataset, synth, seed)
+            problem = prepare(*split_dataset(dataset))
+            (epochs_a, _, _), (epochs_b, _, _) = compare_convergence(problem, synth, seed)
             assert epochs_a is not None, f"structured never converged (seed {seed})"
             assert epochs_b is not None, f"soft-argmax never converged (seed {seed})"
             assert epochs_a < epochs_b, (

@@ -1,8 +1,10 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -487,9 +489,9 @@ class TestSynthCommand:
         cfg.write_text(SMALL_SYNTH_CFG + lines)
         arms = []
 
-        def capture(dataset, synth, arm, seed, eval_dataset):
+        def capture(problem, synth, arm, seed):
             arms.append((arm, synth.structured))
-            return train(dataset, synth, arm, seed, eval_dataset)
+            return train(problem, synth, arm, seed)
 
         monkeypatch.setattr(landmarklab.synth, "train", capture)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -521,9 +523,9 @@ class TestSynthCommand:
             calls["dataset"] = generate_dataset(*args, **kwargs)
             return calls["dataset"]
 
-        def arm(dataset, synth, name, seed, eval_dataset):
+        def arm(problem, synth, name, seed):
             calls["train"].append((synth, name, seed))
-            return train(dataset, synth, name, seed, eval_dataset)
+            return train(problem, synth, name, seed)
 
         monkeypatch.setattr(cli, "generate_dataset", data)
         monkeypatch.setattr(landmarklab.synth, "train", arm)
@@ -534,6 +536,29 @@ class TestSynthCommand:
         assert calls["dataset"].covs.shape == (11, 4, 2, 2)
         # Each arm trains from the loaded config, by its letter, at the sub-seed.
         assert calls["train"] == [(expected, "a", seed), (expected, "b", seed)]
+
+    def test_pixels_are_freed_before_training(self, tmp_path, monkeypatch):
+        # Training reads the problem's Gram matrices alone, so no rendered
+        # pixel is alive once the first arm starts.
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH_CFG)
+        pixels, arms = [], []
+
+        def data(*args, **kwargs):
+            dataset = generate_dataset(*args, **kwargs)
+            pixels.append(weakref.ref(dataset.pixels))
+            return dataset
+
+        def arm(*args, **kwargs):
+            gc.collect()
+            assert pixels[0]() is None, "the rendered pixels outlive the problem"
+            arms.append(args[2])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_dataset", data)
+        monkeypatch.setattr(landmarklab.synth, "train", arm)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(pixels) == 1 and arms == ["a", "b"]
 
     def test_huge_noise_gives_clipped_images(self, tmp_path, monkeypatch):
         # Draws scaled past the largest float overflow to +-inf, which the

@@ -30,6 +30,7 @@ from landmarklab.synth import (
     compare_convergence,
     features,
     generate_dataset,
+    prepare,
     split_dataset,
     train,
 )
@@ -293,7 +294,7 @@ class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         ds = dataset(8, 16, 16, 2, 0.02, seed=6)
         cfg = arm_a("structured", 0.0, 3, batch_size=8)
-        train_loss, eval_nme = train(ds[:6], cfg, "a", 0, eval_dataset=ds[6:])
+        train_loss, eval_nme = train(prepare(ds[:6], ds[6:]), cfg, "a", 0)
         # Every epoch sees the zero scorer.
         zero = LinearScorer.zeros(2, 16, 16)
         loss, _ = dataset_objective(ds[:6], zero, cfg, "a")
@@ -303,36 +304,37 @@ class TestTrain:
     def test_single_sample_structured_reaches_target_cell(self):
         s = single_sample()
         cfg = arm_a("structured", 2.0, 60, batch_size=1, structured=STRUCT_CFG)
-        _, eval_nme = train(s, cfg, "a", 0, eval_dataset=s)
+        _, eval_nme = train(prepare(s, s), cfg, "a", 0)
         assert eval_nme[-1] == 0.0
 
     def test_single_sample_mse_reaches_target_cell(self):
         s = single_sample()
         phi_sq = float(np.concatenate([s.pixels[0].ravel(), [1.0]]) ** 2 @ np.ones(257))
         cfg = arm_a("heatmap_mse", 0.3 / phi_sq, 40, batch_size=1, mse_sigma=1.5)
-        _, eval_nme = train(s, cfg, "a", 0, eval_dataset=s)
+        _, eval_nme = train(prepare(s, s), cfg, "a", 0)
         assert eval_nme[-1] == 0.0
 
     def test_deterministic_per_seed(self):
         ds = dataset(12, 16, 16, 2, 0.02, seed=8)
         cfg = arm_a("softargmax", 0.1, 3, batch_size=4)
-        hist1 = train(ds[:10], cfg, "a", 5, eval_dataset=ds[10:])
-        hist2 = train(ds[:10], cfg, "a", 5, eval_dataset=ds[10:])
+        problem = prepare(ds[:10], ds[10:])
+        hist1 = train(problem, cfg, "a", 5)
+        hist2 = train(problem, cfg, "a", 5)
         np.testing.assert_array_equal(hist1, hist2)
 
     def test_divergence_is_reported(self):
         s = single_sample()
         cfg = arm_a("heatmap_mse", 1e12, 40, batch_size=1)
         with pytest.raises(TrainingDiverged) as exc:
-            train(s, cfg, "a", 0, eval_dataset=s)
+            train(prepare(s, s), cfg, "a", 0)
         assert exc.value.epoch >= 1
 
     def test_smoothing_gamma_to_zero_matches_unsmoothed(self):
         ds = dataset(10, 16, 16, 2, 0.02, seed=9)
         smoothed = dataset(10, 16, 16, 2, 0.02, seed=9, with_smoothing=True, gamma=1e-15)
         cfg = arm_a("structured", 1.0, 3, batch_size=10, structured=STRUCT_CFG)
-        hist_plain = train(ds[:8], cfg, "a", 0, eval_dataset=ds[8:])
-        hist_smooth = train(smoothed[:8], cfg, "a", 0, eval_dataset=smoothed[8:])
+        hist_plain = train(prepare(ds[:8], ds[8:]), cfg, "a", 0)
+        hist_smooth = train(prepare(smoothed[:8], smoothed[8:]), cfg, "a", 0)
         for a, b in zip(hist_plain, hist_smooth):  # train losses, then eval NMEs
             assert (abs(a - b) < 1e-9).all()
 
@@ -342,10 +344,11 @@ class TestTrain:
         # block; weight decay must shrink coef once per batch either way.
         ds = dataset(12, 16, 16, 2, 0.02, seed=19, with_smoothing=smoothed)
         cfg = arm_a(objective, lr, 3, weight_decay=0.05, batch_size=4, structured=STRUCT_CFG)
+        problem = prepare(ds[:10], ds[10:])
         histories = []
         for block_bytes in (1, 1 << 40):
             monkeypatch.setattr(synth, "BLOCK_BYTES", block_bytes)
-            histories.append(train(ds[:10], cfg, "a", 0, eval_dataset=ds[10:]))
+            histories.append(train(problem, cfg, "a", 0))
         np.testing.assert_array_equal(histories[0], histories[1])
 
 
@@ -371,7 +374,7 @@ class TestDualForm:
     def check_primal_descent(self, objective, lr, with_smoothing):
         train_set, eval_set = self.split(with_smoothing=with_smoothing, gamma=4.0)
         cfg = arm_a(objective, lr, 3, weight_decay=self.C, batch_size=10, structured=STRUCT_CFG)
-        hist = train(train_set, cfg, "a", 0, eval_dataset=eval_set)
+        hist = train(prepare(train_set, eval_set), cfg, "a", 0)
         primal = LinearScorer.zeros(2, 16, 16)
         for train_loss, eval_nme in zip(*hist):
             value, grad = dataset_objective(train_set, primal, cfg, "a")
@@ -393,7 +396,7 @@ class TestDualForm:
         lr = 0.5
         cfg = arm_a("structured", lr, 3, weight_decay=self.C, batch_size=batch,
                     structured=STRUCT_CFG)
-        hist = train(train_set, cfg, "a", 0, eval_dataset=eval_set)
+        hist = train(prepare(train_set, eval_set), cfg, "a", 0)
 
         feats = features(train_set)
         cells = np.clip(np.rint(train_set.points), 0, 15).astype(int)
@@ -442,7 +445,7 @@ def compared(ds, synth):
     """compare_convergence's arms at seed 0, after checking that each arm's
     epochs are the first row of its eval NMEs at or below the target, and
     that its history arrays are float64 [epochs]."""
-    arms = compare_convergence(ds, synth, 0)
+    arms = compare_convergence(prepare(*split_dataset(ds)), synth, 0)
     for (epochs, train_loss, eval_nme), length in zip(arms, (synth.epochs_a, synth.epochs_b)):
         for history in (train_loss, eval_nme):
             assert history.dtype == np.float64 and history.shape == (length,)
@@ -474,6 +477,29 @@ class TestConvergenceComparison:
         assert epochs_a is not None and epochs_b is not None
         assert epochs_a < epochs_b
 
+    def test_one_comparison_builds_one_gram_pair(self, monkeypatch):
+        # Both arms share the problem's Gram matrices: the train and the
+        # held-out features are formed once each, and never inside train.
+        ds = dataset(20, 16, 16, 2, 0.02, seed=12)
+        cfg = SynthConfig(batch_size=16, epochs_a=1, epochs_b=1)
+        calls, training = [], []
+
+        def counted(data):
+            calls.append(bool(training))
+            return features(data)
+
+        def traced(*args, **kwargs):
+            training.append(True)
+            try:
+                return train(*args, **kwargs)
+            finally:
+                training.pop()
+
+        monkeypatch.setattr(synth, "features", counted)
+        monkeypatch.setattr(synth, "train", traced)
+        compare_convergence(prepare(*split_dataset(ds)), cfg, 0)
+        assert calls == [False, False]
+
     def test_holds_no_weight_tensor(self):
         # The [N, H*W, H*W + 1] weights on this grid take 3 * 1024 * 1025
         # * 8 B (about 24 MB); training keeps [S, N*H*W] coefficients.
@@ -482,7 +508,7 @@ class TestConvergenceComparison:
                             objective_b="softargmax", lr_b=0.2, epochs_b=2)
         tracemalloc.start()
         try:
-            compare_convergence(ds, synth, 0)
+            compare_convergence(prepare(*split_dataset(ds)), synth, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -492,7 +518,8 @@ class TestConvergenceComparison:
     def test_peak_memory_in_score_slabs(self, objective, lr, smoothed):
         # A slab is one batch of score rows [B, N*H*W]; coef takes one more,
         # and the MSE targets a third.  Scoring into buffers allocated once
-        # peaks at 2.5-2.7 slabs (3.6 for MSE); a fresh score array per
+        # peaks at 2.2-2.3 slabs (3.3 for MSE) with the Gram matrices built
+        # beforehand by prepare; a fresh score array per
         # epoch peaked at 3.9-4.0 (4.9 for MSE), and batch-sized
         # temporaries in the loss and update at 5.7 (structured), 6.8
         # (soft-argmax and smoothed) and 7.7 (MSE).
@@ -500,9 +527,10 @@ class TestConvergenceComparison:
         train_set, eval_set = split_dataset(ds)
         assert len(train_set) > 100
         cfg = arm_a(objective, lr, 2, batch_size=len(train_set))
+        problem = prepare(train_set, eval_set)
         tracemalloc.start()
         try:
-            train(train_set, cfg, "a", 0, eval_dataset=eval_set)
+            train(problem, cfg, "a", 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -511,17 +539,18 @@ class TestConvergenceComparison:
     def test_working_set_does_not_grow_with_epochs(self):
         # The synth-default shape on the soft-argmax arm: 80 train rows in
         # one batch, so coef and the score buffer, which the eval scores
-        # share, take 1.97 MB each.  Beyond those only the Gram matrices
-        # and block temporaries come and go, where a fresh score array per
-        # epoch and five temporaries per block peaked at 7.75 MB.
+        # share, take 1.97 MB each.  Beyond those only block temporaries
+        # come and go (the Gram matrices come with the problem), where a
+        # fresh score array per epoch and five temporaries per block
+        # peaked at 7.75 MB.
         ds = dataset(100, 32, 32, 3, 0.02, seed=1)
-        train_set, eval_set = split_dataset(ds)
+        problem = prepare(*split_dataset(ds))
         cfg = arm_a("softargmax", 0.2, 3)
-        coef_bytes = len(train_set) * 3 * 32 * 32 * 8
+        coef_bytes = len(problem.points) * 3 * 32 * 32 * 8
         tracemalloc.start()
         try:
             entry, _ = tracemalloc.get_traced_memory()
-            train(train_set, cfg, "a", 0, eval_dataset=eval_set)
+            train(problem, cfg, "a", 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -570,10 +599,11 @@ class TestSmoothedLabels:
             return derive_seed(seed, name)
 
         monkeypatch.setattr(synth, "derive_seed", recorded)
+        problem = prepare(ds[:10], ds[10:])
         losses = []
         for batch in (1, 3, 10):
             cfg = arm_a("structured", 0.0, 2, batch_size=batch, structured=STRUCT_CFG)
-            losses.append(train(ds[:10], cfg, "a", 0, eval_dataset=ds[10:])[0].tolist())
+            losses.append(train(problem, cfg, "a", 0)[0].tolist())
         assert losses[0] == losses[1] == losses[2]
         # The targets do not change between epochs; only the summation order does.
         assert losses[0][1] == pytest.approx(losses[0][0], rel=1e-12)
@@ -594,15 +624,18 @@ class TestSmoothedLabels:
         expected = reference_covs(distance[: len(train_set)], train_set.points, gamma)
         assert train_set.covs.tobytes() == expected.tobytes()
 
-    def test_training_reuses_stored_distance_fields(self, monkeypatch):
+    def test_training_fits_no_labels(self, monkeypatch):
+        # The labels come fitted with the dataset: training renders no
+        # distance field and fits no covariance.
         ds = dataset(10, 16, 16, 2, 0.02, seed=9, with_smoothing=True)
 
-        def recompute(*args, **kwargs):
-            raise AssertionError("contour distance field computed again")
+        def refit(*args, **kwargs):
+            raise AssertionError("labels fitted again")
 
-        monkeypatch.setattr(synth, "segment_distance_field", recompute)
+        monkeypatch.setattr(synth, "segment_distance_field", refit)
+        monkeypatch.setattr(synth, "fit_gaussian_label", refit)
         cfg = arm_a("structured", 1.0, 1, batch_size=10)
-        assert len(train(ds[:8], cfg, "a", 0, eval_dataset=ds[8:])[0]) == 1
+        assert len(train(prepare(ds[:8], ds[8:]), cfg, "a", 0)[0]) == 1
 
 
 class TestEvaluateNme:
@@ -630,7 +663,8 @@ class TestEvaluateNme:
         ds = dataset(9, 16, 12, 3, 0.02, seed=seed)
         scores = np.random.default_rng(seed).normal(0.0, 2.0, (9, 3, 16 * 12))
         for s in (scores, np.rint(scores)):
-            assert synth._argmax_nme(s, ds) == reference.argmax_nme(s, ds)
+            readout = synth._argmax_nme(s, ds.grid, ds.points, ds.norm)
+            assert readout == reference.argmax_nme(s, ds)
 
     def test_split_dataset_shapes(self):
         ds = dataset(10, 16, 16, 2, 0.0, seed=18)
