@@ -68,14 +68,18 @@ ROTATION_RANGE = (-0.26, 0.26)
 LOSS_GROWTH_LIMIT = 1e3
 
 # Bytes of score rows that train turns into losses and updates at once.
-# Rests on a sweep over the perfbench synth-default data (80 train rows of
-# 3 x 32 x 32 cells, 1 BLAS thread, 2 cores): compare_convergence took
-# 0.223, 0.202 and 0.191 s (medians of 25) at 128, 256 and 512 KiB, and
-# one soft-argmax train call peaked at 4.90, 5.15 and 5.71 MB traced.
-# 256 KiB keeps most of 128 KiB's smaller working set without its 10%
-# longer run.  With the batch in one block the same comparison on 100
-# samples took 0.33-0.38 s against 0.19-0.22 s (medians of 15, two
-# rounds), and its process peaked at 46.3 MB against 42.9 MB.
+# A batch whose score rows for every landmark fit in one block is scored
+# whole, and a larger one one landmark at a time, so a block row is then
+# one landmark's heatmap.  The size rests on a sweep made when a block row
+# was always a sample's N*H*W scores, over the perfbench synth-default data
+# (80 train rows of 3 x 32 x 32 cells, 1 BLAS thread, 2 cores):
+# compare_convergence took 0.223, 0.202 and 0.191 s (medians of 25) at
+# 128, 256 and 512 KiB, and one soft-argmax train call peaked at 4.90,
+# 5.15 and 5.71 MB traced.  256 KiB keeps most of 128 KiB's smaller
+# working set without its 10% longer run.  With the batch in one block
+# the same comparison on 100 samples took 0.33-0.38 s against 0.19-0.22 s
+# (medians of 15, two rounds), and its process peaked at 46.3 MB against
+# 42.9 MB.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -368,23 +372,6 @@ def _objective(data: Problem | SynthData, objective: str, synth: SynthConfig):
         gaussian_bumps(data.points, w, h, synth.mse_sigma).reshape(len(data.points), -1, w * h),)
 
 
-def _batch_loss(kernel, scores, targets):
-    """Per-sample losses [B] and heatmap gradients [B, N, H*W] of an ``_objective``
-    kernel for heatmaps scores [B, N, H*W] and their samples' rows of its
-    targets.  A sample's loss sums its landmark terms in landmark order."""
-    values, grads = kernel(scores, *targets)
-    losses = np.zeros(len(scores))
-    for n in range(values.shape[1]):
-        losses += values[:, n]
-    return losses, grads
-
-
-def _argmax_nme(scores: np.ndarray, grid, points: np.ndarray, norm: np.ndarray) -> float:
-    """Mean per-sample NME of argmax inference from scores [B, N, H*W] on
-    ``grid`` against points [B, N, 2] with normalizing distances [B]."""
-    return float(nme(argmax(scores, grid), points, norm).sum() / len(points))
-
-
 def split_dataset(dataset):
     """Deterministic head/tail split: the tail EVAL_FRACTION is held out."""
     n_eval = max(1, int(round(len(dataset) * EVAL_FRACTION)))
@@ -407,28 +394,37 @@ def train(problem: Problem, synth: SynthConfig, arm: str,
     always equal C_n^T X, with C_n the n-th block of H*W columns of the
     coefficients coef [S, N*H*W].
     Scores then need only the Gram matrices X X^T and X_eval X^T: a batch
-    is scored by one [B, S] x [S, N*H*W] GEMM, after which its heatmap
-    gradients [B, N*H*W] are subtracted from its coef rows.  Batches
-    average gradients; weight decay C first scales coef by (1 - lr * C),
+    is scored by one [B, S] x [S, G*H*W] GEMM per group of G landmarks,
+    after which the group's heatmap gradients [B, G*H*W] are subtracted
+    from its columns of the batch's coef rows.  Batches average gradients;
+    weight decay C first scales the group's coef columns by (1 - lr * C),
     which equals adding C * theta.  The weights are never built.
 
     The working set is fixed for the call and does not grow with the
     epochs.  It starts from the problem's Gram matrices, with no features
-    and no pixels.  Every batch and every evaluation is scored into one buffer
-    [max(min(batch_size, S), S_eval), N*H*W], allocated once: the held-out
-    split is scored after the epoch's last update, when no batch's score
-    rows are still read.  After the batch's one GEMM, its rows are taken
-    BLOCK_BYTES at a time: each block's losses, gradients and coef update
-    are done before the next block's, so besides coef and the buffer
-    only block-sized temporaries come and go, and they reuse the same
-    memory where batch-sized ones would cost the allocator fresh,
-    zero-filled pages.  The block size cannot change any output bit, since
-    the scores all come before the first update and a sample's loss,
-    gradient and coef row depend on its own score row alone.  Every
-    objective's targets are fixed arrays, computed once per call, so
-    neither the epoch, the batch size nor the shuffle order changes them.
-    They are not kept on the problem: the heatmap MSE targets [S, N, H*W]
-    would then outlive their arm.
+    and no pixels.  A batch whose score rows for every landmark fit in
+    BLOCK_BYTES is scored as one group, G = N; a larger batch is scored
+    one landmark at a time, G = 1, since a landmark's loss and gradient
+    read its own heatmap alone.  Every group of every batch and of the
+    held-out split is scored into one buffer [max(min(batch_size, S),
+    S_eval), G*H*W], allocated once: the held-out split is scored after
+    the epoch's last update, when no batch's score rows are still read,
+    and its argmax cells are gathered group by group for one NME.  After
+    a group's GEMM, its rows are taken BLOCK_BYTES at a time: each
+    block's losses, gradients and coef update are done before the next
+    block's, so besides coef and the buffer only block-sized temporaries
+    come and go, and they reuse the same memory where batch-sized ones
+    would cost the allocator fresh, zero-filled pages.  Neither the
+    groups nor the block size can change any output bit.  The groups'
+    coef columns are disjoint, so a group's scores all come before its
+    first update and no other group's update reaches them; a sample's
+    loss, gradient and coef row for a landmark depend on that landmark's
+    score row alone; and a sample's loss still sums its landmark terms in
+    landmark order before the epoch sums the samples in batch order.
+    Every objective's targets are fixed arrays, computed once per call,
+    so neither the epoch, the batch size nor the shuffle order changes
+    them.  They are not kept on the problem: the heatmap MSE targets
+    [S, N, H*W] would then outlive their arm.
 
     An epoch costs O(S^2 H W) against O(S (H W)^2) in primal form, so the
     dual form does less work while the train split S is smaller than about
@@ -444,10 +440,17 @@ def train(problem: Problem, synth: SynthConfig, arm: str,
     kernel, targets = _objective(problem, objective, synth)
     gram, eval_gram, grid = problem.gram, problem.eval_gram, problem.grid
     n, n_landmarks = problem.points.shape[:2]
-    coef = np.zeros((n, n_landmarks * grid[0] * grid[1]))
+    cells = grid[0] * grid[1]
+    coef = np.zeros((n, n_landmarks * cells))
     n_eval = len(eval_gram)
-    score_buf = np.empty((max(min(batch_size, n), n_eval), coef.shape[1]))
-    block_rows = max(1, BLOCK_BYTES // coef[0].nbytes)
+    group = n_landmarks if min(batch_size, n) * coef[0].nbytes <= BLOCK_BYTES else 1
+    score_buf = np.empty((max(min(batch_size, n), n_eval), group * cells))
+    block_rows = max(1, BLOCK_BYTES // score_buf[0].nbytes)
+    eval_cells = np.empty((n_eval, n_landmarks, 2), dtype=np.intp)
+    # Per landmark group: views of its coef columns, its targets and its eval cells.
+    groups = [(coef[:, lo * cells : (lo + group) * cells],
+               [t[:, lo : lo + group] for t in targets], eval_cells[:, lo : lo + group])
+              for lo in range(0, n_landmarks, group)]
     shrink = 1.0 - lr * weight_decay
     rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     train_loss, eval_nme = np.empty(epochs), np.empty(epochs)
@@ -458,23 +461,28 @@ def train(problem: Problem, synth: SynthConfig, arm: str,
                 epoch_loss = 0.0
                 for start in range(0, n, batch_size):
                     idx = order[start : start + batch_size]
-                    scores = np.matmul(gram[idx], coef, out=score_buf[: len(idx)])
-                    scores = scores.reshape(len(idx), n_landmarks, -1)
-                    if weight_decay > 0:
-                        coef *= shrink
+                    batch_loss = np.zeros(len(idx))
                     step = lr / len(idx)
-                    for lo in range(0, len(idx), block_rows):
-                        block = idx[lo : lo + block_rows]
-                        block_scores = scores[lo : lo + block_rows]
-                        if not np.isfinite(block_scores).all():
-                            raise TrainingDiverged(objective, epoch)
-                        block_targets = [t[block] for t in targets]
-                        losses, grads = _batch_loss(kernel, block_scores, block_targets)
-                        for loss in losses:  # sample by sample: this order fixes the output bits
-                            epoch_loss += loss
-                        grads *= step
-                        coef[block] -= grads.reshape(len(block), -1)
-                        del grads  # freed before the next block's kernel allocates
+                    for group_coef, group_targets, _ in groups:
+                        scores = np.matmul(gram[idx], group_coef, out=score_buf[: len(idx)])
+                        scores = scores.reshape(len(idx), group, cells)
+                        if weight_decay > 0:
+                            group_coef *= shrink
+                        for lo in range(0, len(idx), block_rows):
+                            block = idx[lo : lo + block_rows]
+                            block_scores = scores[lo : lo + block_rows]
+                            if not np.isfinite(block_scores).all():
+                                raise TrainingDiverged(objective, epoch)
+                            values, grads = kernel(block_scores,
+                                                   *[t[block] for t in group_targets])
+                            block_loss = batch_loss[lo : lo + block_rows]
+                            for k in range(group):  # landmark order fixes the output bits
+                                block_loss += values[:, k]
+                            grads *= step
+                            group_coef[block] -= grads.reshape(len(block), -1)
+                            del grads  # freed before the next block's kernel allocates
+                    for loss in batch_loss:  # sample by sample: this order fixes the output bits
+                        epoch_loss += loss
                 epoch_loss /= n
                 if not np.isfinite(epoch_loss):
                     raise TrainingDiverged(objective, epoch)
@@ -485,10 +493,11 @@ def train(problem: Problem, synth: SynthConfig, arm: str,
                         f"the epoch-1 loss {train_loss[0]:.6g}",
                     )
                 train_loss[epoch - 1] = epoch_loss
-                eval_scores = np.matmul(eval_gram, coef, out=score_buf[:n_eval])
-                eval_scores = eval_scores.reshape(n_eval, n_landmarks, -1)
-                eval_nme[epoch - 1] = _argmax_nme(eval_scores, grid, problem.eval_points,
-                                                  problem.eval_norm)
+                for group_coef, _, group_cells in groups:
+                    eval_scores = np.matmul(eval_gram, group_coef, out=score_buf[:n_eval])
+                    group_cells[...] = argmax(eval_scores.reshape(n_eval, group, cells), grid)
+                eval_nme[epoch - 1] = float(
+                    nme(eval_cells, problem.eval_points, problem.eval_norm).sum() / n_eval)
     except FloatingPointError as err:
         raise TrainingDiverged(objective, epoch) from err
     return train_loss, eval_nme

@@ -25,14 +25,15 @@ parameters and returns its distance fields beside the data, ``argmax`` stacks th
 ``take_along_axis`` and ``put_along_axis``, ``nme_mean`` averages
 with ``mean`` and ``argmax_nme`` is the held-out readout built from
 those two; ``synth.generate_dataset``, ``heatmap.argmax``,
-``losses.structured_batch``, ``metrics.nme`` and ``synth._argmax_nme``
-must reproduce them bit for bit.
+``losses.structured_batch``, ``metrics.nme`` and ``argmax_readout``, the
+held-out readout of ``synth.train``, must reproduce them bit for bit.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from landmarklab import heatmap
 from landmarklab.heatmap import coordinate_grids, softmax
 from landmarklab.losses import StructuredLossConfig, _cell_margins, _margin_from_diffs
 from landmarklab.metrics import nme
@@ -53,8 +54,6 @@ from landmarklab.synth import (
     SynthConfig,
     SynthData,
     TrainingDiverged,
-    _argmax_nme,
-    _batch_loss,
     _objective,
     features,
     prepare,
@@ -105,9 +104,17 @@ class LinearScorer:
         return out
 
 
+def argmax_readout(scores: np.ndarray, grid, points: np.ndarray, norm: np.ndarray) -> float:
+    """Mean per-sample NME of argmax inference from scores [B, N, H*W] on
+    ``grid`` against points [B, N, 2] with normalizing distances [B]: the
+    held-out readout of ``synth.train``, from ``heatmap.argmax`` cells and
+    ``metrics.nme``."""
+    return float(nme(heatmap.argmax(scores, grid), points, norm).sum() / len(points))
+
+
 def evaluate_nme(scorer: LinearScorer, data: SynthData) -> float:
     """Mean per-sample NME of argmax inference over a dataset."""
-    return _argmax_nme(scorer.scores(features(data)), data.grid, data.points, data.norm)
+    return argmax_readout(scorer.scores(features(data)), data.grid, data.points, data.norm)
 
 
 def dataset_objective(dataset, scorer: LinearScorer, synth: SynthConfig, arm: str):
@@ -120,9 +127,12 @@ def dataset_objective(dataset, scorer: LinearScorer, synth: SynthConfig, arm: st
     """
     feats = features(dataset)
     kernel, targets = _objective(dataset, getattr(synth, f"objective_{arm}"), synth)
-    losses, grads = _batch_loss(kernel, scorer.scores(feats), targets)
+    values, grads = kernel(scorer.scores(feats), *targets)
     total = 0.0
-    for loss in losses:  # sample by sample, in the order train sums them
+    for landmark_values in values:  # sample by sample, landmark by landmark, as train sums them
+        loss = 0.0
+        for value in landmark_values:
+            loss += value
         total += loss
     total /= len(dataset)
     grad = grads.transpose(1, 2, 0) @ feats / len(dataset)
@@ -437,5 +447,5 @@ def nme_mean(pred: np.ndarray, gt: np.ndarray, d) -> np.ndarray:
 
 
 def argmax_nme(scores: np.ndarray, data: SynthData) -> float:
-    """``synth._argmax_nme`` from the ``argmax`` and ``nme_mean`` above."""
+    """``argmax_readout`` from the ``argmax`` and ``nme_mean`` above."""
     return float(nme_mean(argmax(scores, data.grid), data.points, data.norm).mean())
